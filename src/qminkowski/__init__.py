@@ -15,9 +15,9 @@ from .calculus import make_calculus, f_tilde, Form1
 from .dirac import metric, gamma, clifford_check, clifford_ok, Bispinor, \
     dirac_apply, dirac_square_check
 from .lorentz import make_lorentz, lambda_entries, lambda_invariance_check
-from .braiding import BPoly, CqtEvaluator, RQMatrix, build_rq, \
-    yang_baxter_check, delta_b, counit_b, make_evaluator, r_eval, \
-    star_cqt_check, ct_check, lorentz_r_blocks
+from .braiding import CqtEvaluator, build_rq, yang_baxter_check, \
+    delta_b, counit_b, make_evaluator, r_eval, star_cqt_check, ct_check, \
+    lorentz_r_blocks
 from .fock import CTensor, coaction, interchange_k, braid_action, \
     symmetrize, lift_operator
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstraintError, ShapeError
-from .exact import Mat, ONE, Scalar, ZERO, flip, kron, sqrt_q
+from .exact import Mat, ONE, Scalar, ZERO, flip, kron, require_sign, \
+    sqrt_q
 from .instance import PoincareInstance
-from .qalgebra import NCPoly
+from .qalgebra import NCPoly, accumulate
 
 __all__ = [
-    "BPoly", "RQMatrix",
     "lam_id", "y_id", "b_name", "p_entry_word",
     "build_rq", "yang_baxter_check",
     "delta_b", "counit_b",
@@ -32,12 +32,6 @@ __all__ = [
     "star_cqt_check", "ct_check",
     "LorentzRBlocks", "lorentz_r_blocks",
 ]
-
-# Polynomials over the symmetry alphabet are plain free NCPoly values (no
-# relations are ever applied to them), and R_Q is an ordinary 25x25 Mat.
-BPoly = NCPoly
-RQMatrix = Mat
-
 
 # --- generator alphabet of the symmetry bialgebra ---------------------------
 
@@ -173,13 +167,7 @@ def delta_b(p: NCPoly):
     """Coproduct of a symmetry-algebra polynomial as {(w1, w2): coeff}."""
     out = {}
     for w, c in p.terms.items():
-        for w1, w2, cc in _delta_word(w):
-            key = (w1, w2)
-            s = out.get(key, ZERO) + c * cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        accumulate(out, {(w1, w2): cc for w1, w2, cc in _delta_word(w)}, c)
     return out
 
 
@@ -205,8 +193,7 @@ class CqtEvaluator:
             b = Scalar(b)
         if not isinstance(k, Scalar):
             k = Scalar(k)
-        if k != ONE and k != Scalar(-1):
-            raise ConstraintError("k must be +1 or -1")
+        require_sign("k", k)
         self.instance = inst
         self.met = met
         self.b = b
@@ -334,8 +321,7 @@ def lorentz_r_blocks(inst: PoincareInstance, k=1) -> LorentzRBlocks:
     is the residual freedom left by the bialgebra laws."""
     if not isinstance(k, Scalar):
         k = Scalar(k)
-    if k != ONE and k != Scalar(-1):
-        raise ConstraintError("k must be +1 or -1")
+    require_sign("k", k)
     q, s = inst.q, inst.s
     lmat = (Mat.identity(4) + (inst.E * inst.Eprime).scale(q)) \
         .scale(s * sqrt_q(q))

@@ -17,7 +17,8 @@ from fractions import Fraction
 from .errors import ConstraintError, ShapeError
 
 __all__ = [
-    "Scalar", "ZERO", "ONE", "I", "parse_scalar", "sqrt_q",
+    "Scalar", "ZERO", "ONE", "I", "parse_scalar", "is_sign", "require_sign",
+    "sqrt_q",
     "Mat", "kron", "flip", "middle_embed",
     "pauli", "v_matrix", "v_inverse",
 ]
@@ -158,13 +159,22 @@ def parse_scalar(text: str) -> Scalar:
         raise ParseError("bad scalar literal %r" % text) from exc
 
 
+def is_sign(x) -> bool:
+    """Whether x is +1 or -1, the values the signs q, s and k may take."""
+    return x == ONE or x == -ONE
+
+
+def require_sign(name: str, x):
+    """Raise ConstraintError unless the sign called name is +1 or -1."""
+    if not is_sign(x):
+        raise ConstraintError("%s must be +1 or -1" % name)
+
+
 def sqrt_q(q: Scalar) -> Scalar:
     """The fixed square-root branch: 1 for q = 1, i for q = -1."""
-    if q == ONE:
-        return ONE
-    if q == Scalar(-1):
-        return I
-    raise ConstraintError("q must be +1 or -1, got %r" % q)
+    if not is_sign(q):
+        raise ConstraintError("q must be +1 or -1, got %r" % q)
+    return ONE if q == ONE else I
 
 
 class Mat:

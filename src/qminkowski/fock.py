@@ -15,10 +15,10 @@ from itertools import permutations
 from math import factorial
 
 from .errors import NotCotriangular
-from .exact import ONE, Scalar, ZERO
+from .exact import ONE, Scalar
 from .braiding import CqtEvaluator, lam_id, y_id
 from .minkowski import MinkowskiAlgebra
-from .qalgebra import NCPoly
+from .qalgebra import NCPoly, accumulate
 
 __all__ = [
     "CTensor", "coaction", "interchange_k", "braid_action",
@@ -51,31 +51,16 @@ class CTensor:
         n = len(polys)
         acc = {(): ONE}
         for p in polys:
-            nfp = alg.normal_form(p)
-            new = {}
-            for ws, c in acc.items():
-                for w, cw in nfp.terms.items():
-                    key = ws + (w,)
-                    s = new.get(key, ZERO) + c * cw
-                    if s:
-                        new[key] = s
-                    else:
-                        new.pop(key, None)
-            acc = new
+            nfp = alg.normal_form(p).terms
+            acc = {ws + (w,): c * cw for ws, c in acc.items()
+                   for w, cw in nfp.items()}
         return CTensor(n, acc)
 
     def __add__(self, other):
         if not isinstance(other, CTensor) or other.n != self.n:
             raise ValueError("slot count mismatch")
-        out = dict(self.terms)
-        for ws, c in other.terms.items():
-            s = out.get(ws, ZERO) + c
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
         t = CTensor(self.n)
-        t.terms = out
+        t.terms = accumulate(dict(self.terms), other.terms)
         return t
 
     def __sub__(self, other):
@@ -115,26 +100,14 @@ def _coaction_word(alg: MinkowskiAlgebra, w):
     hit = cache.get(w)
     if hit is not None:
         return hit
-    pairs = {((), ()): ONE}
+    # Each letter x_g goes to sum_j Lambda_gj (x) x_j + y_g (x) 1.  The
+    # symmetry word names every choice made, so no two terms share a key.
+    pairs = [((), ())]
     for g in w:
-        new = {}
-        for (bw, cw), c in pairs.items():
-            for j in range(4):
-                key = (bw + (lam_id(g, j),), cw + (j,))
-                new[key] = new.get(key, ZERO) + c
-            key = (bw + (y_id(g),), cw)
-            new[key] = new.get(key, ZERO) + c
-        pairs = new
-    out = {}
-    for (bw, cw), c in pairs.items():
-        nfp = alg.normal_form(NCPoly.from_word(cw))
-        for cw2, c2 in nfp.terms.items():
-            key = (bw, cw2)
-            s = out.get(key, ZERO) + c * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        letter = [(lam_id(g, j), (j,)) for j in range(4)] + [(y_id(g), ())]
+        pairs = [(bw + (b,), cw + c) for bw, cw in pairs for b, c in letter]
+    out = {(bw, cw2): c2 for bw, cw in pairs
+           for cw2, c2 in alg.normal_form(NCPoly.from_word(cw)).terms.items()}
     cache[w] = out
     return out
 
@@ -143,12 +116,7 @@ def coaction(alg: MinkowskiAlgebra, p: NCPoly):
     """The affine coaction as {(symmetry word, coordinate word): coeff}."""
     out = {}
     for w, c in p.terms.items():
-        for key, cc in _coaction_word(alg, w).items():
-            s = out.get(key, ZERO) + c * cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        accumulate(out, _coaction_word(alg, w), c)
     return out
 
 
@@ -165,14 +133,8 @@ def _k_pair(ev: CqtEvaluator, alg: MinkowskiAlgebra, wp, wq):
     for (ub, um), ca in left.items():
         for (vb, vn), cb in right.items():
             s = ev.r_word(vb, ub)
-            if not s:
-                continue
-            k2 = (vn, um)
-            acc = out.get(k2, ZERO) + ca * cb * s
-            if acc:
-                out[k2] = acc
-            else:
-                out.pop(k2, None)
+            if s:
+                accumulate(out, {(vn, um): ca * cb * s})
     cache[key] = out
     return out
 
@@ -182,29 +144,16 @@ def interchange_k(ev: CqtEvaluator, alg: MinkowskiAlgebra,
     """The braiding on a two-slot tensor."""
     if t.n != 2:
         raise ValueError("interchange_k acts on two slots")
-    out = {}
-    for (wp, wq), c in t.terms.items():
-        for key, cc in _k_pair(ev, alg, wp, wq).items():
-            s = out.get(key, ZERO) + c * cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    res = CTensor(2)
-    res.terms = out
-    return res
+    return _apply_k_at(ev, alg, t, 0)
 
 
 def _apply_k_at(ev, alg, t: CTensor, pos: int) -> CTensor:
     out = {}
     for ws, c in t.terms.items():
-        for (w1, w2), cc in _k_pair(ev, alg, ws[pos], ws[pos + 1]).items():
-            key = ws[:pos] + (w1, w2) + ws[pos + 2:]
-            s = out.get(key, ZERO) + c * cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        head, tail = ws[:pos], ws[pos + 2:]
+        accumulate(out, {head + pair + tail: cc for pair, cc
+                         in _k_pair(ev, alg, ws[pos], ws[pos + 1]).items()},
+                   c)
     res = CTensor(t.n)
     res.terms = out
     return res
@@ -271,13 +220,8 @@ def lift_operator(ev: CqtEvaluator, alg: MinkowskiAlgebra, w_op,
         hit = {}
         for ws, c in moved.terms.items():
             img = alg.normal_form(w_op(NCPoly.from_word(ws[0])))
-            for w0, c0 in img.terms.items():
-                key = (w0,) + ws[1:]
-                s = hit.get(key, ZERO) + c * c0
-                if s:
-                    hit[key] = s
-                else:
-                    hit.pop(key, None)
+            accumulate(hit, {(w0,) + ws[1:]: c0
+                             for w0, c0 in img.terms.items()}, c)
         applied = CTensor(n)
         applied.terms = hit
         total = total + (braid_action(ev, alg, perm, applied)

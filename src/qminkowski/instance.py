@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConstraintError, ParseError, UnknownInstance
-from .exact import Mat, ONE, Scalar, flip
+from .exact import Mat, ONE, Scalar, flip, is_sign, require_sign
 
 __all__ = [
     "PoincareInstance", "CheckResult", "ValidationReport",
@@ -110,10 +110,8 @@ def instance_from_dict(doc) -> PoincareInstance:
 
 
 def _check_constraints(inst: PoincareInstance):
-    if inst.q != ONE and inst.q != Scalar(-1):
-        raise ConstraintError("q must be +1 or -1")
-    if inst.s != ONE and inst.s != Scalar(-1):
-        raise ConstraintError("s must be +1 or -1")
+    require_sign("q", inst.q)
+    require_sign("s", inst.s)
     if inst.X.det() == 0:
         raise ConstraintError("X is singular")
 
@@ -131,7 +129,8 @@ def load_instance(path) -> PoincareInstance:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8, or an integer too long to parse
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
     return instance_from_dict(doc)
 
@@ -191,25 +190,24 @@ def validate_instance(inst: PoincareInstance) -> ValidationReport:
 
     add(CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
                                     "Z 16x4, T 16x1"))
-    q_ok = inst.q == ONE or inst.q == Scalar(-1)
+    q_ok = is_sign(inst.q)
     add(CheckResult("q-sign", q_ok, "q = %r" % inst.q))
-    s_ok = inst.s == ONE or inst.s == Scalar(-1)
-    add(CheckResult("s-sign", s_ok, "s = %r" % inst.s))
+    add(CheckResult("s-sign", is_sign(inst.s), "s = %r" % inst.s))
 
-    x_ok = inst.X.det() != 0
-    add(CheckResult("x-invertible", x_ok, "det X = %r" % inst.X.det()))
+    det_x = inst.X.det()
+    x_ok = det_x != 0
+    add(CheckResult("x-invertible", x_ok, "det X = %r" % det_x))
 
     if q_ok and x_ok:
         from .dirac import metric
         met = metric(inst)
-        sym = all(met.g[i, j].conj() == met.g[j, i]
-                  for i in range(4) for j in range(4))
+        sym = met.is_conj_symmetric()
         add(CheckResult("metric-symmetric", sym,
                         "conj(g_ij) == g_ji" if sym else "conjugate symmetry "
                         "fails"))
-        nondeg = met.g.det() != 0
-        add(CheckResult("metric-nondegenerate", nondeg,
-                        "det g = %r" % met.g.det()))
+        det_g = met.g.det()
+        add(CheckResult("metric-nondegenerate", det_g != 0,
+                        "det g = %r" % det_g))
     else:
         add(CheckResult("metric-symmetric", False, "prerequisites failed"))
         add(CheckResult("metric-nondegenerate", False,

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeError
-from .exact import Scalar, v_inverse, v_matrix
+from .exact import v_inverse, v_matrix
 from .instance import PoincareInstance
-from .qalgebra import NCPoly, TruncatedQuotient, build_quotient
+from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
+    build_quotient
 
 __all__ = [
     "w_id", "wbar_id", "lorentz_star", "lorentz_relations",
@@ -78,12 +79,12 @@ def lorentz_relations(inst: PoincareInstance):
                         for bp in range(2):
                             v = x[2 * a + b, 2 * ap + bp]
                             if v:
-                                key = (w_id(ap, c), wbar_id(bp, d))
-                                t[key] = t.get(key, Scalar(0)) + v
+                                accumulate(t, {(w_id(ap, c),
+                                                wbar_id(bp, d)): v})
                             v = x[2 * ap + bp, 2 * c + d]
                             if v:
-                                key = (wbar_id(a, ap), w_id(b, bp))
-                                t[key] = t.get(key, Scalar(0)) - v
+                                accumulate(t, {(wbar_id(a, ap),
+                                                w_id(b, bp)): -v})
                     rels.append(NCPoly(t))
     return rels + [lorentz_star(r) for r in rels]
 
@@ -126,8 +127,8 @@ def lambda_entries(inst: PoincareInstance):
                             cj = v[2 * c + d, j]
                             if not cj:
                                 continue
-                            key = (w_id(a, c), wbar_id(b, d))
-                            t[key] = t.get(key, Scalar(0)) + ci * cj
+                            accumulate(t, {(w_id(a, c), wbar_id(b, d)):
+                                           ci * cj})
             row.append(NCPoly(t))
         out.append(tuple(row))
     return tuple(out)

@@ -21,9 +21,39 @@ from itertools import product
 from .errors import DegreeError
 from .exact import ONE, Scalar
 
-__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "all_words"]
+__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "all_words",
+           "accumulate"]
 
 Word = tuple
+
+
+def accumulate(out: dict, terms: dict, c=None) -> dict:
+    """out += c * terms in place, dropping every key whose coefficient
+    cancels; with c omitted, out += terms.  Returns out.
+
+    This is the one sparse accumulate of the package: polynomials, tensor
+    slots, coactions and coproducts are all dicts from keys to nonzero
+    Scalars, and every sum of them goes through here.
+    """
+    get = out.get
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        s = get(k)
+        if s is not None:
+            v = s + v
+        if v:
+            out[k] = v
+        elif s is not None:
+            del out[k]
+    return out
+
+
+def _poly(terms) -> "NCPoly":
+    """Wrap terms that hold no zero coefficient, without copying."""
+    p = NCPoly.__new__(NCPoly)
+    p.terms = terms
+    return p
 
 
 def _key(w):
@@ -41,12 +71,7 @@ class NCPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    t[w] = c
-        self.terms = t
+        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -84,73 +109,40 @@ class NCPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        p = NCPoly.__new__(NCPoly)
-        p.terms = out
-        return p
+        return _poly(accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = -c if s is None else s - c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        p = NCPoly.__new__(NCPoly)
-        p.terms = out
-        return p
+        return self + (-other)
 
     def __neg__(self):
-        p = NCPoly.__new__(NCPoly)
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
+        return _poly({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        p = NCPoly.__new__(NCPoly)
-        p.terms = out
-        return p
+            accumulate(out, {w1 + w2: c2 for w2, c2 in other.terms.items()},
+                       c1)
+        return _poly(out)
 
     def scale(self, c) -> "NCPoly":
         if not isinstance(c, Scalar):
             c = Scalar(c)
         if not c:
             return NCPoly()
-        p = NCPoly.__new__(NCPoly)
-        p.terms = {w: c * v for w, v in self.terms.items()}
-        return p
+        return _poly({w: c * v for w, v in self.terms.items()})
 
     def star(self, invmap=None) -> "NCPoly":
         """The antilinear antihomomorphism: reverse words, conjugate
         coefficients, optionally relabel generators through invmap."""
         out = {}
         for w, c in self.terms.items():
-            rw = tuple(reversed(w))
+            rw = w[::-1]
             if invmap is not None:
-                rw = tuple(invmap(g) for g in rw)
-            out[rw] = out.get(rw, Scalar(0)) + c.conj()
-        return NCPoly(out)
+                rw = tuple(map(invmap, rw))
+            accumulate(out, {rw: c.conj()})
+        return _poly(out)
 
     def format(self, names=None) -> str:
         if not self.terms:
@@ -168,16 +160,15 @@ class NCPoly:
         return self.format()
 
 
-def _word_mul_rows(u, poly_terms, v):
+def _substitute(table, terms):
+    """Replace every word of terms that has a table entry by that entry."""
     out = {}
-    for w, c in poly_terms.items():
-        key = u + w + v
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
+    for w, c in terms.items():
+        sub = table.get(w)
+        if sub is None:
+            accumulate(out, {w: c})
         else:
-            out.pop(key, None)
+            accumulate(out, sub, c)
     return out
 
 
@@ -211,53 +202,30 @@ class TruncatedQuotient:
                 for u in all_words(self.gens, lu):
                     for lv in range(slack - lu + 1):
                         for v in all_words(self.gens, lv):
-                            row = _word_mul_rows(u, rel.terms, v)
-                            self._insert(ech, row)
+                            self._insert(ech, {u + w + v: c for w, c
+                                               in rel.terms.items()})
         # Substitute ascending so every stored tail is itself fully reduced.
         table = {}
         for lead in sorted(ech, key=_key):
-            repl = {}
-            for w, c in ech[lead].items():
-                c = -c
-                sub = table.get(w)
-                if sub is None:
-                    s = repl.get(w)
-                    s = c if s is None else s + c
-                    if s:
-                        repl[w] = s
-                    else:
-                        repl.pop(w, None)
-                else:
-                    for w2, c2 in sub.items():
-                        s = repl.get(w2)
-                        cc = c * c2
-                        s = cc if s is None else s + cc
-                        if s:
-                            repl[w2] = s
-                        else:
-                            repl.pop(w2, None)
-            table[lead] = repl
+            table[lead] = _substitute(table, ech[lead])
         return table
 
     @staticmethod
     def _insert(ech, row):
+        """Reduce row against the pivots in ech and store what is left.
+
+        Each pivot row is stored as the replacement of its lead word (the
+        tail times -1/lead), so reducing by it is one accumulate.
+        """
         while row:
             lead = max(row, key=_key)
+            c = row.pop(lead)
             piv = ech.get(lead)
             if piv is None:
-                c = row.pop(lead)
-                inv = ONE / c
-                ech[lead] = {w: inv * v for w, v in row.items()}
+                neg = -ONE / c
+                ech[lead] = {w: neg * v for w, v in row.items()}
                 return
-            c = row.pop(lead)
-            for w, v in piv.items():
-                s = row.get(w)
-                cv = c * v
-                s = -cv if s is None else s - cv
-                if s:
-                    row[w] = s
-                else:
-                    row.pop(w, None)
+            accumulate(row, piv, c)
 
     def _build_basis(self):
         table = self._table
@@ -290,29 +258,7 @@ class TruncatedQuotient:
         if p.degree() > self.cap:
             raise DegreeError("degree %d exceeds cap %d"
                               % (p.degree(), self.cap))
-        table = self._table
-        out = {}
-        for w, c in p.terms.items():
-            sub = table.get(w)
-            if sub is None:
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-            else:
-                for w2, c2 in sub.items():
-                    s = out.get(w2)
-                    cc = c * c2
-                    s = cc if s is None else s + cc
-                    if s:
-                        out[w2] = s
-                    else:
-                        out.pop(w2, None)
-        q = NCPoly.__new__(NCPoly)
-        q.terms = out
-        return q
+        return _poly(_substitute(self._table, p.terms))
 
 
 def build_quotient(gens: int, relations, cap: int) -> TruncatedQuotient:

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from qminkowski.braiding import (
-    CqtEvaluator, RQMatrix, BPoly, b_name, build_rq, counit_b, ct_check,
+    CqtEvaluator, b_name, build_rq, counit_b, ct_check,
     delta_b, lam_id, lorentz_r_blocks, make_evaluator, p_entry_word, r_eval,
     star_cqt_check, y_id, yang_baxter_check,
 )
@@ -305,8 +305,6 @@ def test_blocks_intertwine_in_the_quotient():
                 assert alg.normal_form(lhs - rhs).is_zero()
 
 
-def test_type_aliases_exposed():
-    assert BPoly is NCPoly
-    assert RQMatrix is Mat
+def test_b_name():
     assert b_name(lam_id(1, 2)) == "L12"
     assert b_name(y_id(3)) == "y3"

@@ -50,6 +50,14 @@ def test_instance_file_errors(capsys, tmp_path):
     hard.write_text(json.dumps(d))
     code, _, err = run(capsys, "validate", str(hard))
     assert code == 2 and err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')   # not UTF-8
+    code, _, err = run(capsys, "validate", str(latin1))
+    assert code == 2 and err
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"name": ' + "9" * 5000 + "}")   # int over 4,300 digits
+    code, _, err = run(capsys, "validate", str(huge))
+    assert code == 2 and err
 
 
 def test_unknown_builtin(capsys):
