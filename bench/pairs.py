@@ -1,0 +1,146 @@
+"""Compare two checkouts with alternating paired runs of perfbench/run.py.
+
+    python3 bench/pairs.py --parent DIR --change DIR \
+        --workload report-mix --seeds 101-110 --out BENCH_4.json
+
+Pair k runs both checkouts on seed k, the parent first on even k and the
+change first on odd k, each as ``perfbench/run.py --trace 0`` in its own
+directory, so both sides use their own benchmark code and source.  The
+run length is the parent's BENCHMARK.json ``run_seconds``.  One traced
+run per side (``--trace 1``) on the first seed follows the pairs.
+The output file gathers, per workload, this script's command line, the
+seeds, every run's result line and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and the number of pairs
+the change won.  The machine, the Python, the parent's git commit and
+each side's ``report --builtin classical`` stdout sha256 are recorded
+once.  Runs are appended to an existing output file, one workload at a
+time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def run(checkout, workload, seed, seconds, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def commit(checkout):
+    """The checkout's git commit, or None when it is not a git checkout."""
+    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                         cwd=checkout, text=True, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, check=False)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def report_sha(checkout):
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "qminkowski", "report", "--builtin",
+         "classical"], cwd=checkout, env=env, stdout=subprocess.PIPE,
+        check=False).stdout
+    return hashlib.sha256(out).hexdigest()
+
+
+def machine():
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "cpu": cpu,
+            "cpus": os.cpu_count(), "python": sys.version.split()[0],
+            "implementation": platform.python_implementation()}
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def summarise(pairs, better):
+    """Per end-to-end metric: each side's quartiles and the change's wins;
+    better maps a metric to "lower" or "higher", as BENCHMARK.json does."""
+    out = {}
+    for name, direction in better.items():
+        par = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        chg = [p["change"]["metrics"][name]["value"] for p in pairs]
+        lower = direction == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        out[name] = {"unit": pairs[0]["parent"]["metrics"][name]["unit"],
+                     "better": direction,
+                     "parent": quartiles(par), "change": quartiles(chg),
+                     "change_wins": wins, "pairs": len(pairs)}
+    return out
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=seed_range, required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    with open(os.path.join(sides["parent"], "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["machine"] = machine()
+    doc["parent_commit"] = commit(sides["parent"])
+    doc["report_sha256"] = {k: report_sha(v) for k, v in sides.items()}
+    doc["run_command"] = ("perfbench/run.py --workload W --seed S "
+                          "--seconds %g --trace 0 (pairs) or --trace 1 "
+                          "(traced, first seed)" % seconds)
+    pairs = []
+    for k, seed in enumerate(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(sides[side], args.workload, seed, seconds, 0)
+        print(json.dumps(pair), flush=True)
+        pairs.append(pair)
+    entry = {"argv": ["bench/pairs.py"] + sys.argv[1:],
+             "seeds": args.seeds, "pairs": pairs,
+             "summary": summarise(pairs, better),
+             "traced": {side: run(path, args.workload, args.seeds[0],
+                                  seconds, 1)
+                        for side, path in sides.items()}}
+    doc.setdefault("workloads", {})[args.workload] = entry
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """Exact Gaussian-rational scalars and dense matrices.
 
-Scalars are complex numbers whose real and imaginary parts are
-``fractions.Fraction`` values, so every operation in the package is exact.
+A Scalar is a Gaussian rational (a + b*i) / d stored as three ints with
+d > 0 and gcd(a, b, d) == 1, so every operation in the package is exact,
+and integer-valued entries (d == 1) cost plain int arithmetic.
 Matrices are dense, row-major, and immutable by convention: builders
 assemble an entry list and hand it to ``Mat`` once.
 
@@ -13,6 +14,7 @@ Tensor legs use a single fixed convention everywhere: the pair (i, j) with
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConstraintError, ShapeError
 
@@ -24,105 +26,181 @@ __all__ = [
 ]
 
 
-def _raw(re: Fraction, im: Fraction) -> "Scalar":
-    s = Scalar.__new__(Scalar)
-    s.re = re
-    s.im = im
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> "Scalar":
+    """Wrap a triple that is already canonical."""
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
     return s
 
 
-class Scalar:
-    """A Gaussian rational re + im*i."""
+def _reduce(a: int, b: int, d: int) -> "Scalar":
+    """Bring (a + b*i) / d with d != 0 to canonical form."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
-    __slots__ = ("re", "im")
+
+def _coerce(x):
+    """A Scalar, int or Fraction operand as a canonical triple (a, b, d),
+    or None for anything else."""
+    if isinstance(x, Scalar):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+class Scalar:
+    """A Gaussian rational (a + b*i) / d held as three ints.
+
+    Invariant: d > 0 and gcd(a, b, d) == 1, with zero stored as (0, 0, 1).
+    Every value has exactly one triple, so == and hash compare triples.
+    When both operands have d == 1, + - * are plain int arithmetic with no
+    gcd; a gcd runs only for a denominator other than 1 or on division.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        s = Scalar.from_quad(re.numerator, re.denominator,
+                             im.numerator, im.denominator)
+        self.a, self.b, self.d = s.a, s.b, s.d
+
+    @staticmethod
+    def from_quad(re_num: int, re_den: int, im_num: int, im_den: int):
+        """The Scalar re_num/re_den + (im_num/im_den)*i, for ints with
+        nonzero denominators; the inverse of to_quad."""
+        d = re_den * im_den // gcd(re_den, im_den)
+        return _reduce(re_num * (d // re_den), im_num * (d // im_den), d)
+
+    @property
+    def re(self):
+        """The real part: an int when d == 1, else a Fraction."""
+        return self.a if self.d == 1 else Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        """The imaginary part: an int when d == 1, else a Fraction."""
+        return self.b if self.d == 1 else Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.a, self.b, self.d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            return _raw(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.re + other, self.im)
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, e, f = o
+        d = self.d
+        if f == 1:
+            # Adding a multiple of 1/d keeps gcd(a, b, d) == 1.
+            return _raw(self.a + c * d, self.b + e * d, d)
+        if d == 1:
+            return _raw(self.a * f + c, self.b * f + e, f)
+        return _reduce(self.a * f + c * d, self.b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            return _raw(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.re - other, self.im)
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, e, f = o
+        d = self.d
+        if f == 1:
+            return _raw(self.a - c * d, self.b - e * d, d)
+        if d == 1:
+            return _raw(self.a * f - c, self.b * f - e, f)
+        return _reduce(self.a * f - c * d, self.b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return _raw(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return _raw(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.re * other, self.im * other)
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, e, f = o
+        a, b, d = self.a, self.b, self.d
+        if d == 1 and f == 1:
+            return _raw(a * c - b * e, a * e + b * c, 1)
+        return _reduce(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _raw((a * c + b * d) / n, (b * c - a * d) / n)
+        c, e, f = o
+        a, b = self.a * f, self.b * f
+        if e == 0:
+            if c == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            return _reduce(a, b, self.d * c)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        return _reduce(a * c + b * e, b * c - a * e, self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        return Scalar(other).__truediv__(self)
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return _raw(*o).__truediv__(self)
 
     def conj(self) -> "Scalar":
-        return _raw(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def to_quad(self):
         """Four-integer encoding [re_num, re_den, im_num, im_den]."""
-        return [self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator]
+        a, b, d = self.a, self.b, self.d
+        gr, gi = gcd(a, d), gcd(b, d)
+        return [a // gr, d // gr, b // gi, d // gi]
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             ipart = "i"
-        elif self.im == -1:
+        elif im == -1:
             ipart = "-i"
         else:
-            ipart = "%si" % self.im
-        if not self.re:
+            ipart = "%si" % im
+        if not re:
             return ipart
-        sign = "+" if self.im > 0 else ""
-        return "%s%s%s" % (self.re, sign, ipart)
+        sign = "+" if im > 0 else ""
+        return "%s%s%s" % (re, sign, ipart)
 
 
 ZERO = Scalar(0)
@@ -143,7 +221,9 @@ def parse_scalar(text: str) -> Scalar:
         body = s[:-1]
         cut = 0
         for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
+            # A sign after another sign, a slash or an exponent marker
+            # belongs to the number it follows, not to the cut.
+            if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
                 cut = pos
                 break
         re_part, im_part = body[:cut], body[cut:]

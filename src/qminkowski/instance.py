@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ConstraintError, ParseError, UnknownInstance
 from .exact import Mat, ONE, Scalar, flip, is_sign, require_sign
@@ -67,7 +66,7 @@ def _scalar_from_quad(obj, where: str) -> Scalar:
         raise ParseError("%s: scalar must be four integers" % where)
     if obj[1] <= 0 or obj[3] <= 0:
         raise ParseError("%s: denominators must be positive" % where)
-    return Scalar(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
+    return Scalar.from_quad(*obj)
 
 
 def _mat_from_obj(obj, key: str) -> Mat:

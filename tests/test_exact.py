@@ -91,12 +91,16 @@ def test_scalar_division_by_zero():
     ("-2/5+7i", Scalar(Fraction(-2, 5), 7)),
     ("2i", Scalar(0, 2)),
     ("1.5", Scalar(Fraction(3, 2))),
+    ("2+1e-3i", Scalar(2, Fraction(1, 1000))),
+    ("2E-1i", Scalar(0, Fraction(1, 5))),
+    ("1e-3+2i", Scalar(Fraction(1, 1000), 2)),
 ])
 def test_parse_scalar(text, val):
     assert parse_scalar(text) == val
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1+", "i+i+i", "--2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1+", "i+i+i", "--2",
+                                 "1e-i", "2e+-1i"])
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
