@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dirac import metric
 from .errors import ConstraintError, ShapeError
 from .exact import Mat, ONE, Scalar, ZERO, flip, kron, require_sign, \
     sqrt_q
@@ -269,7 +270,6 @@ class CqtEvaluator:
 
 def make_evaluator(inst: PoincareInstance, b=0, k=1,
                    mirror=False) -> CqtEvaluator:
-    from .dirac import metric
     return CqtEvaluator(inst, metric(inst), b, k, mirror)
 
 

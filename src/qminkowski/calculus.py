@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dirac import metric
 from .errors import CalculusObstruction
 from .exact import Mat, Scalar, kron
 from .minkowski import MinkowskiAlgebra
@@ -174,7 +175,6 @@ class FirstOrderCalculus:
 
     def metric_matrix(self) -> Mat:
         if self._g is None:
-            from .dirac import metric
             self._g = metric(self.alg.instance).g
         return self._g
 

@@ -1,9 +1,12 @@
 """Command line interface.
 
 Every subcommand loads an instance (from a file argument or --builtin),
-runs one named suite of checks and prints one line per check.  Exit
-status: 0 when all gating checks pass, 1 when at least one fails, 2 on
-input problems.  Informational lines never gate.  Output contains no
+runs one named suite of checks and prints one line per check.  A suite
+is a list of CheckResult records, and one rule (instance.gating_passed)
+decides every verdict: a suite passes when each of its non-advisory
+checks passes, and the run passes when every suite does.  Advisory
+checks print as "info" lines and never gate.  Exit status: 0 when the
+run passes, 1 when it fails, 2 on input problems.  Output contains no
 timestamps or timings, so identical inputs produce identical bytes.
 """
 
@@ -14,13 +17,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import braiding, calculus, dirac, fock, lorentz, minkowski
 from .errors import CalculusObstruction, ConstraintError, ParseError, \
     QMinkError
 from .exact import Mat, Scalar, parse_scalar
-from .instance import builtin, builtin_names, load_instance, \
-    validate_instance
+from .instance import CheckResult, builtin, builtin_names, gating_passed, \
+    load_instance, validate_instance
 from .qalgebra import NCPoly
 
 __all__ = ["main", "run_suites", "Report", "SuiteResult"]
@@ -29,9 +33,12 @@ __all__ = ["main", "run_suites", "Report", "SuiteResult"]
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
-    details: list = field(default_factory=list)
+    checks: list
     seconds: float = 0.0  # set by run_suites; never rendered
+
+    @property
+    def passed(self) -> bool:
+        return gating_passed(self.checks)
 
 
 @dataclass
@@ -47,204 +54,165 @@ class Report:
         return {
             "instance": self.instance,
             "suites": [{"name": s.name, "pass": s.passed,
-                        "details": list(s.details)} for s in self.suites],
+                        "details": [c.line() for c in s.checks]}
+                       for s in self.suites],
             "pass": self.passed,
         }
 
 
-def _line(ok, name, detail, info=False):
-    tag = "info" if info else ("pass" if ok else "FAIL")
-    return "%s %s: %s" % (tag.ljust(4), name, detail)
+def suite_validate(inst) -> list:
+    return validate_instance(inst).checks
 
 
-def suite_validate(inst) -> SuiteResult:
-    rep = validate_instance(inst)
-    details = []
-    for c in rep.checks:
-        if c.advisory:
-            details.append(_line(True, c.name, c.detail, info=True))
-        else:
-            details.append(_line(c.passed, c.name, c.detail))
-    return SuiteResult("validate", rep.overall, details)
-
-
-def suite_pbw(inst, degree: int) -> SuiteResult:
+def suite_pbw(inst, degree: int) -> list:
     alg = minkowski.make_minkowski(inst, degree)
     ok, profile = minkowski.pbw_check(alg, degree)
-    details = [_line(ok, "profile",
-                     "%s vs classical %s"
-                     % (profile, minkowski.expected_profile(degree)))]
-    star_ok = minkowski.star_closed(alg)
-    details.append(_line(star_ok, "star-closed",
-                         "relation ideal stable under star"))
-    return SuiteResult("pbw", ok and star_ok, details)
+    return [
+        CheckResult("profile", ok, "%s vs classical %s"
+                    % (profile, minkowski.expected_profile(degree))),
+        CheckResult("star-closed", minkowski.star_closed(alg),
+                    "relation ideal stable under star"),
+    ]
 
 
-def suite_calculus(inst, degree: int) -> SuiteResult:
-    details = []
+def suite_calculus(inst, degree: int) -> list:
     alg = minkowski.make_minkowski(inst, degree)
     try:
         calc = calculus.make_calculus(alg)
     except CalculusObstruction as exc:
-        details.append(_line(False, "obstruction", str(exc)))
-        return SuiteResult("calculus", False, details)
-    details.append(_line(True, "obstruction", "obstruction matrix is zero"))
-    checks = [
-        ("differential", calc.check_differential_consistency),
-        ("leibniz", calc.check_leibniz),
-        ("partial-exchange", calc.check_partial_exchange),
-        ("box-commutes", calc.check_box_commutes),
-    ]
-    ok = True
-    for name, fn in checks:
-        good = fn(degree)
-        ok = ok and good
-        details.append(_line(good, name, "degree <= %d" % degree))
-    return SuiteResult("calculus", ok, details)
+        return [CheckResult("obstruction", False, str(exc))]
+    return [CheckResult("obstruction", True, "obstruction matrix is zero")] + [
+        CheckResult(name, fn(degree), "degree <= %d" % degree)
+        for name, fn in (("differential", calc.check_differential_consistency),
+                         ("leibniz", calc.check_leibniz),
+                         ("partial-exchange", calc.check_partial_exchange),
+                         ("box-commutes", calc.check_box_commutes))]
 
 
-def suite_dirac(inst, degree: int) -> SuiteResult:
-    details = []
+def suite_dirac(inst, degree: int) -> list:
     met = dirac.metric(inst)
-    sym = met.is_conj_symmetric()
-    details.append(_line(sym, "metric-symmetric",
-                         "g = %s" % _mat_brief(met.g)))
-    nondeg = not met.is_degenerate()
-    details.append(_line(nondeg, "metric-nondegenerate",
-                         "det g = %r" % met.g.det()))
-    ok = sym and nondeg
+    checks = [
+        CheckResult("metric-symmetric", met.is_conj_symmetric(),
+                    "g = %s" % _mat_brief(met.g)),
+        CheckResult("metric-nondegenerate", not met.is_degenerate(),
+                    "det g = %r" % met.g.det()),
+    ]
     try:
         gs = dirac.gamma(inst)
     except ConstraintError as exc:
-        details.append(_line(False, "gamma", str(exc)))
-        return SuiteResult("dirac", False, details)
+        return checks + [CheckResult("gamma", False, str(exc))]
     cl = dirac.clifford_ok(inst, gs, met)
-    details.append(_line(cl, "clifford", "all 16 residuals zero"
-                         if cl else "nonzero residual"))
-    ok = ok and cl
+    checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
+                              if cl else "nonzero residual"))
     alg = minkowski.make_minkowski(inst, degree)
     try:
         calc = calculus.make_calculus(alg)
     except CalculusObstruction:
-        details.append(_line(False, "dirac-square",
-                             "calculus unavailable (nonzero obstruction)"))
-        return SuiteResult("dirac", False, details)
-    sq = dirac.dirac_square_check(calc, gs, degree)
-    details.append(_line(sq, "dirac-square",
-                         "square equals wave operator, degree <= %d"
-                         % degree))
-    return SuiteResult("dirac", ok and sq, details)
+        return checks + [CheckResult(
+            "dirac-square", False,
+            "calculus unavailable (nonzero obstruction)")]
+    return checks + [CheckResult(
+        "dirac-square", dirac.dirac_square_check(calc, gs, degree),
+        "square equals wave operator, degree <= %d" % degree)]
 
 
-def suite_lorentz(inst, degree: int = 4) -> SuiteResult:
+def suite_lorentz(inst, degree: int = 4) -> list:
     degree = max(degree, 4)
-    met = dirac.metric(inst)
-    inv = lorentz.lambda_invariance_check(inst, met, degree)
-    details = [_line(inv, "lambda-invariance",
-                     "Lambda g Lambda^T = g at degree %d" % degree)]
+    inv = lorentz.lambda_invariance_check(inst, dirac.metric(inst), degree)
     real = lorentz.lambda_reality_diagnostic(inst)
-    details.append(_line(True, "lambda-reality",
-                         "star fixes Lambda entrywise" if real
-                         else "star moves some Lambda entry", info=True))
-    return SuiteResult("lorentz", inv, details)
+    return [
+        CheckResult("lambda-invariance", inv,
+                    "Lambda g Lambda^T = g at degree %d" % degree),
+        CheckResult("lambda-reality", real, "star fixes Lambda entrywise"
+                    if real else "star moves some Lambda entry",
+                    advisory=True),
+    ]
 
 
-def suite_braiding(inst, b: Scalar, k: Scalar) -> SuiteResult:
-    details = []
+def suite_braiding(inst, b: Scalar, k: Scalar) -> list:
     ev = braiding.make_evaluator(inst, b, k)
     try:
         ev.rq_inverse()
         rq_inv_ok = True
     except ConstraintError:
         rq_inv_ok = False
-    details.append(_line(rq_inv_ok, "rq-invertible", "25x25 extended matrix"))
-    yb = braiding.yang_baxter_check(ev.rq)
-    details.append(_line(yb, "yang-baxter", "braid identity for R_Q"))
-    star = braiding.star_cqt_check(ev)
-    details.append(_line(star, "star-compatible",
-                         "conjugate-flip symmetry of the pairing"))
+    checks = [
+        CheckResult("rq-invertible", rq_inv_ok, "25x25 extended matrix"),
+        CheckResult("yang-baxter", braiding.yang_baxter_check(ev.rq),
+                    "braid identity for R_Q"),
+        CheckResult("star-compatible", braiding.star_cqt_check(ev),
+                    "conjugate-flip symmetry of the pairing"),
+    ]
     ct = rq_inv_ok and braiding.ct_check(ev)
-    details.append(_line(True, "cotriangular",
-                         "yes" if ct else "no", info=True))
+    checks.append(CheckResult("cotriangular", ct, "yes" if ct else "no",
+                              advisory=True))
     braiding.lorentz_r_blocks(inst, k)
-    details.append(_line(True, "spinor-blocks",
-                         "ww, wwbar, wbarw, wbarwbar built (k = %r)" % k))
-    return SuiteResult("braiding", rq_inv_ok and yb and star, details)
+    checks.append(CheckResult("spinor-blocks", True,
+                              "ww, wwbar, wbarw, wbarwbar built (k = %r)" % k))
+    return checks
 
 
-def suite_fock(inst, b: Scalar, k: Scalar, n: int) -> SuiteResult:
-    details = []
+def _counit_after_coaction(alg, p: NCPoly) -> NCPoly:
+    back = NCPoly.zero()
+    for (bw, cw), c in fock.coaction(alg, p).items():
+        e = braiding.counit_b(NCPoly.from_word(bw))
+        if e:
+            back = back + NCPoly.from_word(cw).scale(c * e)
+    return back
+
+
+def suite_fock(inst, b: Scalar, k: Scalar, n: int) -> list:
     alg = minkowski.make_minkowski(inst, 4)
     ev = braiding.make_evaluator(inst, b, k)
     gens = [NCPoly.gen(i) for i in range(4)]
 
-    counit_ok = True
-    for i in range(4):
-        back = NCPoly.zero()
-        for (bw, cw), c in fock.coaction(alg, gens[i]).items():
-            e = braiding.counit_b(NCPoly.from_word(bw))
-            if e:
-                back = back + NCPoly.from_word(cw).scale(c * e)
-        if back != gens[i]:
-            counit_ok = False
-    details.append(_line(counit_ok, "coaction-counit",
-                         "(counit (x) id) after coaction is the identity"))
-    ok = counit_ok
+    def tensors(size):
+        return (fock.CTensor.from_polys(alg, ps)
+                for ps in product(gens, repeat=size))
 
+    def act(perms, t):
+        for p in perms:
+            t = fock.braid_action(ev, alg, p, t)
+        return t
+
+    def idempotent(size):
+        sym = fock.symmetrize(ev, alg,
+                              fock.CTensor.from_polys(alg, gens[:size]))
+        return fock.symmetrize(ev, alg, sym) == sym
+
+    # A generator can reduce in the quotient, so compare with its normal form.
+    counit = all(_counit_after_coaction(alg, g) == alg.normal_form(g)
+                 for g in gens)
     ct = ev.is_cotriangular()
-    details.append(_line(True, "cotriangular", "yes" if ct else "no",
-                         info=True))
+    checks = [
+        CheckResult("coaction-counit", counit,
+                    "(counit (x) id) after coaction is the identity"),
+        CheckResult("cotriangular", ct, "yes" if ct else "no", advisory=True),
+    ]
     if not ct:
-        details.append(_line(True, "braided-checks",
-                             "skipped: evaluator is not cotriangular",
-                             info=True))
-        return SuiteResult("fock", ok, details)
-
-    invol = True
-    for i in range(4):
-        for j in range(4):
-            t = fock.CTensor.from_polys(alg, [gens[i], gens[j]])
-            kk = fock.interchange_k(ev, alg, fock.interchange_k(ev, alg, t))
-            if kk != t:
-                invol = False
-    details.append(_line(invol, "k-involution",
-                         "K squared is the identity on generator pairs"))
-    ok = ok and invol
-
+        return checks + [CheckResult(
+            "braided-checks", True, "skipped: evaluator is not cotriangular",
+            advisory=True)]
+    checks.append(CheckResult(
+        "k-involution",
+        all(fock.interchange_k(ev, alg, fock.interchange_k(ev, alg, t)) == t
+            for t in tensors(2)),
+        "K squared is the identity on generator pairs"))
+    s0, s1 = (1, 0, 2), (0, 2, 1)
     if n >= 3:
-        s0, s1p = (1, 0, 2), (0, 2, 1)
-        braid_ok = True
-        for i in range(4):
-            for j in range(4):
-                for l in range(4):
-                    t = fock.CTensor.from_polys(
-                        alg, [gens[i], gens[j], gens[l]])
-                    lhs = t
-                    for p in (s0, s1p, s0):
-                        lhs = fock.braid_action(ev, alg, p, lhs)
-                    rhs = t
-                    for p in (s1p, s0, s1p):
-                        rhs = fock.braid_action(ev, alg, p, rhs)
-                    if lhs != rhs:
-                        braid_ok = False
-        details.append(_line(braid_ok, "braid-relation",
-                             "alternating adjacent interchanges agree on "
-                             "all generator triples"))
-        ok = ok and braid_ok
+        checks.append(CheckResult(
+            "braid-relation", all(act((s0, s1, s0), t) == act((s1, s0, s1), t)
+                                  for t in tensors(3)),
+            "alternating adjacent interchanges agree on all generator "
+            "triples"))
     else:
-        details.append(_line(True, "braid-relation",
-                             "skipped (needs --n 3 or more)", info=True))
-
-    proj_ok = True
-    for size in range(2, n + 1):
-        sample = fock.CTensor.from_polys(alg, gens[:size])
-        sym = fock.symmetrize(ev, alg, sample)
-        if fock.symmetrize(ev, alg, sym) != sym:
-            proj_ok = False
-    details.append(_line(proj_ok, "symmetrize-projector",
-                         "symmetrization is idempotent (2..%d slots)" % n))
-    ok = ok and proj_ok
-    return SuiteResult("fock", ok, details)
+        checks.append(CheckResult("braid-relation", True,
+                                  "skipped (needs --n 3 or more)",
+                                  advisory=True))
+    checks.append(CheckResult(
+        "symmetrize-projector", all(idempotent(m) for m in range(2, n + 1)),
+        "symmetrization is idempotent (2..%d slots)" % n))
+    return checks
 
 
 def _mat_brief(m: Mat) -> str:
@@ -276,9 +244,9 @@ def run_suites(inst, names, degree=4, dirac_degree=3, b=Scalar(0),
         if suite is None:
             raise ValueError("unknown suite %r" % name)
         t0 = time.perf_counter()
-        res = suite(inst, opts)
-        res.seconds = time.perf_counter() - t0
-        rep.suites.append(res)
+        checks = suite(inst, opts)
+        rep.suites.append(SuiteResult(name, checks,
+                                      time.perf_counter() - t0))
     return rep
 
 
@@ -287,8 +255,7 @@ def _render(rep: Report) -> str:
     for s in rep.suites:
         lines.append("suite %s: %s" % (s.name,
                                        "pass" if s.passed else "FAIL"))
-        for d in s.details:
-            lines.append("  " + d)
+        lines.extend("  " + c.line() for c in s.checks)
     lines.append("overall: %s" % ("pass" if rep.passed else "FAIL"))
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConstraintError, ShapeError
+from .errors import ConstraintError, ParseError, ShapeError
 
 __all__ = [
     "Scalar", "ZERO", "ONE", "I", "parse_scalar", "is_sign", "require_sign",
@@ -210,8 +210,6 @@ I = Scalar(0, 1)
 
 def parse_scalar(text: str) -> Scalar:
     """Parse "RE/DE", "IM/DEi" or "RE/DE+IM/DEi" into a Scalar."""
-    from .errors import ParseError
-
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty scalar literal")

@@ -122,7 +122,8 @@ def coaction(alg: MinkowskiAlgebra, p: NCPoly):
 
 def _k_pair(ev: CqtEvaluator, alg: MinkowskiAlgebra, wp, wq):
     """K on one pair of words, as {(word, word): coeff}."""
-    cache = alg._cache.setdefault(("kpair", id(ev)), {})
+    # Keyed by the evaluator itself: an id() is reused once it is freed.
+    cache = alg._cache.setdefault(("kpair", ev), {})
     key = (wp, wq)
     hit = cache.get(key)
     if hit is not None:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .dirac import metric
 from .errors import ConstraintError, ParseError, UnknownInstance
 from .exact import Mat, ONE, Scalar, flip, is_sign, require_sign
 
 __all__ = [
-    "PoincareInstance", "CheckResult", "ValidationReport",
+    "PoincareInstance", "CheckResult", "gating_passed", "ValidationReport",
     "load_instance", "write_instance", "instance_to_dict",
     "instance_from_dict", "builtin", "builtin_names", "validate_instance",
 ]
@@ -162,10 +163,21 @@ def builtin_names():
 
 @dataclass
 class CheckResult:
+    """One named check.  An advisory check reports but never gates."""
+
     name: str
     passed: bool
     detail: str
     advisory: bool = False
+
+    def line(self) -> str:
+        tag = "info" if self.advisory else ("pass" if self.passed else "FAIL")
+        return "%s %s: %s" % (tag.ljust(4), self.name, self.detail)
+
+
+def gating_passed(checks) -> bool:
+    """The one gating rule: every non-advisory check passed."""
+    return all(c.passed for c in checks if not c.advisory)
 
 
 @dataclass
@@ -175,7 +187,7 @@ class ValidationReport:
 
     @property
     def overall(self) -> bool:
-        return all(c.passed for c in self.checks if not c.advisory)
+        return gating_passed(self.checks)
 
 
 def validate_instance(inst: PoincareInstance) -> ValidationReport:
@@ -198,7 +210,6 @@ def validate_instance(inst: PoincareInstance) -> ValidationReport:
     add(CheckResult("x-invertible", x_ok, "det X = %r" % det_x))
 
     if q_ok and x_ok:
-        from .dirac import metric
         met = metric(inst)
         sym = met.is_conj_symmetric()
         add(CheckResult("metric-symmetric", sym,
@@ -212,6 +223,7 @@ def validate_instance(inst: PoincareInstance) -> ValidationReport:
         add(CheckResult("metric-nondegenerate", False,
                         "prerequisites failed"))
 
+    # deferred: calculus imports minkowski, which imports this module
     from .calculus import f_tilde
     ft = f_tilde(inst)
     add(CheckResult("calculus-obstruction", ft.is_zero(),

@@ -1,13 +1,25 @@
 """Command line behavior: exit codes, output stability, JSON shape."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qminkowski.cli import main
-from qminkowski.instance import builtin, instance_to_dict
+from qminkowski.cli import main, run_suites
+from qminkowski.exact import Mat, ONE
+from qminkowski.instance import builtin, instance_to_dict, write_instance
+
+# sha256 of `report --builtin classical ARGS` stdout and of its --json file.
+REPORT_PINS = [
+    ((), "abd24a79fff32f0dec27de79efa82c66f7c3dbc01a627cf2a47e88c4d716bcf8",
+     "40162857b17242029a7663fcd29833f56ea37bf917ae1eebcf8b0279eb17bc49"),
+    (("--b", "1", "--n", "3"),
+     "1ee36f11c21a2a109ef614fc475dfbaf5dd11d51f7cbabcb6465d44c5a48cfa9",
+     "d35ca04d656ff100336d1595beb15198b0323a984c30476cf180eb3989e077cd"),
+]
 
 
 def run(capsys, *argv):
@@ -101,24 +113,96 @@ def test_fock_braid_relation_needs_three(capsys):
 
 def test_report_json_schema(capsys, tmp_path):
     path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "report", "--builtin", "classical",
-                       "--json", str(path))
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"instance", "suites", "pass"}
-    assert doc["pass"] is True
-    names = [s["name"] for s in doc["suites"]]
-    assert names == ["validate", "pbw", "calculus", "dirac", "lorentz",
-                     "braiding", "fock"]
-    for s in doc["suites"]:
-        assert set(s) == {"name", "pass", "details"}
+    for args, _, json_sha in REPORT_PINS:
+        code, out, _ = run(capsys, "report", "--builtin", "classical",
+                           *args, "--json", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"instance", "suites", "pass"}
+        assert doc["pass"] is True
+        names = [s["name"] for s in doc["suites"]]
+        assert names == ["validate", "pbw", "calculus", "dirac", "lorentz",
+                         "braiding", "fock"]
+        for s in doc["suites"]:
+            assert set(s) == {"name", "pass", "details"}
 
 
 def test_report_runs_are_identical(capsys):
-    code1, out1, _ = run(capsys, "report", "--builtin", "classical")
-    code2, out2, _ = run(capsys, "report", "--builtin", "classical")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for args, out_sha, _ in REPORT_PINS:
+        code1, out1, _ = run(capsys, "report", "--builtin", "classical",
+                             *args)
+        code2, out2, _ = run(capsys, "report", "--builtin", "classical",
+                             *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert hashlib.sha256(out1.encode()).hexdigest() == out_sha
+
+
+def twisted_tshift():
+    """Flip R with sigma_02 = sigma_20 = -1, and T[(0,1)] = 1.
+
+    The calculus obstructs, and x_2 reduces to 0 in the cap-4 quotient
+    (profile [1, 3, 6, 20, 35]).
+    """
+    r = Mat.zeros(16, 16)
+    for a in range(4):
+        for b in range(4):
+            sign = -ONE if {a, b} == {0, 2} else ONE
+            r.data[16 * (4 * b + a) + 4 * a + b] = sign
+    t = Mat.zeros(16, 1)
+    t.data[1] = ONE
+    return dataclasses.replace(builtin("classical"), name="twisted-tshift",
+                               R=r, T=t)
+
+
+def suite_blocks(out):
+    """[(suite, verdict, [line tags])] read from report stdout."""
+    blocks = []
+    for line in out.splitlines():
+        if line.startswith("suite "):
+            name, verdict = line[len("suite "):].split(": ")
+            blocks.append((name, verdict, []))
+        elif line.startswith("  "):
+            blocks[-1][2].append(line.split()[0])
+    return blocks
+
+
+def test_one_gating_rule(capsys, tmp_path):
+    inst = tmp_path / "twisted.json"
+    write_instance(twisted_tshift(), str(inst))
+    path = tmp_path / "report.json"
+    for source in (("--builtin", "classical", "--b", "i"), (str(inst),)):
+        code, out, _ = run(capsys, "report", *source, "--json", str(path))
+        blocks = suite_blocks(out)
+        # a suite fails exactly when one of its lines is FAIL; info lines,
+        # whatever they report, never change a verdict
+        for name, verdict, tags in blocks:
+            assert set(tags) <= {"pass", "FAIL", "info"}, name
+            assert verdict == ("FAIL" if "FAIL" in tags else "pass"), name
+        assert any(v == "pass" and "info" in tags for _, v, tags in blocks)
+        failed = any(v == "FAIL" for _, v, _ in blocks)
+        assert failed and code == 1
+        assert out.endswith("overall: FAIL\n")
+        doc = json.loads(path.read_text())
+        assert doc["pass"] is False
+        assert [(s["name"], "pass" if s["pass"] else "FAIL",
+                 [d.split()[0] for d in s["details"]])
+                for s in doc["suites"]] == blocks
+    # an advisory check that did not pass still lets its suite pass
+    rep = run_suites(twisted_tshift(), ("validate",))
+    (validate,) = rep.suites
+    assert validate.passed and rep.passed
+    assert [c.name for c in validate.checks if not c.passed] == \
+        ["calculus-obstruction"]
+
+
+def test_fock_counit_compares_normal_forms(capsys, tmp_path):
+    inst = tmp_path / "twisted.json"
+    write_instance(twisted_tshift(), str(inst))
+    code, out, _ = run(capsys, "fock", str(inst))
+    assert "pass coaction-counit" in out
+    assert code == 0
 
 
 def test_entry_point_subprocess():

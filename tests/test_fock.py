@@ -148,6 +148,18 @@ def test_interchange_b1_closed_form(alg):
     assert twice == t + tens(alg, one, one).scale(Scalar(2))
 
 
+def test_interchange_memo_is_per_evaluator():
+    # Each evaluator is freed right after its call, so the next one may
+    # get the same id(); the memo of K on this algebra must not follow it.
+    inst = builtin("classical")
+    alg = make_minkowski(inst, cap=4)
+    t = tens(alg, x(0), x(0))
+    bump = tens(alg, NCPoly.one(), NCPoly.one())   # g_00 (1 (x) 1), g_00 = 1
+    for b in (0, 1) * 10:
+        got = interchange_k(make_evaluator(inst, b=b), alg, t)
+        assert got == (t + bump if b else t), "b = %d" % b
+
+
 def test_interchange_needs_two_slots(alg, ev0):
     with pytest.raises(ValueError):
         interchange_k(ev0, alg, tens(alg, x(0)))
