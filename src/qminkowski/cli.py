@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -294,7 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
            bk=True)
     common(sub.add_parser("fock", help="braided tensor checks"),
            bk=True, slots=True)
-    rp = sub.add_parser("report", help="all suites")
+    rp = sub.add_parser(
+        "report", help="all suites",
+        description="Run every suite. The lorentz suite always runs at "
+        "degree 4 and ignores --degree.")
     common(rp, degree=4, bk=True, slots=True)
     rp.add_argument("--json", default=None, metavar="PATH",
                     help="also write the report as JSON")
@@ -309,9 +313,22 @@ def _resolve_instance(args):
     return load_instance(args.file)
 
 
+def _attach_scalars(argv):
+    """Write "--b -1/2" as "--b=-1/2": argparse takes a value that starts
+    with "-" for an option unless it is a plain number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--b" and re.match(r"-[\d.i]", tok):
+            out[-1] = "--b=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _attach_scalars(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits on malformed flags; keep the exit-code contract
         return int(exc.code or 0)

@@ -1,21 +1,33 @@
 """Noncommutative polynomials and degree-truncated quotient algebras.
 
 Words over a finite generator alphabet are tuples of generator ids; a
-polynomial is a mapping from words to exact scalars.  A quotient is built
-from degree <= 2 relations by padding each relation with all generator
-words that keep the total degree inside the cap, then echelonising the
-resulting rows over the scalar field.
+polynomial is a mapping from words to exact scalars.
 
 The monomial order is degree-lexicographic: longer words are greater, and
 words of equal length compare lexicographically with generator 0 < 1 < ...
-Each echelon row is keyed by its greatest word (the pivot); the surviving
-non-pivot words form the normal-form basis.  Because the pivot set is the
-set of leading words of the row space, the basis and all normal forms are
-canonical: they do not depend on relation order.
+
+The quotient by degree <= 2 relations, truncated at a cap, divides the
+words of length <= cap by span{u r v : |u| + deg r + |v| <= cap}.  That
+span is the degree-cap part of the ideal of the relations made
+homogeneous with a central variable t (each r padded with t up to deg r),
+read at t = 1, and degree-lexicographic order is the order "length in the
+generators, then lexicographic" there.  The quotient is built by overlap
+completion of the homogeneous relations (Bergman's diamond lemma), taking
+ambiguities in ascending degree and stopping at the cap.  Each rule
+rewrites its lead word u to smaller words and carries a t-exponent k: in
+the cap-c quotient it applies to a word w containing u only when
+k <= c - |w|, so a relation with constant or linear terms can give rules
+that act on short words only.
+
+The leads are the leading words of the ideal part, so the basis (the
+words no rule applies to) and every normal form (memoised rewriting) are
+canonical: they do not depend on relation order or on the order in which
+ambiguities were resolved.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .errors import DegreeError
@@ -160,23 +172,18 @@ class NCPoly:
         return self.format()
 
 
-def _substitute(table, terms):
-    """Replace every word of terms that has a table entry by that entry."""
-    out = {}
-    for w, c in terms.items():
-        sub = table.get(w)
-        if sub is None:
-            accumulate(out, {w: c})
-        else:
-            accumulate(out, sub, c)
-    return out
+def _sub(w, i, j, terms):
+    """terms with each of its words put in place of w[i:j]."""
+    a, b = w[:i], w[j:]
+    return {a + x + b: c for x, c in terms.items()}
 
 
 class TruncatedQuotient:
     """A free algebra modulo degree <= 2 relations, truncated at a degree cap.
 
-    The reduction table maps each pivot word to its fully reduced
-    replacement, so a normal form is a single substitution pass.
+    ``_rules`` maps each lead word u to ``(k, tail)``: u rewrites to tail
+    inside a word w when k <= cap - |w|.  The normal form of a word is
+    memoised the first time it is asked for.
     """
 
     def __init__(self, gens: int, relations, cap: int):
@@ -188,55 +195,115 @@ class TruncatedQuotient:
         for r in self.relation_set:
             if r.degree() > 2:
                 raise DegreeError("relations must have degree at most 2")
-        self._table = self._build_table()
+        self._rules = {}
+        self._lengths = []
+        self._memo = {}
+        self._complete()
         self._basis = self._build_basis()
 
-    def _build_table(self):
-        ech = {}
-        for rel in self.relation_set:
-            if rel.is_zero():
-                continue
-            d = rel.degree()
-            slack = self.cap - d
-            for lu in range(slack + 1):
-                for u in all_words(self.gens, lu):
-                    for lv in range(slack - lu + 1):
-                        for v in all_words(self.gens, lv):
-                            self._insert(ech, {u + w + v: c for w, c
-                                               in rel.terms.items()})
-        # Substitute ascending so every stored tail is itself fully reduced.
-        table = {}
-        for lead in sorted(ech, key=_key):
-            table[lead] = _substitute(table, ech[lead])
-        return table
+    def _match(self, w, slack):
+        """(i, j, tail) for the leftmost shortest lead w[i:j] whose rule has
+        t-exponent at most slack, or None when no rule applies to w."""
+        rules = self._rules
+        n = len(w)
+        for i in range(n + 1):
+            for m in self._lengths:
+                if i + m > n:
+                    break
+                rule = rules.get(w[i:i + m])
+                if rule is not None and rule[0] <= slack:
+                    return i, i + m, rule[1]
+        return None
 
-    @staticmethod
-    def _insert(ech, row):
-        """Reduce row against the pivots in ech and store what is left.
+    def _reduce(self, terms, degree):
+        """Fully reduce terms, read as homogeneous of the given degree."""
+        todo, out = dict(terms), {}
+        while todo:
+            w = max(todo, key=_key)
+            c = todo.pop(w)
+            m = self._match(w, degree - len(w))
+            if m is None:
+                out[w] = c      # later rewrites only make smaller words
+            else:
+                accumulate(todo, _sub(w, *m), c)
+        return out
 
-        Each pivot row is stored as the replacement of its lead word (the
-        tail times -1/lead), so reducing by it is one accumulate.
+    def _complete(self):
+        """Overlap completion of the homogenised relations up to the cap.
+
+        Relations and ambiguities are taken in ascending nominal degree D;
+        what does not reduce to zero becomes a rule whose lead is its
+        greatest word u, with t-exponent D - |u|.  A new rule's own
+        ambiguities all lie above D, so degree D is complete once the heap
+        holds nothing of degree D.
         """
-        while row:
-            lead = max(row, key=_key)
-            c = row.pop(lead)
-            piv = ech.get(lead)
-            if piv is None:
-                neg = -ONE / c
-                ech[lead] = {w: neg * v for w, v in row.items()}
-                return
-            accumulate(row, piv, c)
+        queue = [(r.degree(), n, r.terms)
+                 for n, r in enumerate(self.relation_set) if r.terms]
+        heapify(queue)
+        seq = len(queue)
+        while queue:
+            degree, _, terms = heappop(queue)
+            rest = self._reduce(terms, degree)
+            if not rest:
+                continue
+            lead = max(rest, key=_key)
+            neg = -ONE / rest.pop(lead)
+            rule = (degree - len(lead), {w: neg * v for w, v in rest.items()})
+            self._rules[lead] = rule
+            self._lengths = sorted({len(u) for u in self._rules})
+            for amb_degree, amb in self._ambiguities(lead, rule):
+                heappush(queue, (amb_degree, seq, amb))
+                seq += 1
+
+    def _ambiguities(self, v, rule):
+        """(nominal degree, difference of the two rewrites) for every
+        overlap and inclusion of the lead v with a kept lead, v included,
+        up to the cap.
+
+        An overlap word or including lead W sits at degree |W| + max(k_u,
+        k_v).  Leads that meet in no letter need no check: every term
+        below a lead carries at least the lead's t-exponent.
+        """
+        kv, tv = rule
+        for u, (ku, tu) in self._rules.items():
+            k = max(ku, kv)
+            pairs = [(u, tu, v, tv)]
+            if u != v:
+                pairs.append((v, tv, u, tu))
+            for left, tl, right, tr in pairs:
+                for n in range(1, min(len(left), len(right))):
+                    w = left + right[n:]
+                    if len(w) + k <= self.cap and left[-n:] == right[:n]:
+                        yield len(w) + k, accumulate(
+                            _sub(w, 0, len(left), tl),
+                            _sub(w, len(left) - n, len(w), tr), -ONE)
+                if len(right) < len(left) and len(left) + k <= self.cap:
+                    for i in range(len(left) - len(right) + 1):
+                        if left[i:i + len(right)] == right:
+                            yield len(left) + k, accumulate(
+                                dict(tl), _sub(left, i, i + len(right), tr),
+                                -ONE)
 
     def _build_basis(self):
-        table = self._table
-        per_degree = []
+        """The words of each degree that no rule applies to, in lexicographic
+        order.  A lead with k = 0 applies at every length, so no word
+        containing one is extended."""
+        always = {u for u, (k, _) in self._rules.items() if k == 0}
+        lengths = sorted({len(u) for u in always})
+        per_degree, level = [], [()]
         for d in range(self.cap + 1):
-            per_degree.append(tuple(w for w in all_words(self.gens, d)
-                                    if w not in table))
+            if d:
+                level = [w for w in (p + (g,) for p in level
+                                     for g in range(self.gens))
+                         if not any(w[d - m:] in always for m in lengths
+                                    if m <= d)]
+            per_degree.append(tuple(w for w in level
+                                    if self._match(w, self.cap - d) is None))
         return tuple(per_degree)
 
     def is_basis_word(self, w) -> bool:
-        return len(w) <= self.cap and w not in self._table
+        return len(w) <= self.cap and \
+            self._match(w, self.cap - len(w)) is None
 
     def basis(self, degree: int):
         """Normal-form basis words of exactly the given degree."""
@@ -258,7 +325,13 @@ class TruncatedQuotient:
         if p.degree() > self.cap:
             raise DegreeError("degree %d exceeds cap %d"
                               % (p.degree(), self.cap))
-        return _poly(_substitute(self._table, p.terms))
+        out, memo = {}, self._memo
+        for w, c in p.terms.items():
+            nf = memo.get(w)
+            if nf is None:
+                nf = memo[w] = self._reduce({w: ONE}, self.cap)
+            accumulate(out, nf, c)
+        return _poly(out)
 
 
 def build_quotient(gens: int, relations, cap: int) -> TruncatedQuotient:

@@ -40,6 +40,30 @@ def test_pbw_prints_profile(capsys):
     assert "[1, 4, 10, 20, 35]" in out
 
 
+def test_pbw_at_degree_8(capsys):
+    code, out, _ = run(capsys, "pbw", "--builtin", "classical", "--degree",
+                       "8")
+    assert code == 0
+    (profile,) = [line for line in out.splitlines() if "profile" in line]
+    assert profile.endswith("120, 165]")
+
+
+def test_negative_b_as_separate_argument(capsys):
+    for command in ("braiding", "report"):
+        spaced = run(capsys, command, "--builtin", "classical", "--b",
+                     "-1/2")
+        joined = run(capsys, command, "--builtin", "classical",
+                     "--b=-1/2")
+        assert spaced == joined
+        assert spaced[0] in (0, 1)
+
+
+def test_report_help_states_lorentz_degree(capsys):
+    code, out, _ = run(capsys, "report", "--help")
+    assert code == 0
+    assert "lorentz suite always runs at degree 4" in " ".join(out.split())
+
+
 def test_requires_exactly_one_source(capsys, tmp_path):
     f = tmp_path / "c.json"
     f.write_text(json.dumps(instance_to_dict(builtin("classical"))))

@@ -88,6 +88,13 @@ def test_dimension_profile():
     assert sum(prof[:3]) == 43
 
 
+def test_dimension_profile_at_cap_6():
+    # the series of (1+t)^2/(1-t)^6, the same convolution two degrees on
+    alg = make_lorentz(builtin("classical"), cap=6)
+    assert alg.quotient.dimension_profile() == \
+        [1, 8, 34, 104, 259, 560, 1092]
+
+
 def test_lambda_matches_closed_form_at_points():
     lam = lambda_entries(builtin("classical"))
     half = Scalar(Fraction(1, 2))

@@ -1,0 +1,182 @@
+"""Truncated quotients against the padded-row reference engine.
+
+The reference builds the quotient the direct way: every relation r is
+padded with every pair of words u, v with |u| + deg r + |v| <= cap, the
+rows u r v are echelonised over the scalars, and the pivots (leading
+words) are the reducible words.  Overlap completion must give the same
+basis in every degree and the same normal form for every word up to the
+cap, including where constant and linear terms make the truncation lose
+a whole degree.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qminkowski.exact import ONE, Mat, Scalar
+from qminkowski.instance import builtin
+from qminkowski.lorentz import lorentz_relations
+from qminkowski.minkowski import mink_relations
+from qminkowski.qalgebra import NCPoly, accumulate, all_words, \
+    build_quotient
+
+from test_acceptance import sign_twisted_flip
+from test_calculus import rand_instance, z_perturbed
+
+
+def _key(w):
+    return (len(w), w)
+
+
+def _substitute(table, terms):
+    out = {}
+    for w, c in terms.items():
+        accumulate(out, table.get(w, {w: ONE}), c)
+    return out
+
+
+def _insert(ech, row):
+    """Reduce row against the stored pivots; store what is left as the
+    replacement of its lead word."""
+    while row:
+        lead = max(row, key=_key)
+        c = row.pop(lead)
+        piv = ech.get(lead)
+        if piv is None:
+            neg = -ONE / c
+            ech[lead] = {w: neg * v for w, v in row.items()}
+            return
+        accumulate(row, piv, c)
+
+
+def padded_quotient(gens, relations, cap):
+    """(table, basis): each pivot word's normal form, and the non-pivot
+    words of each degree in lexicographic order."""
+    ech = {}
+    for rel in relations:
+        if rel.is_zero():
+            continue
+        slack = cap - rel.degree()
+        for lu in range(slack + 1):
+            for u in all_words(gens, lu):
+                for lv in range(slack - lu + 1):
+                    for v in all_words(gens, lv):
+                        _insert(ech, {u + w + v: c
+                                      for w, c in rel.terms.items()})
+    table = {}
+    for lead in sorted(ech, key=_key):
+        table[lead] = _substitute(table, ech[lead])
+    basis = [tuple(w for w in all_words(gens, d) if w not in table)
+             for d in range(cap + 1)]
+    return table, basis
+
+
+def assert_matches_oracle(gens, relations, cap):
+    table, basis = padded_quotient(gens, relations, cap)
+    q = build_quotient(gens, relations, cap)
+    for d in range(cap + 1):
+        assert q.basis(d) == basis[d], d
+        for w in all_words(gens, d):
+            assert q.normal_form(NCPoly.from_word(w)).terms == \
+                table.get(w, {w: ONE}), w
+    return q
+
+
+def t_shift():
+    t = Mat.zeros(16, 1)
+    t.data[1] = ONE                   # T[(0,1)] = 1
+    return t
+
+
+CLASSICAL = builtin("classical")
+TWISTED = dataclasses.replace(CLASSICAL, name="twisted",
+                              R=sign_twisted_flip())
+BENT = {
+    "tshift": dataclasses.replace(CLASSICAL, name="tshift", T=t_shift()),
+    "zbent": z_perturbed(),
+    "twisted": TWISTED,
+    "twisted-tshift": dataclasses.replace(TWISTED, name="twisted-tshift",
+                                          T=t_shift()),
+}
+
+
+@pytest.mark.parametrize("cap", range(2, 7))
+def test_classical_minkowski(cap):
+    q = assert_matches_oracle(4, mink_relations(CLASSICAL), cap)
+    assert q.dimension_profile() == [(d + 1) * (d + 2) * (d + 3) // 6
+                                     for d in range(cap + 1)]
+
+
+@pytest.mark.parametrize("cap", range(2, 5))
+def test_classical_lorentz(cap):
+    assert_matches_oracle(8, lorentz_relations(CLASSICAL), cap)
+
+
+@pytest.mark.parametrize("cap", range(2, 6))
+@pytest.mark.parametrize("name", sorted(BENT))
+def test_bent_minkowski(name, cap):
+    assert_matches_oracle(4, mink_relations(BENT[name]), cap)
+
+
+@pytest.mark.parametrize("cap", (2, 3))
+@pytest.mark.parametrize("seed", (31, 32, 33))
+def test_dense_random_minkowski(seed, cap):
+    assert_matches_oracle(4, mink_relations(rand_instance(seed)), cap)
+
+
+def test_seed_31_collapses_at_cap_3():
+    rels = mink_relations(rand_instance(31))
+    assert build_quotient(4, rels, 2).dimension_profile() == [1, 4, 0]
+    assert build_quotient(4, rels, 3).dimension_profile() == [0, 0, 0, 0]
+
+
+# --- random relation sets ---------------------------------------------------
+
+PROFILE = settings(max_examples=150, deadline=None)
+
+scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def relation_sets(draw):
+    """(gens, relations, cap): 1-3 generators and 1-4 relations of up to
+    2 quadratic, 2 linear and 1 constant term each; cap 2-5."""
+    gens = draw(st.integers(1, 3))
+
+    def terms(length, most):
+        word = st.tuples(*[st.integers(0, gens - 1)] * length)
+        return st.lists(st.tuples(word, scalars), max_size=most)
+
+    def relation(parts):
+        p = NCPoly.zero()
+        for w, c in (t for part in parts for t in part):
+            p = p + NCPoly.from_word(w, c)
+        return p
+
+    rel = st.tuples(terms(2, 2), terms(1, 2), terms(0, 1)).map(relation)
+    rels = draw(st.lists(rel.filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=4))
+    return gens, rels, draw(st.integers(2, 5))
+
+
+@PROFILE
+@given(relation_sets())
+def test_random_relations_match_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@PROFILE
+@given(relation_sets(), st.randoms(use_true_random=False))
+def test_relation_order_is_invisible(case, rng):
+    gens, rels, cap = case
+    shuffled = rels[:]
+    rng.shuffle(shuffled)
+    q, p = build_quotient(gens, rels, cap), build_quotient(gens, shuffled,
+                                                           cap)
+    assert p.dimension_profile() == q.dimension_profile()
+    for d in range(cap + 1):
+        assert p.basis(d) == q.basis(d)
+        for w in all_words(gens, d):
+            word = NCPoly.from_word(w)
+            assert p.normal_form(word) == q.normal_form(word)
