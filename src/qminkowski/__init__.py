@@ -4,13 +4,13 @@ from .errors import (
     QMinkError, ParseError, ConstraintError, UnknownInstance, DegreeError,
     ShapeError, CalculusObstruction, NotCotriangular,
 )
-from .exact import Scalar, Mat, kron, flip, middle_embed, parse_scalar
+from .exact import Scalar, Mat, kron, flip, parse_scalar
 from .instance import (
     PoincareInstance, builtin, builtin_names, load_instance, write_instance,
     validate_instance,
 )
 from .qalgebra import NCPoly, build_quotient
-from .minkowski import make_minkowski, mink_relations, pbw_check, mink_star
+from .minkowski import make_minkowski, mink_relations, pbw_check
 from .calculus import make_calculus, f_tilde, Form1
 from .dirac import metric, gamma, clifford_check, clifford_ok, Bispinor, \
     dirac_apply, dirac_square_check

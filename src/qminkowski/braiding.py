@@ -189,16 +189,7 @@ class CqtEvaluator:
     instance with b = 0.
     """
 
-    def __init__(self, inst: PoincareInstance, met, b, k=1, mirror=False):
-        if not isinstance(b, Scalar):
-            b = Scalar(b)
-        if not isinstance(k, Scalar):
-            k = Scalar(k)
-        require_sign("k", k)
-        self.instance = inst
-        self.met = met
-        self.b = b
-        self.k = k
+    def __init__(self, inst: PoincareInstance, met, b, mirror=False):
         self.mirror = mirror
         self.rq = build_rq(inst, met, b)
         self._rq_inv = None
@@ -268,9 +259,8 @@ class CqtEvaluator:
         return self._ct
 
 
-def make_evaluator(inst: PoincareInstance, b=0, k=1,
-                   mirror=False) -> CqtEvaluator:
-    return CqtEvaluator(inst, metric(inst), b, k, mirror)
+def make_evaluator(inst: PoincareInstance, b=0, mirror=False) -> CqtEvaluator:
+    return CqtEvaluator(inst, metric(inst), b, mirror)
 
 
 def r_eval(ev: CqtEvaluator, p: NCPoly, q: NCPoly) -> Scalar:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstraintError
-from .exact import Mat, ONE, Scalar, flip, kron, middle_embed, pauli, \
-    sqrt_q, v_inverse
+from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
 from .qalgebra import NCPoly
 
 __all__ = [
@@ -38,8 +37,9 @@ class MetricTensor:
 def metric(inst) -> MetricTensor:
     """The 4x4 metric in the coordinate basis."""
     tau = flip(2, 2)
+    i2 = Mat.identity(2)
     vec = (kron(v_inverse(), v_inverse())
-           * middle_embed(inst.X)
+           * kron(kron(i2, inst.X), i2)
            * kron(inst.E, tau * inst.E))
     scale = Scalar(-2) * sqrt_q(inst.q)
     g = Mat(4, 4, [scale * vec[k, 0] for k in range(16)])
@@ -69,19 +69,8 @@ def gamma(inst, a=ONE, b=ONE) -> GammaSet:
     qih = ONE / sqrt_q(inst.q)
     lower = []
     for i in range(4):
-        s = pauli(i)
         # contraction (sigma_i o D)[K,L] = sum_AB sigma_i[A,B] D[(A,B),(K,L)]
-        ent = []
-        for kk in range(2):
-            for ll in range(2):
-                acc = Scalar(0)
-                for aa in range(2):
-                    for bb in range(2):
-                        c = s[aa, bb]
-                        if c:
-                            acc = acc + c * d[2 * aa + bb, 2 * kk + ll]
-                ent.append(acc)
-        m = Mat(2, 2, ent)
+        m = Mat(2, 2, (Mat(1, 4, pauli(i).data) * d).data)
         lower.append((e2.transpose() * m * e2).scale(qih))
     gammas = []
     for i in range(4):

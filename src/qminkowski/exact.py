@@ -7,8 +7,8 @@ Matrices are dense, row-major, and immutable by convention: builders
 assemble an entry list and hand it to ``Mat`` once.
 
 Tensor legs use a single fixed convention everywhere: the pair (i, j) with
-0 <= i < m, 0 <= j < n is flattened to n*i + j.  ``kron``, ``flip`` and
-``middle_embed`` all honour it.
+0 <= i < m, 0 <= j < n is flattened to n*i + j.  ``kron`` and ``flip``
+both honour it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConstraintError, ParseError, ShapeError
 __all__ = [
     "Scalar", "ZERO", "ONE", "I", "parse_scalar", "is_sign", "require_sign",
     "sqrt_q",
-    "Mat", "kron", "flip", "middle_embed",
+    "Mat", "kron", "flip",
     "pauli", "v_matrix", "v_inverse",
 ]
 
@@ -471,27 +471,6 @@ def flip(m: int, n: int) -> Mat:
         for j in range(n):
             out[(j * m + i) * (m * n) + (i * n + j)] = ONE
     return Mat(n * m, m * n, out)
-
-
-def middle_embed(x: Mat) -> Mat:
-    """Embed a map on legs 2,3 of a four-fold C^2 tensor product.
-
-    x must be 4x4; the result is the 16x16 matrix 1 (x) x (x) 1 acting on
-    index (A, B, C, D) = 8A + 4B + 2C + D through the middle pair (B, C).
-    """
-    if x.rows != 4 or x.cols != 4:
-        raise ShapeError("middle_embed expects a 4x4 matrix")
-    out = [ZERO] * 256
-    for a in range(2):
-        for d in range(2):
-            for bc_out in range(4):
-                for bc_in in range(4):
-                    v = x.data[bc_out * 4 + bc_in]
-                    if v:
-                        r = 8 * a + 2 * bc_out + d
-                        c = 8 * a + 2 * bc_in + d
-                        out[16 * r + c] = v
-    return Mat(16, 16, out)
 
 
 _PAULI = (

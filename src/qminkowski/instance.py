@@ -11,14 +11,14 @@ order.  Unknown keys are rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dirac import metric
 from .errors import ConstraintError, ParseError, UnknownInstance
 from .exact import Mat, ONE, Scalar, flip, is_sign, require_sign
 
 __all__ = [
-    "PoincareInstance", "CheckResult", "gating_passed", "ValidationReport",
+    "PoincareInstance", "CheckResult", "gating_passed",
     "load_instance", "write_instance", "instance_to_dict",
     "instance_from_dict", "builtin", "builtin_names", "validate_instance",
 ]
@@ -180,24 +180,14 @@ def gating_passed(checks) -> bool:
     return all(c.passed for c in checks if not c.advisory)
 
 
-@dataclass
-class ValidationReport:
-    instance: str
-    checks: list = field(default_factory=list)
-
-    @property
-    def overall(self) -> bool:
-        return gating_passed(self.checks)
-
-
-def validate_instance(inst: PoincareInstance) -> ValidationReport:
-    """Run the structural checks and report each outcome.
+def validate_instance(inst: PoincareInstance) -> list:
+    """Run the structural checks; return one CheckResult per check.
 
     A nonzero calculus obstruction is advisory: the algebra itself is
     still usable, only the differential layer is unavailable.
     """
-    rep = ValidationReport(instance=inst.name)
-    add = rep.checks.append
+    checks = []
+    add = checks.append
 
     add(CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
                                     "Z 16x4, T 16x1"))
@@ -231,4 +221,4 @@ def validate_instance(inst: PoincareInstance) -> ValidationReport:
                     else "obstruction matrix is nonzero; differential layer "
                          "unavailable",
                     advisory=True))
-    return rep
+    return checks

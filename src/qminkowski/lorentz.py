@@ -11,8 +11,6 @@ quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegreeError
 from .exact import v_inverse, v_matrix
 from .instance import PoincareInstance
@@ -21,7 +19,7 @@ from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
 
 __all__ = [
     "w_id", "wbar_id", "lorentz_star", "lorentz_relations",
-    "LorentzAlgebra", "make_lorentz", "lambda_entries",
+    "make_lorentz", "lambda_entries",
     "lambda_invariance_check", "lambda_reality_diagnostic",
 ]
 
@@ -89,25 +87,11 @@ def lorentz_relations(inst: PoincareInstance):
     return rels + [lorentz_star(r) for r in rels]
 
 
-@dataclass(eq=False)
-class LorentzAlgebra:
-    instance: PoincareInstance
-    quotient: TruncatedQuotient
-
-    @property
-    def cap(self) -> int:
-        return self.quotient.cap
-
-    def normal_form(self, p: NCPoly) -> NCPoly:
-        return self.quotient.normal_form(p)
+def make_lorentz(inst: PoincareInstance, cap: int = 4) -> TruncatedQuotient:
+    return build_quotient(8, lorentz_relations(inst), cap)
 
 
-def make_lorentz(inst: PoincareInstance, cap: int = 4) -> LorentzAlgebra:
-    return LorentzAlgebra(inst, build_quotient(8, lorentz_relations(inst),
-                                               cap))
-
-
-def lambda_entries(inst: PoincareInstance):
+def lambda_entries():
     """The 4x4 matrix of quadratic algebra elements
     Lambda_ij = sum V^-1_{i,(AB)} w_AC wbar_BD V_{(CD),j}."""
     vi = v_inverse()
@@ -142,7 +126,7 @@ def lambda_invariance_check(inst: PoincareInstance, met, n: int = 4) -> bool:
     if n < 4:
         raise DegreeError("invariance residuals have degree 4; n >= 4 needed")
     alg = make_lorentz(inst, n)
-    lam = lambda_entries(inst)
+    lam = lambda_entries()
     g = met.g
     for i in range(4):
         for j in range(4):
@@ -161,6 +145,6 @@ def lambda_invariance_check(inst: PoincareInstance, met, n: int = 4) -> bool:
 def lambda_reality_diagnostic(inst: PoincareInstance, cap: int = 2) -> bool:
     """Informational: star fixes every Lambda entry in the quotient."""
     alg = make_lorentz(inst, cap)
-    lam = lambda_entries(inst)
+    lam = lambda_entries()
     return all(alg.normal_form(lorentz_star(lam[i][j]) - lam[i][j]).is_zero()
                for i in range(4) for j in range(4))

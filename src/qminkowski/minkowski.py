@@ -17,7 +17,7 @@ from .qalgebra import NCPoly, TruncatedQuotient, build_quotient
 
 __all__ = [
     "mink_relations", "MinkowskiAlgebra", "make_minkowski",
-    "mink_star", "pbw_check", "expected_profile", "star_closed",
+    "pbw_check", "expected_profile", "star_closed",
 ]
 
 
@@ -71,11 +71,6 @@ def make_minkowski(inst: PoincareInstance, cap: int = 4) -> MinkowskiAlgebra:
     return MinkowskiAlgebra(inst, build_quotient(4, mink_relations(inst), cap))
 
 
-def mink_star(p: NCPoly) -> NCPoly:
-    """Coordinate star: generators are self-adjoint, words reverse."""
-    return p.star()
-
-
 def expected_profile(n: int):
     """Commutative monomial counts in four variables, degree by degree."""
     return [comb(d + 3, 3) for d in range(n + 1)]
@@ -92,6 +87,7 @@ def pbw_check(alg: MinkowskiAlgebra, n: int):
 
 
 def star_closed(alg: MinkowskiAlgebra) -> bool:
-    """Whether the relation ideal is stable under the star map."""
-    return all(alg.normal_form(mink_star(r)).is_zero()
+    """Whether the relation ideal is stable under the star map (generators
+    self-adjoint, words reversed)."""
+    return all(alg.normal_form(r.star()).is_zero()
                for r in alg.quotient.relation_set)

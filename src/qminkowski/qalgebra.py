@@ -28,13 +28,11 @@ ambiguities were resolved.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import product
 
 from .errors import DegreeError
 from .exact import ONE, Scalar
 
-__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "all_words",
-           "accumulate"]
+__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "accumulate"]
 
 Word = tuple
 
@@ -70,11 +68,6 @@ def _poly(terms) -> "NCPoly":
 
 def _key(w):
     return (len(w), w)
-
-
-def all_words(gens: int, length: int):
-    """All words of exactly the given length, in lexicographic order."""
-    return product(range(gens), repeat=length)
 
 
 class NCPoly:

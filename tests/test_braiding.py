@@ -232,11 +232,6 @@ def test_mirror_flag():
     assert r_eval(ev_for(ONE, mirror=True), y0, y0) == -ONE
 
 
-def test_evaluator_validates_k():
-    with pytest.raises(ConstraintError):
-        make_evaluator(builtin("classical"), b=ZERO, k=Scalar(2))
-
-
 # --- star compatibility and cotriangularity -------------------------------------
 
 

@@ -12,6 +12,8 @@ from qminkowski.cli import main, run_suites
 from qminkowski.exact import Mat, ONE
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
+from test_calculus import z_perturbed
+
 # sha256 of `report --builtin classical ARGS` stdout and of its --json file.
 REPORT_PINS = [
     ((), "abd24a79fff32f0dec27de79efa82c66f7c3dbc01a627cf2a47e88c4d716bcf8",
@@ -219,6 +221,39 @@ def test_one_gating_rule(capsys, tmp_path):
     assert validate.passed and rep.passed
     assert [c.name for c in validate.checks if not c.passed] == \
         ["calculus-obstruction"]
+
+
+# sha256 of `report FILE` stdout and of its --json file, off the classical
+# point: they take the FAIL paths (obstruction witness, Clifford residual,
+# star-closed, and for twisted_tshift a profile mismatch).
+OFF_CLASSICAL_PINS = [
+    (twisted_tshift,
+     "74743452a2a71d216d412c34a91bb097d1e30640bf3b90e31515c0ca5c9effff",
+     "d31ec025973fdda08bb0ffc853ac15bcef91a06b70c8a08408c369f44f0872c4"),
+    (z_perturbed,
+     "9f974737baaa7fa11c9f92b8734c2f954049e2ca3539388e7baa6089afe7cb8a",
+     "382462c2cc4bcd1a136913863d5bb8349acff20ebfe5ea72592d8edf7ebf5e31"),
+]
+
+
+def test_off_classical_reports_are_pinned(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    path = tmp_path / "report.json"
+    for make, out_sha, json_sha in OFF_CLASSICAL_PINS:
+        write_instance(make(), str(inst))
+        code, out, _ = run(capsys, "report", str(inst), "--json", str(path))
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
+def test_report_json_unwritable_path(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = run(capsys, "report", "--builtin", "classical",
+                             "--json", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fock_counit_compares_normal_forms(capsys, tmp_path):

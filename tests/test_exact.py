@@ -12,8 +12,8 @@ import pytest
 
 from qminkowski.errors import ConstraintError, ParseError
 from qminkowski.exact import (
-    I, Mat, ONE, Scalar, ZERO, flip, kron, middle_embed, parse_scalar,
-    pauli, sqrt_q, v_inverse, v_matrix,
+    I, Mat, ONE, Scalar, ZERO, flip, kron, parse_scalar, pauli, sqrt_q,
+    v_inverse, v_matrix,
 )
 
 
@@ -187,7 +187,7 @@ def test_rank():
     assert Mat.identity(5).rank() == 5
 
 
-# --- kron, flip, middle_embed --------------------------------------------------
+# --- kron and flip -------------------------------------------------------------
 
 
 def test_kron_matches_naive_and_mixed_product():
@@ -221,13 +221,6 @@ def test_flip_intertwines_kron_factors():
         a = rand_mat(rng, p, m)
         b = rand_mat(rng, r, n)
         assert flip(p, r) * kron(a, b) == kron(b, a) * flip(m, n)
-
-
-def test_middle_embed_is_kron_sandwich():
-    rng = random.Random(18)
-    x = rand_mat(rng, 4, 4)
-    i2 = Mat.identity(2)
-    assert middle_embed(x) == kron(kron(i2, x), i2)
 
 
 # --- pauli matrices and the index-pair change of basis -------------------------

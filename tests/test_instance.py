@@ -10,8 +10,8 @@ import pytest
 from qminkowski.errors import ConstraintError, ParseError, UnknownInstance
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
 from qminkowski.instance import (
-    builtin, builtin_names, instance_from_dict, instance_to_dict,
-    load_instance, validate_instance, write_instance,
+    builtin, builtin_names, gating_passed, instance_from_dict,
+    instance_to_dict, load_instance, validate_instance, write_instance,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -131,11 +131,11 @@ def test_load_instance_errors(tmp_path):
 
 
 def test_validate_classical():
-    rep = validate_instance(builtin("classical"))
-    assert rep.overall
-    names = [c.name for c in rep.checks]
+    checks = validate_instance(builtin("classical"))
+    assert gating_passed(checks)
+    names = [c.name for c in checks]
     assert "x-invertible" in names and "metric-nondegenerate" in names
-    obstruction = [c for c in rep.checks if c.name == "calculus-obstruction"]
+    obstruction = [c for c in checks if c.name == "calculus-obstruction"]
     assert len(obstruction) == 1 and obstruction[0].advisory
 
 
@@ -145,7 +145,7 @@ def test_validate_flags_obstruction_as_advisory_only():
     z = Mat.zeros(16, 4)
     z.data[4 * 1 + 0] = ONE          # Z[(0,1), 0]
     bent = dataclasses.replace(inst, name="bent", Z=z)
-    rep = validate_instance(bent)
-    assert rep.overall                  # advisory failures do not gate
-    obstruction = [c for c in rep.checks if c.name == "calculus-obstruction"]
+    checks = validate_instance(bent)
+    assert gating_passed(checks)        # advisory failures do not gate
+    obstruction = [c for c in checks if c.name == "calculus-obstruction"]
     assert obstruction and not obstruction[0].passed

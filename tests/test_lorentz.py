@@ -79,7 +79,7 @@ def test_determinant_relation():
 
 def test_dimension_profile():
     alg = make_lorentz(builtin("classical"), cap=4)
-    prof = alg.quotient.dimension_profile()
+    prof = alg.dimension_profile()
     # two commuting unit-determinant factors: degree n of one factor has
     # dimension (n+1)^2, the pair convolves
     want = [sum((a + 1) ** 2 * (n - a + 1) ** 2 for a in range(n + 1))
@@ -91,12 +91,12 @@ def test_dimension_profile():
 def test_dimension_profile_at_cap_6():
     # the series of (1+t)^2/(1-t)^6, the same convolution two degrees on
     alg = make_lorentz(builtin("classical"), cap=6)
-    assert alg.quotient.dimension_profile() == \
+    assert alg.dimension_profile() == \
         [1, 8, 34, 104, 259, 560, 1092]
 
 
 def test_lambda_matches_closed_form_at_points():
-    lam = lambda_entries(builtin("classical"))
+    lam = lambda_entries()
     half = Scalar(Fraction(1, 2))
     for w in SL2_POINTS:
         for i in range(4):
@@ -109,7 +109,7 @@ def test_lambda_matches_closed_form_at_points():
 
 
 def test_lambda_preserves_metric_at_points():
-    lam = lambda_entries(builtin("classical"))
+    lam = lambda_entries()
     g = metric(builtin("classical")).g
     for w in SL2_POINTS:
         num = Mat.from_rows([[evaluate(lam[i][j], w) for j in range(4)]

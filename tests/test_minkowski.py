@@ -9,8 +9,7 @@ from qminkowski.errors import DegreeError
 from qminkowski.exact import Mat, ONE, Scalar, ZERO
 from qminkowski.instance import builtin
 from qminkowski.minkowski import (
-    expected_profile, make_minkowski, mink_relations, mink_star, pbw_check,
-    star_closed,
+    expected_profile, make_minkowski, mink_relations, pbw_check, star_closed,
 )
 from qminkowski.qalgebra import NCPoly
 
@@ -59,9 +58,9 @@ def test_expected_profile_is_binomial():
 
 def test_mink_star_fixes_generators():
     p = (x(0) * x(1)).scale(Scalar(0, 1)) + x(2)
-    s = mink_star(p)
+    s = p.star()
     assert s == (x(1) * x(0)).scale(Scalar(0, -1)) + x(2)
-    assert mink_star(s) == p
+    assert s.star() == p
 
 
 def test_central_shift_keeps_pbw():

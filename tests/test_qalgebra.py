@@ -7,7 +7,7 @@ import pytest
 
 from qminkowski.errors import DegreeError
 from qminkowski.exact import I, ONE, Scalar, ZERO
-from qminkowski.qalgebra import NCPoly, all_words, build_quotient
+from qminkowski.qalgebra import NCPoly, build_quotient
 
 
 def x(i):
@@ -60,11 +60,6 @@ def test_star_is_antimultiplicative():
     # relabeling map is applied letterwise
     q = (x(0) * x(1)).star(lambda g: g + 2)
     assert q == x(3) * x(2)
-
-
-def test_all_words_count():
-    assert len(list(all_words(4, 3))) == 64
-    assert list(all_words(2, 1)) == [(0,), (1,)]
 
 
 # --- quotients -----------------------------------------------------------------
