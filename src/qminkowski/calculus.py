@@ -9,6 +9,20 @@ Such a calculus exists exactly when a 64x4 obstruction matrix vanishes;
 make_calculus refuses to hand out a calculus otherwise.  Partials are the
 coefficient functionals of d and are computed by their own recursion, so
 the identity d(a) = sum_i dx_i partial_i(a) is a genuine cross-check.
+
+What is memoised, and where: a FirstOrderCalculus owns three memos that
+live and die with it, all of normal forms: d of each word, partial_i of
+each word, and the image x_i (dx_j w) of each (i, j, w), from which
+left_mul_gen builds x_i acting on any one-form by linearity.  left_mul is
+the unmemoised path (one left_mul_gen per letter) and stays the reference.
+check_leibniz keeps, for one word b at a time, a table of a d(b) by word
+a, and check_partial_exchange computes the sixteen second partials of a
+word once for both sides of the identity.  Nothing is cached at module
+level.
+
+Each check_* method returns None when its identity holds on every basis
+word up to the given degree, and otherwise the first counterexample as
+text: the word or pair and the index, e.g. "a=(0,), b=(1, 2), i=3".
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from .dirac import metric
 from .errors import CalculusObstruction
 from .exact import Mat, Scalar, kron
 from .minkowski import MinkowskiAlgebra
-from .qalgebra import NCPoly
+from .qalgebra import NCPoly, accumulate
 
 __all__ = [
     "f_tilde", "Form1", "FirstOrderCalculus", "make_calculus",
@@ -73,30 +87,36 @@ class FirstOrderCalculus:
         self.alg = alg
         self._d_memo = {}
         self._p_memo = {}
+        self._act_memo = {}
         self._g = None
 
     # -- bimodule structure ------------------------------------------------
 
+    def _act(self, i: int, j: int, w) -> tuple:
+        """The four coordinates of x_i (dx_j w), memoised per (i, j, w)."""
+        key = (i, j, w)
+        hit = self._act_memo.get(key)
+        if hit is None:
+            r, z = self.alg.instance.R, self.alg.instance.Z
+            nf = self.alg.normal_form
+            row = 4 * i + j
+            coords = []
+            for k in range(4):
+                terms = {(l,) + w: r[row, 4 * k + l] for l in range(4)}
+                terms[w] = z[row, k]
+                coords.append(nf(NCPoly(terms)))
+            hit = self._act_memo[key] = tuple(coords)
+        return hit
+
     def left_mul_gen(self, i: int, form: Form1) -> Form1:
-        """x_i acting from the left on a one-form."""
-        r, z = self.alg.instance.R, self.alg.instance.Z
-        nf = self.alg.normal_form
-        coords = []
-        for k in range(4):
-            acc = NCPoly.zero()
-            for j in range(4):
-                fj = form.coords[j]
-                if fj.is_zero():
-                    continue
-                for l in range(4):
-                    c = r[4 * i + j, 4 * k + l]
-                    if c:
-                        acc = acc + (NCPoly.gen(l) * fj).scale(c)
-                c = z[4 * i + j, k]
-                if c:
-                    acc = acc + fj.scale(c)
-            coords.append(nf(acc))
-        return Form1(tuple(coords))
+        """x_i acting from the left on a one-form: the sum of c x_i (dx_j w)
+        over the terms c w of each coordinate j."""
+        out = ({}, {}, {}, {})
+        for j, fj in enumerate(form.coords):
+            for w, c in fj.terms.items():
+                for acc, img in zip(out, self._act(i, j, w)):
+                    accumulate(acc, img.terms, c)
+        return Form1(tuple(NCPoly(t) for t in out))
 
     def left_mul(self, p: NCPoly, form: Form1) -> Form1:
         out = Form1.zero()
@@ -206,59 +226,72 @@ class FirstOrderCalculus:
 
     # -- identity checks -----------------------------------------------------
 
-    def check_differential_consistency(self, n: int) -> bool:
+    def check_differential_consistency(self, n: int) -> str | None:
         """d(a) = sum_i dx_i partial_i(a) on every basis word."""
         for w in self.alg.basis_upto(n):
             form = self._d_word(w)
             for i in range(4):
                 if form.coords[i] != self._p_word(i, w):
-                    return False
-        return True
+                    return "w=%s, i=%d" % (w, i)
+        return None
 
-    def check_leibniz(self, n: int) -> bool:
+    def _times(self, a, table):
+        """x_a acting on the form table[()]; table memoises every suffix of
+        a, which need not be a basis word."""
+        hit = table.get(a)
+        if hit is None:
+            hit = table[a] = self.left_mul_gen(a[0],
+                                               self._times(a[1:], table))
+        return hit
+
+    def check_leibniz(self, n: int) -> str | None:
         """d(ab) = a d(b) + d(a) b for basis pairs inside the cap."""
-        words = list(self.alg.basis_upto(n))
-        for a in words:
-            pa = NCPoly.from_word(a)
-            da = self.differential(pa)
-            for b in words:
+        words = list(self.alg.basis_upto(n))     # ascending degree
+        for b in words:
+            pb = NCPoly.from_word(b)
+            table = {(): self._d_word(b)}
+            for a in words:
                 if len(a) + len(b) > n:
-                    continue
-                pb = NCPoly.from_word(b)
-                lhs = self.differential(pa * pb)
-                rhs = self.left_mul(pa, self.differential(pb)) \
-                    + self.right_mul(da, pb)
-                if lhs != rhs:
-                    return False
-        return True
+                    break
+                lhs = self._d_word(a + b)
+                rhs = self._times(a, table) + self.right_mul(self._d_word(a),
+                                                             pb)
+                for i in range(4):
+                    if lhs.coords[i] != rhs.coords[i]:
+                        return "a=%s, b=%s, i=%d" % (a, b, i)
+        return None
 
-    def check_partial_exchange(self, n: int) -> bool:
+    def _second_partials(self, w):
+        """[i][j] -> partial_j partial_i of the word w."""
+        return [[self.partial(j, self._p_word(i, w)) for j in range(4)]
+                for i in range(4)]
+
+    def check_partial_exchange(self, n: int) -> str | None:
         """partial_l partial_k = sum_ij R_{ij,kl} partial_j partial_i."""
         r = self.alg.instance.R
         for w in self.alg.basis_upto(n):
-            firsts = [self._p_word(i, w) for i in range(4)]
+            second = self._second_partials(w)
             for k in range(4):
                 for l in range(4):
-                    lhs = self.partial(l, firsts[k])
-                    rhs = NCPoly.zero()
+                    rhs = {}
                     for i in range(4):
                         for j in range(4):
                             c = r[4 * i + j, 4 * k + l]
                             if c:
-                                rhs = rhs + self.partial(j, firsts[i]).scale(c)
-                    if lhs != rhs:
-                        return False
-        return True
+                                accumulate(rhs, second[i][j].terms, c)
+                    if second[k][l].terms != rhs:
+                        return "w=%s, k=%d, l=%d" % (w, k, l)
+        return None
 
-    def check_box_commutes(self, n: int) -> bool:
+    def check_box_commutes(self, n: int) -> str | None:
         """The wave operator commutes with every partial."""
         for w in self.alg.basis_upto(n):
             p = NCPoly.from_word(w)
             bp = self.box(p)
             for i in range(4):
                 if self.partial(i, bp) != self.box(self.partial(i, p)):
-                    return False
-        return True
+                    return "w=%s, i=%d" % (w, i)
+        return None
 
 
 def make_calculus(alg: MinkowskiAlgebra) -> FirstOrderCalculus:

@@ -82,12 +82,17 @@ def suite_calculus(inst, degree: int) -> list:
         calc = calculus.make_calculus(alg)
     except CalculusObstruction as exc:
         return [CheckResult("obstruction", False, str(exc))]
-    return [CheckResult("obstruction", True, "obstruction matrix is zero")] + [
-        CheckResult(name, fn(degree), "degree <= %d" % degree)
-        for name, fn in (("differential", calc.check_differential_consistency),
-                         ("leibniz", calc.check_leibniz),
-                         ("partial-exchange", calc.check_partial_exchange),
-                         ("box-commutes", calc.check_box_commutes))]
+    checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
+    for name, fn in (("differential", calc.check_differential_consistency),
+                     ("leibniz", calc.check_leibniz),
+                     ("partial-exchange", calc.check_partial_exchange),
+                     ("box-commutes", calc.check_box_commutes)):
+        witness = fn(degree)
+        detail = "degree <= %d" % degree
+        if witness is not None:
+            detail += "; fails at " + witness
+        checks.append(CheckResult(name, witness is None, detail))
+    return checks
 
 
 def suite_dirac(inst, degree: int) -> list:
@@ -266,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact checks for quantum Minkowski structure data.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=None, bk=False, slots=False):
+    def common(p, degree=None, b=False, k=False, slots=False):
         p.add_argument("file", nargs="?", default=None,
                        help="instance JSON file")
         p.add_argument("--builtin", default=None, metavar="NAME",
@@ -275,9 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if degree is not None:
             p.add_argument("--degree", type=int, default=degree,
                            help="truncation degree (default %d)" % degree)
-        if bk:
+        if b:
             p.add_argument("--b", default="0", metavar="SCALAR",
                            help="central charge, e.g. 1, -1, i, 1/2+1/3i")
+        if k:
             p.add_argument("--k", type=int, default=1, choices=(1, -1),
                            help="spinor-block sign")
         if slots:
@@ -291,14 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("dirac", help="metric, gammas, Dirac square"),
            degree=3)
     common(sub.add_parser("braiding", help="R_Q and pairing checks"),
-           bk=True)
+           b=True, k=True)
     common(sub.add_parser("fock", help="braided tensor checks"),
-           bk=True, slots=True)
+           b=True, slots=True)
     rp = sub.add_parser(
         "report", help="all suites",
         description="Run every suite. The lorentz suite always runs at "
         "degree 4 and ignores --degree.")
-    common(rp, degree=4, bk=True, slots=True)
+    common(rp, degree=4, b=True, k=True, slots=True)
     rp.add_argument("--json", default=None, metavar="PATH",
                     help="also write the report as JSON")
     return top

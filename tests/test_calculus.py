@@ -12,11 +12,14 @@ from fractions import Fraction
 import pytest
 
 from qminkowski.calculus import Form1, f_tilde, make_calculus
+from qminkowski.cli import main
 from qminkowski.errors import CalculusObstruction
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
-from qminkowski.instance import PoincareInstance, builtin
+from qminkowski.instance import PoincareInstance, builtin, write_instance
 from qminkowski.minkowski import make_minkowski
 from qminkowski.qalgebra import NCPoly
+
+from test_acceptance import sign_twisted_flip
 
 
 def x(i):
@@ -100,16 +103,22 @@ def test_z_perturbation_obstructs():
     assert "(5, 0)" in str(exc.value)
 
 
-def test_central_shift_passes_obstruction():
+def shifted(name, entries):
+    """Classical data with the given {flat index: value} entries of T."""
     t = Mat.zeros(16, 1)
-    t.data[1] = Scalar(0, 1)
-    inst = dataclasses.replace(builtin("classical"), name="tshift", T=t)
+    for k, v in entries.items():
+        t.data[k] = v
+    return dataclasses.replace(builtin("classical"), name=name, T=t)
+
+
+def test_central_shift_passes_obstruction():
+    inst = shifted("tshift", {1: Scalar(0, 1)})
     assert f_tilde(inst).is_zero()
     calc = make_calculus(make_minkowski(inst, cap=3))
-    assert calc.check_differential_consistency(3)
-    assert calc.check_leibniz(3)
-    assert calc.check_partial_exchange(3)
-    assert calc.check_box_commutes(3)
+    assert calc.check_differential_consistency(3) is None
+    assert calc.check_leibniz(3) is None
+    assert calc.check_partial_exchange(3) is None
+    assert calc.check_box_commutes(3) is None
 
 
 # --- classical partials vs commutative differentiation ------------------------
@@ -203,10 +212,10 @@ def test_bimodule_commutes_classically(classical_calc):
 
 def test_identity_checks_at_low_degree(classical_calc):
     calc = classical_calc
-    assert calc.check_differential_consistency(3)
-    assert calc.check_leibniz(3)
-    assert calc.check_partial_exchange(3)
-    assert calc.check_box_commutes(3)
+    assert calc.check_differential_consistency(3) is None
+    assert calc.check_leibniz(3) is None
+    assert calc.check_partial_exchange(3) is None
+    assert calc.check_box_commutes(3) is None
 
 
 def test_form1_arithmetic():
@@ -216,3 +225,108 @@ def test_form1_arithmetic():
     assert g.coords[0] == x(0).scale(Scalar(2))
     assert (f - f).is_zero()
     assert f.scale(Scalar(3)).coords[3] == NCPoly.one().scale(Scalar(3))
+
+
+# --- a calculus whose Leibniz check fails -------------------------------------
+
+
+def leibniz_breaking():
+    """Classical data with Z[(0,3), 1] = 2 and T[(1,2)] = -1.
+
+    The obstruction vanishes, but 1 reduces to 0 in the truncated quotient
+    (profile [0, 0, 10, 20, 35] at cap 4), and the Leibniz rule fails at
+    caps 3 and 4 while the other three identities hold.
+    """
+    z = Mat.zeros(16, 4)
+    z.data[13] = Scalar(2)
+    t = Mat.zeros(16, 1)
+    t.data[6] = Scalar(-1)
+    return dataclasses.replace(builtin("classical"), name="zt-bent", Z=z,
+                               T=t)
+
+
+def test_leibniz_check_can_fail(capsys, tmp_path):
+    inst = leibniz_breaking()
+    assert f_tilde(inst).is_zero()
+    for cap, profile, leibniz in (
+            (3, [0, 4, 10, 20], "a=(0,), b=(0,), i=0"),
+            (4, [0, 0, 10, 20, 35], "a=(0, 0), b=(0, 0), i=0"),
+            (5, [0, 0, 0, 20, 35, 56], None)):
+        calc = make_calculus(make_minkowski(inst, cap=cap))
+        assert calc.alg.dimension_profile() == profile
+        assert calc.check_leibniz(cap) == leibniz
+        assert calc.check_differential_consistency(cap) is None
+        assert calc.check_partial_exchange(cap) is None
+        assert calc.check_box_commutes(cap) is None
+    path = tmp_path / "zt.json"
+    write_instance(inst, str(path))
+    assert main(["calculus", str(path), "--degree", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  FAIL leibniz: degree <= 4; fails at a=(0, 0), b=(0, 0), i=0" \
+        in lines
+    assert "  pass differential: degree <= 4" in lines
+
+
+# --- the memoised left action against the unmemoised formulas -----------------
+
+
+MEMO_INSTANCES = [
+    builtin("classical"),
+    shifted("tshift", {1: ONE}),
+    dataclasses.replace(builtin("classical"), name="twisted",
+                        R=sign_twisted_flip()),
+    shifted("imag", {4 * 1 + 3: Scalar(0, Fraction(-3, 2)),
+                     4 * 2 + 0: Scalar(0, 2)}),
+    leibniz_breaking(),
+]
+
+
+def per_entry_left_mul_gen(calc, i, form):
+    """x_i on a one-form, one R or Z entry at a time, normalised per
+    coordinate: the formula left_mul_gen had before its memo."""
+    r, z = calc.alg.instance.R, calc.alg.instance.Z
+    coords = []
+    for k in range(4):
+        acc = NCPoly.zero()
+        for j in range(4):
+            fj = form.coords[j]
+            for l in range(4):
+                c = r[4 * i + j, 4 * k + l]
+                if c:
+                    acc = acc + (NCPoly.gen(l) * fj).scale(c)
+            c = z[4 * i + j, k]
+            if c:
+                acc = acc + fj.scale(c)
+        coords.append(calc.alg.normal_form(acc))
+    return Form1(tuple(coords))
+
+
+@pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
+def test_memoised_left_action_matches_unmemoised(inst):
+    calc = make_calculus(make_minkowski(inst, cap=4))
+    words = list(calc.alg.basis_upto(4))
+    zero = NCPoly.zero()
+    forms = [calc.differential(NCPoly.from_word(b)) for b in words]
+    for w in calc.alg.basis_upto(3):
+        for j in range(4):
+            coords = [zero] * 4
+            coords[j] = NCPoly.from_word(w)
+            forms.append(Form1(tuple(coords)))
+    for form in forms:
+        for i in range(4):
+            assert calc.left_mul_gen(i, form) == \
+                per_entry_left_mul_gen(calc, i, form)
+    # the per-b table of check_leibniz against left_mul, letter by letter
+    for b in words:
+        db = calc.differential(NCPoly.from_word(b))
+        table = {(): db}
+        for a in words:
+            if len(a) + len(b) <= 4:
+                assert calc._times(a, table) == \
+                    calc.left_mul(NCPoly.from_word(a), db)
+    for w in words:
+        second = calc._second_partials(w)
+        for i in range(4):
+            for j in range(4):
+                assert second[i][j] == calc.partial(
+                    j, calc.partial(i, NCPoly.from_word(w)))

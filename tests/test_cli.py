@@ -12,7 +12,7 @@ from qminkowski.cli import main, run_suites
 from qminkowski.exact import Mat, ONE
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
-from test_calculus import z_perturbed
+from test_calculus import shifted, z_perturbed
 
 # sha256 of `report --builtin classical ARGS` stdout and of its --json file.
 REPORT_PINS = [
@@ -115,6 +115,9 @@ def test_flag_validation(capsys):
     code, _, err = run(capsys, "braiding", "--builtin", "classical",
                        "--k", "2")
     assert code == 2 and err
+    # fock has no spinor-block sign: nothing it checks depends on k
+    code, _, err = run(capsys, "fock", "--builtin", "classical", "--k", "-1")
+    assert code == 2 and err
 
 
 def test_braiding_b_gates_exit_code(capsys):
@@ -126,6 +129,20 @@ def test_braiding_b_gates_exit_code(capsys):
                        "--b", "i")
     assert code == 1
     assert "FAIL star-compatible" in out
+
+
+def test_calculus_at_degree_6(capsys, tmp_path):
+    path = tmp_path / "tshift.json"
+    write_instance(shifted("tshift", {1: ONE}), str(path))   # T[(0,1)] = 1
+    for source in (("--builtin", "classical"), (str(path),)):
+        code, out, _ = run(capsys, "calculus", *source, "--degree", "6")
+        assert code == 0
+        checks = out.splitlines()[2:-1]
+        assert [line.split()[:2] for line in checks] == [
+            ["pass", name + ":"] for name in (
+                "obstruction", "differential", "leibniz",
+                "partial-exchange", "box-commutes")]
+        assert all(line.endswith("degree <= 6") for line in checks[1:])
 
 
 def test_fock_braid_relation_needs_three(capsys):
