@@ -11,7 +11,9 @@ of the symmetry bialgebra with itself is fixed on generator pairs by a
 written here so that r(P_jk (x) P_il) = R_Q[(i,j),(k,l)] with the package
 pair convention (i,j) -> 5i + j.  Both tensor legs of R_Q use that same
 flattening, so for the classical instance with b = 0 the matrix R_Q is
-literally the 25-dimensional swap.
+literally the 25-dimensional swap.  A coquasitriangular pairing is
+determined by its generator table, so the evaluator holds R_Q and nothing
+else of the instance.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def p_entry_word(a: int, b: int):
 
 # --- the 25x25 extended R-matrix --------------------------------------------
 
-def build_rq(inst: PoincareInstance, met, b) -> Mat:
+def build_rq(inst: PoincareInstance, b) -> Mat:
     """Assemble R_Q from R, Z, T, the metric and the central charge b.
 
     Indices run over the five-letter alphabet x_0..x_3, 1 with the usual
@@ -83,7 +85,7 @@ def build_rq(inst: PoincareInstance, met, b) -> Mat:
     r, z, t = inst.R, inst.Z, inst.T
     rz = r * z
     rm1t = (r - Mat.identity(16)) * t
-    g = met.g
+    g = metric(inst)
     out = [ZERO] * (25 * 25)
 
     def put(row, col, v):
@@ -182,19 +184,13 @@ def counit_b(p: NCPoly) -> Scalar:
 # --- the evaluator -----------------------------------------------------------
 
 class CqtEvaluator:
-    """Evaluates the pairing on arbitrary word pairs by memoized recursion.
+    """The pairing fixed by its generator table R_Q, evaluated on arbitrary
+    word pairs by memoized recursion."""
 
-    mirror selects the alternative base table read from the inverse of
-    R_Q with both legs swapped; the two tables agree on the classical
-    instance with b = 0.
-    """
-
-    def __init__(self, inst: PoincareInstance, met, b, mirror=False):
-        self.mirror = mirror
-        self.rq = build_rq(inst, met, b)
+    def __init__(self, rq: Mat):
+        self.rq = rq
         self._rq_inv = None
         self._memo = {}
-        self._delta_memo = {}
         self._ct = None
 
     def rq_inverse(self) -> Mat:
@@ -208,16 +204,7 @@ class CqtEvaluator:
     def _base(self, gu: int, gv: int) -> Scalar:
         ju, ku = _p_pos(gu)
         iv, lv = _p_pos(gv)
-        if self.mirror:
-            return self.rq_inverse()[5 * ju + iv, 5 * lv + ku]
         return self.rq[5 * iv + ju, 5 * ku + lv]
-
-    def _delta(self, w):
-        hit = self._delta_memo.get(w)
-        if hit is None:
-            hit = _delta_word(w)
-            self._delta_memo[w] = hit
-        return hit
 
     def r_word(self, u, v) -> Scalar:
         key = (u, v)
@@ -233,7 +220,7 @@ class CqtEvaluator:
         elif len(u) > 1:
             head, rest = (u[0],), u[1:]
             acc = ZERO
-            for w1, w2, c in self._delta(v):
+            for w1, w2, c in _delta_word(v):
                 s = self.r_word(head, w1)
                 if s:
                     s2 = self.r_word(rest, w2)
@@ -243,7 +230,7 @@ class CqtEvaluator:
         else:
             front, last = v[:-1], (v[-1],)
             acc = ZERO
-            for w1, w2, c in self._delta(u):
+            for w1, w2, c in _delta_word(u):
                 s = self.r_word(w1, last)
                 if s:
                     s2 = self.r_word(w2, front)
@@ -259,8 +246,8 @@ class CqtEvaluator:
         return self._ct
 
 
-def make_evaluator(inst: PoincareInstance, b=0, mirror=False) -> CqtEvaluator:
-    return CqtEvaluator(inst, metric(inst), b, mirror)
+def make_evaluator(inst: PoincareInstance, b=0) -> CqtEvaluator:
+    return CqtEvaluator(build_rq(inst, b))
 
 
 def r_eval(ev: CqtEvaluator, p: NCPoly, q: NCPoly) -> Scalar:

@@ -79,8 +79,9 @@ class Form1:
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one algebra.
 
-    All outputs are normal forms in the underlying quotient.  Do not
-    construct directly; use make_calculus, which checks the obstruction.
+    All outputs are normal forms in the underlying quotient; g is the
+    metric of the instance, read by the wave operator.  Do not construct
+    directly; use make_calculus, which checks the obstruction.
     """
 
     def __init__(self, alg: MinkowskiAlgebra):
@@ -88,7 +89,7 @@ class FirstOrderCalculus:
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
-        self._g = None
+        self.g = metric(alg.instance)
 
     # -- bimodule structure ------------------------------------------------
 
@@ -193,21 +194,15 @@ class FirstOrderCalculus:
 
     # -- second-order operators ---------------------------------------------
 
-    def metric_matrix(self) -> Mat:
-        if self._g is None:
-            self._g = metric(self.alg.instance).g
-        return self._g
-
     def box(self, p: NCPoly) -> NCPoly:
         """The wave operator sum_ij g_ij partial_j partial_i."""
-        g = self.metric_matrix()
         out = NCPoly.zero()
         for i in range(4):
             pi = self.partial(i, p)
             if pi.is_zero():
                 continue
             for j in range(4):
-                c = g[i, j]
+                c = self.g[i, j]
                 if c:
                     out = out + self.partial(j, pi).scale(c)
         return out
@@ -216,10 +211,9 @@ class FirstOrderCalculus:
         return self.partial(k, p).scale(Scalar(0, 1))
 
     def momentum_up(self, k: int, p: NCPoly) -> NCPoly:
-        g = self.metric_matrix()
         out = NCPoly.zero()
         for l in range(4):
-            c = g[k, l]
+            c = self.g[k, l]
             if c:
                 out = out + self.partial(l, p).scale(c * Scalar(0, 1))
         return out

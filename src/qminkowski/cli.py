@@ -76,6 +76,13 @@ def suite_pbw(inst, degree: int) -> list:
     ]
 
 
+def _witnessed(name: str, witness, detail: str) -> CheckResult:
+    """A check that passes when its witness is None and otherwise names it."""
+    if witness is not None:
+        detail += "; fails at " + witness
+    return CheckResult(name, witness is None, detail)
+
+
 def suite_calculus(inst, degree: int) -> list:
     alg = minkowski.make_minkowski(inst, degree)
     try:
@@ -87,27 +94,24 @@ def suite_calculus(inst, degree: int) -> list:
                      ("leibniz", calc.check_leibniz),
                      ("partial-exchange", calc.check_partial_exchange),
                      ("box-commutes", calc.check_box_commutes)):
-        witness = fn(degree)
-        detail = "degree <= %d" % degree
-        if witness is not None:
-            detail += "; fails at " + witness
-        checks.append(CheckResult(name, witness is None, detail))
+        checks.append(_witnessed(name, fn(degree), "degree <= %d" % degree))
     return checks
 
 
 def suite_dirac(inst, degree: int) -> list:
-    met = dirac.metric(inst)
+    g = dirac.metric(inst)
+    det_g = g.det()
     checks = [
-        CheckResult("metric-symmetric", met.is_conj_symmetric(),
-                    "g = %s" % _mat_brief(met.g)),
-        CheckResult("metric-nondegenerate", not met.is_degenerate(),
-                    "det g = %r" % met.g.det()),
+        CheckResult("metric-symmetric", g.conj_t() == g,
+                    "g = %s" % _mat_brief(g)),
+        CheckResult("metric-nondegenerate", det_g != 0,
+                    "det g = %r" % det_g),
     ]
     try:
         gs = dirac.gamma(inst)
     except ConstraintError as exc:
         return checks + [CheckResult("gamma", False, str(exc))]
-    cl = dirac.clifford_ok(inst, gs, met)
+    cl = dirac.clifford_ok(inst, gs, g)
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
     alg = minkowski.make_minkowski(inst, degree)
@@ -117,7 +121,7 @@ def suite_dirac(inst, degree: int) -> list:
         return checks + [CheckResult(
             "dirac-square", False,
             "calculus unavailable (nonzero obstruction)")]
-    return checks + [CheckResult(
+    return checks + [_witnessed(
         "dirac-square", dirac.dirac_square_check(calc, gs, degree),
         "square equals wave operator, degree <= %d" % degree)]
 
@@ -126,8 +130,8 @@ def suite_lorentz(inst) -> list:
     inv = lorentz.lambda_invariance_check(inst, dirac.metric(inst), 4)
     real = lorentz.lambda_reality_diagnostic(inst)
     return [
-        CheckResult("lambda-invariance", inv,
-                    "Lambda g Lambda^T = g at degree 4"),
+        _witnessed("lambda-invariance", inv,
+                   "Lambda g Lambda^T = g at degree 4"),
         CheckResult("lambda-reality", real, "star fixes Lambda entrywise"
                     if real else "star moves some Lambda entry",
                     advisory=True),

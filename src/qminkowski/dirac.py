@@ -1,10 +1,10 @@
 """Metric, gamma matrices and the Dirac operator.
 
-The metric comes out of the invariant bilinear data in the 2x2 spinor
-picture; gammas are assembled in Weyl form from the Pauli blocks and the
-deformed lower blocks A_i.  The pair (a, b) scaling the off-diagonal
-blocks is kept as arguments because the square of the Dirac operator
-matches the wave operator exactly when a*b = 1.
+The metric g, a 4x4 Mat, comes out of the invariant bilinear data in the
+2x2 spinor picture; gammas are assembled in Weyl form from the Pauli
+blocks and the deformed lower blocks A_i.  The pair (a, b) scaling the
+off-diagonal blocks is kept as arguments because the square of the Dirac
+operator matches the wave operator exactly when a*b = 1.
 """
 
 from __future__ import annotations
@@ -16,42 +16,27 @@ from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
 from .qalgebra import NCPoly
 
 __all__ = [
-    "MetricTensor", "metric", "GammaSet", "gamma",
+    "metric", "GammaSet", "gamma",
     "clifford_check", "clifford_ok", "Bispinor",
     "dirac_apply", "dirac_square_check",
 ]
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    g: Mat  # 4x4
-
-    def is_conj_symmetric(self) -> bool:
-        return all(self.g[i, j].conj() == self.g[j, i]
-                   for i in range(4) for j in range(4))
-
-    def is_degenerate(self) -> bool:
-        return self.g.det() == 0
-
-
-def metric(inst) -> MetricTensor:
-    """The 4x4 metric in the coordinate basis."""
+def metric(inst) -> Mat:
+    """The 4x4 metric g in the coordinate basis."""
     tau = flip(2, 2)
     i2 = Mat.identity(2)
     vec = (kron(v_inverse(), v_inverse())
            * kron(kron(i2, inst.X), i2)
            * kron(inst.E, tau * inst.E))
     scale = Scalar(-2) * sqrt_q(inst.q)
-    g = Mat(4, 4, [scale * vec[k, 0] for k in range(16)])
-    return MetricTensor(g)
+    return Mat(4, 4, [scale * vec[k, 0] for k in range(16)])
 
 
 @dataclass(frozen=True)
 class GammaSet:
     gammas: tuple  # four 4x4 matrices
     lower: tuple   # the four 2x2 blocks A_i
-    a: Scalar
-    b: Scalar
 
 
 def gamma(inst, a=ONE, b=ONE) -> GammaSet:
@@ -82,15 +67,15 @@ def gamma(inst, a=ONE, b=ONE) -> GammaSet:
                 ent[4 * r + (c + 2)] = b * al[r, c]
                 ent[4 * (r + 2) + c] = a * s[r, c]
         gammas.append(Mat(4, 4, ent))
-    return GammaSet(tuple(gammas), tuple(lower), a, b)
+    return GammaSet(tuple(gammas), tuple(lower))
 
 
-def clifford_check(inst, gs: GammaSet = None, met: MetricTensor = None):
+def clifford_check(inst, gs: GammaSet = None, g: Mat = None):
     """Residuals gamma_i gamma_j + R_{ji,lk} gamma_k gamma_l - 2 g_ji."""
     if gs is None:
         gs = gamma(inst)
-    if met is None:
-        met = metric(inst)
+    if g is None:
+        g = metric(inst)
     r = inst.R
     i4 = Mat.identity(4)
     prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
@@ -104,12 +89,12 @@ def clifford_check(inst, gs: GammaSet = None, met: MetricTensor = None):
                     c = r[4 * j + i, 4 * l + k]
                     if c:
                         acc = acc + prods[k][l].scale(c)
-            residuals[(i, j)] = acc - i4.scale(Scalar(2) * met.g[j, i])
+            residuals[(i, j)] = acc - i4.scale(Scalar(2) * g[j, i])
     return residuals
 
 
-def clifford_ok(inst, gs: GammaSet = None, met: MetricTensor = None) -> bool:
-    return all(m.is_zero() for m in clifford_check(inst, gs, met).values())
+def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
+    return all(m.is_zero() for m in clifford_check(inst, gs, g).values())
 
 
 @dataclass(frozen=True)
@@ -151,8 +136,12 @@ def dirac_apply(calc, gs: GammaSet, phi: Bispinor) -> Bispinor:
     return Bispinor(tuple(comps))
 
 
-def dirac_square_check(calc, gs: GammaSet, n: int) -> bool:
-    """D;D = wave operator, componentwise, on spinors e_a (x) word."""
+def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
+    """D;D = wave operator, componentwise, on spinors e_a (x) word.
+
+    None when it holds on every basis word up to degree n, otherwise the
+    first counterexample as text, e.g. "w=(0, 1), a=2".
+    """
     for w in calc.alg.basis_upto(n):
         p = NCPoly.from_word(w)
         boxed = calc.box(p)
@@ -161,5 +150,5 @@ def dirac_square_check(calc, gs: GammaSet, n: int) -> bool:
             dd = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))
             want = Bispinor.basis(a, boxed)
             if dd != want:
-                return False
-    return True
+                return "w=%s, a=%d" % (w, a)
+    return None

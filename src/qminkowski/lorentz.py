@@ -12,7 +12,7 @@ quotient.
 from __future__ import annotations
 
 from .errors import DegreeError
-from .exact import v_inverse, v_matrix
+from .exact import Mat, v_inverse, v_matrix
 from .instance import PoincareInstance
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
     build_quotient
@@ -118,16 +118,17 @@ def lambda_entries():
     return tuple(out)
 
 
-def lambda_invariance_check(inst: PoincareInstance, met, n: int = 4) -> bool:
+def lambda_invariance_check(inst: PoincareInstance, g: Mat,
+                            n: int = 4) -> str | None:
     """Whether sum_kl Lambda_ik g_kl Lambda_jl = g_ij in the quotient.
 
-    Needs degree 4 words, so n >= 4.
+    None when it holds, otherwise the first failing entry as text, e.g.
+    "i=0, j=1".  Needs degree 4 words, so n >= 4.
     """
     if n < 4:
         raise DegreeError("invariance residuals have degree 4; n >= 4 needed")
     alg = make_lorentz(inst, n)
     lam = lambda_entries()
-    g = met.g
     for i in range(4):
         for j in range(4):
             acc = NCPoly.zero()
@@ -138,8 +139,8 @@ def lambda_invariance_check(inst: PoincareInstance, met, n: int = 4) -> bool:
                         acc = acc + (lam[i][k] * lam[j][l]).scale(c)
             acc = acc - NCPoly.one().scale(g[i, j])
             if not alg.normal_form(acc).is_zero():
-                return False
-    return True
+                return "i=%d, j=%d" % (i, j)
+    return None
 
 
 def lambda_reality_diagnostic(inst: PoincareInstance, cap: int = 2) -> bool:

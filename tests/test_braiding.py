@@ -23,8 +23,8 @@ from qminkowski.lorentz import make_lorentz, w_id, wbar_id
 from qminkowski.qalgebra import NCPoly
 
 
-def ev_for(b, **kw):
-    return make_evaluator(builtin("classical"), b=b, **kw)
+def ev_for(b):
+    return make_evaluator(builtin("classical"), b=b)
 
 
 def rand_bword(rng, n):
@@ -35,40 +35,40 @@ def rand_bword(rng, n):
 
 
 def test_rq_classical_b0_is_the_swap():
-    rq = build_rq(builtin("classical"), metric(builtin("classical")), ZERO)
+    rq = build_rq(builtin("classical"), ZERO)
     assert rq == flip(5, 5)
 
 
 def test_rq_b_only_moves_the_corner_column():
     inst = builtin("classical")
-    met = metric(inst)
-    base = build_rq(inst, met, ZERO)
-    bent = build_rq(inst, met, ONE)
+    g = metric(inst)
+    base = build_rq(inst, ZERO)
+    bent = build_rq(inst, ONE)
     diff = bent - base
     for r in range(25):
         i, j = divmod(r, 5)
         for c in range(25):
             if c == 24 and i < 4 and j < 4:
-                assert diff[r, c] == met.g[i, j]
+                assert diff[r, c] == g[i, j]
             else:
                 assert diff[r, c] == ZERO
 
 
 @pytest.mark.parametrize("b", [ZERO, ONE, -ONE, I])
 def test_rq_invertible(b):
-    rq = build_rq(builtin("classical"), metric(builtin("classical")), b)
+    rq = build_rq(builtin("classical"), b)
     assert rq.det() != ZERO
 
 
 @pytest.mark.parametrize("b", [ZERO, ONE, -ONE, I])
 def test_yang_baxter_holds(b):
-    rq = build_rq(builtin("classical"), metric(builtin("classical")), b)
+    rq = build_rq(builtin("classical"), b)
     assert yang_baxter_check(rq)
 
 
 def test_yang_baxter_negative_and_shape():
     assert yang_baxter_check(Mat.identity(4))
-    rq = build_rq(builtin("classical"), metric(builtin("classical")), ZERO)
+    rq = build_rq(builtin("classical"), ZERO)
     rq.data[3] = Scalar(5)
     assert not yang_baxter_check(rq)
     with pytest.raises(ShapeError):
@@ -216,20 +216,6 @@ def test_r_eval_bilinear():
     y0, y1 = NCPoly.gen(y_id(0)), NCPoly.gen(y_id(1))
     lhs = r_eval(ev, y0 + y1.scale(Scalar(3)), y0)
     assert lhs == r_eval(ev, y0, y0) + Scalar(3) * r_eval(ev, y1, y0)
-
-
-def test_mirror_flag():
-    # with b = 0 the swap is its own inverse so both tables agree
-    ev, evm = ev_for(ZERO), ev_for(ZERO, mirror=True)
-    rng = random.Random(46)
-    for _ in range(10):
-        p = NCPoly.from_word(rand_bword(rng, rng.randint(0, 2)))
-        q = NCPoly.from_word(rand_bword(rng, rng.randint(0, 2)))
-        assert r_eval(ev, p, q) == r_eval(evm, p, q)
-    # with b = 1 they differ already on translation pairs
-    y0 = NCPoly.gen(y_id(0))
-    assert r_eval(ev_for(ONE), y0, y0) == ONE
-    assert r_eval(ev_for(ONE, mirror=True), y0, y0) == -ONE
 
 
 # --- star compatibility and cotriangularity -------------------------------------

@@ -23,6 +23,29 @@ REPORT_PINS = [
      "d35ca04d656ff100336d1595beb15198b0323a984c30476cf180eb3989e077cd"),
 ]
 
+# Exit code and stdout sha256 of each other subcommand, on `--builtin
+# classical` and on twisted_tshift().
+SUBCOMMAND_PINS = [
+    (("validate",),
+     (0, "d03329ebf85aff831f282303ebe03c65544de4a24d5a98c9969b37d87c189fb7"),
+     (0, "370a37ad0c2641f062fd4a24a2b62e2ae517d75d9706f729c17299c0e5e3af4b")),
+    (("pbw", "--degree", "6"),
+     (0, "760967df217f861a22229f56708e9a4cea9ea7362c3b859da7fb198ec6940028"),
+     (1, "992e2853491606928c54de05a12bd34cafc12c8a3f2038019fcbdf4a7cd708e2")),
+    (("calculus", "--degree", "5"),
+     (0, "7432054c806787e4ed2f96358c7b8ffb09d83e2e861e389f7e3480b6c5b5cf3c"),
+     (1, "0102e5cd36c98c4479ec5bc1885c2114c93241c145e4034e0cb2850705ddc368")),
+    (("dirac", "--degree", "4"),
+     (0, "201a0b15a3ae13d0833c731c9effb836a24f47d65f58369badec2a574be4bbe4"),
+     (1, "e6530ee668ed0880e8008777ec993b8b0c42092b2c6fcd45149e973bce1e8fae")),
+    (("braiding", "--b", "1", "--k", "-1"),
+     (0, "21d5065adca083bded8a49475738428cc2f1ff60ebf71ebf7b14eed0850512b1"),
+     (1, "bb325a4bee1b11810a7329cad72f7c0e9bfffed007fe4727b61fd23cf7ed4637")),
+    (("fock", "--n", "4"),
+     (0, "1de59bd6c80b4e23791f1e7928ac4aef78c3432fe21240da1ecb4da904ffa041"),
+     (0, "5d88131686fb92560e81073484e5fd4ec9f92c493d0191581a71fb7e26b55a65")),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -262,6 +285,17 @@ def test_off_classical_reports_are_pinned(capsys, tmp_path):
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
+def test_subcommands_are_pinned(capsys, tmp_path):
+    twisted = tmp_path / "twisted.json"
+    write_instance(twisted_tshift(), str(twisted))
+    for args, classical, off in SUBCOMMAND_PINS:
+        for source, want in ((("--builtin", "classical"), classical),
+                             ((str(twisted),), off)):
+            code, out, _ = run(capsys, *args, *source)
+            got = (code, hashlib.sha256(out.encode()).hexdigest())
+            assert got == want, args + source
 
 
 def test_report_json_unwritable_path(capsys, tmp_path):

@@ -4,13 +4,15 @@ import pytest
 
 from fractions import Fraction
 
+from qminkowski import cli, dirac
 from qminkowski.dirac import (
-    Bispinor, GammaSet, MetricTensor, clifford_check, clifford_ok,
+    Bispinor, GammaSet, clifford_check, clifford_ok,
     dirac_apply, dirac_square_check, gamma, metric,
 )
 from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
+from qminkowski.lorentz import lambda_invariance_check
 from qminkowski.minkowski import make_minkowski
 from qminkowski.qalgebra import NCPoly
 
@@ -24,7 +26,7 @@ def eta():
 
 
 def test_classical_metric_is_minkowski():
-    g = metric(builtin("classical")).g
+    g = metric(builtin("classical"))
     assert g == eta()
 
 
@@ -32,7 +34,7 @@ def test_classical_metric_trace_oracle():
     # second derivation path: g_ij = -(1/2) Tr(sigma_i eps sigma_j^T eps)
     # with eps the 2x2 antisymmetric unit
     eps = Mat.from_rows([[ZERO, ONE], [-ONE, ZERO]])
-    g = metric(builtin("classical")).g
+    g = metric(builtin("classical"))
     half = Scalar(Fraction(-1, 2))
     for i in range(4):
         for j in range(4):
@@ -42,11 +44,10 @@ def test_classical_metric_trace_oracle():
 
 
 def test_metric_tensor_flags():
-    m = metric(builtin("classical"))
-    assert m.is_conj_symmetric()
-    assert not m.is_degenerate()
-    sing = MetricTensor(Mat.zeros(4, 4))
-    assert sing.is_degenerate()
+    g = metric(builtin("classical"))
+    assert g.conj_t() == g
+    assert g.det() != 0
+    assert Mat.zeros(4, 4).det() == 0
 
 
 def test_gamma_blocks_classical():
@@ -72,7 +73,7 @@ def test_clifford_relations():
     # direct anticommutator oracle: R is the swap, so the residual is
     # gamma_i gamma_j + gamma_j gamma_i - 2 g_ji
     gs = gamma(inst)
-    g = metric(inst).g
+    g = metric(inst)
     for i in range(4):
         for j in range(4):
             anti = gs.gammas[i] * gs.gammas[j] + gs.gammas[j] * gs.gammas[i]
@@ -88,8 +89,27 @@ def test_normalization_scale():
     assert not all(m.is_zero() for m in clifford_check(inst, gs=bad).values())
 
     calc = make_calculus(make_minkowski(inst, cap=3))
-    assert dirac_square_check(calc, ok_pair, 2)
-    assert not dirac_square_check(calc, bad, 2)
+    assert dirac_square_check(calc, ok_pair, 2) is None
+    assert dirac_square_check(calc, bad, 2) is not None
+
+
+def test_failing_checks_name_their_witness(monkeypatch):
+    inst = builtin("classical")
+    calc = make_calculus(make_minkowski(inst, cap=3))
+    bad = gamma(inst, a=Scalar(2), b=ONE)
+    assert dirac_square_check(calc, bad, 2) == "w=(0, 0), a=0"
+    assert lambda_invariance_check(inst, Mat.identity(4), 4) == "i=0, j=0"
+    # the suites print the witness after the detail of a FAIL line
+    monkeypatch.setattr(dirac, "gamma", lambda inst: bad)
+    (suite,) = cli.run_suites(inst, ("dirac",), dirac_degree=2).suites
+    assert suite.checks[-1].line() == (
+        "FAIL dirac-square: square equals wave operator, degree <= 2; "
+        "fails at w=(0, 0), a=0")
+    monkeypatch.setattr(dirac, "metric", lambda inst: Mat.identity(4))
+    (suite,) = cli.run_suites(inst, ("lorentz",)).suites
+    assert suite.checks[0].line() == (
+        "FAIL lambda-invariance: Lambda g Lambda^T = g at degree 4; "
+        "fails at i=0, j=0")
 
 
 def test_dirac_apply_frozen_value():
@@ -113,7 +133,7 @@ def test_dirac_square_equals_box():
     inst = builtin("classical")
     calc = make_calculus(make_minkowski(inst, cap=4))
     gs = gamma(inst)
-    assert dirac_square_check(calc, gs, 3)
+    assert dirac_square_check(calc, gs, 3) is None
     # spot check one state by hand
     phi = Bispinor.basis(1, NCPoly.gen(0) * NCPoly.gen(0))
     twice = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))

@@ -135,7 +135,7 @@ def test_interchange_with_unit_slots(alg, ev0):
 
 def test_interchange_b1_closed_form(alg):
     ev1 = make_evaluator(builtin("classical"), b=1)
-    g = metric(builtin("classical")).g
+    g = metric(builtin("classical"))
     one = NCPoly.one()
     for i in range(4):
         for j in range(4):
