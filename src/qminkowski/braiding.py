@@ -19,11 +19,11 @@ else of the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .dirac import metric
 from .errors import ConstraintError, ShapeError
-from .exact import Mat, ONE, Scalar, ZERO, flip, kron, require_sign, \
-    sqrt_q
+from .exact import Mat, ONE, Scalar, ZERO, flip, require_sign, sqrt_q
 from .instance import PoincareInstance
 from .qalgebra import NCPoly, accumulate
 
@@ -118,16 +118,43 @@ def build_rq(inst: PoincareInstance, b) -> Mat:
 
 
 def yang_baxter_check(m: Mat) -> bool:
-    """Braid identity (m x 1)(1 x m)(m x 1) = (1 x m)(m x 1)(1 x m)."""
+    """Braid identity (m x 1)(1 x m)(m x 1) = (1 x m)(m x 1)(1 x m).
+
+    Compared one basis column of C^d (x) C^d (x) C^d at a time: e_j goes
+    through the three factors of each side as a sparse dict that drops
+    zeros, reading only the nonzeros of m's columns, and the check stops
+    at the first column whose two images differ.  Two matrices are equal
+    exactly when all their columns are, and the arithmetic is exact, so
+    this is the same predicate as comparing the two kron products.
+    """
     if m.rows != m.cols:
         raise ShapeError("Yang-Baxter input must be square")
     d = round(m.rows ** 0.5)
     if d * d != m.rows:
         raise ShapeError("side %d is not a perfect square" % m.rows)
-    one = Mat.identity(d)
-    a = kron(m, one)
-    c = kron(one, m)
-    return a * c * a == c * a * c
+    n = m.rows
+    cols = [[(r, m.data[n * r + j]) for r in range(n) if m.data[n * r + j]]
+            for j in range(n)]
+
+    # (m x 1) e_(d*ab + c) and (1 x m) e_(n*a + bc), each built once.
+    @cache
+    def m_one(i):
+        ab, c = divmod(i, d)
+        return {d * r + c: x for r, x in cols[ab]}
+
+    @cache
+    def one_m(i):
+        a, bc = divmod(i, n)
+        return {n * a + r: x for r, x in cols[bc]}
+
+    def apply(op, v):
+        out = {}
+        for i, c in v.items():
+            accumulate(out, op(i), c)
+        return out
+
+    return all(apply(m_one, apply(one_m, m_one(j)))
+               == apply(one_m, apply(m_one, one_m(j))) for j in range(n * d))
 
 
 # --- coalgebra structure on words -------------------------------------------

@@ -393,16 +393,23 @@ class Mat:
             if hit != prow:
                 work[prow], work[hit] = work[hit], work[prow]
                 det = -det
-            pv = work[prow][col]
+            pivot_row = work[prow]
+            pv = pivot_row[col]
             det = det * pv
             inv = ONE / pv
-            work[prow] = [inv * x for x in work[prow]]
+            # The pivot row is zero left of col, so scaling and eliminating
+            # touch only its nonzero columns from col on.
+            nz = [k for k in range(col, nc) if pivot_row[k]]
+            for k in nz:
+                pivot_row[k] = inv * pivot_row[k]
             for r in range(len(work)):
                 if r == prow:
                     continue
-                c = work[r][col]
+                row = work[r]
+                c = row[col]
                 if c:
-                    work[r] = [x - c * y for x, y in zip(work[r], work[prow])]
+                    for k in nz:
+                        row[k] = row[k] - c * pivot_row[k]
             prow += 1
         if prow < min(self.rows, self.cols):
             det = ZERO

@@ -10,15 +10,13 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from qminkowski.braiding import build_rq, ct_check, make_evaluator, \
     star_cqt_check, yang_baxter_check
 from qminkowski.calculus import f_tilde, make_calculus
 from qminkowski.dirac import clifford_check, clifford_ok, \
     dirac_square_check, gamma, metric
 from qminkowski.errors import CalculusObstruction
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, pauli
+from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.fock import CTensor, braid_action, interchange_k, \
     lift_operator, symmetrize
 from qminkowski.instance import builtin

@@ -7,17 +7,19 @@ the coproduct inside the actual degree-2 quotient.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qminkowski.braiding import (
-    CqtEvaluator, b_name, build_rq, counit_b, ct_check,
+    b_name, build_rq, counit_b, ct_check,
     delta_b, lam_id, lorentz_r_blocks, make_evaluator, p_entry_word, r_eval,
     star_cqt_check, y_id, yang_baxter_check,
 )
 from qminkowski.dirac import metric
 from qminkowski.errors import ConstraintError, ShapeError
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip
+from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, kron
 from qminkowski.instance import builtin
 from qminkowski.lorentz import make_lorentz, w_id, wbar_id
 from qminkowski.qalgebra import NCPoly
@@ -64,6 +66,95 @@ def test_rq_invertible(b):
 def test_yang_baxter_holds(b):
     rq = build_rq(builtin("classical"), b)
     assert yang_baxter_check(rq)
+
+
+def yb_sides(m):
+    """The two sides of the braid identity by the kron formula, as dense
+    d^3 x d^3 matrices."""
+    one = Mat.identity(round(m.rows ** 0.5))
+    a, c = kron(m, one), kron(one, m)
+    return a * c * a, c * a * c
+
+
+def yb_oracle(m):
+    lhs, rhs = yb_sides(m)
+    return lhs == rhs
+
+
+def glq_braid(n, q):
+    """The braid-form GL_q(n) R-matrix: R[(j,i),(i,j)] = 1 for i != j,
+    R[(i,i),(i,i)] = q and R[(i,j),(i,j)] = q - 1/q for i < j."""
+    rows = [[ZERO] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        rows[n * i + i][n * i + i] = q
+        for j in range(n):
+            if i != j:
+                rows[n * j + i][n * i + j] = ONE
+            if i < j:
+                rows[n * i + j][n * i + j] = q - ONE / q
+    return Mat.from_rows(rows)
+
+
+def perturbed(m, k, by=Scalar(2)):
+    out = Mat(m.rows, m.cols, m.data)
+    out.data[k] = out.data[k] + by
+    return out
+
+
+GLQ = [glq_braid(n, q) for n in (2, 3)
+       for q in (Scalar(2), ONE + I, Scalar(-1, 2))]
+
+
+@pytest.mark.parametrize("m", GLQ)
+def test_glq_braid_matrix_braids(m):
+    assert yb_oracle(m)
+    assert yang_baxter_check(m)
+
+
+@pytest.mark.parametrize("m", GLQ)
+def test_glq_single_entry_perturbations_match_the_oracle(m):
+    for k in range(len(m.data)):
+        p = perturbed(m, k)
+        assert yang_baxter_check(p) is yb_oracle(p), divmod(k, m.cols)
+
+
+def test_classical_rq_perturbations_match_the_oracle():
+    # The kron oracle costs about 30 ms on a 25x25 input, so it runs on
+    # every perturbation the column check accepts and on a seeded sample
+    # of the rest; the column check runs on all 625.
+    rq = build_rq(builtin("classical"), ONE)
+    assert yb_oracle(rq)
+    verdicts = [yang_baxter_check(perturbed(rq, k)) for k in range(625)]
+    accepted = [k for k in range(625) if verdicts[k]]
+    assert 0 < len(accepted) < 625
+    rejected = [k for k in range(625) if not verdicts[k]]
+    for k in accepted + random.Random(47).sample(rejected, 24):
+        assert yb_oracle(perturbed(rq, k)) is verdicts[k], divmod(k, 25)
+
+
+def test_yang_baxter_sees_a_difference_in_the_last_column_only():
+    # Perturbing the flip on C^2 (x) C^2 at entry (1, 3) changes only the
+    # image of e_7, the last basis vector of C^2 (x) C^2 (x) C^2.
+    m = perturbed(flip(2, 2), 7)
+    lhs, rhs = yb_sides(m)
+    differ = [j for j in range(8)
+              if any(lhs[i, j] != rhs[i, j] for i in range(8))]
+    assert differ == [7]
+    assert not yang_baxter_check(m)
+
+
+SPARSE_ENTRY = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 9]).flatmap(
+    lambda n: st.lists(SPARSE_ENTRY, min_size=n * n, max_size=n * n)
+    .map(lambda data: Mat(n, n, data))))
+def test_yang_baxter_matches_the_oracle_on_sparse_matrices(m):
+    assert yang_baxter_check(m) is yb_oracle(m)
 
 
 def test_yang_baxter_negative_and_shape():

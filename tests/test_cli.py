@@ -6,8 +6,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from qminkowski.cli import main, run_suites
 from qminkowski.exact import Mat, ONE
 from qminkowski.instance import builtin, instance_to_dict, write_instance

@@ -1,15 +1,13 @@
 """Metric, gamma matrices and the Dirac operator."""
 
-import pytest
-
 from fractions import Fraction
 
 from qminkowski import cli, dirac
 from qminkowski.dirac import (
-    Bispinor, GammaSet, clifford_check, clifford_ok,
+    Bispinor, clifford_check, clifford_ok,
     dirac_apply, dirac_square_check, gamma, metric,
 )
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
+from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check

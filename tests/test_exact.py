@@ -5,12 +5,13 @@ cross-checked against naive index-loop oracles so that layout bugs in the
 fast paths cannot hide.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from qminkowski.errors import ConstraintError, ParseError
+from qminkowski.errors import ConstraintError, ParseError, ShapeError
 from qminkowski.exact import (
     I, Mat, ONE, Scalar, ZERO, flip, kron, parse_scalar, pauli, sqrt_q,
     v_inverse, v_matrix,
@@ -138,7 +139,6 @@ def test_mat_add_scale_transpose():
 
 def det_oracle(m):
     """Permutation expansion, exponential but fine for tiny sizes."""
-    import itertools
     n = m.rows
     total = ZERO
     for perm in itertools.permutations(range(n)):
@@ -185,6 +185,56 @@ def test_rank():
     assert Mat.from_rows(rows).rank() == 2
     assert Mat.zeros(3, 3).rank() == 0
     assert Mat.identity(5).rank() == 5
+
+
+def rand_sparse_mat(rng, r, c, density=0.3):
+    return Mat.from_rows([[rand_scalar(rng) if rng.random() < density
+                           else ZERO for _ in range(c)] for _ in range(r)])
+
+
+def rank_oracle(m):
+    """The size of the largest nonvanishing minor."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in itertools.combinations(range(m.rows), k):
+            for cs in itertools.combinations(range(m.cols), k):
+                minor = Mat.from_rows([[m[i, j] for j in cs] for i in rs])
+                if det_oracle(minor) != ZERO:
+                    return k
+    return 0
+
+
+def test_sparse_elimination_against_oracles():
+    # Sparse input is where the elimination skips the pivot row's zeros;
+    # the dense rand_mat above almost never has a zero entry.
+    rng = random.Random(29)
+    seen = dict.fromkeys(("singular", "invertible", "zero column",
+                          "non-square"), 0)
+    for _ in range(150):
+        r = rng.randint(2, 6)
+        c = r if rng.random() < 0.6 else rng.randint(2, 6)
+        m = rand_sparse_mat(rng, r, c)
+        assert m.rank() == rank_oracle(m)
+        if any(not any(m[i, j] for i in range(r)) for j in range(c)):
+            seen["zero column"] += 1
+        if r != c:
+            seen["non-square"] += 1
+            with pytest.raises(ShapeError):
+                m.det()
+            with pytest.raises(ShapeError):
+                m.inverse()
+            continue
+        d = det_oracle(m)
+        assert m.det() == d
+        if not d:
+            seen["singular"] += 1
+            with pytest.raises(ArithmeticError):
+                m.inverse()
+            continue
+        seen["invertible"] += 1
+        inv = m.inverse()
+        assert inv * m == Mat.identity(r)
+        assert m * inv == Mat.identity(r)
+    assert min(seen.values()) >= 10, seen
 
 
 # --- kron and flip -------------------------------------------------------------

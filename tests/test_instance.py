@@ -1,14 +1,12 @@
 """Instance schema, serialization round trips and validation."""
 
-import copy
 import dataclasses
-import json
 import os
 
 import pytest
 
 from qminkowski.errors import ConstraintError, ParseError, UnknownInstance
-from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
+from qminkowski.exact import Mat, ONE, ZERO, flip
 from qminkowski.instance import (
     builtin, builtin_names, gating_passed, instance_from_dict,
     instance_to_dict, load_instance, validate_instance, write_instance,

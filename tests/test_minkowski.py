@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qminkowski.errors import DegreeError
-from qminkowski.exact import Mat, ONE, Scalar, ZERO
+from qminkowski.exact import Mat, ONE, Scalar
 from qminkowski.instance import builtin
 from qminkowski.minkowski import (
     expected_profile, make_minkowski, mink_relations, pbw_check, star_closed,

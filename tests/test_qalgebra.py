@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qminkowski.errors import DegreeError
-from qminkowski.exact import I, ONE, Scalar, ZERO
+from qminkowski.exact import I, ONE, Scalar
 from qminkowski.qalgebra import NCPoly, build_quotient
 
 
