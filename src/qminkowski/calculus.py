@@ -10,11 +10,12 @@ make_calculus refuses to hand out a calculus otherwise.  Partials are the
 coefficient functionals of d and are computed by their own recursion, so
 the identity d(a) = sum_i dx_i partial_i(a) is a genuine cross-check.
 
-What is memoised, and where: a FirstOrderCalculus owns three memos that
-live and die with it, all of normal forms: d of each word, partial_i of
-each word, and the image x_i (dx_j w) of each (i, j, w), from which
-left_mul_gen builds x_i acting on any one-form by linearity.  left_mul is
-the unmemoised path (one left_mul_gen per letter) and stays the reference.
+What is memoised, and where: a FirstOrderCalculus builds its own quotient
+.alg from its instance and owns three memos that live and die with it,
+all of normal forms: d of each word, partial_i of each word, and the
+image x_i (dx_j w) of each (i, j, w), from which left_mul_gen builds x_i
+acting on any one-form by linearity.  left_mul is the unmemoised path
+(one left_mul_gen per letter) and stays the reference.
 check_leibniz keeps, for one word b at a time, a table of a d(b) by word
 a, and check_partial_exchange computes the sixteen second partials of a
 word once for both sides of the identity.  Nothing is cached at module
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from .dirac import metric
 from .errors import CalculusObstruction
 from .exact import Mat, Scalar, kron
-from .minkowski import MinkowskiAlgebra
+from .minkowski import make_minkowski
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
@@ -77,19 +78,20 @@ class Form1:
 
 
 class FirstOrderCalculus:
-    """Differential, partials and the wave operator over one algebra.
+    """Differential, partials and the wave operator over one instance.
 
-    All outputs are normal forms in the underlying quotient; g is the
-    metric of the instance, read by the wave operator.  Do not construct
-    directly; use make_calculus, which checks the obstruction.
+    .alg is the quotient of the instance at the given cap, and every output
+    is a normal form there; g is the instance metric, read by the wave
+    operator.  Unchecked: make_calculus checks the obstruction first.
     """
 
-    def __init__(self, alg: MinkowskiAlgebra):
-        self.alg = alg
+    def __init__(self, inst, cap: int):
+        self.inst = inst
+        self.alg = make_minkowski(inst, cap)
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
-        self.g = metric(alg.instance)
+        self.g = metric(inst)
 
     # -- bimodule structure ------------------------------------------------
 
@@ -98,7 +100,7 @@ class FirstOrderCalculus:
         key = (i, j, w)
         hit = self._act_memo.get(key)
         if hit is None:
-            r, z = self.alg.instance.R, self.alg.instance.Z
+            r, z = self.inst.R, self.inst.Z
             nf = self.alg.normal_form
             row = 4 * i + j
             coords = []
@@ -167,7 +169,7 @@ class FirstOrderCalculus:
             out = NCPoly.zero()
         else:
             k, rest = w[0], w[1:]
-            r, z = self.alg.instance.R, self.alg.instance.Z
+            r, z = self.inst.R, self.inst.Z
             acc = NCPoly.zero()
             if k == i:
                 acc = acc + NCPoly.from_word(rest)
@@ -262,7 +264,7 @@ class FirstOrderCalculus:
 
     def check_partial_exchange(self, n: int) -> str | None:
         """partial_l partial_k = sum_ij R_{ij,kl} partial_j partial_i."""
-        r = self.alg.instance.R
+        r = self.inst.R
         for w in self.alg.basis_upto(n):
             second = self._second_partials(w)
             for k in range(4):
@@ -288,14 +290,14 @@ class FirstOrderCalculus:
         return None
 
 
-def make_calculus(alg: MinkowskiAlgebra) -> FirstOrderCalculus:
-    """Build the calculus, or raise CalculusObstruction with a witness."""
-    ft = f_tilde(alg.instance)
-    if not ft.is_zero():
-        for r in range(64):
-            for c in range(4):
-                v = ft[r, c]
-                if v:
-                    raise CalculusObstruction(
-                        "obstruction entry (%d, %d) = %r" % (r, c, v))
-    return FirstOrderCalculus(alg)
+def make_calculus(inst, cap: int = 4) -> FirstOrderCalculus:
+    """Build the calculus over the cap-truncated algebra of inst, or raise
+    CalculusObstruction with a witness before any quotient is built."""
+    ft = f_tilde(inst)
+    for r in range(64):
+        for c in range(4):
+            v = ft[r, c]
+            if v:
+                raise CalculusObstruction(
+                    "obstruction entry (%d, %d) = %r" % (r, c, v))
+    return FirstOrderCalculus(inst, cap)

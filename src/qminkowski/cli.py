@@ -84,9 +84,8 @@ def _witnessed(name: str, witness, detail: str) -> CheckResult:
 
 
 def suite_calculus(inst, degree: int) -> list:
-    alg = minkowski.make_minkowski(inst, degree)
     try:
-        calc = calculus.make_calculus(alg)
+        calc = calculus.make_calculus(inst, degree)
     except CalculusObstruction as exc:
         return [CheckResult("obstruction", False, str(exc))]
     checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
@@ -114,9 +113,8 @@ def suite_dirac(inst, degree: int) -> list:
     cl = dirac.clifford_ok(inst, gs, g)
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
-    alg = minkowski.make_minkowski(inst, degree)
     try:
-        calc = calculus.make_calculus(alg)
+        calc = calculus.make_calculus(inst, degree)
     except CalculusObstruction:
         return checks + [CheckResult(
             "dirac-square", False,

@@ -13,6 +13,7 @@ both honour it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -208,12 +209,19 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
+# Fraction("1e20000000") builds 10**20000000, so parse_scalar refuses an
+# exponent over 4300, the digit count int() parses by default.
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "RE/DE", "IM/DEi" or "RE/DE+IM/DEi" into a Scalar."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty scalar literal")
     try:
+        if any(int(e) > 4300 for e in _EXPONENT.findall(s)):
+            raise ParseError("exponent over 4300 in scalar literal %r" % text)
         if not s.endswith("i"):
             return Scalar(Fraction(s))
         body = s[:-1]

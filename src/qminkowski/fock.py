@@ -6,7 +6,8 @@ slot in normal form.  The affine coaction x_i -> sum_j Lambda_ij (x) x_j
 two slots is the braiding that replaces the plain flip.  Symmetric-group
 actions on n slots demand a cotriangular evaluator, since only then do
 the adjacent interchanges satisfy the braid and involution identities
-that make the action well defined.
+that make the action well defined.  The coaction of a word and K on a
+word pair are memoised in ``alg.memos``, and live and die with alg.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from math import factorial
 from .errors import NotCotriangular
 from .exact import ONE, Scalar
 from .braiding import CqtEvaluator, lam_id, y_id
-from .minkowski import MinkowskiAlgebra
-from .qalgebra import NCPoly, accumulate
+from .qalgebra import NCPoly, TruncatedQuotient, accumulate
 
 __all__ = [
     "CTensor", "coaction", "interchange_k", "braid_action",
@@ -46,7 +46,7 @@ class CTensor:
         self.terms = t
 
     @staticmethod
-    def from_polys(alg: MinkowskiAlgebra, polys) -> "CTensor":
+    def from_polys(alg: TruncatedQuotient, polys) -> "CTensor":
         """Tensor product of algebra elements, slots normal-formed."""
         n = len(polys)
         acc = {(): ONE}
@@ -95,8 +95,8 @@ class CTensor:
         return "CTensor(%d, %s)" % (self.n, " + ".join(bits))
 
 
-def _coaction_word(alg: MinkowskiAlgebra, w):
-    cache = alg._cache.setdefault("coaction", {})
+def _coaction_word(alg: TruncatedQuotient, w):
+    cache = alg.memos.setdefault("coaction", {})
     hit = cache.get(w)
     if hit is not None:
         return hit
@@ -112,7 +112,7 @@ def _coaction_word(alg: MinkowskiAlgebra, w):
     return out
 
 
-def coaction(alg: MinkowskiAlgebra, p: NCPoly):
+def coaction(alg: TruncatedQuotient, p: NCPoly):
     """The affine coaction as {(symmetry word, coordinate word): coeff}."""
     out = {}
     for w, c in p.terms.items():
@@ -120,10 +120,10 @@ def coaction(alg: MinkowskiAlgebra, p: NCPoly):
     return out
 
 
-def _k_pair(ev: CqtEvaluator, alg: MinkowskiAlgebra, wp, wq):
+def _k_pair(ev: CqtEvaluator, alg: TruncatedQuotient, wp, wq):
     """K on one pair of words, as {(word, word): coeff}."""
     # Keyed by the evaluator itself: an id() is reused once it is freed.
-    cache = alg._cache.setdefault(("kpair", ev), {})
+    cache = alg.memos.setdefault(("kpair", ev), {})
     key = (wp, wq)
     hit = cache.get(key)
     if hit is not None:
@@ -140,7 +140,7 @@ def _k_pair(ev: CqtEvaluator, alg: MinkowskiAlgebra, wp, wq):
     return out
 
 
-def interchange_k(ev: CqtEvaluator, alg: MinkowskiAlgebra,
+def interchange_k(ev: CqtEvaluator, alg: TruncatedQuotient,
                   t: CTensor) -> CTensor:
     """The braiding on a two-slot tensor."""
     if t.n != 2:
@@ -166,7 +166,7 @@ def _require_ct(ev: CqtEvaluator):
                               "evaluator; this one is not")
 
 
-def braid_action(ev: CqtEvaluator, alg: MinkowskiAlgebra, perm,
+def braid_action(ev: CqtEvaluator, alg: TruncatedQuotient, perm,
                  t: CTensor) -> CTensor:
     """Permutation action with adjacent interchanges in place of flips.
 
@@ -196,7 +196,7 @@ def braid_action(ev: CqtEvaluator, alg: MinkowskiAlgebra, perm,
     return out
 
 
-def symmetrize(ev: CqtEvaluator, alg: MinkowskiAlgebra,
+def symmetrize(ev: CqtEvaluator, alg: TruncatedQuotient,
                t: CTensor) -> CTensor:
     """Average of the braided action over the symmetric group."""
     _require_ct(ev)
@@ -206,7 +206,7 @@ def symmetrize(ev: CqtEvaluator, alg: MinkowskiAlgebra,
     return acc.scale(Scalar(1) / Scalar(factorial(t.n)))
 
 
-def lift_operator(ev: CqtEvaluator, alg: MinkowskiAlgebra, w_op,
+def lift_operator(ev: CqtEvaluator, alg: TruncatedQuotient, w_op,
                   n: int, t: CTensor) -> CTensor:
     """Lift a one-slot operator W to n slots:
     sum_m pi_(0,m) (W on slot 0) pi_(0,m)."""

@@ -129,8 +129,9 @@ def load_instance(path) -> PoincareInstance:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except ValueError as exc:
-        # bad JSON, bytes that are not UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer too long to parse,
+        # or arrays and objects nested deeper than the decoder recurses
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
     return instance_from_dict(doc)
 

@@ -1,14 +1,14 @@
 """The quantum Minkowski coordinate algebra.
 
 Generators x_0..x_3 satisfy the rows of (R - 1)(x (x) x - Z x + T) = 0.
-The algebra is realized as a degree-truncated quotient; a deformation has
-the classical size exactly when the basis profile matches the commutative
-monomial counts, which is what pbw_check tests.
+The algebra is the degree-truncated quotient itself (a TruncatedQuotient,
+as for the Lorentz algebra); a deformation has the classical size exactly
+when the basis profile matches the commutative monomial counts, which is
+what pbw_check tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .exact import Mat
@@ -16,7 +16,7 @@ from .instance import PoincareInstance
 from .qalgebra import NCPoly, TruncatedQuotient, build_quotient
 
 __all__ = [
-    "mink_relations", "MinkowskiAlgebra", "make_minkowski",
+    "mink_relations", "make_minkowski",
     "pbw_check", "expected_profile", "star_closed",
 ]
 
@@ -47,28 +47,8 @@ def mink_relations(inst: PoincareInstance):
     return rels
 
 
-@dataclass(eq=False)
-class MinkowskiAlgebra:
-    instance: PoincareInstance
-    quotient: TruncatedQuotient
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def cap(self) -> int:
-        return self.quotient.cap
-
-    def normal_form(self, p: NCPoly) -> NCPoly:
-        return self.quotient.normal_form(p)
-
-    def basis_upto(self, degree: int):
-        return self.quotient.basis_upto(degree)
-
-    def dimension_profile(self):
-        return self.quotient.dimension_profile()
-
-
-def make_minkowski(inst: PoincareInstance, cap: int = 4) -> MinkowskiAlgebra:
-    return MinkowskiAlgebra(inst, build_quotient(4, mink_relations(inst), cap))
+def make_minkowski(inst: PoincareInstance, cap: int = 4) -> TruncatedQuotient:
+    return build_quotient(4, mink_relations(inst), cap)
 
 
 def expected_profile(n: int):
@@ -76,7 +56,7 @@ def expected_profile(n: int):
     return [comb(d + 3, 3) for d in range(n + 1)]
 
 
-def pbw_check(alg: MinkowskiAlgebra, n: int):
+def pbw_check(alg: TruncatedQuotient, n: int):
     """Compare the basis profile of degrees 0..n to the classical counts.
 
     Returns (ok, profile).  A mismatch is a statement about the instance
@@ -86,8 +66,8 @@ def pbw_check(alg: MinkowskiAlgebra, n: int):
     return profile == expected_profile(min(n, alg.cap)), profile
 
 
-def star_closed(alg: MinkowskiAlgebra) -> bool:
+def star_closed(alg: TruncatedQuotient) -> bool:
     """Whether the relation ideal is stable under the star map (generators
     self-adjoint, words reversed)."""
     return all(alg.normal_form(r.star()).is_zero()
-               for r in alg.quotient.relation_set)
+               for r in alg.relation_set)

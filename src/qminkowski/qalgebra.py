@@ -176,7 +176,8 @@ class TruncatedQuotient:
 
     ``_rules`` maps each lead word u to ``(k, tail)``: u rewrites to tail
     inside a word w when k <= cap - |w|.  The normal form of a word is
-    memoised the first time it is asked for.
+    memoised the first time it is asked for.  ``memos`` holds what other
+    modules memoise over this algebra (fock's coaction and K).
     """
 
     def __init__(self, gens: int, relations, cap: int):
@@ -191,6 +192,7 @@ class TruncatedQuotient:
         self._rules = {}
         self._lengths = []
         self._memo = {}
+        self.memos = {}
         self._complete()
         self._basis = self._build_basis()
 

@@ -60,7 +60,7 @@ def sign_twisted_flip():
 def gate_witness(inst):
     """The CalculusObstruction message, or None if the calculus builds."""
     try:
-        make_calculus(make_minkowski(inst, cap=2))
+        make_calculus(inst, 2)
     except CalculusObstruction as exc:
         return str(exc)
     return None
@@ -102,7 +102,7 @@ def test_criterion_2_calculus_gate():
 
 def test_criterion_3_calculus_identities():
     t0 = time.monotonic()
-    calc = make_calculus(make_minkowski(builtin("classical"), cap=4))
+    calc = make_calculus(builtin("classical"), 4)
     results = (calc.check_differential_consistency(4),
                calc.check_leibniz(4),
                calc.check_partial_exchange(4),
@@ -128,7 +128,7 @@ def test_criterion_4_metric_and_gammas():
     residuals = clifford_check(inst)
     clifford_zero = all(m.is_zero() for m in residuals.values())
 
-    calc = make_calculus(make_minkowski(inst, cap=4))
+    calc = make_calculus(inst, 4)
     square_ok = dirac_square_check(calc, gs, 3) is None
 
     bad = gamma(inst, a=Scalar(2), b=ONE)       # a b = 2
@@ -207,7 +207,7 @@ def test_criterion_8_fock_sector():
         s = symmetrize(ev, alg, CTensor.from_polys(alg, slots))
         proj_ok &= symmetrize(ev, alg, s) == s
 
-    calc = make_calculus(alg)
+    calc = make_calculus(inst, 4)
     state = symmetrize(ev, alg, CTensor.from_polys(alg, [x(0), x(0)]))
     lifted = lift_operator(ev, alg, lambda p: calc.partial(0, p), 2, state)
     want = symmetrize(ev, alg,

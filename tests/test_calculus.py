@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from qminkowski.calculus import Form1, f_tilde, make_calculus
+import qminkowski.minkowski as minkowski
+from qminkowski.calculus import FirstOrderCalculus, Form1, f_tilde, \
+    make_calculus
 from qminkowski.cli import main
 from qminkowski.errors import CalculusObstruction
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
 from qminkowski.instance import PoincareInstance, builtin, write_instance
-from qminkowski.minkowski import make_minkowski
 from qminkowski.qalgebra import NCPoly
 
 from test_acceptance import sign_twisted_flip
@@ -93,14 +94,33 @@ def z_perturbed():
     return dataclasses.replace(builtin("classical"), name="zbent", Z=z)
 
 
-def test_z_perturbation_obstructs():
+def test_z_perturbation_obstructs(monkeypatch):
+    from test_cli import twisted_tshift
+
     ft = f_tilde(z_perturbed())
     nonzero = {(i, j): ft[i, j]
                for i in range(64) for j in range(4) if ft[i, j]}
     assert nonzero == {(5, 0): ONE, (17, 0): -ONE}
-    with pytest.raises(CalculusObstruction) as exc:
-        make_calculus(make_minkowski(z_perturbed(), cap=2))
-    assert "(5, 0)" in str(exc.value)
+    builds = []
+    real_build = minkowski.build_quotient
+
+    def counted(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(minkowski, "build_quotient", counted)
+    # make_calculus refuses before it builds any quotient
+    for inst, witness in ((z_perturbed(), "(5, 0) = 1"),
+                          (twisted_tshift(), "(6, 2) = -2")):
+        for cap in (2, 4):
+            with pytest.raises(CalculusObstruction) as exc:
+                make_calculus(inst, cap)
+            assert str(exc.value) == "obstruction entry " + witness
+    assert builds == []
+    # the unchecked constructor builds the quotient of its own instance
+    calc = FirstOrderCalculus(z_perturbed(), 3)
+    assert len(builds) == 1
+    assert calc.inst.name == "zbent" and calc.alg.cap == 3
 
 
 def shifted(name, entries):
@@ -114,7 +134,7 @@ def shifted(name, entries):
 def test_central_shift_passes_obstruction():
     inst = shifted("tshift", {1: Scalar(0, 1)})
     assert f_tilde(inst).is_zero()
-    calc = make_calculus(make_minkowski(inst, cap=3))
+    calc = make_calculus(inst, 3)
     assert calc.check_differential_consistency(3) is None
     assert calc.check_leibniz(3) is None
     assert calc.check_partial_exchange(3) is None
@@ -147,7 +167,7 @@ def d_exps(i, exps):
 
 @pytest.fixture(scope="module")
 def classical_calc():
-    return make_calculus(make_minkowski(builtin("classical"), cap=4))
+    return make_calculus(builtin("classical"), 4)
 
 
 def test_partials_match_commutative_derivative(classical_calc):
@@ -252,7 +272,7 @@ def test_leibniz_check_can_fail(capsys, tmp_path):
             (3, [0, 4, 10, 20], "a=(0,), b=(0,), i=0"),
             (4, [0, 0, 10, 20, 35], "a=(0, 0), b=(0, 0), i=0"),
             (5, [0, 0, 0, 20, 35, 56], None)):
-        calc = make_calculus(make_minkowski(inst, cap=cap))
+        calc = make_calculus(inst, cap)
         assert calc.alg.dimension_profile() == profile
         assert calc.check_leibniz(cap) == leibniz
         assert calc.check_differential_consistency(cap) is None
@@ -284,7 +304,7 @@ MEMO_INSTANCES = [
 def per_entry_left_mul_gen(calc, i, form):
     """x_i on a one-form, one R or Z entry at a time, normalised per
     coordinate: the formula left_mul_gen had before its memo."""
-    r, z = calc.alg.instance.R, calc.alg.instance.Z
+    r, z = calc.inst.R, calc.inst.Z
     coords = []
     for k in range(4):
         acc = NCPoly.zero()
@@ -303,7 +323,7 @@ def per_entry_left_mul_gen(calc, i, form):
 
 @pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
 def test_memoised_left_action_matches_unmemoised(inst):
-    calc = make_calculus(make_minkowski(inst, cap=4))
+    calc = make_calculus(inst, 4)
     words = list(calc.alg.basis_upto(4))
     zero = NCPoly.zero()
     forms = [calc.differential(NCPoly.from_word(b)) for b in words]

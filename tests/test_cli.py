@@ -117,6 +117,11 @@ def test_instance_file_errors(capsys, tmp_path):
     huge.write_text('{"name": ' + "9" * 5000 + "}")   # int over 4,300 digits
     code, _, err = run(capsys, "validate", str(huge))
     assert code == 2 and err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)   # deeper than json recurses
+    code, out, err = run(capsys, "validate", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
 def test_unknown_builtin(capsys):

@@ -11,7 +11,6 @@ from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check
-from qminkowski.minkowski import make_minkowski
 from qminkowski.qalgebra import NCPoly
 
 
@@ -86,14 +85,14 @@ def test_normalization_scale():
     bad = gamma(inst, a=Scalar(2), b=ONE)
     assert not all(m.is_zero() for m in clifford_check(inst, gs=bad).values())
 
-    calc = make_calculus(make_minkowski(inst, cap=3))
+    calc = make_calculus(inst, 3)
     assert dirac_square_check(calc, ok_pair, 2) is None
     assert dirac_square_check(calc, bad, 2) is not None
 
 
 def test_failing_checks_name_their_witness(monkeypatch):
     inst = builtin("classical")
-    calc = make_calculus(make_minkowski(inst, cap=3))
+    calc = make_calculus(inst, 3)
     bad = gamma(inst, a=Scalar(2), b=ONE)
     assert dirac_square_check(calc, bad, 2) == "w=(0, 0), a=0"
     assert lambda_invariance_check(inst, Mat.identity(4), 4) == "i=0, j=0"
@@ -112,7 +111,7 @@ def test_failing_checks_name_their_witness(monkeypatch):
 
 def test_dirac_apply_frozen_value():
     inst = builtin("classical")
-    calc = make_calculus(make_minkowski(inst, cap=3))
+    calc = make_calculus(inst, 3)
     gs = gamma(inst)
     phi = Bispinor.basis(0, NCPoly.gen(0))
     out = dirac_apply(calc, gs, phi)
@@ -129,7 +128,7 @@ def test_dirac_apply_frozen_value():
 
 def test_dirac_square_equals_box():
     inst = builtin("classical")
-    calc = make_calculus(make_minkowski(inst, cap=4))
+    calc = make_calculus(inst, 4)
     gs = gamma(inst)
     assert dirac_square_check(calc, gs, 3) is None
     # spot check one state by hand

@@ -101,7 +101,9 @@ def test_parse_scalar(text, val):
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0", "1+", "i+i+i", "--2",
-                                 "1e-i", "2e+-1i"])
+                                 "1e-i", "2e+-1i", "1e20000000",
+                                 "1e-4301", "2+1E4_301i",
+                                 "1e" + "9" * 5000])
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)

@@ -244,7 +244,7 @@ def test_symmetrize_four_slots(alg, ev0):
 
 def test_lift_partial_lowers_one_slot(alg, ev0):
     from qminkowski.calculus import make_calculus
-    calc = make_calculus(alg)
+    calc = make_calculus(builtin("classical"), 4)
     one = NCPoly.one()
     t = symmetrize(ev0, alg, tens(alg, x(0), x(0)))
     lifted = lift_operator(ev0, alg, lambda p: calc.partial(0, p), 2, t)

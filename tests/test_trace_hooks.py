@@ -1,0 +1,74 @@
+"""The package names that perfbench's tracer wraps still exist.
+
+perfbench/spantrace.py patches functions and methods of the package by
+name, from outside it, and perfbench/selftest.py checks a few of those
+sites by name.  A rename in src/ would break the benchmark without
+failing any other test.  This file reads perfbench/ and changes nothing
+in it.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import qminkowski.calculus as calculus
+import qminkowski.cli as cli
+import qminkowski.exact as exact
+import qminkowski.lorentz as lorentz
+import qminkowski.minkowski as minkowski
+import qminkowski.qalgebra as qalgebra
+from qminkowski.instance import builtin
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# The sites perfbench/selftest.py checks for wrap and restore, and the
+# two suites that build a calculus.
+SITES = [
+    (calculus, "kron"), (exact, "kron"),
+    (minkowski, "build_quotient"), (lorentz, "build_quotient"),
+    (qalgebra.TruncatedQuotient, "normal_form"), (exact.Mat, "__mul__"),
+    (cli, "suite_calculus"), (cli, "suite_dirac"),
+]
+
+
+def spantrace():
+    spec = importlib.util.spec_from_file_location(
+        "spantrace", PERFBENCH / "spantrace.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def bindings():
+    """Every attribute of every package module and class, by identity."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "qminkowski" or name.startswith("qminkowski."):
+            for key, value in vars(mod).items():
+                out[(name, key)] = value
+                if isinstance(value, type):
+                    for attr, v in vars(value).items():
+                        out[(name, key, attr)] = v
+    return out
+
+
+def test_tracer_wraps_and_restores_every_site():
+    tracer = spantrace().Tracer()
+    before = bindings()
+    originals = [getattr(o, a) for o, a in SITES]
+    try:
+        tracer.install()
+        tracer.install_scalar_counters()
+        assert [(o, a) for (o, a), f in zip(SITES, originals)
+                if getattr(o, a) is f] == []
+    finally:
+        tracer.restore()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_words_checked_reads_the_calculus_algebra():
+    calc = calculus.make_calculus(builtin("classical"), 3)
+    assert calc.alg.dimension_profile() == [1, 4, 10, 20]
+    assert spantrace()._words_checked((calc, 2), None) == 15
