@@ -92,8 +92,14 @@ def summarise(pairs, better):
 
 
 def seed_range(text):
+    """LO-HI, both included; quartiles take at least two seeds."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            "%r names %d seeds; quartiles need at least 2"
+            % (text, len(seeds)))
+    return seeds
 
 
 def main():

@@ -12,8 +12,8 @@ from .instance import (
 from .qalgebra import NCPoly, build_quotient
 from .minkowski import make_minkowski, mink_relations, pbw_check
 from .calculus import make_calculus, f_tilde, Form1
-from .dirac import metric, gamma, clifford_check, clifford_ok, Bispinor, \
-    dirac_apply, dirac_square_check
+from .dirac import metric, gamma, clifford_check, clifford_ok, \
+    dirac_square_check
 from .lorentz import make_lorentz, lambda_entries, lambda_invariance_check
 from .braiding import CqtEvaluator, build_rq, yang_baxter_check, \
     delta_b, counit_b, make_evaluator, r_eval, star_cqt_check, ct_check, \

@@ -17,9 +17,9 @@ image x_i (dx_j w) of each (i, j, w), from which left_mul_gen builds x_i
 acting on any one-form by linearity.  left_mul is the unmemoised path
 (one left_mul_gen per letter) and stays the reference.
 check_leibniz keeps, for one word b at a time, a table of a d(b) by word
-a, and check_partial_exchange computes the sixteen second partials of a
-word once for both sides of the identity.  Nothing is cached at module
-level.
+a.  second_partials (unmemoised) tables the sixteen second partials of a
+word, for both sides of check_partial_exchange and for
+dirac.dirac_square_check.  Nothing is cached at module level.
 
 Each check_* method returns None when its identity holds on every basis
 word up to the given degree, and otherwise the first counterexample as
@@ -257,8 +257,9 @@ class FirstOrderCalculus:
                         return "a=%s, b=%s, i=%d" % (a, b, i)
         return None
 
-    def _second_partials(self, w):
-        """[i][j] -> partial_j partial_i of the word w."""
+    def second_partials(self, w):
+        """The sixteen second partials of the basis word w as a table:
+        [i][j] is partial_j(partial_i(w)), in normal form."""
         return [[self.partial(j, self._p_word(i, w)) for j in range(4)]
                 for i in range(4)]
 
@@ -266,7 +267,7 @@ class FirstOrderCalculus:
         """partial_l partial_k = sum_ij R_{ij,kl} partial_j partial_i."""
         r = self.inst.R
         for w in self.alg.basis_upto(n):
-            second = self._second_partials(w)
+            second = self.second_partials(w)
             for k in range(4):
                 for l in range(4):
                     rhs = {}

@@ -1,10 +1,12 @@
-"""Metric, gamma matrices and the Dirac operator.
+"""Metric, gamma matrices and the square of the Dirac operator.
 
 The metric g, a 4x4 Mat, comes out of the invariant bilinear data in the
 2x2 spinor picture; gammas are assembled in Weyl form from the Pauli
 blocks and the deformed lower blocks A_i.  The pair (a, b) scaling the
 off-diagonal blocks is kept as arguments because the square of the Dirac
-operator matches the wave operator exactly when a*b = 1.
+operator D = sum_i gamma_i partial_i matches the wave operator exactly
+when a*b = 1.  D is never applied: D^2 is the contraction of the products
+gamma_i gamma_j with the second partials partial_i partial_j of a word.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError
 from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
-from .qalgebra import NCPoly
+from .qalgebra import NCPoly, accumulate
 
 __all__ = [
     "metric", "GammaSet", "gamma",
-    "clifford_check", "clifford_ok", "Bispinor",
-    "dirac_apply", "dirac_square_check",
+    "clifford_check", "clifford_ok", "dirac_square", "dirac_square_check",
 ]
 
 
@@ -97,43 +98,26 @@ def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
     return all(m.is_zero() for m in clifford_check(inst, gs, g).values())
 
 
-@dataclass(frozen=True)
-class Bispinor:
-    """Four components, each an algebra element in normal form."""
+def dirac_square(calc, prods, w) -> list:
+    """D^2(e_a (x) w) for a = 0..3, each a list of its four components c.
 
-    components: tuple
-
-    @staticmethod
-    def basis(a: int, p: NCPoly) -> "Bispinor":
-        comps = [NCPoly.zero()] * 4
-        comps[a] = p
-        return Bispinor(tuple(comps))
-
-    def __add__(self, other):
-        return Bispinor(tuple(x + y for x, y in
-                              zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return Bispinor(tuple(x - y for x, y in
-                              zip(self.components, other.components)))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.components)
-
-
-def dirac_apply(calc, gs: GammaSet, phi: Bispinor) -> Bispinor:
-    """(D phi)_a = sum_{i,b} (gamma_i)_{ab} partial_i(phi_b)."""
-    comps = []
+    prods[i][j] is gamma_i gamma_j, so the c component is the contraction
+    sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w).
+    """
+    second = calc.second_partials(w)
+    out = []
     for a in range(4):
-        acc = NCPoly.zero()
-        for i in range(4):
-            gi = gs.gammas[i]
-            for b in range(4):
-                c = gi[a, b]
-                if c:
-                    acc = acc + calc.partial(i, phi.components[b]).scale(c)
-        comps.append(acc)
-    return Bispinor(tuple(comps))
+        comps = []
+        for c in range(4):
+            acc = {}
+            for i in range(4):
+                for j in range(4):
+                    k = prods[i][j][c, a]
+                    if k:
+                        accumulate(acc, second[j][i].terms, k)
+            comps.append(NCPoly(acc))
+        out.append(comps)
+    return out
 
 
 def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
@@ -142,13 +126,12 @@ def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
     None when it holds on every basis word up to degree n, otherwise the
     first counterexample as text, e.g. "w=(0, 1), a=2".
     """
+    prods = [[gi * gj for gj in gs.gammas] for gi in gs.gammas]
+    zero = NCPoly.zero()
     for w in calc.alg.basis_upto(n):
-        p = NCPoly.from_word(w)
-        boxed = calc.box(p)
-        for a in range(4):
-            phi = Bispinor.basis(a, p)
-            dd = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))
-            want = Bispinor.basis(a, boxed)
-            if dd != want:
-                return "w=%s, a=%d" % (w, a)
+        boxed = calc.box(NCPoly.from_word(w))
+        for a, comps in enumerate(dirac_square(calc, prods, w)):
+            for c in range(4):
+                if comps[c] != (boxed if c == a else zero):
+                    return "w=%s, a=%d" % (w, a)
     return None

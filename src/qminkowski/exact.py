@@ -14,6 +14,7 @@ both honour it.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -190,18 +191,29 @@ class Scalar:
 
     def __repr__(self):
         re, im = self.re, self.im
+        text = str
+        if max(self.a.bit_length(), self.b.bit_length(),
+               self.d.bit_length()) > 14000:    # 14,000 bits: 4,215 digits
+            text = _digits
         if not im:
-            return str(re)
+            return text(re)
         if im == 1:
             ipart = "i"
         elif im == -1:
             ipart = "-i"
         else:
-            ipart = "%si" % im
+            ipart = text(im) + "i"
         if not re:
             return ipart
         sign = "+" if im > 0 else ""
-        return "%s%s%s" % (re, sign, ipart)
+        return "%s%s%s" % (text(re), sign, ipart)
+
+
+def _digits(x) -> str:
+    """str(x) for an int or Fraction of any size: str() refuses an int of
+    over 4,300 digits, a limit left in place because json.load needs it."""
+    n, d = Decimal(x.numerator), x.denominator
+    return str(n) if d == 1 else "%s/%s" % (n, Decimal(d))
 
 
 ZERO = Scalar(0)

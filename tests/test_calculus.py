@@ -345,7 +345,7 @@ def test_memoised_left_action_matches_unmemoised(inst):
                 assert calc._times(a, table) == \
                     calc.left_mul(NCPoly.from_word(a), db)
     for w in words:
-        second = calc._second_partials(w)
+        second = calc.second_partials(w)
         for i in range(4):
             for j in range(4):
                 assert second[i][j] == calc.partial(

@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 from qminkowski.cli import main, run_suites
-from qminkowski.exact import Mat, ONE
+from qminkowski.exact import Mat, ONE, Scalar
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
+from test_acceptance import sign_twisted_flip
 from test_calculus import shifted, z_perturbed
 
 # sha256 of `report --builtin classical ARGS` stdout and of its --json file.
@@ -214,15 +215,8 @@ def twisted_tshift():
     The calculus obstructs, and x_2 reduces to 0 in the cap-4 quotient
     (profile [1, 3, 6, 20, 35]).
     """
-    r = Mat.zeros(16, 16)
-    for a in range(4):
-        for b in range(4):
-            sign = -ONE if {a, b} == {0, 2} else ONE
-            r.data[16 * (4 * b + a) + 4 * a + b] = sign
-    t = Mat.zeros(16, 1)
-    t.data[1] = ONE
-    return dataclasses.replace(builtin("classical"), name="twisted-tshift",
-                               R=r, T=t)
+    return dataclasses.replace(shifted("twisted-tshift", {1: ONE}),
+                               R=sign_twisted_flip())
 
 
 def suite_blocks(out):
@@ -324,6 +318,21 @@ def test_entry_point_subprocess():
     proc = subprocess.run(cmd, capture_output=True)
     assert proc.returncode == 0
     assert b"overall: pass" in proc.stdout
+
+
+def test_huge_witness_prints_without_traceback(tmp_path):
+    # Z[(0,1),0] has 4,000 digits, so the obstruction witness has about
+    # 8,000: more than str() gives an int by default
+    z = Mat.zeros(16, 4)
+    z.data[4] = Scalar(10 ** 3999 + 7)
+    path = tmp_path / "big.json"
+    write_instance(dataclasses.replace(builtin("classical"), name="big-z",
+                                       Z=z), str(path))
+    cmd = [sys.executable, "-m", "qminkowski", "calculus", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "  FAIL obstruction: obstruction entry (5, 0) = " in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_file_input_round_trip(capsys, tmp_path):

@@ -1,17 +1,25 @@
 """Metric, gamma matrices and the Dirac operator."""
 
+import dataclasses
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+
+import pytest
 
 from qminkowski import cli, dirac
 from qminkowski.dirac import (
-    Bispinor, clifford_check, clifford_ok,
-    dirac_apply, dirac_square_check, gamma, metric,
+    GammaSet, clifford_check, clifford_ok, dirac_square, dirac_square_check,
+    gamma, metric,
 )
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check
 from qminkowski.qalgebra import NCPoly
+
+from test_acceptance import sign_twisted_flip
+from test_calculus import leibniz_breaking, shifted
 
 
 def eta():
@@ -109,6 +117,54 @@ def test_failing_checks_name_their_witness(monkeypatch):
         "fails at i=0, j=0")
 
 
+# --- the Dirac operator applied as such: the oracle for dirac_square -------
+
+
+@dataclass(frozen=True)
+class Bispinor:
+    """Four components, each an algebra element in normal form."""
+
+    components: tuple
+
+    @staticmethod
+    def basis(a: int, p: NCPoly) -> "Bispinor":
+        comps = [NCPoly.zero()] * 4
+        comps[a] = p
+        return Bispinor(tuple(comps))
+
+    def __add__(self, other):
+        return Bispinor(tuple(x + y for x, y in
+                              zip(self.components, other.components)))
+
+
+def dirac_apply(calc, gs, phi):
+    """(D phi)_a = sum_{i,b} (gamma_i)_{ab} partial_i(phi_b)."""
+    comps = []
+    for a in range(4):
+        acc = NCPoly.zero()
+        for i in range(4):
+            gi = gs.gammas[i]
+            for b in range(4):
+                c = gi[a, b]
+                if c:
+                    acc = acc + calc.partial(i, phi.components[b]).scale(c)
+        comps.append(acc)
+    return Bispinor(tuple(comps))
+
+
+def square_oracle(calc, gs, n):
+    """dirac_square_check by applying D twice to each e_a (x) w."""
+    for w in calc.alg.basis_upto(n):
+        p = NCPoly.from_word(w)
+        boxed = calc.box(p)
+        for a in range(4):
+            phi = Bispinor.basis(a, p)
+            if dirac_apply(calc, gs, dirac_apply(calc, gs, phi)) != \
+                    Bispinor.basis(a, boxed):
+                return "w=%s, a=%d" % (w, a)
+    return None
+
+
 def test_dirac_apply_frozen_value():
     inst = builtin("classical")
     calc = make_calculus(inst, 3)
@@ -131,6 +187,7 @@ def test_dirac_square_equals_box():
     calc = make_calculus(inst, 4)
     gs = gamma(inst)
     assert dirac_square_check(calc, gs, 3) is None
+    assert square_oracle(calc, gs, 3) is None
     # spot check one state by hand
     phi = Bispinor.basis(1, NCPoly.gen(0) * NCPoly.gen(0))
     twice = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))
@@ -138,7 +195,49 @@ def test_dirac_square_equals_box():
     assert twice == boxed
 
 
-def test_bispinor_zero():
-    z = Bispinor.basis(3, NCPoly.zero())
-    assert z.is_zero()
-    assert (z + z).is_zero()
+TWISTED = dataclasses.replace(builtin("classical"), name="twisted",
+                              R=sign_twisted_flip())
+
+
+def random_gammas(seed):
+    """Four 4x4 gammas with small Gaussian-rational entries, most zero."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.6:
+            return ZERO
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                      Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+    return GammaSet(tuple(Mat(4, 4, [entry() for _ in range(16)])
+                          for _ in range(4)), ())
+
+
+@pytest.mark.parametrize("inst", [builtin("classical"), TWISTED],
+                         ids=["classical", "twisted"])
+def test_dirac_square_matches_applying_twice(inst):
+    # random gammas make every (i, j) product distinct, so a swapped index
+    # in the contraction shows as a value mismatch
+    calc = make_calculus(inst, 4)
+    for gs in [gamma(inst)] + [random_gammas(seed) for seed in (1, 2, 3)]:
+        prods = [[gi * gj for gj in gs.gammas] for gi in gs.gammas]
+        for w in calc.alg.basis_upto(4):
+            square = dirac_square(calc, prods, w)
+            for a in range(4):
+                phi = Bispinor.basis(a, NCPoly.from_word(w))
+                twice = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))
+                assert tuple(square[a]) == twice.components, (w, a)
+
+
+@pytest.mark.parametrize("inst", [
+    builtin("classical"), shifted("tshift", {1: Scalar(0, 1)}), TWISTED,
+    leibniz_breaking()], ids=["classical", "tshift", "twisted", "zt-bent"])
+def test_square_witnesses_match_oracle(inst):
+    calc = make_calculus(inst, 4)
+    pairs = ((1, 1), (2, Fraction(1, 2)), (2, 1),
+             (Scalar(0, 1), Scalar(0, -1)))
+    for a, b in pairs:
+        gs = gamma(inst, a, b)
+        for n in (2, 3, 4):
+            assert dirac_square_check(calc, gs, n) == \
+                square_oracle(calc, gs, n), (a, b, n)

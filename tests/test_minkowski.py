@@ -13,16 +13,11 @@ from qminkowski.minkowski import (
 )
 from qminkowski.qalgebra import NCPoly
 
+from test_calculus import shifted
+
 
 def x(i):
     return NCPoly.gen(i)
-
-
-def shift_instance(c, name="shifted"):
-    """Classical R with one central shift: x0 x1 - x1 x0 = const."""
-    t = Mat.zeros(16, 1)
-    t.data[1] = c                     # row for the pair (0, 1)
-    return dataclasses.replace(builtin("classical"), name=name, T=t)
 
 
 def test_classical_relations_are_commutators():
@@ -65,14 +60,14 @@ def test_mink_star_fixes_generators():
 
 def test_central_shift_keeps_pbw():
     # an imaginary shift is compatible with the star; a real one is not
-    alg = make_minkowski(shift_instance(Scalar(0, 1)), cap=4)
+    alg = make_minkowski(shifted("shifted", {1: Scalar(0, 1)}), cap=4)
     ok, prof = pbw_check(alg, 4)
     assert ok and prof == expected_profile(4)
     assert star_closed(alg)
     assert alg.normal_form(x(1) * x(0)) == \
         x(0) * x(1) + NCPoly.one().scale(Scalar(0, 1))
 
-    real = make_minkowski(shift_instance(ONE, "shifted-real"), cap=3)
+    real = make_minkowski(shifted("shifted-real", {1: ONE}), cap=3)
     assert pbw_check(real, 3)[0]
     assert not star_closed(real)
 

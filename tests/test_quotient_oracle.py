@@ -15,14 +15,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qminkowski.exact import ONE, Mat, Scalar
+from qminkowski.exact import ONE, Scalar
 from qminkowski.instance import builtin
 from qminkowski.lorentz import lorentz_relations
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
 from test_acceptance import sign_twisted_flip
-from test_calculus import rand_instance, z_perturbed
+from test_calculus import rand_instance, shifted, z_perturbed
 
 
 def _key(w):
@@ -83,21 +83,15 @@ def assert_matches_oracle(gens, relations, cap):
     return q
 
 
-def t_shift():
-    t = Mat.zeros(16, 1)
-    t.data[1] = ONE                   # T[(0,1)] = 1
-    return t
-
-
 CLASSICAL = builtin("classical")
 TWISTED = dataclasses.replace(CLASSICAL, name="twisted",
                               R=sign_twisted_flip())
 BENT = {
-    "tshift": dataclasses.replace(CLASSICAL, name="tshift", T=t_shift()),
+    "tshift": shifted("tshift", {1: ONE}),
     "zbent": z_perturbed(),
     "twisted": TWISTED,
-    "twisted-tshift": dataclasses.replace(TWISTED, name="twisted-tshift",
-                                          T=t_shift()),
+    "twisted-tshift": dataclasses.replace(
+        shifted("twisted-tshift", {1: ONE}), R=TWISTED.R),
 }
 
 

@@ -7,6 +7,7 @@ Mat.inverse and Mat.rank are compared with sympy on small random matrices,
 singular ones included.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -146,6 +147,20 @@ def test_repr_and_parse_round_trip(x):
     assert repr(s) == repr(x)
     assert str(s) == repr(x)
     assert parse_scalar(repr(s)) == s
+
+
+def test_repr_past_the_int_digit_limit():
+    # str() refuses an int of more than 4,300 digits; repr stays exact
+    big = 10 ** 5000 + 7
+    cases = [(big, 0), (-big, 3), (Fraction(big, 3), Fraction(-1, 3)),
+             (0, -big), (Fraction(1, big), 1)]
+    texts = [repr(Scalar(re, im)) for re, im in cases]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [repr(Ref(re, im)) for re, im in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_zero_is_one_triple():
