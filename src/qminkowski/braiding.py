@@ -84,32 +84,25 @@ def build_rq(inst: PoincareInstance, b) -> Mat:
         b = Scalar(b)
     r, z, t = inst.R, inst.Z, inst.T
     rz = r * z
-    rm1t = (r - Mat.identity(16)) * t
-    g = metric(inst)
+    g = Mat(16, 1, metric(inst).data)
+    corner = (r - Mat.identity(16)) * t + g.scale(b)
     out = [ZERO] * (25 * 25)
 
     def put(row, col, v):
         out[25 * row + col] = v
 
-    for i in range(4):
-        for j in range(4):
-            row = 5 * i + j
-            for k in range(4):
-                for l in range(4):
-                    v = r[4 * i + j, 4 * k + l]
-                    if v:
-                        put(row, 5 * k + l, v)
-            for k in range(4):
-                v = z[4 * i + j, k]
-                if v:
-                    put(row, 5 * k + 4, v)
-            for l in range(4):
-                v = rz[4 * i + j, l]
-                if v:
-                    put(row, 20 + l, -v)
-            v = rm1t[4 * i + j, 0] + b * g[i, j]
-            if v:
-                put(row, 24, v)
+    def five(p):
+        # the pair 4a + b over x_0..x_3 as 5a + b over x_0..x_3, 1
+        return p + p // 4
+
+    for row, col, v in r.nonzeros():
+        put(five(row), five(col), v)
+    for row, k, v in z.nonzeros():
+        put(five(row), 5 * k + 4, v)
+    for row, l, v in rz.nonzeros():
+        put(five(row), 20 + l, -v)
+    for row, _, v in corner.nonzeros():
+        put(five(row), 24, v)
     for i in range(4):
         put(5 * i + 4, 20 + i, ONE)
         put(20 + i, 5 * i + 4, ONE)
@@ -133,8 +126,9 @@ def yang_baxter_check(m: Mat) -> bool:
     if d * d != m.rows:
         raise ShapeError("side %d is not a perfect square" % m.rows)
     n = m.rows
-    cols = [[(r, m.data[n * r + j]) for r in range(n) if m.data[n * r + j]]
-            for j in range(n)]
+    cols = [[] for _ in range(n)]
+    for r, j, x in m.nonzeros():
+        cols[j].append((r, x))
 
     # (m x 1) e_(d*ab + c) and (1 x m) e_(n*a + bc), each built once.
     @cache
@@ -221,11 +215,15 @@ class CqtEvaluator:
         self._ct = None
 
     def rq_inverse(self) -> Mat:
+        """The inverse of R_Q, eliminated once: a singular R_Q is
+        remembered as False and raises ConstraintError on every call."""
         if self._rq_inv is None:
             try:
                 self._rq_inv = self.rq.inverse()
-            except ArithmeticError as exc:
-                raise ConstraintError("R_Q is singular") from exc
+            except ArithmeticError:
+                self._rq_inv = False
+        if self._rq_inv is False:
+            raise ConstraintError("R_Q is singular")
         return self._rq_inv
 
     def _base(self, gu: int, gv: int) -> Scalar:
@@ -305,9 +303,13 @@ def star_cqt_check(ev: CqtEvaluator) -> bool:
 
 def ct_check(ev: CqtEvaluator) -> bool:
     """Cotriangularity on the vector corepresentation: the inverse of R_Q
-    equals its flip conjugate."""
+    equals its flip conjugate.  False when R_Q is singular."""
+    try:
+        inverse = ev.rq_inverse()
+    except ConstraintError:
+        return False
     f = flip(5, 5)
-    return ev.rq_inverse() == f * ev.rq * f
+    return inverse == f * ev.rq * f
 
 
 # --- R-matrices on the spinor generator pairs --------------------------------

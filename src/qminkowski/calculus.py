@@ -5,10 +5,18 @@ and the left action is pushed through that basis with the exchange rule
 
     x_i dx_j = sum_kl R_{ij,kl} dx_k x_l + sum_k Z_{ij,k} dx_k.
 
+A FirstOrderCalculus holds that rule once, as a table read from the
+nonzeros of R and Z: row 4i + j lists (k, u, c) for each term c dx_k u,
+where u is (l,) for R_{ij,kl} and () for Z_{ij,k}, so x_i (dx_j w) is the
+sum of c dx_k (u + w).  The left action, the partials and the partial
+exchange check all read this one table.
+
 Such a calculus exists exactly when a 64x4 obstruction matrix vanishes;
 make_calculus refuses to hand out a calculus otherwise.  Partials are the
 coefficient functionals of d and are computed by their own recursion, so
-the identity d(a) = sum_i dx_i partial_i(a) is a genuine cross-check.
+the identity d(a) = sum_i dx_i partial_i(a) cross-checks the two
+recursions; it cannot see a wrong table, which the tests compare with R
+and Z entry by entry.
 
 What is memoised, and where: a FirstOrderCalculus builds its own quotient
 .alg from its instance and owns three memos that live and die with it,
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 from .dirac import metric
 from .errors import CalculusObstruction
-from .exact import Mat, Scalar, kron
+from .exact import Mat, ONE, Scalar, kron
 from .minkowski import make_minkowski
 from .qalgebra import NCPoly, accumulate
 
@@ -92,6 +100,12 @@ class FirstOrderCalculus:
         self._p_memo = {}
         self._act_memo = {}
         self.g = metric(inst)
+        self._exchange = [[] for _ in range(16)]
+        for row, col, c in inst.R.nonzeros():
+            k, l = divmod(col, 4)
+            self._exchange[row].append((k, (l,), c))
+        for row, k, c in inst.Z.nonzeros():
+            self._exchange[row].append((k, (), c))
 
     # -- bimodule structure ------------------------------------------------
 
@@ -100,15 +114,11 @@ class FirstOrderCalculus:
         key = (i, j, w)
         hit = self._act_memo.get(key)
         if hit is None:
-            r, z = self.inst.R, self.inst.Z
+            terms = ({}, {}, {}, {})
+            for k, u, c in self._exchange[4 * i + j]:
+                terms[k][u + w] = c
             nf = self.alg.normal_form
-            row = 4 * i + j
-            coords = []
-            for k in range(4):
-                terms = {(l,) + w: r[row, 4 * k + l] for l in range(4)}
-                terms[w] = z[row, k]
-                coords.append(nf(NCPoly(terms)))
-            hit = self._act_memo[key] = tuple(coords)
+            hit = self._act_memo[key] = tuple(nf(NCPoly(t)) for t in terms)
         return hit
 
     def left_mul_gen(self, i: int, form: Form1) -> Form1:
@@ -169,22 +179,13 @@ class FirstOrderCalculus:
             out = NCPoly.zero()
         else:
             k, rest = w[0], w[1:]
-            r, z = self.inst.R, self.inst.Z
-            acc = NCPoly.zero()
-            if k == i:
-                acc = acc + NCPoly.from_word(rest)
+            acc = {rest: ONE} if k == i else {}
             for l in range(4):
-                dl = self._p_word(l, rest)
-                if dl.is_zero():
-                    continue
-                for n in range(4):
-                    c = r[4 * k + l, 4 * i + n]
-                    if c:
-                        acc = acc + (NCPoly.gen(n) * dl).scale(c)
-                c = z[4 * k + l, i]
-                if c:
-                    acc = acc + dl.scale(c)
-            out = self.alg.normal_form(acc)
+                dl = self._p_word(l, rest).terms
+                for target, u, c in self._exchange[4 * k + l]:
+                    if target == i:
+                        accumulate(acc, {u + v: x for v, x in dl.items()}, c)
+            out = self.alg.normal_form(NCPoly(acc))
         memo[key] = out
         return out
 
@@ -198,15 +199,10 @@ class FirstOrderCalculus:
 
     def box(self, p: NCPoly) -> NCPoly:
         """The wave operator sum_ij g_ij partial_j partial_i."""
+        firsts = [self.partial(i, p) for i in range(4)]
         out = NCPoly.zero()
-        for i in range(4):
-            pi = self.partial(i, p)
-            if pi.is_zero():
-                continue
-            for j in range(4):
-                c = self.g[i, j]
-                if c:
-                    out = out + self.partial(j, pi).scale(c)
+        for i, j, c in self.g.nonzeros():
+            out = out + self.partial(j, firsts[i]).scale(c)
         return out
 
     def momentum(self, k: int, p: NCPoly) -> NCPoly:
@@ -214,9 +210,8 @@ class FirstOrderCalculus:
 
     def momentum_up(self, k: int, p: NCPoly) -> NCPoly:
         out = NCPoly.zero()
-        for l in range(4):
-            c = self.g[k, l]
-            if c:
+        for row, l, c in self.g.nonzeros():
+            if row == k:
                 out = out + self.partial(l, p).scale(c * Scalar(0, 1))
         return out
 
@@ -263,20 +258,26 @@ class FirstOrderCalculus:
         return [[self.partial(j, self._p_word(i, w)) for j in range(4)]
                 for i in range(4)]
 
+    def _exchanged(self, second):
+        """[k][l] is the terms of sum_ij R_{ij,kl} second[i][j].  The R
+        terms of the exchange table are those that put a letter l before
+        w; the Z terms take no part."""
+        rhs = [[{} for _ in range(4)] for _ in range(4)]
+        for row, terms in enumerate(self._exchange):
+            i, j = divmod(row, 4)
+            for k, u, c in terms:
+                if u:
+                    accumulate(rhs[k][u[0]], second[i][j].terms, c)
+        return rhs
+
     def check_partial_exchange(self, n: int) -> str | None:
         """partial_l partial_k = sum_ij R_{ij,kl} partial_j partial_i."""
-        r = self.inst.R
         for w in self.alg.basis_upto(n):
             second = self.second_partials(w)
+            rhs = self._exchanged(second)
             for k in range(4):
                 for l in range(4):
-                    rhs = {}
-                    for i in range(4):
-                        for j in range(4):
-                            c = r[4 * i + j, 4 * k + l]
-                            if c:
-                                accumulate(rhs, second[i][j].terms, c)
-                    if second[k][l].terms != rhs:
+                    if second[k][l].terms != rhs[k][l]:
                         return "w=%s, k=%d, l=%d" % (w, k, l)
         return None
 
@@ -294,11 +295,8 @@ class FirstOrderCalculus:
 def make_calculus(inst, cap: int = 4) -> FirstOrderCalculus:
     """Build the calculus over the cap-truncated algebra of inst, or raise
     CalculusObstruction with a witness before any quotient is built."""
-    ft = f_tilde(inst)
-    for r in range(64):
-        for c in range(4):
-            v = ft[r, c]
-            if v:
-                raise CalculusObstruction(
-                    "obstruction entry (%d, %d) = %r" % (r, c, v))
+    entries = f_tilde(inst).nonzeros()
+    if entries:
+        raise CalculusObstruction("obstruction entry (%d, %d) = %r"
+                                  % entries[0])
     return FirstOrderCalculus(inst, cap)

@@ -150,7 +150,7 @@ def suite_braiding(inst, b: Scalar, k: Scalar) -> list:
         CheckResult("star-compatible", braiding.star_cqt_check(ev),
                     "conjugate-flip symmetry of the pairing"),
     ]
-    ct = rq_inv_ok and braiding.ct_check(ev)
+    ct = ev.is_cotriangular()
     checks.append(CheckResult("cotriangular", ct, "yes" if ct else "no",
                               advisory=True))
     braiding.lorentz_r_blocks(inst, k)

@@ -77,21 +77,16 @@ def clifford_check(inst, gs: GammaSet = None, g: Mat = None):
         gs = gamma(inst)
     if g is None:
         g = metric(inst)
-    r = inst.R
     i4 = Mat.identity(4)
     prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
              for i in range(4)]
-    residuals = {}
-    for i in range(4):
-        for j in range(4):
-            acc = prods[i][j]
-            for k in range(4):
-                for l in range(4):
-                    c = r[4 * j + i, 4 * l + k]
-                    if c:
-                        acc = acc + prods[k][l].scale(c)
-            residuals[(i, j)] = acc - i4.scale(Scalar(2) * g[j, i])
-    return residuals
+    sums = {(i, j): prods[i][j] for i in range(4) for j in range(4)}
+    for row, col, c in inst.R.nonzeros():
+        j, i = divmod(row, 4)
+        l, k = divmod(col, 4)
+        sums[(i, j)] = sums[(i, j)] + prods[k][l].scale(c)
+    return {(i, j): acc - i4.scale(Scalar(2) * g[j, i])
+            for (i, j), acc in sums.items()}
 
 
 def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
@@ -105,19 +100,12 @@ def dirac_square(calc, prods, w) -> list:
     sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w).
     """
     second = calc.second_partials(w)
-    out = []
-    for a in range(4):
-        comps = []
-        for c in range(4):
-            acc = {}
-            for i in range(4):
-                for j in range(4):
-                    k = prods[i][j][c, a]
-                    if k:
-                        accumulate(acc, second[j][i].terms, k)
-            comps.append(NCPoly(acc))
-        out.append(comps)
-    return out
+    acc = [[{} for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for c, a, k in prods[i][j].nonzeros():
+                accumulate(acc[a][c], second[j][i].terms, k)
+    return [[NCPoly(t) for t in comps] for comps in acc]
 
 
 def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:

@@ -4,7 +4,10 @@ A Scalar is a Gaussian rational (a + b*i) / d stored as three ints with
 d > 0 and gcd(a, b, d) == 1, so every operation in the package is exact,
 and integer-valued entries (d == 1) cost plain int arithmetic.
 Matrices are dense, row-major, and immutable by convention: builders
-assemble an entry list and hand it to ``Mat`` once.
+assemble an entry list and hand it to ``Mat`` once.  ``Mat.nonzeros()``
+is the one sparse read: products, Kronecker products and every module
+that walks R, Z, T, the metric or a gamma matrix iterate its
+(row, col, value) triples instead of indexing and testing each entry.
 
 Tensor legs use a single fixed convention everywhere: the pair (i, j) with
 0 <= i < m, 0 <= j < n is flattened to n*i + j.  ``kron`` and ``flip``
@@ -352,22 +355,25 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        n, k, m = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * m)
-        sd, od = self.data, other.data
-        for i in range(n):
-            ib = i * k
-            ob = i * m
-            for t in range(k):
-                a = sd[ib + t]
-                if not a:
-                    continue
-                rb = t * m
-                for j in range(m):
-                    b = od[rb + j]
-                    if b:
-                        out[ob + j] = out[ob + j] + a * b
-        return Mat(n, m, out)
+        m = other.cols
+        out = [ZERO] * (self.rows * m)
+        right = [[] for _ in range(other.rows)]
+        for t, j, b in other.nonzeros():
+            right[t].append((j, b))
+        for i, t, a in self.nonzeros():
+            base = i * m
+            for j, b in right[t]:
+                out[base + j] = out[base + j] + a * b
+        return Mat(self.rows, m, out)
+
+    def nonzeros(self) -> list:
+        """The nonzero entries as (row, col, value), in row-major order.
+
+        Computed on each call: inverse writes into a Mat's data after
+        construction, so a cached list could go stale.
+        """
+        c = self.cols
+        return [(k // c, k % c, x) for k, x in enumerate(self.data) if x]
 
     def scale(self, c) -> "Mat":
         if not isinstance(c, Scalar):
@@ -473,22 +479,13 @@ class Mat:
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Tensor product with (i, j) -> cols(b)*i + j leg flattening."""
-    rows = a.rows * b.rows
     cols = a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.data[i * a.cols + j]
-            if not aij:
-                continue
-            for p in range(b.rows):
-                base = (i * b.rows + p) * cols + j * b.cols
-                brow = p * b.cols
-                for q in range(b.cols):
-                    bpq = b.data[brow + q]
-                    if bpq:
-                        out[base + q] = aij * bpq
-    return Mat(rows, cols, out)
+    out = [ZERO] * (a.rows * b.rows * cols)
+    right = b.nonzeros()
+    for i, j, x in a.nonzeros():
+        for p, q, y in right:
+            out[(i * b.rows + p) * cols + j * b.cols + q] = x * y
+    return Mat(a.rows * b.rows, cols, out)
 
 
 def flip(m: int, n: int) -> Mat:

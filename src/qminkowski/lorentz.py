@@ -47,42 +47,33 @@ def lorentz_relations(inst: PoincareInstance):
     for a in range(2):
         for b in range(2):
             t = {}
-            for c in range(2):
-                for d in range(2):
-                    v = e[2 * c + d, 0]
-                    if v:
-                        t[(w_id(a, c), w_id(b, d))] = v
-            v = e[2 * a + b, 0]
-            if v:
-                t[()] = -v
+            for cd, _, v in e.nonzeros():
+                c, d = divmod(cd, 2)
+                t[(w_id(a, c), w_id(b, d))] = v
+            t[()] = -e[2 * a + b, 0]
             rels.append(NCPoly(t))
     for c in range(2):
         for d in range(2):
             t = {}
-            for a in range(2):
-                for b in range(2):
-                    v = ep[0, 2 * a + b]
-                    if v:
-                        t[(w_id(a, c), w_id(b, d))] = v
-            v = ep[0, 2 * c + d]
-            if v:
-                t[()] = -v
+            for _, ab, v in ep.nonzeros():
+                a, b = divmod(ab, 2)
+                t[(w_id(a, c), w_id(b, d))] = v
+            t[()] = -ep[0, 2 * c + d]
             rels.append(NCPoly(t))
     for a in range(2):
         for b in range(2):
             for c in range(2):
                 for d in range(2):
+                    # w x wbar terms from row ab of X, wbar x w terms from
+                    # column cd; the two kinds share no word
                     t = {}
-                    for ap in range(2):
-                        for bp in range(2):
-                            v = x[2 * a + b, 2 * ap + bp]
-                            if v:
-                                accumulate(t, {(w_id(ap, c),
-                                                wbar_id(bp, d)): v})
-                            v = x[2 * ap + bp, 2 * c + d]
-                            if v:
-                                accumulate(t, {(wbar_id(a, ap),
-                                                w_id(b, bp)): -v})
+                    for row, col, v in x.nonzeros():
+                        if row == 2 * a + b:
+                            ap, bp = divmod(col, 2)
+                            t[(w_id(ap, c), wbar_id(bp, d))] = v
+                        if col == 2 * c + d:
+                            ap, bp = divmod(row, 2)
+                            t[(wbar_id(a, ap), w_id(b, bp))] = -v
                     rels.append(NCPoly(t))
     return rels + [lorentz_star(r) for r in rels]
 
@@ -94,28 +85,14 @@ def make_lorentz(inst: PoincareInstance, cap: int = 4) -> TruncatedQuotient:
 def lambda_entries():
     """The 4x4 matrix of quadratic algebra elements
     Lambda_ij = sum V^-1_{i,(AB)} w_AC wbar_BD V_{(CD),j}."""
-    vi = v_inverse()
-    v = v_matrix()
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            t = {}
-            for a in range(2):
-                for b in range(2):
-                    ci = vi[i, 2 * a + b]
-                    if not ci:
-                        continue
-                    for c in range(2):
-                        for d in range(2):
-                            cj = v[2 * c + d, j]
-                            if not cj:
-                                continue
-                            accumulate(t, {(w_id(a, c), wbar_id(b, d)):
-                                           ci * cj})
-            row.append(NCPoly(t))
-        out.append(tuple(row))
-    return tuple(out)
+    terms = [[{} for _ in range(4)] for _ in range(4)]
+    right = v_matrix().nonzeros()
+    for i, ab, ci in v_inverse().nonzeros():
+        a, b = divmod(ab, 2)
+        for cd, j, cj in right:
+            c, d = divmod(cd, 2)
+            accumulate(terms[i][j], {(w_id(a, c), wbar_id(b, d)): ci * cj})
+    return tuple(tuple(NCPoly(t) for t in row) for row in terms)
 
 
 def lambda_invariance_check(inst: PoincareInstance, g: Mat,
@@ -129,14 +106,12 @@ def lambda_invariance_check(inst: PoincareInstance, g: Mat,
         raise DegreeError("invariance residuals have degree 4; n >= 4 needed")
     alg = make_lorentz(inst, n)
     lam = lambda_entries()
+    entries = g.nonzeros()
     for i in range(4):
         for j in range(4):
             acc = NCPoly.zero()
-            for k in range(4):
-                for l in range(4):
-                    c = g[k, l]
-                    if c:
-                        acc = acc + (lam[i][k] * lam[j][l]).scale(c)
+            for k, l, c in entries:
+                acc = acc + (lam[i][k] * lam[j][l]).scale(c)
             acc = acc - NCPoly.one().scale(g[i, j])
             if not alg.normal_form(acc).is_zero():
                 return "i=%d, j=%d" % (i, j)

@@ -26,25 +26,14 @@ def mink_relations(inst: PoincareInstance):
     rm1 = inst.R - Mat.identity(16)
     rz = rm1 * inst.Z
     rt = rm1 * inst.T
-    rels = []
-    for row in range(16):
-        terms = {}
-        for k in range(4):
-            for l in range(4):
-                c = rm1[row, 4 * k + l]
-                if c:
-                    terms[(k, l)] = c
-        for m in range(4):
-            c = rz[row, m]
-            if c:
-                terms[(m,)] = -c
-        c = rt[row, 0]
-        if c:
-            terms[()] = c
-        p = NCPoly(terms)
-        if not p.is_zero():
-            rels.append(p)
-    return rels
+    rows = [{} for _ in range(16)]
+    for row, col, c in rm1.nonzeros():
+        rows[row][divmod(col, 4)] = c
+    for row, m, c in rz.nonzeros():
+        rows[row][(m,)] = -c
+    for row, _, c in rt.nonzeros():
+        rows[row][()] = c
+    return [NCPoly(terms) for terms in rows if terms]
 
 
 def make_minkowski(inst: PoincareInstance, cap: int = 4) -> TruncatedQuotient:

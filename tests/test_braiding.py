@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qminkowski.braiding import (
-    b_name, build_rq, counit_b, ct_check,
+    CqtEvaluator, b_name, build_rq, counit_b, ct_check,
     delta_b, lam_id, lorentz_r_blocks, make_evaluator, p_entry_word, r_eval,
     star_cqt_check, y_id, yang_baxter_check,
 )
@@ -324,6 +324,25 @@ def test_cotriangularity(b, want):
     ev = ev_for(b)
     assert ct_check(ev) is want
     assert ev.is_cotriangular() is want
+
+
+def test_singular_rq_is_not_cotriangular(monkeypatch):
+    inversions = []
+    real_inverse = Mat.inverse
+
+    def counted(m):
+        inversions.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(Mat, "inverse", counted)
+    ev = CqtEvaluator(Mat.zeros(25, 25))
+    assert ct_check(ev) is False
+    assert ev.is_cotriangular() is False
+    for _ in range(2):
+        with pytest.raises(ConstraintError, match="R_Q is singular"):
+            ev.rq_inverse()
+    # the failed elimination is remembered, not repeated
+    assert len(inversions) == 1
 
 
 # --- spinor-level blocks ---------------------------------------------------------

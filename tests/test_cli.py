@@ -312,6 +312,28 @@ def test_fock_counit_compares_normal_forms(capsys, tmp_path):
     assert code == 0
 
 
+def test_singular_rq_is_not_cotriangular(capsys, tmp_path):
+    # R = 0 makes R_Q singular; cotriangularity has one rule, which reads
+    # that as "no" in braiding and in fock, and fock skips its braided checks
+    inst = tmp_path / "singular.json"
+    write_instance(dataclasses.replace(builtin("classical"), name="zero-r",
+                                       R=Mat.zeros(16, 16)), str(inst))
+    code, out, err = run(capsys, "report", str(inst))
+    assert (code, err) == (1, "")
+    braiding, fock = out.split("suite braiding: FAIL\n")[1] \
+        .split("suite fock: pass\n")
+    assert "  FAIL rq-invertible: 25x25 extended matrix\n" in braiding
+    assert "  info cotriangular: no\n" in braiding
+    assert fock == ("  pass coaction-counit: (counit (x) id) after coaction "
+                    "is the identity\n"
+                    "  info cotriangular: no\n"
+                    "  info braided-checks: skipped: evaluator is not "
+                    "cotriangular\n"
+                    "overall: FAIL\n")
+    code, out, err = run(capsys, "fock", str(inst))
+    assert (code, err) == (0, "")
+
+
 def test_entry_point_subprocess():
     cmd = [sys.executable, "-m", "qminkowski", "validate",
            "--builtin", "classical"]

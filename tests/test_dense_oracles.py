@@ -1,0 +1,289 @@
+"""Every sparse read of R, Z, T, the metric and the gammas against the
+dense index loop it replaced.
+
+Each oracle here is a loop the package ran before it read matrices only
+through Mat.nonzeros(): index arithmetic, a zero test, then the work.
+They are compared value by value with the package on instances away from
+the flip, where a swapped index or a transposed read changes the answer:
+the sign-twisted flip with a T shift, an imaginary central shift, a
+Lie-type Z entry, and dense random Gaussian-rational data with 30% of
+the R, Z and T entries nonzero and E, E', X dense.
+
+The left action, the partials and the partial exchange check all read
+one exchange table, so the identity d = sum_i dx_i partial_i cannot see
+a wrong table; these comparisons can.  The dense data makes 1 = 0 in
+its own quotient, so the calculus comparisons also run over the free
+algebra truncated at the same cap, where no term is reduced away.
+"""
+
+import dataclasses
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from qminkowski.braiding import build_rq
+from qminkowski.calculus import FirstOrderCalculus, Form1
+from qminkowski.dirac import clifford_check, metric
+from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, v_inverse, \
+    v_matrix
+from qminkowski.instance import builtin
+from qminkowski.lorentz import lambda_entries, lorentz_relations, w_id, \
+    wbar_id
+from qminkowski.minkowski import mink_relations
+from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
+
+from test_calculus import per_entry_left_mul_gen, shifted, z_perturbed
+from test_cli import twisted_tshift
+from test_dirac import random_gammas
+
+
+def dense_instance(seed):
+    rng = random.Random(seed)
+
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                      Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+    def m(rows, cols, density):
+        return Mat(rows, cols, [entry() if rng.random() < density else ZERO
+                                for _ in range(rows * cols)])
+
+    return dataclasses.replace(
+        builtin("classical"), name="dense%d" % seed,
+        E=m(4, 1, 1), Eprime=m(1, 4, 1), X=m(4, 4, 1),
+        R=m(16, 16, 0.3), Z=m(16, 4, 0.3), T=m(16, 1, 0.3))
+
+
+INSTANCES = [
+    twisted_tshift(),
+    shifted("imag", {4 * 1 + 3: Scalar(0, Fraction(-3, 2)),
+                     4 * 2 + 0: Scalar(0, 2)}),
+    z_perturbed(),
+    dense_instance(41),
+]
+IDS = [inst.name for inst in INSTANCES]
+
+
+# --- the dense loops ---------------------------------------------------------
+
+
+def p_word_oracle(calc, i, w, memo):
+    """partial_i of the word w, reading R and Z entry by entry."""
+    key = (i, w)
+    if key not in memo:
+        out = NCPoly.zero()
+        if w:
+            k, rest = w[0], w[1:]
+            r, z = calc.inst.R, calc.inst.Z
+            acc = NCPoly.zero()
+            if k == i:
+                acc = acc + NCPoly.from_word(rest)
+            for l in range(4):
+                dl = p_word_oracle(calc, l, rest, memo)
+                for n in range(4):
+                    c = r[4 * k + l, 4 * i + n]
+                    if c:
+                        acc = acc + (NCPoly.gen(n) * dl).scale(c)
+                c = z[4 * k + l, i]
+                if c:
+                    acc = acc + dl.scale(c)
+            out = calc.alg.normal_form(acc)
+        memo[key] = out
+    return memo[key]
+
+
+def exchange_rhs_oracle(r, second):
+    """[k][l] is the terms of sum_ij R_{ij,kl} second[i][j]."""
+    out = [[None] * 4 for _ in range(4)]
+    for k in range(4):
+        for l in range(4):
+            rhs = {}
+            for i in range(4):
+                for j in range(4):
+                    c = r[4 * i + j, 4 * k + l]
+                    if c:
+                        accumulate(rhs, second[i][j].terms, c)
+            out[k][l] = rhs
+    return out
+
+
+def mink_relations_oracle(inst):
+    rm1 = inst.R - Mat.identity(16)
+    rz = rm1 * inst.Z
+    rt = rm1 * inst.T
+    rels = []
+    for row in range(16):
+        terms = {}
+        for k in range(4):
+            for l in range(4):
+                c = rm1[row, 4 * k + l]
+                if c:
+                    terms[(k, l)] = c
+        for m in range(4):
+            c = rz[row, m]
+            if c:
+                terms[(m,)] = -c
+        c = rt[row, 0]
+        if c:
+            terms[()] = c
+        p = NCPoly(terms)
+        if not p.is_zero():
+            rels.append(p)
+    return rels
+
+
+def build_rq_oracle(inst, b):
+    r, z, t = inst.R, inst.Z, inst.T
+    rz = r * z
+    rm1t = (r - Mat.identity(16)) * t
+    g = metric(inst)
+    out = Mat.zeros(25, 25)
+    for i in range(4):
+        for j in range(4):
+            row = 5 * i + j
+            for k in range(4):
+                for l in range(4):
+                    v = r[4 * i + j, 4 * k + l]
+                    if v:
+                        out.data[25 * row + 5 * k + l] = v
+            for k in range(4):
+                v = z[4 * i + j, k]
+                if v:
+                    out.data[25 * row + 5 * k + 4] = v
+            for l in range(4):
+                v = rz[4 * i + j, l]
+                if v:
+                    out.data[25 * row + 20 + l] = -v
+            out.data[25 * row + 24] = rm1t[4 * i + j, 0] + b * g[i, j]
+    for i in range(4):
+        out.data[25 * (5 * i + 4) + 20 + i] = ONE
+        out.data[25 * (20 + i) + 5 * i + 4] = ONE
+    out.data[25 * 24 + 24] = ONE
+    return out
+
+
+def lorentz_relations_oracle(inst):
+    e, ep, x = inst.E, inst.Eprime, inst.X
+    rels = []
+    for a, b in itertools.product(range(2), repeat=2):
+        t = {}
+        for c, d in itertools.product(range(2), repeat=2):
+            v = e[2 * c + d, 0]
+            if v:
+                t[(w_id(a, c), w_id(b, d))] = v
+        v = e[2 * a + b, 0]
+        if v:
+            t[()] = -v
+        rels.append(NCPoly(t))
+    for c, d in itertools.product(range(2), repeat=2):
+        t = {}
+        for a, b in itertools.product(range(2), repeat=2):
+            v = ep[0, 2 * a + b]
+            if v:
+                t[(w_id(a, c), w_id(b, d))] = v
+        v = ep[0, 2 * c + d]
+        if v:
+            t[()] = -v
+        rels.append(NCPoly(t))
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        t = {}
+        for ap, bp in itertools.product(range(2), repeat=2):
+            v = x[2 * a + b, 2 * ap + bp]
+            if v:
+                accumulate(t, {(w_id(ap, c), wbar_id(bp, d)): v})
+            v = x[2 * ap + bp, 2 * c + d]
+            if v:
+                accumulate(t, {(wbar_id(a, ap), w_id(b, bp)): -v})
+        rels.append(NCPoly(t))
+    return rels + [r.star(lambda g: (g + 4) % 8) for r in rels]
+
+
+def lambda_entries_oracle():
+    vi, v = v_inverse(), v_matrix()
+    out = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            t = {}
+            for a, b, c, d in itertools.product(range(2), repeat=4):
+                ci = vi[i, 2 * a + b]
+                cj = v[2 * c + d, j]
+                if ci and cj:
+                    accumulate(t, {(w_id(a, c), wbar_id(b, d)): ci * cj})
+            row.append(NCPoly(t))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def clifford_oracle(inst, gs, g):
+    r = inst.R
+    prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
+             for i in range(4)]
+    residuals = {}
+    for i in range(4):
+        for j in range(4):
+            acc = prods[i][j]
+            for k in range(4):
+                for l in range(4):
+                    c = r[4 * j + i, 4 * l + k]
+                    if c:
+                        acc = acc + prods[k][l].scale(c)
+            residuals[(i, j)] = acc - Mat.identity(4).scale(2 * g[j, i])
+    return residuals
+
+
+# --- comparisons -------------------------------------------------------------
+
+
+def calculi(inst, cap=3):
+    """The calculus over the instance's own quotient, and one whose
+    algebra is swapped, before first use, for the free algebra."""
+    own = FirstOrderCalculus(inst, cap)
+    free = FirstOrderCalculus(inst, cap)
+    free.alg = build_quotient(4, [], cap)
+    return [own, free]
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_exchange_table_matches_dense_loops(inst):
+    nonzero = 0
+    for calc in calculi(inst):
+        memo = {}
+        for n in range(4):
+            for w in itertools.product(range(4), repeat=n):
+                for i in range(4):
+                    got = calc.partial(i, NCPoly.from_word(w))
+                    assert got == p_word_oracle(calc, i, w, memo), (w, i)
+                    nonzero += not got.is_zero()
+        for w in calc.alg.basis_upto(3):
+            second = calc.second_partials(w)
+            assert calc._exchanged(second) == \
+                exchange_rhs_oracle(inst.R, second), w
+        zero = NCPoly.zero()
+        for w in calc.alg.basis_upto(2):     # x_i dx_j w has degree |w| + 1
+            for j in range(4):
+                coords = [zero] * 4
+                coords[j] = NCPoly.from_word(w)
+                form = Form1(tuple(coords))
+                for i in range(4):
+                    assert calc.left_mul_gen(i, form) == \
+                        per_entry_left_mul_gen(calc, i, form), (i, j, w)
+    assert nonzero > 300     # of 680 partials: the comparison is not vacuous
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_relations_and_rq_match_dense_loops(inst):
+    assert mink_relations(inst) == mink_relations_oracle(inst)
+    assert lorentz_relations(inst) == lorentz_relations_oracle(inst)
+    for b in (ZERO, ONE, I, Scalar(Fraction(-1, 2))):
+        assert build_rq(inst, b) == build_rq_oracle(inst, b)
+    g = metric(inst)
+    for seed in (1, 2):
+        gs = random_gammas(seed)
+        assert clifford_check(inst, gs, g) == clifford_oracle(inst, gs, g)
+
+
+def test_lambda_entries_match_dense_loops():
+    assert lambda_entries() == lambda_entries_oracle()

@@ -119,12 +119,57 @@ def test_sqrt_q():
 # --- matrices ----------------------------------------------------------------
 
 
+def shaped_inputs(rng):
+    """(rows, cols) -> matrix makers: dense and sparse Gaussian-rational
+    matrices, and ones with a zero row and a zero column."""
+    def with_zero_lines(r, c):
+        m = rand_mat(rng, r, c)
+        zero_row, zero_col = rng.randrange(r), rng.randrange(c)
+        return Mat(r, c, [ZERO if k // c == zero_row or k % c == zero_col
+                          else x for k, x in enumerate(m.data)])
+
+    return (lambda r, c: rand_mat(rng, r, c),
+            lambda r, c: rand_sparse_mat(rng, r, c),
+            lambda r, c: rand_sparse_mat(rng, r, c, density=0.1),
+            with_zero_lines,
+            Mat.zeros)
+
+
 def test_mat_mul_against_naive():
     rng = random.Random(13)
     for _ in range(10):
         a = rand_mat(rng, 3, 4)
         b = rand_mat(rng, 4, 2)
         assert a * b == naive_mul(a, b)
+    makers = shaped_inputs(rng)
+    for n, k, m in ((1, 1, 1), (1, 5, 1), (5, 1, 4), (2, 3, 7), (6, 6, 6),
+                    (4, 9, 3)):
+        for left in makers:
+            for right in makers:
+                a, b = left(n, k), right(k, m)
+                assert a * b == naive_mul(a, b)
+
+
+def test_mat_nonzeros():
+    m = Mat.from_rows([[0, 2, 0], [Scalar(0, -1), 0, 0], [0, 0, 0],
+                       [Fraction(1, 3), 0, 5]])
+    assert m.nonzeros() == [(0, 1, Scalar(2)), (1, 0, -I),
+                            (3, 0, Scalar(Fraction(1, 3))), (3, 2, Scalar(5))]
+    assert m.transpose().nonzeros() == [
+        (0, 1, -I), (0, 3, Scalar(Fraction(1, 3))), (1, 0, Scalar(2)),
+        (2, 3, Scalar(5))]
+    assert Mat.zeros(3, 5).nonzeros() == []
+    assert Mat.zeros(0, 4).nonzeros() == [] == Mat.zeros(4, 0).nonzeros()
+    rng = random.Random(31)
+    for r, c in ((1, 7), (7, 1), (3, 5), (6, 2)):
+        m = rand_sparse_mat(rng, r, c)
+        assert m.nonzeros() == [(i, j, m[i, j]) for i in range(r)
+                                for j in range(c) if m[i, j]]
+    # computed afresh: a write into data after a first call shows
+    m = Mat.zeros(2, 2)
+    assert m.nonzeros() == []
+    m.data[3] = ONE
+    assert m.nonzeros() == [(1, 1, ONE)]
 
 
 def test_mat_add_scale_transpose():
@@ -249,6 +294,15 @@ def test_kron_matches_naive_and_mixed_product():
     c, d = rand_mat(rng, 3, 2), rand_mat(rng, 2, 3)
     # (a (x) b)(c (x) d) = ac (x) bd
     assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+    makers = shaped_inputs(rng)
+    for (p, m), (r, n) in (((1, 1), (3, 4)), ((4, 1), (1, 3)),
+                           ((2, 5), (3, 2)), ((4, 4), (4, 4))):
+        for left in makers:
+            for right in makers:
+                a, b = left(p, m), right(r, n)
+                assert kron(a, b) == naive_kron(a, b)
+                c, d = right(m, 2), left(n, 3)
+                assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
 
 
 def basis_col(n, i):
