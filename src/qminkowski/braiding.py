@@ -80,8 +80,6 @@ def build_rq(inst: PoincareInstance, b) -> Mat:
     Indices run over the five-letter alphabet x_0..x_3, 1 with the usual
     pair flattening (a, b) -> 5a + b on both legs.
     """
-    if not isinstance(b, Scalar):
-        b = Scalar(b)
     r, z, t = inst.R, inst.Z, inst.T
     rz = r * z
     g = Mat(16, 1, metric(inst).data)
@@ -325,20 +323,14 @@ class LorentzRBlocks:
 def lorentz_r_blocks(inst: PoincareInstance, k=1) -> LorentzRBlocks:
     """The four 4x4 pairing blocks on w/wbar generator pairs; the sign k
     is the residual freedom left by the bialgebra laws."""
-    if not isinstance(k, Scalar):
-        k = Scalar(k)
     require_sign("k", k)
     q, s = inst.q, inst.s
     lmat = (Mat.identity(4) + (inst.E * inst.Eprime).scale(q)) \
         .scale(s * sqrt_q(q))
     tau = flip(2, 2)
-    try:
-        xinv = inst.X.inverse()
-    except ArithmeticError as exc:
-        raise ConstraintError("X is singular") from exc
     return LorentzRBlocks(
         ww=lmat.scale(k),
         wwbar=inst.X.scale(k),
-        wbarw=xinv.scale(q * k),
+        wbarw=inst.X.inverse().scale(q * k),
         wbarwbar=(tau * lmat * tau).scale(k),
     )

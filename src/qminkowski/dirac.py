@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstraintError
 from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
 from .qalgebra import NCPoly, accumulate
 
@@ -42,15 +41,8 @@ class GammaSet:
 
 def gamma(inst, a=ONE, b=ONE) -> GammaSet:
     """Weyl-form gammas [[0, b A_i], [a sigma_i, 0]]."""
-    if not isinstance(a, Scalar):
-        a = Scalar(a)
-    if not isinstance(b, Scalar):
-        b = Scalar(b)
     tau = flip(2, 2)
-    try:
-        d = tau * inst.X.inverse() * tau
-    except ArithmeticError as exc:
-        raise ConstraintError("X is singular") from exc
+    d = tau * inst.X.inverse() * tau
     e2 = Mat(2, 2, [inst.E[k, 0] for k in range(4)])
     qih = ONE / sqrt_q(inst.q)
     lower = []

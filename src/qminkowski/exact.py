@@ -376,8 +376,6 @@ class Mat:
         return [(k // c, k % c, x) for k, x in enumerate(self.data) if x]
 
     def scale(self, c) -> "Mat":
-        if not isinstance(c, Scalar):
-            c = Scalar(c)
         return Mat(self.rows, self.cols, [c * a for a in self.data])
 
     def transpose(self) -> "Mat":

@@ -67,8 +67,6 @@ class CTensor:
         return self + other.scale(Scalar(-1))
 
     def scale(self, c) -> "CTensor":
-        if not isinstance(c, Scalar):
-            c = Scalar(c)
         t = CTensor(self.n)
         if c:
             t.terms = {ws: c * v for ws, v in self.terms.items()}

@@ -37,9 +37,10 @@ _KEYS = ("name", "q", "s", "E", "Eprime", "X", "R", "Z", "T")
 
 @dataclass(frozen=True)
 class PoincareInstance:
-    """One set of structure data.  Shape constraints are enforced on
-    construction; value constraints (sign of q, invertibility of X) are
-    checked by load_instance and reported by validate_instance."""
+    """One set of structure data, checked once on construction however it
+    was built (load_instance, builtin() or dataclasses.replace): a wrong
+    shape or type raises ParseError, and q or s other than +1 or -1 or a
+    singular X raises ConstraintError, so no later code re-checks them."""
 
     name: str
     q: Scalar
@@ -58,6 +59,10 @@ class PoincareInstance:
                 raise ParseError("%s must be a %dx%d matrix" % (key, r, c))
         if not isinstance(self.q, Scalar) or not isinstance(self.s, Scalar):
             raise ParseError("q and s must be scalars")
+        require_sign("q", self.q)
+        require_sign("s", self.s)
+        if self.X.det() == 0:
+            raise ConstraintError("X is singular")
 
 
 def _scalar_from_quad(obj, where: str) -> Scalar:
@@ -74,7 +79,9 @@ def _mat_from_obj(obj, key: str) -> Mat:
     rows, cols = _SHAPES[key]
     if (not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}):
         raise ParseError("%s: expected rows/cols/entries object" % key)
-    if obj["rows"] != rows or obj["cols"] != cols:
+    dims = (obj["rows"], obj["cols"])
+    # 16.0 == 16 and True == 1, so the type is checked first (bool is an int)
+    if any(type(n) is not int for n in dims) or dims != (rows, cols):
         raise ParseError("%s must be %dx%d" % (key, rows, cols))
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -99,21 +106,12 @@ def instance_from_dict(doc) -> PoincareInstance:
                          % (missing, extra))
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ParseError("name must be a nonempty string")
-    inst = PoincareInstance(
+    return PoincareInstance(
         name=doc["name"],
         q=_scalar_from_quad(doc["q"], "q"),
         s=_scalar_from_quad(doc["s"], "s"),
         **{k: _mat_from_obj(doc[k], k) for k in _SHAPES},
     )
-    _check_constraints(inst)
-    return inst
-
-
-def _check_constraints(inst: PoincareInstance):
-    require_sign("q", inst.q)
-    require_sign("s", inst.s)
-    if inst.X.det() == 0:
-        raise ConstraintError("X is singular")
 
 
 def instance_to_dict(inst: PoincareInstance) -> dict:
@@ -192,27 +190,18 @@ def validate_instance(inst: PoincareInstance) -> list:
 
     add(CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
                                     "Z 16x4, T 16x1"))
-    q_ok = is_sign(inst.q)
-    add(CheckResult("q-sign", q_ok, "q = %r" % inst.q))
+    add(CheckResult("q-sign", is_sign(inst.q), "q = %r" % inst.q))
     add(CheckResult("s-sign", is_sign(inst.s), "s = %r" % inst.s))
-
     det_x = inst.X.det()
-    x_ok = det_x != 0
-    add(CheckResult("x-invertible", x_ok, "det X = %r" % det_x))
+    add(CheckResult("x-invertible", det_x != 0, "det X = %r" % det_x))
 
-    if q_ok and x_ok:
-        g = metric(inst)
-        sym = g.conj_t() == g
-        add(CheckResult("metric-symmetric", sym,
-                        "conj(g_ij) == g_ji" if sym else "conjugate symmetry "
-                        "fails"))
-        det_g = g.det()
-        add(CheckResult("metric-nondegenerate", det_g != 0,
-                        "det g = %r" % det_g))
-    else:
-        add(CheckResult("metric-symmetric", False, "prerequisites failed"))
-        add(CheckResult("metric-nondegenerate", False,
-                        "prerequisites failed"))
+    g = metric(inst)
+    sym = g.conj_t() == g
+    add(CheckResult("metric-symmetric", sym,
+                    "conj(g_ij) == g_ji" if sym else "conjugate symmetry "
+                    "fails"))
+    det_g = g.det()
+    add(CheckResult("metric-nondegenerate", det_g != 0, "det g = %r" % det_g))
 
     # deferred: calculus imports minkowski, which imports this module
     from .calculus import f_tilde

@@ -132,8 +132,6 @@ class NCPoly:
         return _poly(out)
 
     def scale(self, c) -> "NCPoly":
-        if not isinstance(c, Scalar):
-            c = Scalar(c)
         if not c:
             return NCPoly()
         return _poly({w: c * v for w, v in self.terms.items()})

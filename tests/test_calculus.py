@@ -238,6 +238,21 @@ def test_identity_checks_at_low_degree(classical_calc):
     assert calc.check_box_commutes(3) is None
 
 
+@pytest.mark.parametrize("seeded, check, witness", [
+    ((0, (1,), NCPoly.one()), "check_differential_consistency",
+     "w=(1,), i=0"),
+    ((1, (0, 1), x(2)), "check_partial_exchange", "w=(0, 1), k=0, l=1"),
+    ((1, (0, 1), x(2)), "check_box_commutes", "w=(0, 0, 1), i=1"),
+])
+def test_identity_checks_name_a_wrong_partial(seeded, check, witness):
+    # A wrong partial_i(w) planted in the memo is what every later partial
+    # reads, so each check must fail and name where.
+    calc = make_calculus(builtin("classical"), 3)
+    i, w, wrong = seeded
+    calc._p_memo[(i, w)] = wrong
+    assert getattr(calc, check)(3) == witness
+
+
 def test_form1_arithmetic():
     z = NCPoly.zero()
     f = Form1((x(0), z, z, NCPoly.one()))

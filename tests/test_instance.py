@@ -2,14 +2,18 @@
 
 import dataclasses
 import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qminkowski.errors import ConstraintError, ParseError, UnknownInstance
-from qminkowski.exact import Mat, ONE, ZERO, flip
+from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, is_sign
 from qminkowski.instance import (
-    builtin, builtin_names, gating_passed, instance_from_dict,
-    instance_to_dict, load_instance, validate_instance, write_instance,
+    PoincareInstance, builtin, builtin_names, gating_passed,
+    instance_from_dict, instance_to_dict, load_instance, validate_instance,
+    write_instance,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -93,6 +97,12 @@ def test_bad_matrix_blocks():
     d["R"]["rows"] = 15
     reject(d)
     d = classical_dict()
+    d["R"]["rows"] = 16.0           # equal to 16, but floats are refused
+    reject(d)
+    d = classical_dict()
+    d["E"]["cols"] = True           # equal to 1, but a bool is no dimension
+    reject(d)
+    d = classical_dict()
     d["Z"]["entries"].pop()
     reject(d)
     d = classical_dict()
@@ -103,16 +113,25 @@ def test_bad_matrix_blocks():
     reject(d)
 
 
+def constraint_message(build, *args, **kwargs):
+    with pytest.raises(ConstraintError) as exc:
+        build(*args, **kwargs)
+    return str(exc.value)
+
+
 def test_constraint_violations():
-    d = classical_dict()
-    d["q"] = [2, 1, 0, 1]
-    reject(d, ConstraintError)
-    d = classical_dict()
-    d["s"] = [0, 1, 1, 1]             # s = i is not a sign
-    reject(d, ConstraintError)
-    d = classical_dict()
-    d["X"]["entries"] = [[1, 1, 0, 1]] * 16   # rank one X
-    reject(d, ConstraintError)
+    # The file path and direct construction (builtin() then replace()) are
+    # checked by the same constructor, so they fail with the same message.
+    for key, value, message in (
+            ("q", Scalar(2), "q must be +1 or -1"),
+            ("s", I, "s must be +1 or -1"),                 # i is not a sign
+            ("X", Mat(4, 4, [ONE] * 16), "X is singular")):  # rank one X
+        d = classical_dict()
+        d[key] = value.to_quad() if key != "X" else {
+            "rows": 4, "cols": 4, "entries": [x.to_quad() for x in value.data]}
+        assert constraint_message(instance_from_dict, d) == message
+        assert constraint_message(dataclasses.replace, builtin("classical"),
+                                  **{key: value}) == message
 
 
 def test_load_instance_errors(tmp_path):
@@ -147,3 +166,87 @@ def test_validate_flags_obstruction_as_advisory_only():
     assert gating_passed(checks)        # advisory failures do not gate
     obstruction = [c for c in checks if c.name == "calculus-obstruction"]
     assert obstruction and not obstruction[0].passed
+
+
+# --- round trips of random instances ----------------------------------------
+
+PROFILE = settings(max_examples=30, deadline=None)
+
+# json refuses to write or read an int of over 4,300 digits (the limit
+# stays in place so that load_instance never parses such a number), so
+# those integers round-trip through the dict only.
+BIG = 10 ** 4301
+small_ints = st.integers(-40, 40)
+big_ints = st.builds(lambda sign, k: sign * (BIG + k),
+                     st.sampled_from((1, -1)), st.integers(0, 10 ** 6))
+
+
+def scalars(ints):
+    part = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 30)))
+    return st.builds(Scalar, part, part)
+
+
+@st.composite
+def instances(draw, ints):
+    """A valid instance: random signs, Gaussian-rational entries, sparse R,
+    Z and T, and X = L U with L unit lower triangular and U upper
+    triangular with a nonzero diagonal, so det X != 0 by construction.
+    X keeps small entries: its determinant is computed on construction,
+    and elimination over 4,300-digit entries costs 0.2 s per instance."""
+    entries = scalars(ints)
+    small = scalars(small_ints)
+
+    def sparse(rows, cols):
+        picks = draw(st.dictionaries(st.integers(0, rows * cols - 1),
+                                     entries, max_size=6))
+        return Mat(rows, cols, [picks.get(k, ZERO)
+                                for k in range(rows * cols)])
+
+    def triangular(unit, lower):
+        data = []
+        for i in range(4):
+            for j in range(4):
+                if i == j:
+                    data.append(ONE if unit else draw(small.filter(bool)))
+                elif (i > j) == lower:
+                    data.append(draw(small))
+                else:
+                    data.append(ZERO)
+        return Mat(4, 4, data)
+
+    signs = st.sampled_from((ONE, -ONE))
+    return PoincareInstance(
+        name=draw(st.text(min_size=1, max_size=8)),
+        q=draw(signs), s=draw(signs),
+        E=Mat(4, 1, [draw(entries) for _ in range(4)]),
+        Eprime=Mat(1, 4, [draw(entries) for _ in range(4)]),
+        X=triangular(True, True) * triangular(False, False),
+        R=sparse(16, 16), Z=sparse(16, 4), T=sparse(16, 1))
+
+
+@PROFILE
+@given(instances(st.one_of(small_ints, big_ints)))
+def test_dict_round_trip_of_random_instances(inst):
+    assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+@PROFILE
+@given(instances(small_ints))
+def test_file_round_trip_of_random_instances(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        write_instance(inst, path)
+        assert load_instance(path) == inst
+
+
+@PROFILE
+@given(st.sampled_from(("q", "s")),
+       scalars(st.one_of(small_ints, big_ints)).filter(
+           lambda x: not is_sign(x)))
+def test_non_sign_q_or_s_is_refused(key, value):
+    message = "%s must be +1 or -1" % key
+    d = classical_dict()
+    d[key] = value.to_quad()
+    assert constraint_message(instance_from_dict, d) == message
+    assert constraint_message(dataclasses.replace, builtin("classical"),
+                              **{key: value}) == message
