@@ -19,15 +19,20 @@ recursions; it cannot see a wrong table, which the tests compare with R
 and Z entry by entry.
 
 What is memoised, and where: a FirstOrderCalculus builds its own quotient
-.alg from its instance and owns three memos that live and die with it,
-all of normal forms: d of each word, partial_i of each word, and the
-image x_i (dx_j w) of each (i, j, w), from which left_mul_gen builds x_i
-acting on any one-form by linearity.  left_mul is the unmemoised path
+.alg from its instance and owns four memos that live and die with it, all
+of normal forms: d of each word, partial_i of each word, the image
+x_i (dx_j w) of each (i, j, w), from which left_mul_gen builds x_i acting
+on any one-form by linearity, and the wave operator of each word, from
+which box builds it on any polynomial.  left_mul is the unmemoised path
 (one left_mul_gen per letter) and stays the reference.
-check_leibniz keeps, for one word b at a time, a table of a d(b) by word
-a.  second_partials (unmemoised) tables the sixteen second partials of a
-word, for both sides of check_partial_exchange and for
-dirac.dirac_square_check.  Nothing is cached at module level.
+check_leibniz keeps, for one word b at a time, a table by word a of
+E_b(a) = d(ab) - a d(b), filled by the recursion of d: E_b(()) = 0 and
+E_b(h a') = x_h E_b(a') + dx_h (a' b).  The Leibniz rule at (a, b) is
+then E_b(a) = d(a) b, so neither d(ab) nor a d(b) is built; the table
+is dropped after each b.  second_partials (unmemoised) tables the
+sixteen second partials of a word, for both sides of
+check_partial_exchange and for dirac.dirac_square_check.  Nothing is
+cached at module level.
 
 Each check_* method returns None when its identity holds on every basis
 word up to the given degree, and otherwise the first counterexample as
@@ -99,6 +104,7 @@ class FirstOrderCalculus:
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
+        self._box_memo = {}
         self.g = metric(inst)
         self._exchange = [[] for _ in range(16)]
         for row, col, c in inst.R.nonzeros():
@@ -146,8 +152,11 @@ class FirstOrderCalculus:
 
     # -- differential and partials -----------------------------------------
 
-    def _d_word(self, w) -> Form1:
-        memo = self._d_memo
+    def _d_word(self, w, memo=None, tail=()) -> Form1:
+        """d(w), memoised per word; with a tail and a memo of its own,
+        d(w + tail) - w d(tail) by the same recursion (check_leibniz)."""
+        if memo is None:
+            memo = self._d_memo
         hit = memo.get(w)
         if hit is not None:
             return hit
@@ -155,10 +164,10 @@ class FirstOrderCalculus:
             out = Form1.zero()
         else:
             head, rest = w[0], w[1:]
-            out = self.left_mul_gen(head, self._d_word(rest))
+            out = self.left_mul_gen(head, self._d_word(rest, memo, tail))
             coords = list(out.coords)
             coords[head] = coords[head] + self.alg.normal_form(
-                NCPoly.from_word(rest))
+                NCPoly.from_word(rest + tail))
             out = Form1(tuple(coords))
         memo[w] = out
         return out
@@ -197,13 +206,22 @@ class FirstOrderCalculus:
 
     # -- second-order operators ---------------------------------------------
 
+    def _box_word(self, w) -> NCPoly:
+        memo = self._box_memo
+        hit = memo.get(w)
+        if hit is None:
+            out = {}
+            for i, j, c in self.g.nonzeros():
+                accumulate(out, self.partial(j, self._p_word(i, w)).terms, c)
+            hit = memo[w] = NCPoly(out)
+        return hit
+
     def box(self, p: NCPoly) -> NCPoly:
         """The wave operator sum_ij g_ij partial_j partial_i."""
-        firsts = [self.partial(i, p) for i in range(4)]
-        out = NCPoly.zero()
-        for i, j, c in self.g.nonzeros():
-            out = out + self.partial(j, firsts[i]).scale(c)
-        return out
+        out = {}
+        for w, c in p.terms.items():
+            accumulate(out, self._box_word(w).terms, c)
+        return NCPoly(out)
 
     def momentum(self, k: int, p: NCPoly) -> NCPoly:
         return self.partial(k, p).scale(Scalar(0, 1))
@@ -226,29 +244,22 @@ class FirstOrderCalculus:
                     return "w=%s, i=%d" % (w, i)
         return None
 
-    def _times(self, a, table):
-        """x_a acting on the form table[()]; table memoises every suffix of
-        a, which need not be a basis word."""
-        hit = table.get(a)
-        if hit is None:
-            hit = table[a] = self.left_mul_gen(a[0],
-                                               self._times(a[1:], table))
-        return hit
-
     def check_leibniz(self, n: int) -> str | None:
-        """d(ab) = a d(b) + d(a) b for basis pairs inside the cap."""
+        """d(ab) = a d(b) + d(a) b for basis pairs inside the cap, checked
+        as E_b(a) = d(ab) - a d(b) against d(a) b (module docstring)."""
         words = list(self.alg.basis_upto(n))     # ascending degree
+        word_nf = self.alg.word_normal_form
         for b in words:
-            pb = NCPoly.from_word(b)
-            table = {(): self._d_word(b)}
+            table = {} if b else None       # E_() is d itself
             for a in words:
                 if len(a) + len(b) > n:
                     break
-                lhs = self._d_word(a + b)
-                rhs = self._times(a, table) + self.right_mul(self._d_word(a),
-                                                             pb)
-                for i in range(4):
-                    if lhs.coords[i] != rhs.coords[i]:
+                e_b = self._d_word(a, table, b)
+                for i, da in enumerate(self._d_word(a).coords):
+                    rhs = {}
+                    for w, c in da.terms.items():
+                        accumulate(rhs, word_nf(w + b), c)
+                    if e_b.coords[i].terms != rhs:
                         return "a=%s, b=%s, i=%d" % (a, b, i)
         return None
 

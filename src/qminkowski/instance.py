@@ -135,9 +135,16 @@ def load_instance(path) -> PoincareInstance:
 
 
 def write_instance(inst: PoincareInstance, path):
+    """Write inst as JSON.  The text is encoded before the file is opened,
+    so an instance that cannot be encoded (an integer of over 4,300
+    digits) raises ParseError and leaves the path as it was."""
+    try:
+        text = json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    except ValueError as exc:
+        raise ParseError("cannot encode %s as JSON: %s"
+                         % (inst.name, exc)) from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def builtin(name: str) -> PoincareInstance:

@@ -314,16 +314,25 @@ class TruncatedQuotient:
         """Number of basis words in each degree 0..cap."""
         return [len(b) for b in self._basis]
 
+    def word_normal_form(self, w) -> dict:
+        """The normal form of the word w as terms, memoised the first time
+        it is asked for; the dict is the memo's own and is not to be
+        changed."""
+        nf = self._memo.get(w)
+        if nf is None:
+            if len(w) > self.cap:
+                raise DegreeError("degree %d exceeds cap %d"
+                                  % (len(w), self.cap))
+            nf = self._memo[w] = self._reduce({w: ONE}, self.cap)
+        return nf
+
     def normal_form(self, p: NCPoly) -> NCPoly:
         if p.degree() > self.cap:
             raise DegreeError("degree %d exceeds cap %d"
                               % (p.degree(), self.cap))
-        out, memo = {}, self._memo
+        out, word_nf = {}, self.word_normal_form
         for w, c in p.terms.items():
-            nf = memo.get(w)
-            if nf is None:
-                nf = memo[w] = self._reduce({w: ONE}, self.cap)
-            accumulate(out, nf, c)
+            accumulate(out, word_nf(w), c)
         return _poly(out)
 
 

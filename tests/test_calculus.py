@@ -1,8 +1,10 @@
 """First-order differential calculus.
 
-Two oracles drive this file: the obstruction matrix is rebuilt with naive
-index loops (no shared kron/matmul code paths), and the classical partials
-are compared against ordinary commutative differentiation.
+Three oracles drive this file: the obstruction matrix is rebuilt with
+naive index loops (no shared kron/matmul code paths), the classical
+partials are compared against ordinary commutative differentiation, and
+the Leibniz and box-commutes checks are compared against their exhaustive
+loops, which build both sides of each identity in full.
 """
 
 import dataclasses
@@ -10,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qminkowski.minkowski as minkowski
 from qminkowski.calculus import FirstOrderCalculus, Form1, f_tilde, \
@@ -18,7 +21,7 @@ from qminkowski.cli import main
 from qminkowski.errors import CalculusObstruction
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
 from qminkowski.instance import PoincareInstance, builtin, write_instance
-from qminkowski.qalgebra import NCPoly
+from qminkowski.qalgebra import NCPoly, build_quotient
 
 from test_acceptance import sign_twisted_flip
 
@@ -351,17 +354,124 @@ def test_memoised_left_action_matches_unmemoised(inst):
         for i in range(4):
             assert calc.left_mul_gen(i, form) == \
                 per_entry_left_mul_gen(calc, i, form)
-    # the per-b table of check_leibniz against left_mul, letter by letter
+    # the per-b table of check_leibniz: E_b(a) = d(ab) - a d(b)
     for b in words:
         db = calc.differential(NCPoly.from_word(b))
-        table = {(): db}
+        table = {}
         for a in words:
             if len(a) + len(b) <= 4:
-                assert calc._times(a, table) == \
-                    calc.left_mul(NCPoly.from_word(a), db)
+                assert calc._d_word(a, table, b) == \
+                    calc.differential(NCPoly.from_word(a + b)) \
+                    - calc.left_mul(NCPoly.from_word(a), db)
     for w in words:
         second = calc.second_partials(w)
         for i in range(4):
             for j in range(4):
                 assert second[i][j] == calc.partial(
                     j, calc.partial(i, NCPoly.from_word(w)))
+
+
+# --- the Leibniz and box-commutes checks against their exhaustive loops -------
+
+
+def leibniz_oracle(calc, n):
+    """check_leibniz as it was: both sides built in full for every pair,
+    d(ab) from the concatenated word and a d(b) letter by letter."""
+    words = list(calc.alg.basis_upto(n))
+    for b in words:
+        pb = NCPoly.from_word(b)
+        db = calc.differential(pb)
+        for a in words:
+            if len(a) + len(b) > n:
+                break
+            pa = NCPoly.from_word(a)
+            lhs = calc.differential(NCPoly.from_word(a + b))
+            rhs = calc.left_mul(pa, db) + calc.right_mul(calc.differential(pa),
+                                                         pb)
+            for i in range(4):
+                if lhs.coords[i] != rhs.coords[i]:
+                    return "a=%s, b=%s, i=%d" % (a, b, i)
+    return None
+
+
+def box_unmemoised(calc, p):
+    """sum_ij g_ij partial_j partial_i p, with no memo of its own."""
+    firsts = [calc.partial(i, p) for i in range(4)]
+    out = NCPoly.zero()
+    for i, j, c in calc.g.nonzeros():
+        out = out + calc.partial(j, firsts[i]).scale(c)
+    return out
+
+
+def box_commutes_oracle(calc, n):
+    for w in calc.alg.basis_upto(n):
+        p = NCPoly.from_word(w)
+        bp = box_unmemoised(calc, p)
+        for i in range(4):
+            if calc.partial(i, bp) != box_unmemoised(calc, calc.partial(i, p)):
+                return "w=%s, i=%d" % (w, i)
+    return None
+
+
+def assert_checks_match_oracles(inst, cap, free=False):
+    """Both checks and both oracles, each on a calculus of its own, so no
+    memo filled by one side is read by the other; free swaps the algebra
+    for the free algebra truncated at the cap before first use."""
+    calcs = [FirstOrderCalculus(inst, cap) for _ in range(2)]
+    if free:
+        for calc in calcs:
+            calc.alg = build_quotient(4, [], cap)
+    new, old = calcs
+    got = (new.check_leibniz(cap), new.check_box_commutes(cap))
+    assert got == (leibniz_oracle(old, cap), box_commutes_oracle(old, cap))
+    return got
+
+
+@pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
+def test_checks_match_oracles(inst):
+    # MEMO_INSTANCES ends with leibniz_breaking(), whose Leibniz check
+    # fails at caps 3 and 4
+    for cap in (3, 4, 5):
+        assert_checks_match_oracles(inst, cap)
+
+
+def test_checks_match_oracles_past_the_gate():
+    # built through the unchecked constructor: z_perturbed() obstructs
+    for inst in [z_perturbed()] + [rand_instance(s) for s in (31, 32, 33)]:
+        for cap in (3, 4):
+            assert_checks_match_oracles(inst, cap)
+    # the dense data is 1 = 0 in its own quotient; over the free algebra
+    # the box check fails and must name the same word
+    for seed in (31, 32, 33):
+        _, box = assert_checks_match_oracles(rand_instance(seed), 3,
+                                             free=True)
+        assert box is not None
+
+
+def test_leibniz_check_names_a_wrong_differential():
+    # d(x_1) planted off in its dx_3 coordinate only: d(x_1 x_0) is rebuilt
+    # from d(x_0), so the rule first fails at a=(1,), b=(0,) in i = 3.
+    z = NCPoly.zero()
+    results = []
+    for check in (FirstOrderCalculus.check_leibniz, leibniz_oracle):
+        calc = make_calculus(builtin("classical"), 3)
+        calc._d_memo[(1,)] = Form1((z, NCPoly.one(), z, x(2)))
+        results.append(check(calc, 3))
+    assert results == ["a=(1,), b=(0,), i=3"] * 2
+
+
+SMALL = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.dictionaries(st.integers(0, 15), SMALL, min_size=1, max_size=2),
+       z=st.dictionaries(st.integers(0, 63), SMALL, max_size=2),
+       twisted=st.booleans())
+def test_checks_match_oracles_on_sparse_shifts(t, z, twisted):
+    inst = shifted("hyp", t)
+    zm = Mat.zeros(16, 4)
+    for k, v in z.items():
+        zm.data[k] = v
+    inst = dataclasses.replace(inst, Z=zm, R=sign_twisted_flip() if twisted
+                               else inst.R)
+    assert_checks_match_oracles(inst, 3)

@@ -53,6 +53,21 @@ def test_round_trip_preserves_everything(tmp_path):
         (tmp_path / "c2.json").read_bytes()
 
 
+def test_unencodable_instance_leaves_no_file(tmp_path):
+    z = Mat.zeros(16, 4)
+    z.data[4] = Scalar(10 ** 4400)       # past json's 4,300-digit limit
+    huge = dataclasses.replace(builtin("classical"), Z=z)
+    old = tmp_path / "old.json"
+    write_instance(builtin("classical"), str(old))
+    before = old.read_bytes()
+    new = tmp_path / "new.json"
+    for path in (old, new):
+        with pytest.raises(ParseError, match="cannot encode classical"):
+            write_instance(huge, str(path))
+    assert old.read_bytes() == before
+    assert not new.exists()
+
+
 def test_shipped_instance_file_matches_builtin():
     path = os.path.join(HERE, os.pardir, "instances", "classical.json")
     assert load_instance(path) == builtin("classical")
