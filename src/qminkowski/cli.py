@@ -8,6 +8,17 @@ checks passes, and the run passes when every suite does.  Advisory
 checks print as "info" lines and never gate.  Exit status: 0 when the
 run passes, 1 when it fails, 2 on input problems.  Output contains no
 timestamps or timings, so identical inputs produce identical bytes.
+
+One run_suites call owns a _RunCache, which dies with the call (nothing
+is cached at module level): the suites of a report take from it one
+calculus per cap (or the CalculusObstruction it raised), one Minkowski
+quotient per cap (a calculus's own .alg when the run built that calculus
+first), one pairing evaluator, since b is fixed per run, and one metric.
+Each is built through its module attribute (calculus.make_calculus,
+minkowski.make_minkowski, braiding.make_evaluator, dirac.metric), so a
+tracer that wraps those names sees every build.  --stats writes the
+seconds of each suite, what the cache built and how large its memos grew
+to stderr, read once the run is over; stdout and --json do not change.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ __all__ = ["main", "run_suites", "Report", "SuiteResult"]
 class SuiteResult:
     name: str
     checks: list
-    seconds: float = 0.0  # set by run_suites; never rendered
+    seconds: float = 0.0  # set by run_suites; shown by --stats only
 
     @property
     def passed(self) -> bool:
@@ -46,6 +57,7 @@ class SuiteResult:
 class Report:
     instance: str
     suites: list = field(default_factory=list)
+    builds: list = field(default_factory=list)  # shown by --stats only
 
     @property
     def passed(self) -> bool:
@@ -61,12 +73,71 @@ class Report:
         }
 
 
+class _RunCache:
+    """The objects that the suites of one run share (module docstring)."""
+
+    def __init__(self, inst, b: Scalar):
+        self.inst = inst
+        self.b = b
+        self.calcs = {}      # cap -> FirstOrderCalculus or its obstruction
+        self.quotients = {}  # cap -> quotient built outside any calculus
+        self.ev = None
+        self.g = None
+
+    def calculus(self, cap: int):
+        hit = self.calcs.get(cap)
+        if hit is None:
+            try:
+                hit = calculus.make_calculus(self.inst, cap)
+            except CalculusObstruction as exc:
+                hit = exc
+            self.calcs[cap] = hit
+        if isinstance(hit, CalculusObstruction):
+            raise hit
+        return hit
+
+    def quotient(self, cap: int):
+        calc = self.calcs.get(cap)
+        if calc is not None and not isinstance(calc, CalculusObstruction):
+            return calc.alg
+        if cap not in self.quotients:
+            self.quotients[cap] = minkowski.make_minkowski(self.inst, cap)
+        return self.quotients[cap]
+
+    def evaluator(self):
+        if self.ev is None:
+            self.ev = braiding.make_evaluator(self.inst, self.b)
+        return self.ev
+
+    def metric(self) -> Mat:
+        if self.g is None:
+            self.g = dirac.metric(self.inst)
+        return self.g
+
+    def builds(self) -> list:
+        """One line per object built, with the size of its memo."""
+        lines = ["quotient cap %d: %d normal forms" % (cap, len(alg._memo))
+                 for cap, alg in sorted(self.quotients.items())]
+        for cap, calc in sorted(self.calcs.items()):
+            if isinstance(calc, CalculusObstruction):
+                lines.append("calculus cap %d: obstructed" % cap)
+            else:
+                lines.append("calculus cap %d: its quotient %d normal forms"
+                             % (cap, len(calc.alg._memo)))
+        if self.ev is not None:
+            lines.append("evaluator b = %r: %d r_word pairs"
+                         % (self.b, len(self.ev._memo)))
+        if self.g is not None:
+            lines.append("metric")
+        return lines
+
+
 def suite_validate(inst) -> list:
     return validate_instance(inst)
 
 
-def suite_pbw(inst, degree: int) -> list:
-    alg = minkowski.make_minkowski(inst, degree)
+def suite_pbw(cache: _RunCache, degree: int) -> list:
+    alg = cache.quotient(degree)
     ok, profile = minkowski.pbw_check(alg, degree)
     return [
         CheckResult("profile", ok, "%s vs classical %s"
@@ -83,9 +154,9 @@ def _witnessed(name: str, witness, detail: str) -> CheckResult:
     return CheckResult(name, witness is None, detail)
 
 
-def suite_calculus(inst, degree: int) -> list:
+def suite_calculus(cache: _RunCache, degree: int) -> list:
     try:
-        calc = calculus.make_calculus(inst, degree)
+        calc = cache.calculus(degree)
     except CalculusObstruction as exc:
         return [CheckResult("obstruction", False, str(exc))]
     checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
@@ -97,8 +168,9 @@ def suite_calculus(inst, degree: int) -> list:
     return checks
 
 
-def suite_dirac(inst, degree: int) -> list:
-    g = dirac.metric(inst)
+def suite_dirac(cache: _RunCache, degree: int) -> list:
+    inst = cache.inst
+    g = cache.metric()
     det_g = g.det()
     checks = [
         CheckResult("metric-symmetric", g.conj_t() == g,
@@ -111,7 +183,7 @@ def suite_dirac(inst, degree: int) -> list:
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
     try:
-        calc = calculus.make_calculus(inst, degree)
+        calc = cache.calculus(degree)
     except CalculusObstruction:
         return checks + [CheckResult(
             "dirac-square", False,
@@ -121,9 +193,9 @@ def suite_dirac(inst, degree: int) -> list:
         "square equals wave operator, degree <= %d" % degree)]
 
 
-def suite_lorentz(inst) -> list:
-    inv = lorentz.lambda_invariance_check(inst, dirac.metric(inst), 4)
-    real = lorentz.lambda_reality_diagnostic(inst)
+def suite_lorentz(cache: _RunCache) -> list:
+    inv = lorentz.lambda_invariance_check(cache.inst, cache.metric(), 4)
+    real = lorentz.lambda_reality_diagnostic(cache.inst)
     return [
         _witnessed("lambda-invariance", inv,
                    "Lambda g Lambda^T = g at degree 4"),
@@ -133,8 +205,8 @@ def suite_lorentz(inst) -> list:
     ]
 
 
-def suite_braiding(inst, b: Scalar, k: Scalar) -> list:
-    ev = braiding.make_evaluator(inst, b)
+def suite_braiding(cache: _RunCache, k: Scalar) -> list:
+    ev = cache.evaluator()
     try:
         ev.rq_inverse()
         rq_inv_ok = True
@@ -150,7 +222,7 @@ def suite_braiding(inst, b: Scalar, k: Scalar) -> list:
     ct = ev.is_cotriangular()
     checks.append(CheckResult("cotriangular", ct, "yes" if ct else "no",
                               advisory=True))
-    braiding.lorentz_r_blocks(inst, k)
+    braiding.lorentz_r_blocks(cache.inst, k)
     checks.append(CheckResult("spinor-blocks", True,
                               "ww, wwbar, wbarw, wbarwbar built (k = %r)" % k))
     return checks
@@ -165,9 +237,9 @@ def _counit_after_coaction(alg, p: NCPoly) -> NCPoly:
     return back
 
 
-def suite_fock(inst, b: Scalar, n: int) -> list:
-    alg = minkowski.make_minkowski(inst, 4)
-    ev = braiding.make_evaluator(inst, b)
+def suite_fock(cache: _RunCache, n: int) -> list:
+    alg = cache.quotient(4)
+    ev = cache.evaluator()
     gens = [NCPoly.gen(i) for i in range(4)]
 
     def tensors(size):
@@ -228,29 +300,30 @@ def _mat_brief(m: Mat) -> str:
 # wrapper installed on cli.suite_* afterwards (a profiler, a tracer) is
 # the one called.
 _SUITES = {
-    "validate": lambda inst, o: suite_validate(inst),
-    "pbw": lambda inst, o: suite_pbw(inst, o["degree"]),
-    "calculus": lambda inst, o: suite_calculus(inst, o["degree"]),
-    "dirac": lambda inst, o: suite_dirac(inst, o["dirac_degree"]),
-    "lorentz": lambda inst, o: suite_lorentz(inst),
-    "braiding": lambda inst, o: suite_braiding(inst, o["b"], o["k"]),
-    "fock": lambda inst, o: suite_fock(inst, o["b"], o["n"]),
+    "validate": lambda c, o: suite_validate(c.inst),
+    "pbw": lambda c, o: suite_pbw(c, o["degree"]),
+    "calculus": lambda c, o: suite_calculus(c, o["degree"]),
+    "dirac": lambda c, o: suite_dirac(c, o["dirac_degree"]),
+    "lorentz": lambda c, o: suite_lorentz(c),
+    "braiding": lambda c, o: suite_braiding(c, o["k"]),
+    "fock": lambda c, o: suite_fock(c, o["n"]),
 }
 
 
 def run_suites(inst, names, degree=4, dirac_degree=3, b=Scalar(0),
                k=Scalar(1), n=2) -> Report:
-    opts = {"degree": degree, "dirac_degree": dirac_degree, "b": b, "k": k,
-            "n": n}
+    opts = {"degree": degree, "dirac_degree": dirac_degree, "k": k, "n": n}
+    cache = _RunCache(inst, b)
     rep = Report(instance=inst.name)
     for name in names:
         suite = _SUITES.get(name)
         if suite is None:
             raise ValueError("unknown suite %r" % name)
         t0 = time.perf_counter()
-        checks = suite(inst, opts)
+        checks = suite(cache, opts)
         rep.suites.append(SuiteResult(name, checks,
                                       time.perf_counter() - t0))
+    rep.builds = cache.builds()
     return rep
 
 
@@ -262,6 +335,12 @@ def _render(rep: Report) -> str:
         lines.extend("  " + c.line() for c in s.checks)
     lines.append("overall: %s" % ("pass" if rep.passed else "FAIL"))
     return "\n".join(lines) + "\n"
+
+
+def _render_stats(rep: Report) -> str:
+    lines = ["seconds %s: %.6f" % (s.name, s.seconds) for s in rep.suites]
+    lines += ["built " + line for line in rep.builds]
+    return "".join("stats: %s\n" % line for line in lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,6 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if slots:
             p.add_argument("--n", type=int, default=2,
                            help="tensor slots for samples (max 4)")
+        p.add_argument("--stats", action="store_true",
+                       help="also write suite seconds, builds and memo "
+                       "sizes to stderr")
 
     common(sub.add_parser("validate", help="structural checks"))
     common(sub.add_parser("pbw", help="basis profile"), degree=4)
@@ -301,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
            b=True, slots=True)
     rp = sub.add_parser(
         "report", help="all suites",
-        description="Run every suite. The lorentz suite always runs at "
-        "degree 4 and ignores --degree.")
+        description="Run every suite. --degree sets the pbw and calculus "
+        "degree only: the lorentz suite always runs at degree 4, the dirac "
+        "suite at degree 3 and the fock suite at cap 4.")
     common(rp, degree=4, b=True, k=True, slots=True)
     rp.add_argument("--json", default=None, metavar="PATH",
                     help="also write the report as JSON")
@@ -363,6 +446,8 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     sys.stdout.write(_render(rep))
+    if args.stats:
+        sys.stderr.write(_render_stats(rep))
     return 0 if rep.passed else 1
 
 

@@ -1,7 +1,8 @@
 """First-order differential calculus.
 
-Three oracles drive this file: the obstruction matrix is rebuilt with
-naive index loops (no shared kron/matmul code paths), the classical
+Three oracles drive this file: the obstruction matrix is rebuilt twice,
+with naive index loops (no shared kron/matmul code paths) and in the
+Kronecker form f_tilde once had (exact.kron and Mat products), the classical
 partials are compared against ordinary commutative differentiation, and
 the Leibniz and box-commutes checks are compared against their exhaustive
 loops, which build both sides of each identity in full.
@@ -12,14 +13,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qminkowski.minkowski as minkowski
 from qminkowski.calculus import FirstOrderCalculus, Form1, f_tilde, \
     make_calculus
 from qminkowski.cli import main
 from qminkowski.errors import CalculusObstruction
-from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
+from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip, kron
 from qminkowski.instance import PoincareInstance, builtin, write_instance
 from qminkowski.qalgebra import NCPoly, build_quotient
 
@@ -48,11 +49,11 @@ def okron(a, b):
 def omul(a, b):
     out = Mat.zeros(a.rows, b.cols)
     for i in range(a.rows):
-        for j in range(b.cols):
-            s = ZERO
-            for k in range(a.cols):
-                s = s + a[i, k] * b[k, j]
-            out.data[i * b.cols + j] = s
+        for k in range(a.cols):
+            if a[i, k]:
+                for j in range(b.cols):
+                    out.data[i * b.cols + j] = (out.data[i * b.cols + j]
+                                                + a[i, k] * b[k, j])
     return out
 
 
@@ -64,6 +65,25 @@ def oracle_obstruction(inst):
     inner = inner + okron(t, i4)
     inner = inner - omul(omul(okron(i4, r), okron(r, i4)), okron(i4, t))
     return omul(okron(r - i16, i4), inner)
+
+
+def kron_obstruction(inst):
+    """The obstruction as three 64x64 Kronecker products, through the
+    package's own kron and Mat products."""
+    i4 = Mat.identity(4)
+    i16 = Mat.identity(16)
+    r, z, t = inst.R, inst.Z, inst.T
+    inner = (kron(i4, z) * z
+             - kron(z, i4) * z
+             + kron(t, i4)
+             - kron(i4, r) * kron(r, i4) * kron(i4, t))
+    return kron(r - i16, i4) * inner
+
+
+def assert_obstruction_matches_oracles(inst):
+    ft = f_tilde(inst)
+    assert ft == kron_obstruction(inst)
+    assert ft == oracle_obstruction(inst)
 
 
 def rand_instance(seed):
@@ -82,9 +102,32 @@ def rand_instance(seed):
 
 
 def test_obstruction_matches_index_oracle():
-    for seed in (31, 32, 33):
-        inst = rand_instance(seed)
-        assert f_tilde(inst) == oracle_obstruction(inst)
+    from test_cli import twisted_tshift
+
+    for inst in [builtin("classical"), z_perturbed(), twisted_tshift(),
+                 leibniz_breaking()] + [rand_instance(s) for s in (31, 32, 33)]:
+        assert_obstruction_matches_oracles(inst)
+
+
+GAUSS = st.builds(lambda a, b, c, d: Scalar(Fraction(a, c), Fraction(b, d)),
+                  st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+                  st.integers(1, 3))
+
+
+def sparse(rows, cols, max_size):
+    return st.dictionaries(st.integers(0, rows * cols - 1), GAUSS,
+                           max_size=max_size).map(
+        lambda entries: Mat(rows, cols, [entries.get(k, ZERO)
+                                         for k in range(rows * cols)]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(r=sparse(16, 16, 40), z=sparse(16, 4, 12), t=sparse(16, 1, 6))
+@example(r=flip(4, 4), z=Mat.zeros(16, 4), t=Mat.zeros(16, 1))
+@example(r=Mat.identity(16), z=Mat.zeros(16, 4), t=Mat.zeros(16, 1))
+def test_sparse_obstruction_matches_oracles(r, z, t):
+    assert_obstruction_matches_oracles(
+        dataclasses.replace(builtin("classical"), name="hyp", R=r, Z=z, T=t))
 
 
 def test_classical_obstruction_vanishes():

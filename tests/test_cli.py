@@ -1,12 +1,18 @@
 """Command line behavior: exit codes, output stability, JSON shape."""
 
+import collections
 import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
 
-from qminkowski.cli import main, run_suites
+import qminkowski.braiding as braiding
+import qminkowski.calculus as calculus
+import qminkowski.dirac as dirac
+import qminkowski.fock as fock
+import qminkowski.minkowski as minkowski
+from qminkowski.cli import _SUITES, main, run_suites
 from qminkowski.exact import Mat, ONE, Scalar
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
@@ -85,7 +91,9 @@ def test_negative_b_as_separate_argument(capsys):
 def test_report_help_states_lorentz_degree(capsys):
     code, out, _ = run(capsys, "report", "--help")
     assert code == 0
-    assert "lorentz suite always runs at degree 4" in " ".join(out.split())
+    text = " ".join(out.split())
+    assert "lorentz suite always runs at degree 4" in text
+    assert "dirac suite at degree 3 and the fock suite at cap 4" in text
 
 
 def test_requires_exactly_one_source(capsys, tmp_path):
@@ -364,3 +372,58 @@ def test_file_input_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "dirac", str(path))
     assert code == 0
     assert "clifford" in out
+
+
+def count_calls(monkeypatch, calls, module, name, key):
+    """Wrap module.name so that each call appends key(*args) to calls[name]."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name].append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
+    calls = collections.defaultdict(list)
+    for module, name, key in (
+            (braiding, "build_rq", lambda inst, b: b),
+            (braiding, "ct_check", lambda ev: None),
+            (minkowski, "build_quotient", lambda gens, rels, cap: cap),
+            (minkowski, "pbw_check", lambda alg, n: alg.cap),
+            (calculus, "make_calculus", lambda inst, cap: cap),
+            (dirac, "dirac_square_check", lambda calc, gs, n: n),
+            (fock, "coaction", lambda alg, p: alg.cap)):
+        count_calls(monkeypatch, calls, module, name, key)
+    rep = run_suites(builtin("classical"), tuple(_SUITES))
+    assert rep.passed
+    assert calls["build_rq"] == [Scalar(0)] and calls["ct_check"] == [None]
+    assert calls["build_quotient"].count(4) <= 2
+    assert calls["make_calculus"] == [4, 3]
+    # report --degree 6 moves only the pbw and calculus suites
+    calls.clear()
+    code, _, _ = run(capsys, "report", "--builtin", "classical", "--degree",
+                     "6")
+    assert code == 0
+    assert calls["pbw_check"] == [6]
+    assert calls["make_calculus"] == [6, 3]
+    assert calls["dirac_square_check"] == [3]
+    assert set(calls["coaction"]) == {4}
+
+
+def test_stats_go_to_stderr_only(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "report", "--builtin", "classical", "--json",
+                         str(path))
+    doc = path.read_bytes()
+    assert err == ""
+    got = run(capsys, "report", "--builtin", "classical", "--json",
+              str(path), "--stats")
+    assert got[:2] == (code, out) and path.read_bytes() == doc
+    lines = got[2].splitlines()
+    assert all(line.startswith("stats: ") for line in lines)
+    assert [line.split()[2] for line in lines[:7]] == [
+        name + ":" for name in _SUITES]
+    assert "stats: built calculus cap 4: its quotient " in got[2]
+    assert "stats: built evaluator b = 0: " in got[2]
