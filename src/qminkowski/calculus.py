@@ -45,14 +45,13 @@ from dataclasses import dataclass
 
 from .dirac import metric
 from .errors import CalculusObstruction
-from .exact import Mat, ONE, Scalar, ZERO
-# Re-exported: perfbench's self-test and the trace tests wrap calculus.kron.
-from .exact import kron as kron
+from .exact import Mat, ONE, Scalar, ZERO, kron
 from .minkowski import make_minkowski
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
     "f_tilde", "Form1", "FirstOrderCalculus", "make_calculus",
+    "kron",  # re-exported: perfbench and the trace tests wrap calculus.kron
 ]
 
 

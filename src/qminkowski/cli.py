@@ -12,13 +12,10 @@ timestamps or timings, so identical inputs produce identical bytes.
 One run_suites call owns a _RunCache, which dies with the call (nothing
 is cached at module level): the suites of a report take from it one
 calculus per cap (or the CalculusObstruction it raised), one Minkowski
-quotient per cap (a calculus's own .alg when the run built that calculus
-first), one pairing evaluator, since b is fixed per run, and one metric.
+quotient per cap and one pairing evaluator, since b is fixed per run.
 Each is built through its module attribute (calculus.make_calculus,
-minkowski.make_minkowski, braiding.make_evaluator, dirac.metric), so a
-tracer that wraps those names sees every build.  --stats writes the
-seconds of each suite, what the cache built and how large its memos grew
-to stderr, read once the run is over; stdout and --json do not change.
+minkowski.make_minkowski, braiding.make_evaluator), so a tracer that
+wraps those names sees every build.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ __all__ = ["main", "run_suites", "Report", "SuiteResult"]
 class SuiteResult:
     name: str
     checks: list
-    seconds: float = 0.0  # set by run_suites; shown by --stats only
+    seconds: float = 0.0  # set by run_suites; never rendered
 
     @property
     def passed(self) -> bool:
@@ -57,7 +54,6 @@ class SuiteResult:
 class Report:
     instance: str
     suites: list = field(default_factory=list)
-    builds: list = field(default_factory=list)  # shown by --stats only
 
     @property
     def passed(self) -> bool:
@@ -80,9 +76,8 @@ class _RunCache:
         self.inst = inst
         self.b = b
         self.calcs = {}      # cap -> FirstOrderCalculus or its obstruction
-        self.quotients = {}  # cap -> quotient built outside any calculus
+        self.quotients = {}  # cap -> Minkowski quotient
         self.ev = None
-        self.g = None
 
     def calculus(self, cap: int):
         hit = self.calcs.get(cap)
@@ -97,9 +92,6 @@ class _RunCache:
         return hit
 
     def quotient(self, cap: int):
-        calc = self.calcs.get(cap)
-        if calc is not None and not isinstance(calc, CalculusObstruction):
-            return calc.alg
         if cap not in self.quotients:
             self.quotients[cap] = minkowski.make_minkowski(self.inst, cap)
         return self.quotients[cap]
@@ -108,28 +100,6 @@ class _RunCache:
         if self.ev is None:
             self.ev = braiding.make_evaluator(self.inst, self.b)
         return self.ev
-
-    def metric(self) -> Mat:
-        if self.g is None:
-            self.g = dirac.metric(self.inst)
-        return self.g
-
-    def builds(self) -> list:
-        """One line per object built, with the size of its memo."""
-        lines = ["quotient cap %d: %d normal forms" % (cap, len(alg._memo))
-                 for cap, alg in sorted(self.quotients.items())]
-        for cap, calc in sorted(self.calcs.items()):
-            if isinstance(calc, CalculusObstruction):
-                lines.append("calculus cap %d: obstructed" % cap)
-            else:
-                lines.append("calculus cap %d: its quotient %d normal forms"
-                             % (cap, len(calc.alg._memo)))
-        if self.ev is not None:
-            lines.append("evaluator b = %r: %d r_word pairs"
-                         % (self.b, len(self.ev._memo)))
-        if self.g is not None:
-            lines.append("metric")
-        return lines
 
 
 def suite_validate(inst) -> list:
@@ -170,7 +140,7 @@ def suite_calculus(cache: _RunCache, degree: int) -> list:
 
 def suite_dirac(cache: _RunCache, degree: int) -> list:
     inst = cache.inst
-    g = cache.metric()
+    g = dirac.metric(inst)
     det_g = g.det()
     checks = [
         CheckResult("metric-symmetric", g.conj_t() == g,
@@ -194,8 +164,9 @@ def suite_dirac(cache: _RunCache, degree: int) -> list:
 
 
 def suite_lorentz(cache: _RunCache) -> list:
-    inv = lorentz.lambda_invariance_check(cache.inst, cache.metric(), 4)
-    real = lorentz.lambda_reality_diagnostic(cache.inst)
+    inst = cache.inst
+    inv = lorentz.lambda_invariance_check(inst, dirac.metric(inst), 4)
+    real = lorentz.lambda_reality_diagnostic(inst)
     return [
         _witnessed("lambda-invariance", inv,
                    "Lambda g Lambda^T = g at degree 4"),
@@ -323,7 +294,6 @@ def run_suites(inst, names, degree=4, dirac_degree=3, b=Scalar(0),
         checks = suite(cache, opts)
         rep.suites.append(SuiteResult(name, checks,
                                       time.perf_counter() - t0))
-    rep.builds = cache.builds()
     return rep
 
 
@@ -335,12 +305,6 @@ def _render(rep: Report) -> str:
         lines.extend("  " + c.line() for c in s.checks)
     lines.append("overall: %s" % ("pass" if rep.passed else "FAIL"))
     return "\n".join(lines) + "\n"
-
-
-def _render_stats(rep: Report) -> str:
-    lines = ["seconds %s: %.6f" % (s.name, s.seconds) for s in rep.suites]
-    lines += ["built " + line for line in rep.builds]
-    return "".join("stats: %s\n" % line for line in lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,9 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if slots:
             p.add_argument("--n", type=int, default=2,
                            help="tensor slots for samples (max 4)")
-        p.add_argument("--stats", action="store_true",
-                       help="also write suite seconds, builds and memo "
-                       "sizes to stderr")
 
     common(sub.add_parser("validate", help="structural checks"))
     common(sub.add_parser("pbw", help="basis profile"), degree=4)
@@ -446,8 +407,6 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     sys.stdout.write(_render(rep))
-    if args.stats:
-        sys.stderr.write(_render_stats(rep))
     return 0 if rep.passed else 1
 
 

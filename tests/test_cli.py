@@ -411,19 +411,3 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     assert calls["dirac_square_check"] == [3]
     assert set(calls["coaction"]) == {4}
 
-
-def test_stats_go_to_stderr_only(capsys, tmp_path):
-    path = tmp_path / "report.json"
-    code, out, err = run(capsys, "report", "--builtin", "classical", "--json",
-                         str(path))
-    doc = path.read_bytes()
-    assert err == ""
-    got = run(capsys, "report", "--builtin", "classical", "--json",
-              str(path), "--stats")
-    assert got[:2] == (code, out) and path.read_bytes() == doc
-    lines = got[2].splitlines()
-    assert all(line.startswith("stats: ") for line in lines)
-    assert [line.split()[2] for line in lines[:7]] == [
-        name + ":" for name in _SUITES]
-    assert "stats: built calculus cap 4: its quotient " in got[2]
-    assert "stats: built evaluator b = 0: " in got[2]
