@@ -183,9 +183,6 @@ class Scalar:
     def conj(self) -> "Scalar":
         return _raw(self.a, -self.b, self.d)
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def to_quad(self):
         """Four-integer encoding [re_num, re_den, im_num, im_den]."""
         a, b, d = self.a, self.b, self.d

@@ -17,7 +17,10 @@ ambiguities in ascending degree and stopping at the cap.  Each rule
 rewrites its lead word u to smaller words and carries a t-exponent k: in
 the cap-c quotient it applies to a word w containing u only when
 k <= c - |w|, so a relation with constant or linear terms can give rules
-that act on short words only.
+that act on short words only.  Every tail is kept in normal form at its
+rule's nominal degree |u| + k, reduced again whenever a new lead fires in
+it: u fires only with slack at least k, so a tail word t lands where the
+slack is at least |u| + k - |t|, which is what that reduction grants t.
 
 The leads are the leading words of the ideal part, so the basis (the
 words no rule applies to) and every normal form (memoised rewriting) are
@@ -228,7 +231,12 @@ class TruncatedQuotient:
         what does not reduce to zero becomes a rule whose lead is its
         greatest word u, with t-exponent D - |u|.  A new rule's own
         ambiguities all lie above D, so degree D is complete once the heap
-        holds nothing of degree D.
+        holds nothing of degree D.  Each new rule then reduces the tails
+        it fires in (``_reduce_tails``), so every tail stays in normal form
+        at its own nominal degree |u| + k; since u fires only with slack at
+        least k, a tail word t stands where the slack is at least
+        |u| + k - |t|, and each rewrite of that reduction is one the
+        context allows.
         """
         queue = [(r.degree(), n, r.terms)
                  for n, r in enumerate(self.relation_set) if r.terms]
@@ -244,9 +252,27 @@ class TruncatedQuotient:
             rule = (degree - len(lead), {w: neg * v for w, v in rest.items()})
             self._rules[lead] = rule
             self._lengths = sorted({len(u) for u in self._rules})
+            self._reduce_tails(lead, rule[0])
             for amb_degree, amb in self._ambiguities(lead, rule):
                 heappush(queue, (amb_degree, seq, amb))
                 seq += 1
+
+    def _reduce_tails(self, v, kv):
+        """Reduce again each rule's tail in which the new lead v, with
+        t-exponent kv, fires: in a word w of the tail of u -> (k, t) when
+        kv <= |u| + k - |w|.  (A tail never holds its own lead.)"""
+        m = len(v)
+        rules = self._rules
+        for u, (k, t) in rules.items():
+            top = len(u) + k - kv
+            if top < m:
+                continue
+            for w in t:
+                n = len(w)
+                if m <= n <= top and (w == v or n > m and any(
+                        w[i:i + m] == v for i in range(n - m + 1))):
+                    rules[u] = (k, self._reduce(t, len(u) + k))
+                    break
 
     def _ambiguities(self, v, rule):
         """(nominal degree, difference of the two rewrites) for every
@@ -293,10 +319,6 @@ class TruncatedQuotient:
             per_degree.append(tuple(w for w in level
                                     if self._match(w, self.cap - d) is None))
         return tuple(per_degree)
-
-    def is_basis_word(self, w) -> bool:
-        return len(w) <= self.cap and \
-            self._match(w, self.cap - len(w)) is None
 
     def basis(self, degree: int):
         """Normal-form basis words of exactly the given degree."""

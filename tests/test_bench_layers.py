@@ -1,0 +1,34 @@
+"""bench/layers.py times the cases it is asked for and prints one JSON line."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_one_rep_of_one_case(capsys):
+    assert layers().main(["--reps", "1", "--case", "mink-dense11-cap3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reps"] == 1
+    assert list(doc["cpu_s"]) == ["mink-dense11-cap3"]
+    assert doc["cpu_s"]["mink-dense11-cap3"] > 0
+
+
+def test_cases_and_reps_are_checked(capsys):
+    mod = layers()
+    assert {"mink-dense13-cap5", "lorentz-cap6"} <= set(mod.cases())
+    for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
+        with pytest.raises(SystemExit) as exc:
+            mod.main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

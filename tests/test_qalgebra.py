@@ -109,7 +109,7 @@ def test_degree_one_relation_kills_generator():
     q = build_quotient(3, [x(0)], 3)
     assert q.dimension_profile() == [1, 2, 4, 8]
     assert q.normal_form(x(1) * x(0) * x(2)).is_zero()
-    assert not q.is_basis_word((0,))
+    assert (0,) not in q.basis(1)
 
 
 def test_inhomogeneous_relations():

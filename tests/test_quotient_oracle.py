@@ -6,23 +6,28 @@ rows u r v are echelonised over the scalars, and the pivots (leading
 words) are the reducible words.  Overlap completion must give the same
 basis in every degree and the same normal form for every word up to the
 cap, including where constant and linear terms make the truncation lose
-a whole degree.
+a whole degree.  It must also leave no rule applicable inside another
+rule's tail, at the slack that tail has wherever its rule fires.
 """
 
 import dataclasses
+import importlib.util
+import pathlib
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qminkowski.exact import ONE, Scalar
-from qminkowski.instance import builtin
+from qminkowski.instance import builtin, instance_from_dict
 from qminkowski.lorentz import lorentz_relations
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
 from test_acceptance import sign_twisted_flip
-from test_calculus import rand_instance, shifted, z_perturbed
+from test_calculus import leibniz_breaking, rand_instance, shifted, \
+    z_perturbed
 
 
 def _key(w):
@@ -72,9 +77,18 @@ def padded_quotient(gens, relations, cap):
     return table, basis
 
 
+def assert_tails_reduced(q):
+    """No rule applies to a word w of a rule's tail at the slack w has
+    wherever that rule u -> (k, tail) fires: |u| + k - |w|."""
+    for u, (k, tail) in q._rules.items():
+        for w in tail:
+            assert q._match(w, len(u) + k - len(w)) is None, (u, w)
+
+
 def assert_matches_oracle(gens, relations, cap):
     table, basis = padded_quotient(gens, relations, cap)
     q = build_quotient(gens, relations, cap)
+    assert_tails_reduced(q)
     for d in range(cap + 1):
         assert q.basis(d) == basis[d], d
         for w in product(range(gens), repeat=d):
@@ -90,6 +104,7 @@ BENT = {
     "tshift": shifted("tshift", {1: ONE}),
     "zbent": z_perturbed(),
     "twisted": TWISTED,
+    "leibniz-breaking": leibniz_breaking(),
     "twisted-tshift": dataclasses.replace(
         shifted("twisted-tshift", {1: ONE}), R=TWISTED.R),
 }
@@ -117,6 +132,46 @@ def test_bent_minkowski(name, cap):
 @pytest.mark.parametrize("seed", (31, 32, 33))
 def test_dense_random_minkowski(seed, cap):
     assert_matches_oracle(4, mink_relations(rand_instance(seed)), cap)
+
+
+PERFBENCH_INSTANCES = (pathlib.Path(__file__).resolve().parent.parent
+                       / "perfbench" / "instances.py")
+
+
+def perfbench_dense(seed, density):
+    """The benchmark's dense family: R, Z and T with the given share of
+    nonzero small real rationals, drawn by perfbench/instances.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_instances",
+                                                  PERFBENCH_INSTANCES)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    doc = gen.dense("dense%d" % seed, random.Random(seed), density)
+    return instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("seed", (11, 12))
+@pytest.mark.parametrize("density", (0.3, 0.5))
+def test_perfbench_dense_minkowski(density, seed):
+    q = assert_matches_oracle(4, mink_relations(perfbench_dense(seed,
+                                                                density)), 3)
+    assert q.dimension_profile() == [0, 0, 0, 0]
+
+
+# assert_matches_oracle checks the reduced tails too; these are the caps
+# where the oracle would take too long.
+TAIL_CASES = (
+    [("lorentz", 8, lorentz_relations(CLASSICAL), 5)]
+    + [("rand%d" % seed, 4, mink_relations(rand_instance(seed)), 4)
+       for seed in (31, 32, 33)]
+    + [("dense%s" % density, 4,
+        mink_relations(perfbench_dense(11, density)), cap)
+       for density in (0.3, 0.5) for cap in (4, 5)])
+
+
+@pytest.mark.parametrize("name, gens, relations, cap", TAIL_CASES,
+                         ids=["%s-%d" % (c[0], c[3]) for c in TAIL_CASES])
+def test_rule_tails_stay_reduced(name, gens, relations, cap):
+    assert_tails_reduced(build_quotient(gens, relations, cap))
 
 
 def test_seed_31_collapses_at_cap_3():

@@ -122,7 +122,7 @@ def test_neg_conj_and_plain_equality(x):
     s = Scalar(x.re, x.im)
     check(-s, Ref(-x.re, -x.im))
     check(s.conj(), Ref(x.re, -x.im))
-    assert s.is_real() == (x.im == 0)
+    assert (s.im == 0) == (x.im == 0)
     assert bool(s) == bool(x.re or x.im)
     assert (s == x.re) == (x.im == 0)
     assert (s == x.re.numerator) == (x.im == 0 and x.re.denominator == 1)
