@@ -1,13 +1,17 @@
-"""Time the quotient layer: the best CPU time of N in-process builds.
+"""Time the quotient and Mat inverse layers: the best CPU time of N
+in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
 
 The cases are the Minkowski quotient of the perfbench dense instances
 (``perfbench/instances.py``, seeds 11-13, entry density 0.3) at caps 3-5,
-named ``mink-dense<seed>-cap<c>``, and the classical Lorentz quotient at
-caps 2, 4, 5 and 6, named ``lorentz-cap<c>``.  The relations are computed
-once per case, outside the timing.  One JSON line goes to stdout: the
-Python version, N, and each case's seconds.  The package is imported from
+named ``mink-dense<seed>-cap<c>``, the classical Lorentz quotient at
+caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, and the inverse of the
+25x25 R_Q of the same dense instances at b = 1, named
+``rq-inverse-dense<seed>``, and of the classical instance at b = 0,
+``rq-inverse-classical``.  The relations and R_Q are computed once per
+case, outside the timing.  One JSON line goes to stdout: the Python
+version, N, and each case's seconds.  The package is imported from
 PYTHONPATH, so pointing it at another checkout's ``src`` times that
 checkout on the same cases.
 """
@@ -22,6 +26,8 @@ import random
 import sys
 import time
 
+from qminkowski.braiding import build_rq
+from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict
 from qminkowski.lorentz import lorentz_relations
 from qminkowski.minkowski import mink_relations
@@ -33,33 +39,43 @@ DENSE_SEEDS = (11, 12, 13)
 DENSE_DENSITY = 0.3     # perfbench's dense-random entry density
 
 
-def dense_relations(seed):
+def dense_instance(seed):
     spec = importlib.util.spec_from_file_location("perfbench_instances",
                                                   PERFBENCH)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     doc = gen.dense("dense%d" % seed, random.Random(seed), DENSE_DENSITY)
-    return mink_relations(instance_from_dict(doc))
+    return instance_from_dict(doc)
+
+
+def quotient(gens, relations, cap):
+    return lambda: TruncatedQuotient(gens, relations, cap)
 
 
 def cases():
-    """{name: (gens, relations thunk, cap)} in a fixed order."""
+    """{name: set-up} in a fixed order; a set-up returns the call to time."""
     out = {}
     for seed in DENSE_SEEDS:
         for cap in (3, 4, 5):
             out["mink-dense%d-cap%d" % (seed, cap)] = (
-                4, lambda seed=seed: dense_relations(seed), cap)
+                lambda seed=seed, cap=cap: quotient(
+                    4, mink_relations(dense_instance(seed)), cap))
     for cap in (2, 4, 5, 6):
-        out["lorentz-cap%d" % cap] = (
-            8, lambda: lorentz_relations(builtin("classical")), cap)
+        out["lorentz-cap%d" % cap] = lambda cap=cap: quotient(
+            8, lorentz_relations(builtin("classical")), cap)
+    for seed in DENSE_SEEDS:
+        out["rq-inverse-dense%d" % seed] = (
+            lambda seed=seed: build_rq(dense_instance(seed), ONE).inverse)
+    out["rq-inverse-classical"] = (
+        lambda: build_rq(builtin("classical"), ZERO).inverse)
     return out
 
 
-def best_build(gens, relations, cap, reps):
+def best_time(call, reps):
     times = []
     for _ in range(reps):
         start = time.process_time()
-        TruncatedQuotient(gens, relations, cap)
+        call()
         times.append(time.process_time() - start)
     return min(times)
 
@@ -75,9 +91,7 @@ def main(argv=None):
         ap.error("--reps must be at least 1")
     seconds = {}
     for name in args.case or known:
-        gens, relations, cap = known[name]
-        seconds[name] = round(best_build(gens, relations(), cap, args.reps),
-                              6)
+        seconds[name] = round(best_time(known[name](), args.reps), 6)
     print(json.dumps({"python": sys.version.split()[0], "reps": args.reps,
                       "cpu_s": seconds}))
     return 0

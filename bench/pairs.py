@@ -6,15 +6,16 @@
 Pair k runs both checkouts on seed k, the parent first on even k and the
 change first on odd k, each as ``perfbench/run.py --trace 0`` in its own
 directory, so both sides use their own benchmark code and source.  The
-run length is the parent's BENCHMARK.json ``run_seconds``.  One traced
-run per side (``--trace 1``) on the first seed follows the pairs.
-The output file gathers, per workload, this script's command line, the
-seeds, every run's result line and, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs
-the change won.  The machine, the Python, the parent's git commit and
-each side's ``report --builtin classical`` stdout sha256 are recorded
-once.  Runs are appended to an existing output file, one workload at a
-time.
+run length is the parent's BENCHMARK.json ``run_seconds``.  Traced runs
+(``--trace 1``) on the first three seeds follow the pairs, in the same
+alternating order.  The output file gathers, per workload, this script's
+command line, the seeds, every run's result line and, per end-to-end
+metric of BENCHMARK.json, each side's median and quartiles and the
+number of pairs the change won, and per per-layer metric each side's
+median and range over its traced runs.  The machine, the Python, the
+parent's git commit and each side's ``report --builtin classical``
+stdout sha256 are recorded once.  Runs are appended to an existing
+output file, one workload at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+TRACED_SEEDS = 3
 
 
 def run(checkout, workload, seed, seconds, trace):
@@ -91,6 +94,22 @@ def summarise(pairs, better):
     return out
 
 
+def layer_spread(runs, names):
+    """Per per-layer metric in names: the median, min and max over runs."""
+    out = {}
+    for name in names:
+        values = [r["metrics"][name]["value"] for r in runs]
+        out[name] = {"unit": runs[0]["metrics"][name]["unit"],
+                     "median": statistics.median(values),
+                     "min": min(values), "max": max(values)}
+    return out
+
+
+def sides_in_order(k):
+    """The parent first on even k, the change first on odd k."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def seed_range(text):
     """LO-HI, both included; quartiles take at least two seeds."""
     lo, _, hi = text.partition("-")
@@ -102,20 +121,22 @@ def seed_range(text):
     return seeds
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_range, required=True)
     ap.add_argument("--out", required=True)
-    args = ap.parse_args()
+    argv = sys.argv[1:] if argv is None else argv
+    args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["parent"], "BENCHMARK.json"),
               encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    layers = [m["name"] for m in bench["per_layer"]]
     seconds = bench["run_seconds"]
     doc = {}
     if os.path.exists(args.out):
@@ -126,21 +147,27 @@ def main():
     doc["report_sha256"] = {k: report_sha(v) for k, v in sides.items()}
     doc["run_command"] = ("perfbench/run.py --workload W --seed S "
                           "--seconds %g --trace 0 (pairs) or --trace 1 "
-                          "(traced, first seed)" % seconds)
+                          "(traced, first %d seeds)"
+                          % (seconds, TRACED_SEEDS))
     pairs = []
     for k, seed in enumerate(args.seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        order = sides_in_order(k)
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run(sides[side], args.workload, seed, seconds, 0)
         print(json.dumps(pair), flush=True)
         pairs.append(pair)
-    entry = {"argv": ["bench/pairs.py"] + sys.argv[1:],
+    traced = {side: [] for side in sides}
+    for k, seed in enumerate(args.seeds[:TRACED_SEEDS]):
+        for side in sides_in_order(k):
+            traced[side].append(run(sides[side], args.workload, seed,
+                                    seconds, 1))
+    entry = {"argv": ["bench/pairs.py"] + argv,
              "seeds": args.seeds, "pairs": pairs,
              "summary": summarise(pairs, better),
-             "traced": {side: run(path, args.workload, args.seeds[0],
-                                  seconds, 1)
-                        for side, path in sides.items()}}
+             "traced": {side: {"runs": runs,
+                               "layers": layer_spread(runs, layers)}
+                        for side, runs in traced.items()}}
     doc.setdefault("workloads", {})[args.workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -301,13 +301,20 @@ def star_cqt_check(ev: CqtEvaluator) -> bool:
 
 def ct_check(ev: CqtEvaluator) -> bool:
     """Cotriangularity on the vector corepresentation: the inverse of R_Q
-    equals its flip conjugate.  False when R_Q is singular."""
+    equals its flip conjugate.  False when R_Q is singular.
+
+    The flip conjugate is flip(5, 5) * R_Q * flip(5, 5), whose (i, j)
+    entry is R_Q[s(i), s(j)] for the pair swap s(5a + b) = 5b + a, so the
+    entries are compared directly, up to the first mismatch.
+    """
     try:
         inverse = ev.rq_inverse()
     except ConstraintError:
         return False
-    f = flip(5, 5)
-    return inverse == f * ev.rq * f
+    rq = ev.rq
+    swap = [5 * (k % 5) + k // 5 for k in range(25)]
+    return all(inverse[i, j] == rq[swap[i], swap[j]]
+               for i in range(25) for j in range(25))
 
 
 # --- R-matrices on the spinor generator pairs --------------------------------

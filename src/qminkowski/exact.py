@@ -8,6 +8,9 @@ assemble an entry list and hand it to ``Mat`` once.  ``Mat.nonzeros()``
 is the one sparse read: products, Kronecker products and every module
 that walks R, Z, T, the metric or a gamma matrix iterate its
 (row, col, value) triples instead of indexing and testing each entry.
+rank, det and inverse clear each row's denominators once and eliminate
+on plain ints, dividing exactly by an earlier pivot (fraction-free
+Gauss-Jordan), and build Scalars only for the entries they return.
 
 Tensor legs use a single fixed convention everywhere: the pair (i, j) with
 0 <= i < m, 0 <= j < n is flattened to n*i + j.  ``kron`` and ``flip``
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import ConstraintError, ParseError, ShapeError
 
@@ -275,6 +278,136 @@ def sqrt_q(q: Scalar) -> Scalar:
     return ONE if q == ONE else I
 
 
+def _integer_rows(data, nr, nc):
+    """The rows of a row-major Scalar list, each times the lcm of its
+    entries' denominators, as Gaussian integers: (real parts, imaginary
+    parts or None when every entry is real, the lcms)."""
+    real = not any([x.b for x in data])
+    re, im, scales = [], None if real else [], []
+    for i in range(nr):
+        row = data[i * nc:(i + 1) * nc]
+        m = lcm(*[x.d for x in row])
+        scales.append(m)
+        if m == 1:
+            re.append([x.a for x in row])
+        else:
+            re.append([x.a * (m // x.d) for x in row])
+        if not real:
+            im.append([x.b * (m // x.d) for x in row])
+    return re, im, scales
+
+
+def _gauss_jordan(re, im, scales, ncols):
+    """Fraction-free Gauss-Jordan elimination, in place, of the rows
+    re[r][k] + im[r][k]*i of Gaussian integers (im is None when all are
+    real), with pivots sought in columns 0..ncols-1.
+
+    A pivot a in column col turns every other row into
+    (a*row - c*pivot_row) / prev, where c is the row's entry in col and
+    prev the previous pivot (1 at first).  By Sylvester's identity every
+    entry then stays a minor of the input, so each division is exact
+    (Bareiss, Math. Comp. 22, 1968); a complex divisor divides through
+    its conjugate and its norm.  A row with c = 0 only scales by a/prev,
+    and those scalings telescope, so such a row is left as it is and
+    remembers in stamps the pivot it was last exact at: its next update
+    divides by that stamp instead of prev, and a pivot row catches up
+    first.  The pivot is the first nonzero entry at or below the next
+    pivot row, swapped up with its scale; the pivot row is zero left of
+    its pivot.  Returns (pivot columns, sign of the row swaps, last
+    pivot, stamps), pivots and stamps as (re, im); the reduced row r is
+    then its stored row divided by its stamp.
+    """
+    nr = len(re)
+    width = len(re[0]) if nr else 0
+    pivots = []
+    sign = 1
+    prev = (1, 0)
+    stamps = [prev] * nr
+    for col in range(ncols):
+        prow = len(pivots)
+        if prow == nr:
+            break
+        for hit in range(prow, nr):
+            if re[hit][col] or im is not None and im[hit][col]:
+                break
+        else:
+            continue
+        if hit != prow:
+            for rows in (re, im, scales, stamps):
+                if rows is not None:
+                    rows[prow], rows[hit] = rows[hit], rows[prow]
+            sign = -sign
+        pivots.append(col)
+        pr, pi = prev
+        sr, si = stamps[prow]
+        if im is None:
+            piv = re[prow]
+            nz = [k for k in range(col, width) if piv[k]]
+            if sr != pr:
+                for k in nz:
+                    piv[k] = piv[k] * pr // sr
+            a = piv[col]
+            for r in range(nr):
+                row = re[r]
+                c = row[col]
+                if not c or r == prow:
+                    continue
+                s = stamps[r][0]
+                if a == s:
+                    for k in nz:
+                        row[k] -= c * piv[k] // s
+                else:
+                    re[r] = [(a * x - c * y) // s for x, y in zip(row, piv)]
+                    stamps[r] = (a, 0)
+            prev = stamps[prow] = (a, 0)
+            continue
+        piv, ipiv = re[prow], im[prow]
+        nz = [k for k in range(col, width) if piv[k] or ipiv[k]]
+        if (sr, si) != prev:
+            # times prev / stamp: prev times the conjugate, over the norm
+            qr, qi, n = pr * sr + pi * si, pi * sr - pr * si, sr * sr + si * si
+            for k in nz:
+                x, y = piv[k], ipiv[k]
+                piv[k] = (qr * x - qi * y) // n
+                ipiv[k] = (qr * y + qi * x) // n
+        a = (piv[col], ipiv[col])
+        for r in range(nr):
+            row, irow = re[r], im[r]
+            cr, ci = row[col], irow[col]
+            if not (cr or ci) or r == prow:
+                continue
+            sr, si = stamps[r]
+            n = sr * sr + si * si
+            # c and a times the conjugate of the stamp
+            tr, ti = cr * sr + ci * si, ci * sr - cr * si
+            if a == stamps[r]:
+                for k in nz:
+                    yr, yi = piv[k], ipiv[k]
+                    row[k] -= (tr * yr - ti * yi) // n
+                    irow[k] -= (tr * yi + ti * yr) // n
+                continue
+            ur, ui = a[0] * sr + a[1] * si, a[1] * sr - a[0] * si
+            cols = list(zip(row, irow, piv, ipiv))
+            re[r] = [(ur * xr - ui * xi - tr * yr + ti * yi) // n
+                     for xr, xi, yr, yi in cols]
+            im[r] = [(ur * xi + ui * xr - tr * yi - ti * yr) // n
+                     for xr, xi, yr, yi in cols]
+            stamps[r] = a
+        prev = stamps[prow] = a
+    return pivots, sign, prev, stamps
+
+
+def _over(xs, ys, stamp):
+    """The Gaussian integers xs[k] + ys[k]*i (ys None: all real) divided
+    by stamp, given as (re, im), as Scalars."""
+    sr, si = stamp
+    if ys is None:
+        return [_reduce(x, 0, sr) if x else ZERO for x in xs]
+    norm = sr * sr + si * si
+    return [_reduce(x * sr + y * si, y * sr - x * si, norm) if x or y
+            else ZERO for x, y in zip(xs, ys)]
+
+
 class Mat:
     """Dense exact matrix with row-major entry list."""
 
@@ -364,11 +497,8 @@ class Mat:
         return Mat(self.rows, m, out)
 
     def nonzeros(self) -> list:
-        """The nonzero entries as (row, col, value), in row-major order.
-
-        Computed on each call: inverse writes into a Mat's data after
-        construction, so a cached list could go stale.
-        """
+        """The nonzero entries as (row, col, value), in row-major order,
+        computed on each call."""
         c = self.cols
         return [(k // c, k % c, x) for k, x in enumerate(self.data) if x]
 
@@ -392,49 +522,22 @@ class Mat:
         return not any(self.data)
 
     def _echelon(self):
-        """Row echelon by exact elimination; returns (rows, pivot count, det).
+        """Reduced row echelon form by fraction-free elimination; returns
+        (rows, pivot count, det).
 
         det is only meaningful for square input (zero when rank deficient).
         """
-        work = [self.row(i) for i in range(self.rows)]
-        nc = self.cols
-        det = ONE
-        prow = 0
-        for col in range(nc):
-            if prow >= len(work):
-                break
-            hit = None
-            for r in range(prow, len(work)):
-                if work[r][col]:
-                    hit = r
-                    break
-            if hit is None:
-                det = ZERO
-                continue
-            if hit != prow:
-                work[prow], work[hit] = work[hit], work[prow]
-                det = -det
-            pivot_row = work[prow]
-            pv = pivot_row[col]
-            det = det * pv
-            inv = ONE / pv
-            # The pivot row is zero left of col, so scaling and eliminating
-            # touch only its nonzero columns from col on.
-            nz = [k for k in range(col, nc) if pivot_row[k]]
-            for k in nz:
-                pivot_row[k] = inv * pivot_row[k]
-            for r in range(len(work)):
-                if r == prow:
-                    continue
-                row = work[r]
-                c = row[col]
-                if c:
-                    for k in nz:
-                        row[k] = row[k] - c * pivot_row[k]
-            prow += 1
-        if prow < min(self.rows, self.cols):
-            det = ZERO
-        return work, prow, det
+        nr, nc = self.rows, self.cols
+        re, im, scales = _integer_rows(self.data, nr, nc)
+        pivots, sign, (pr, pi), stamps = _gauss_jordan(re, im, scales, nc)
+        rank = len(pivots)
+        rows = [_over(re[r], None if im is None else im[r], stamps[r])
+                for r in range(rank)]
+        rows.extend([ZERO] * nc for _ in range(rank, nr))
+        det = ZERO
+        if pivots == list(range(min(nr, nc))):
+            det = _reduce(sign * pr, sign * pi, prod(scales[:rank]))
+        return rows, rank, det
 
     def rank(self) -> int:
         return self._echelon()[1]
@@ -448,22 +551,21 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        aug = Mat(n, 2 * n, [ZERO] * (2 * n * n))
-        for i in range(n):
-            aug.data[2 * n * i:2 * n * i + n] = self.row(i)
-            aug.data[2 * n * i + n + i] = ONE
-        work, piv, _ = aug._echelon()
-        # piv counts pivots across the augmented columns too, so a rank
-        # deficient left block can still report n pivots; demand that the
-        # left block actually reduced to the identity.
-        singular = piv < n or any(
-            work[i][j] != (ONE if i == j else ZERO)
-            for i in range(n) for j in range(n))
-        if singular:
+        re, im, scales = _integer_rows(self.data, n, n)
+        # [self | 1] with each row already times its scale
+        for i, m in enumerate(scales):
+            unit = [0] * n
+            unit[i] = m
+            re[i].extend(unit)
+            if im is not None:
+                im[i].extend([0] * n)
+        pivots, _, _, stamps = _gauss_jordan(re, im, scales, n)
+        if len(pivots) < n:
             raise ArithmeticError("matrix is singular")
         out = []
         for i in range(n):
-            out.extend(work[i][n:])
+            out.extend(_over(re[i][n:], None if im is None else im[i][n:],
+                             stamps[i]))
         return Mat(n, n, out)
 
     def __repr__(self):

@@ -16,17 +16,26 @@ def layers():
     return mod
 
 
-def test_one_rep_of_one_case(capsys):
-    assert layers().main(["--reps", "1", "--case", "mink-dense11-cap3"]) == 0
+def one_rep(capsys, case):
+    assert layers().main(["--reps", "1", "--case", case]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["reps"] == 1
-    assert list(doc["cpu_s"]) == ["mink-dense11-cap3"]
-    assert doc["cpu_s"]["mink-dense11-cap3"] > 0
+    assert list(doc["cpu_s"]) == [case]
+    assert doc["cpu_s"][case] > 0
+
+
+def test_one_rep_of_one_case(capsys):
+    one_rep(capsys, "mink-dense11-cap3")
+
+
+def test_one_rep_of_an_inverse_case(capsys):
+    one_rep(capsys, "rq-inverse-dense11")
 
 
 def test_cases_and_reps_are_checked(capsys):
     mod = layers()
-    assert {"mink-dense13-cap5", "lorentz-cap6"} <= set(mod.cases())
+    assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
+            "rq-inverse-classical"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

@@ -1,5 +1,8 @@
-"""bench/pairs.py refuses a seed range it could not summarise."""
+"""bench/pairs.py refuses a seed range it could not summarise, and
+summarises each per-layer metric over several traced runs per side."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +20,53 @@ def test_fewer_than_two_seeds_is_a_usage_error(tmp_path):
         assert proc.returncode == 2
         assert "quartiles need at least 2" in proc.stderr
         assert not out.exists()
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_runs_give_each_layer_a_median_and_range(tmp_path,
+                                                         monkeypatch):
+    mod = load_pairs()
+    root = Path(__file__).resolve().parent.parent
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    (sides["parent"] / "BENCHMARK.json").write_text(json.dumps(bench))
+    names = ([m["name"] for m in bench["end_to_end"]]
+             + [m["name"] for m in bench["per_layer"]])
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = Path(checkout).name
+        calls.append((side, seed, trace))
+        # the change reads 1 lower; the value grows with the seed
+        value = seed - 100 - (side == "change")
+        return {"metrics": {n: {"unit": "s", "value": value}
+                            for n in names}}
+
+    monkeypatch.setattr(mod, "run", fake_run)
+    monkeypatch.setattr(mod, "commit", lambda checkout: None)
+    monkeypatch.setattr(mod, "report_sha", lambda checkout: "0")
+    out = tmp_path / "out.json"
+    assert mod.main(["--parent", str(sides["parent"]),
+                     "--change", str(sides["change"]),
+                     "--workload", "dense-random", "--seeds", "101-105",
+                     "--out", str(out)]) == 0
+    traced_calls = [c[:2] for c in calls if c[2] == 1]
+    assert traced_calls == [("parent", 101), ("change", 101),
+                            ("change", 102), ("parent", 102),
+                            ("parent", 103), ("change", 103)]
+    assert sum(c[2] == 0 for c in calls) == 10
+    entry = json.loads(out.read_text())["workloads"]["dense-random"]
+    for side, low in (("parent", 1), ("change", 0)):
+        assert len(entry["traced"][side]["runs"]) == 3
+        layers = entry["traced"][side]["layers"]
+        assert set(layers) == {m["name"] for m in bench["per_layer"]}
+        assert layers["exact.echelon_s"] == {
+            "unit": "s", "median": low + 1, "min": low, "max": low + 2}

@@ -24,6 +24,8 @@ from qminkowski.instance import builtin
 from qminkowski.lorentz import make_lorentz, w_id, wbar_id
 from qminkowski.qalgebra import NCPoly
 
+from test_quotient_oracle import perfbench_dense, perfbench_instance
+
 
 def ev_for(b):
     return make_evaluator(builtin("classical"), b=b)
@@ -324,6 +326,60 @@ def test_cotriangularity(b, want):
     ev = ev_for(b)
     assert ct_check(ev) is want
     assert ev.is_cotriangular() is want
+
+
+def ct_product_oracle(ev):
+    """ct_check as two products: the inverse of R_Q against
+    flip(5, 5) * R_Q * flip(5, 5)."""
+    try:
+        inverse = ev.rq_inverse()
+    except ConstraintError:
+        return False
+    f = flip(5, 5)
+    return inverse == f * ev.rq * f
+
+
+@pytest.mark.parametrize("inst", [
+    builtin("classical"),
+    perfbench_instance("imag_shift", 1, 2, False),
+    perfbench_instance("imag_shift", 2, 3, True),
+    perfbench_instance("complex_shift", 1, 2, True),
+    perfbench_instance("complex_shift", 2, 3, False),
+    perfbench_instance("zbent", 1, False),
+    perfbench_instance("zbent", 2, True),
+    perfbench_dense(11, 0.3),
+    perfbench_dense(12, 0.3),
+    perfbench_dense(11, 0.1),       # singular R_Q at b = 1
+], ids=lambda inst: inst.name)
+def test_ct_check_matches_the_product_form(inst):
+    for b in (ZERO, ONE, -ONE, I, Scalar(Fraction(-1, 2))):
+        ev = make_evaluator(inst, b=b)
+        assert ct_check(ev) is ct_product_oracle(ev)
+
+
+def test_ct_check_on_cotriangular_tables_away_from_the_flip():
+    # R_Q = A * flip is cotriangular exactly when A is an involution; take
+    # A = S D S^-1 with D = diag(+-1), then break one entry.
+    rng = random.Random(47)
+    f = flip(5, 5)
+    seen = {True: 0, False: 0}
+    for _ in range(8):
+        s = Mat(25, 25, [ONE if i == j else Scalar(rng.choice((0, 0, 1, -1)),
+                                                   rng.choice((0, 0, 1)))
+                         if i < j else ZERO
+                         for i in range(25) for j in range(25)])
+        d = Mat(25, 25, [rng.choice((ONE, -ONE)) if i == j else ZERO
+                         for i in range(25) for j in range(25)])
+        rq = s * d * s.inverse() * f
+        k = rng.randrange(625)
+        broken = Mat(25, 25, [x + ONE if j == k else x
+                              for j, x in enumerate(rq.data)])
+        for m in (rq, broken):
+            ev = CqtEvaluator(m)
+            want = ct_product_oracle(ev)
+            seen[want] += 1
+            assert ct_check(ev) is want
+    assert seen == {True: 8, False: 8}
 
 
 def test_singular_rq_is_not_cotriangular(monkeypatch):

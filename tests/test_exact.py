@@ -2,7 +2,8 @@
 
 Matrix products, Kronecker products and the structural constants are
 cross-checked against naive index-loop oracles so that layout bugs in the
-fast paths cannot hide.
+fast paths cannot hide.  The fraction-free elimination behind rank, det
+and inverse is compared with the Scalar Gauss-Jordan loop it replaced.
 """
 
 import itertools
@@ -10,12 +11,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qminkowski.braiding import build_rq
 from qminkowski.errors import ConstraintError, ParseError, ShapeError
 from qminkowski.exact import (
     I, Mat, ONE, Scalar, ZERO, flip, kron, parse_scalar, pauli, sqrt_q,
     v_inverse, v_matrix,
 )
+from qminkowski.instance import builtin
+
+from test_quotient_oracle import perfbench_dense
 
 
 def rand_scalar(rng, span=6):
@@ -251,8 +257,9 @@ def rank_oracle(m):
 
 
 def test_sparse_elimination_against_oracles():
-    # Sparse input is where the elimination skips the pivot row's zeros;
-    # the dense rand_mat above almost never has a zero entry.
+    # Sparse input is where the elimination leaves a row with a zero in
+    # the pivot column as it is and skips the pivot row's zeros; the
+    # dense rand_mat above almost never has a zero entry.
     rng = random.Random(29)
     seen = dict.fromkeys(("singular", "invertible", "zero column",
                           "non-square"), 0)
@@ -282,6 +289,207 @@ def test_sparse_elimination_against_oracles():
         assert inv * m == Mat.identity(r)
         assert m * inv == Mat.identity(r)
     assert min(seen.values()) >= 10, seen
+
+
+def echelon_oracle(m):
+    """The Scalar Gauss-Jordan elimination Mat._echelon ran before it
+    went fraction-free: (reduced rows, pivot count, det), with det zero
+    once a column has no pivot or the rank is short."""
+    work = [m.row(i) for i in range(m.rows)]
+    nc = m.cols
+    det = ONE
+    prow = 0
+    for col in range(nc):
+        if prow >= len(work):
+            break
+        hit = None
+        for r in range(prow, len(work)):
+            if work[r][col]:
+                hit = r
+                break
+        if hit is None:
+            det = ZERO
+            continue
+        if hit != prow:
+            work[prow], work[hit] = work[hit], work[prow]
+            det = -det
+        pivot_row = work[prow]
+        pv = pivot_row[col]
+        det = det * pv
+        inv = ONE / pv
+        nz = [k for k in range(col, nc) if pivot_row[k]]
+        for k in nz:
+            pivot_row[k] = inv * pivot_row[k]
+        for r in range(len(work)):
+            if r == prow:
+                continue
+            row = work[r]
+            c = row[col]
+            if c:
+                for k in nz:
+                    row[k] = row[k] - c * pivot_row[k]
+        prow += 1
+    if prow < min(m.rows, m.cols):
+        det = ZERO
+    return work, prow, det
+
+
+def inverse_oracle(m):
+    """Eliminate [m | 1] with echelon_oracle; the right block, or
+    ArithmeticError unless the left block reduced to the identity."""
+    n = m.rows
+    aug = Mat.from_rows([m.row(i) + [ONE if j == i else ZERO
+                                     for j in range(n)] for i in range(n)])
+    work, piv, _ = echelon_oracle(aug)
+    if piv < n or any(work[i][j] != (ONE if i == j else ZERO)
+                      for i in range(n) for j in range(n)):
+        raise ArithmeticError("matrix is singular")
+    return Mat.from_rows([work[i][n:] for i in range(n)])
+
+
+def assert_elimination_matches_oracle(m):
+    """The whole _echelon triple, and inverse or its ArithmeticError."""
+    assert m._echelon() == echelon_oracle(m)
+    if m.rows != m.cols:
+        return
+    try:
+        want = inverse_oracle(m)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="matrix is singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+
+
+def rand_real_mat(rng, r, c, density=1.0):
+    return Mat.from_rows([[Scalar(Fraction(rng.randint(-6, 6),
+                                           rng.randint(1, 4)))
+                           if rng.random() < density else ZERO
+                           for _ in range(c)] for _ in range(r)])
+
+
+def rank_deficient(rng, r, c, make):
+    """make(r, c) with one row replaced by a multiple of another."""
+    m = make(r, c)
+    if r < 2:
+        return m
+    i, j = rng.sample(range(r), 2)
+    k = rand_scalar(rng)
+    rows = [m.row(t) for t in range(r)]
+    rows[i] = [k * x for x in rows[j]]
+    return Mat.from_rows(rows)
+
+
+def real_then_complex(rng, r, c):
+    """A real first column above complex columns: the first pivot is real
+    and the later ones complex."""
+    return Mat.from_rows([[Scalar(rand_scalar(rng).re) if j == 0
+                           else rand_scalar(rng) for j in range(c)]
+                          for _ in range(r)])
+
+
+def rand_small_int_mat(rng, r, c, real):
+    """Sparse, with entries from a handful of small Gaussian integers, so
+    that a pivot often repeats an earlier one: a row skipped by the steps
+    in between then meets a pivot equal to the one it was last exact at."""
+    values = (-2, -1, 1, 2, 3) if real else (
+        -1, 2, I, Scalar(1, 1), Scalar(-2, 1), Scalar(0, -2))
+    return Mat.from_rows([[rng.choice(values) if rng.random() < 0.35
+                           else ZERO for _ in range(c)] for _ in range(r)])
+
+
+def test_elimination_of_repeating_pivots():
+    # Pivots 2, 6, 2 (leading minors): row 0 skips the second step, then
+    # meets a pivot equal to the one it was last exact at, while the
+    # previous pivot is 6; and the same with 2 replaced by 2i and 1 + 2i.
+    # The last column is carried along.
+    for a in (Scalar(2), Scalar(0, 2), Scalar(1, 2)):
+        m = Mat.from_rows([[a, 0, 1, 1], [0, 3, 1, I], [0, 2, 1, 3]])
+        sq = Mat.from_rows([m.row(i)[:3] for i in range(3)])
+        assert sq.det() == a
+        assert_elimination_matches_oracle(m)
+        assert_elimination_matches_oracle(sq)
+    rng = random.Random(43)
+    for _ in range(300):
+        r, c = rng.randint(2, 6), rng.randint(2, 6)
+        assert_elimination_matches_oracle(
+            rand_small_int_mat(rng, r, c, rng.random() < 0.5))
+
+
+def test_elimination_against_scalar_oracle():
+    rng = random.Random(37)
+    makers = shaped_inputs(rng) + (
+        lambda r, c: rand_real_mat(rng, r, c),
+        lambda r, c: rand_real_mat(rng, r, c, density=0.3),
+        lambda r, c: real_then_complex(rng, r, c),
+        lambda r, c: rank_deficient(rng, r, c,
+                                    lambda r, c: rand_mat(rng, r, c)),
+        lambda r, c: rank_deficient(rng, r, c,
+                                    lambda r, c: rand_real_mat(rng, r, c)),
+        lambda r, c: rank_deficient(rng, r, c,
+                                    lambda r, c: rand_sparse_mat(rng, r, c)))
+    shapes = [(n, n) for n in range(1, 9)] + [
+        (1, 5), (5, 1), (2, 7), (7, 3), (4, 6), (8, 5), (3, 8)]
+    for r, c in shapes:
+        for make in makers:
+            for _ in range(2):
+                assert_elimination_matches_oracle(make(r, c))
+    for r, c in ((0, 0), (0, 3), (3, 0)):
+        assert_elimination_matches_oracle(Mat.zeros(r, c))
+
+
+def test_elimination_with_denominators_past_64_bits():
+    rng = random.Random(41)
+    for r, c, real in ((3, 3, True), (4, 4, False), (5, 5, True),
+                       (3, 4, False)):
+        def big():
+            re = Fraction(rng.randint(-2 ** 70, 2 ** 70),
+                          2 ** 64 + rng.randint(1, 2 ** 40))
+            im = 0 if real else Fraction(rng.randint(-9, 9),
+                                         2 ** 65 + rng.randint(1, 99))
+            return Scalar(re, im)
+
+        m = Mat.from_rows([[big() if rng.random() < 0.7 else ZERO
+                            for _ in range(c)] for _ in range(r)])
+        assert max(x.d for x in m.data) > 2 ** 64
+        assert_elimination_matches_oracle(m)
+        assert_elimination_matches_oracle(rank_deficient(
+            rng, r, c, lambda r, c: m))
+
+
+def _scalars(real):
+    nonzero = st.builds(
+        lambda a, d, b, e: Scalar(Fraction(a, d), 0 if real
+                                  else Fraction(b, e)),
+        st.integers(-5, 5), st.integers(1, 6),
+        st.integers(-3, 3), st.integers(1, 4))
+    return st.one_of(st.just(ZERO), nonzero)
+
+
+@st.composite
+def gaussian_mats(draw):
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = _scalars(draw(st.booleans()))
+    return Mat(r, c, draw(st.lists(entries, min_size=r * c,
+                                   max_size=r * c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_mats())
+def test_elimination_property(m):
+    assert_elimination_matches_oracle(m)
+
+
+@pytest.mark.parametrize("seed", (11, 12, 13))
+@pytest.mark.parametrize("b", [ONE, I], ids=["b=1", "b=i"])
+def test_elimination_of_dense_rq(seed, b):
+    assert_elimination_matches_oracle(build_rq(perfbench_dense(seed, 0.3), b))
+
+
+@pytest.mark.parametrize("b", [ZERO, ONE, I, Scalar(Fraction(-1, 2))],
+                         ids=["b=0", "b=1", "b=i", "b=-1/2"])
+def test_elimination_of_classical_rq(b):
+    assert_elimination_matches_oracle(build_rq(builtin("classical"), b))
 
 
 # --- kron and flip -------------------------------------------------------------

@@ -138,15 +138,22 @@ PERFBENCH_INSTANCES = (pathlib.Path(__file__).resolve().parent.parent
                        / "perfbench" / "instances.py")
 
 
-def perfbench_dense(seed, density):
-    """The benchmark's dense family: R, Z and T with the given share of
-    nonzero small real rationals, drawn by perfbench/instances.py."""
+def perfbench_instance(kind, seed, *args):
+    """The instance that perfbench/instances.py's generator kind (dense,
+    imag_shift, complex_shift, zbent) draws from seed and args."""
     spec = importlib.util.spec_from_file_location("perfbench_instances",
                                                   PERFBENCH_INSTANCES)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    doc = gen.dense("dense%d" % seed, random.Random(seed), density)
+    doc = getattr(gen, kind)("%s%d" % (kind, seed), random.Random(seed),
+                             *args)
     return instance_from_dict(doc)
+
+
+def perfbench_dense(seed, density):
+    """The benchmark's dense family: R, Z and T with the given share of
+    nonzero small real rationals."""
+    return perfbench_instance("dense", seed, density)
 
 
 @pytest.mark.parametrize("seed", (11, 12))
