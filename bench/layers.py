@@ -1,19 +1,23 @@
-"""Time the quotient and Mat inverse layers: the best CPU time of N
-in-process runs.
+"""Time the quotient, Mat inverse and calculus layers: the best CPU time
+of N in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
 
 The cases are the Minkowski quotient of the perfbench dense instances
 (``perfbench/instances.py``, seeds 11-13, entry density 0.3) at caps 3-5,
 named ``mink-dense<seed>-cap<c>``, the classical Lorentz quotient at
-caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, and the inverse of the
-25x25 R_Q of the same dense instances at b = 1, named
+caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, the inverse of the 25x25
+R_Q of the same dense instances at b = 1, named
 ``rq-inverse-dense<seed>``, and of the classical instance at b = 0,
-``rq-inverse-classical``.  The relations and R_Q are computed once per
-case, outside the timing.  One JSON line goes to stdout: the Python
-version, N, and each case's seconds.  The package is imported from
-PYTHONPATH, so pointing it at another checkout's ``src`` times that
-checkout on the same cases.
+``rq-inverse-classical``, a fresh classical FirstOrderCalculus at cap 5
+and its four identity checks, ``calculus-classical-deg5``, and
+check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
+whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``.
+Each case has a set-up that runs, untimed, before every rep and returns
+the call to time, so no rep reads what an earlier one memoised.  One
+JSON line goes to stdout: the Python version, N, and each case's
+seconds.  The package is imported from PYTHONPATH, so pointing it at
+another checkout's ``src`` times that checkout on the same cases.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 import time
 
 from qminkowski.braiding import build_rq
+from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict
 from qminkowski.lorentz import lorentz_relations
@@ -37,15 +42,44 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench", "instances.py")
 DENSE_SEEDS = (11, 12, 13)
 DENSE_DENSITY = 0.3     # perfbench's dense-random entry density
+IMAG_SEED = 5
 
 
-def dense_instance(seed):
+def perfbench_instances():
     spec = importlib.util.spec_from_file_location("perfbench_instances",
                                                   PERFBENCH)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    doc = gen.dense("dense%d" % seed, random.Random(seed), DENSE_DENSITY)
+    return gen
+
+
+def dense_instance(seed):
+    doc = perfbench_instances().dense("dense%d" % seed, random.Random(seed),
+                                      DENSE_DENSITY)
     return instance_from_dict(doc)
+
+
+def imag_instance():
+    """Two imaginary central shifts with fractional values."""
+    doc = perfbench_instances().imag_shift("imag", random.Random(IMAG_SEED),
+                                           2, True)
+    return instance_from_dict(doc)
+
+
+def calculus_checks(inst, cap):
+    def call():
+        calc = FirstOrderCalculus(inst, cap)
+        for check in (calc.check_differential_consistency,
+                      calc.check_leibniz, calc.check_partial_exchange,
+                      calc.check_box_commutes):
+            check(cap)
+    return call
+
+
+def leibniz_after_differential(inst, cap):
+    calc = FirstOrderCalculus(inst, cap)
+    calc.check_differential_consistency(cap)
+    return lambda: calc.check_leibniz(cap)
 
 
 def quotient(gens, relations, cap):
@@ -53,7 +87,8 @@ def quotient(gens, relations, cap):
 
 
 def cases():
-    """{name: set-up} in a fixed order; a set-up returns the call to time."""
+    """{name: set-up} in a fixed order; a set-up returns the call to time
+    and runs again before every rep."""
     out = {}
     for seed in DENSE_SEEDS:
         for cap in (3, 4, 5):
@@ -68,12 +103,17 @@ def cases():
             lambda seed=seed: build_rq(dense_instance(seed), ONE).inverse)
     out["rq-inverse-classical"] = (
         lambda: build_rq(builtin("classical"), ZERO).inverse)
+    out["calculus-classical-deg5"] = (
+        lambda: calculus_checks(builtin("classical"), 5))
+    out["leibniz-imag-deg5"] = (
+        lambda: leibniz_after_differential(imag_instance(), 5))
     return out
 
 
-def best_time(call, reps):
+def best_time(setup, reps):
     times = []
     for _ in range(reps):
+        call = setup()
         start = time.process_time()
         call()
         times.append(time.process_time() - start)
@@ -91,7 +131,7 @@ def main(argv=None):
         ap.error("--reps must be at least 1")
     seconds = {}
     for name in args.case or known:
-        seconds[name] = round(best_time(known[name](), args.reps), 6)
+        seconds[name] = round(best_time(known[name], args.reps), 6)
     print(json.dumps({"python": sys.version.split()[0], "reps": args.reps,
                       "cpu_s": seconds}))
     return 0

@@ -20,17 +20,21 @@ and Z entry by entry.
 
 What is memoised, and where: a FirstOrderCalculus builds its own quotient
 .alg from its instance and owns four memos that live and die with it, all
-of normal forms: d of each word, partial_i of each word, the image
-x_i (dx_j w) of each (i, j, w), from which left_mul_gen builds x_i acting
-on any one-form by linearity, and the wave operator of each word, from
-which box builds it on any polynomial.  left_mul is the unmemoised path
-(one left_mul_gen per letter) and stays the reference.
+of normal forms: d of each word (a Form1), partial_i of each word, the
+image x_i (dx_j w) of each (i, j, w) as (k, term dict) pairs for its
+nonzero coordinates k, from which _x_act builds x_i acting on any
+one-form by linearity, and the wave operator of each word, from which
+box builds it on any polynomial.  left_mul is the unmemoised path (one
+left_mul_gen per letter) and stays the reference.  The hot paths work
+on plain term dicts and sum through qalgebra.accumulate, so no NCPoly
+or Form1 is copied per term.
 check_leibniz keeps, for one word b at a time, a table by word a of
-E_b(a) = d(ab) - a d(b), filled by the recursion of d: E_b(()) = 0 and
-E_b(h a') = x_h E_b(a') + dx_h (a' b).  The Leibniz rule at (a, b) is
-then E_b(a) = d(a) b, so neither d(ab) nor a d(b) is built; the table
-is dropped after each b.  second_partials (unmemoised) tables the
-sixteen second partials of a word, for both sides of
+E_b(a) = d(ab) - a d(b) as four term dicts, filled by the recursion of
+d: E_b(()) = 0 and E_b(h a') = x_h E_b(a') + dx_h nf(a' b), reading
+nf(a' b) from the quotient's word normal forms.  The Leibniz rule at
+(a, b) is then E_b(a) = d(a) b, so neither d(ab) nor a d(b) is built;
+the table is dropped after each b.  second_partials (unmemoised) tables
+the sixteen second partials of a word, for both sides of
 check_partial_exchange and for dirac.dirac_square_check.  Nothing is
 cached at module level.
 
@@ -47,7 +51,7 @@ from .dirac import metric
 from .errors import CalculusObstruction
 from .exact import Mat, ONE, Scalar, ZERO, kron
 from .minkowski import make_minkowski
-from .qalgebra import NCPoly, accumulate
+from .qalgebra import NCPoly, _poly, accumulate
 
 __all__ = [
     "f_tilde", "Form1", "FirstOrderCalculus", "make_calculus",
@@ -130,6 +134,12 @@ class Form1:
         return all(p.is_zero() for p in self.coords)
 
 
+def _form1(terms) -> Form1:
+    """The one-form whose coordinates are the four term dicts terms, which
+    hold no zero coefficient; the dicts are kept, not copied."""
+    return Form1(tuple(map(_poly, terms)))
+
+
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one instance.
 
@@ -146,6 +156,7 @@ class FirstOrderCalculus:
         self._act_memo = {}
         self._box_memo = {}
         self.g = metric(inst)
+        self._g_terms = self.g.nonzeros()
         self._exchange = [[] for _ in range(16)]
         for row, col, c in inst.R.nonzeros():
             k, l = divmod(col, 4)
@@ -156,26 +167,35 @@ class FirstOrderCalculus:
     # -- bimodule structure ------------------------------------------------
 
     def _act(self, i: int, j: int, w) -> tuple:
-        """The four coordinates of x_i (dx_j w), memoised per (i, j, w)."""
+        """x_i (dx_j w) as a (k, terms) pair for each nonzero coordinate k,
+        memoised per (i, j, w)."""
         key = (i, j, w)
         hit = self._act_memo.get(key)
         if hit is None:
             terms = ({}, {}, {}, {})
             for k, u, c in self._exchange[4 * i + j]:
                 terms[k][u + w] = c
-            nf = self.alg.normal_form
-            hit = self._act_memo[key] = tuple(nf(NCPoly(t)) for t in terms)
+            images = (self.alg.normal_form(NCPoly(t)).terms if t else t
+                      for t in terms)
+            hit = self._act_memo[key] = tuple(
+                (k, img) for k, img in enumerate(images) if img)
         return hit
 
-    def left_mul_gen(self, i: int, form: Form1) -> Form1:
-        """x_i acting from the left on a one-form: the sum of c x_i (dx_j w)
-        over the terms c w of each coordinate j."""
+    def _x_act(self, i: int, coords) -> tuple:
+        """x_i acting from the left on the one-form whose coordinates are
+        the term dicts coords: the sum of c x_i (dx_j w) over the terms
+        c w of each coords[j], as four term dicts."""
         out = ({}, {}, {}, {})
-        for j, fj in enumerate(form.coords):
-            for w, c in fj.terms.items():
-                for acc, img in zip(out, self._act(i, j, w)):
-                    accumulate(acc, img.terms, c)
-        return Form1(tuple(NCPoly(t) for t in out))
+        act = self._act
+        for j, fj in enumerate(coords):
+            for w, c in fj.items():
+                for k, img in act(i, j, w):
+                    accumulate(out[k], img, c)
+        return out
+
+    def left_mul_gen(self, i: int, form: Form1) -> Form1:
+        """x_i acting from the left on a one-form."""
+        return _form1(self._x_act(i, [p.terms for p in form.coords]))
 
     def left_mul(self, p: NCPoly, form: Form1) -> Form1:
         out = Form1.zero()
@@ -192,31 +212,41 @@ class FirstOrderCalculus:
 
     # -- differential and partials -----------------------------------------
 
-    def _d_word(self, w, memo=None, tail=()) -> Form1:
-        """d(w), memoised per word; with a tail and a memo of its own,
-        d(w + tail) - w d(tail) by the same recursion (check_leibniz)."""
-        if memo is None:
-            memo = self._d_memo
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        if not w:
-            out = Form1.zero()
-        else:
-            head, rest = w[0], w[1:]
-            out = self.left_mul_gen(head, self._d_word(rest, memo, tail))
-            coords = list(out.coords)
-            coords[head] = coords[head] + self.alg.normal_form(
-                NCPoly.from_word(rest + tail))
-            out = Form1(tuple(coords))
-        memo[w] = out
-        return out
+    def _d_word(self, w) -> Form1:
+        """d(w), memoised per word: d(h w') = x_h d(w') + dx_h w'."""
+        hit = self._d_memo.get(w)
+        if hit is None:
+            if w:
+                head, rest = w[0], w[1:]
+                out = self._x_act(head, [p.terms for p in
+                                         self._d_word(rest).coords])
+                accumulate(out[head], self.alg.word_normal_form(rest))
+                hit = _form1(out)
+            else:
+                hit = Form1.zero()
+            self._d_memo[w] = hit
+        return hit
+
+    def _leibniz_e(self, table, a, b) -> tuple:
+        """E_b(a) = d(ab) - a d(b) as four term dicts, memoised in table by
+        a: E_b(()) = 0 and E_b(h a') = x_h E_b(a') + dx_h nf(a' b)."""
+        hit = table.get(a)
+        if hit is None:
+            if a:
+                head, rest = a[0], a[1:]
+                hit = self._x_act(head, self._leibniz_e(table, rest, b))
+                accumulate(hit[head], self.alg.word_normal_form(rest + b))
+            else:
+                hit = ({}, {}, {}, {})
+            table[a] = hit
+        return hit
 
     def differential(self, p: NCPoly) -> Form1:
-        out = Form1.zero()
+        out = ({}, {}, {}, {})
         for w, c in p.terms.items():
-            out = out + self._d_word(w).scale(c)
-        return out
+            for acc, q in zip(out, self._d_word(w).coords):
+                accumulate(acc, q.terms, c)
+        return _form1(out)
 
     def _p_word(self, i: int, w) -> NCPoly:
         memo = self._p_memo
@@ -234,15 +264,15 @@ class FirstOrderCalculus:
                 for target, u, c in self._exchange[4 * k + l]:
                     if target == i:
                         accumulate(acc, {u + v: x for v, x in dl.items()}, c)
-            out = self.alg.normal_form(NCPoly(acc))
+            out = self.alg.normal_form(_poly(acc))
         memo[key] = out
         return out
 
     def partial(self, i: int, p: NCPoly) -> NCPoly:
-        out = NCPoly.zero()
+        out = {}
         for w, c in p.terms.items():
-            out = out + self._p_word(i, w).scale(c)
-        return out
+            accumulate(out, self._p_word(i, w).terms, c)
+        return _poly(out)
 
     # -- second-order operators ---------------------------------------------
 
@@ -251,9 +281,9 @@ class FirstOrderCalculus:
         hit = memo.get(w)
         if hit is None:
             out = {}
-            for i, j, c in self.g.nonzeros():
+            for i, j, c in self._g_terms:
                 accumulate(out, self.partial(j, self._p_word(i, w)).terms, c)
-            hit = memo[w] = NCPoly(out)
+            hit = memo[w] = _poly(out)
         return hit
 
     def box(self, p: NCPoly) -> NCPoly:
@@ -261,7 +291,7 @@ class FirstOrderCalculus:
         out = {}
         for w, c in p.terms.items():
             accumulate(out, self._box_word(w).terms, c)
-        return NCPoly(out)
+        return _poly(out)
 
     def momentum(self, k: int, p: NCPoly) -> NCPoly:
         return self.partial(k, p).scale(Scalar(0, 1))
@@ -290,16 +320,17 @@ class FirstOrderCalculus:
         words = list(self.alg.basis_upto(n))     # ascending degree
         word_nf = self.alg.word_normal_form
         for b in words:
-            table = {} if b else None       # E_() is d itself
+            table = {}
             for a in words:
                 if len(a) + len(b) > n:
                     break
-                e_b = self._d_word(a, table, b)
-                for i, da in enumerate(self._d_word(a).coords):
+                da = [p.terms for p in self._d_word(a).coords]
+                e_b = self._leibniz_e(table, a, b) if b else da  # E_() = d
+                for i, dai in enumerate(da):
                     rhs = {}
-                    for w, c in da.terms.items():
+                    for w, c in dai.items():
                         accumulate(rhs, word_nf(w + b), c)
-                    if e_b.coords[i].terms != rhs:
+                    if e_b[i] != rhs:
                         return "a=%s, b=%s, i=%d" % (a, b, i)
         return None
 

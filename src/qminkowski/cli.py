@@ -10,12 +10,14 @@ run passes, 1 when it fails, 2 on input problems.  Output contains no
 timestamps or timings, so identical inputs produce identical bytes.
 
 One run_suites call owns a _RunCache, which dies with the call (nothing
-is cached at module level): the suites of a report take from it one
-calculus per cap (or the CalculusObstruction it raised), one Minkowski
-quotient per cap and one pairing evaluator, since b is fixed per run.
-Each is built through its module attribute (calculus.make_calculus,
-minkowski.make_minkowski, braiding.make_evaluator), so a tracer that
-wraps those names sees every build.
+computed from an instance is cached at module level): the suites of a
+report take from it one calculus per cap (or the CalculusObstruction it
+raised), one Minkowski quotient per cap and one pairing evaluator, since
+b is fixed per run.  Each is built through its module attribute
+(calculus.make_calculus, minkowski.make_minkowski,
+braiding.make_evaluator), so a tracer that wraps those names sees every
+build.  The argument parser is built on the first main call and reused
+by every later one in the process.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from . import braiding, calculus, dirac, fock, lorentz, minkowski
@@ -307,6 +310,7 @@ def _render(rep: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qminkowski",

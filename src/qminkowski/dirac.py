@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
-from .qalgebra import NCPoly, accumulate
+from .qalgebra import NCPoly, _poly, accumulate
 
 __all__ = [
     "metric", "GammaSet", "gamma",
@@ -88,16 +88,17 @@ def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
 def dirac_square(calc, prods, w) -> list:
     """D^2(e_a (x) w) for a = 0..3, each a list of its four components c.
 
-    prods[i][j] is gamma_i gamma_j, so the c component is the contraction
-    sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w).
+    prods[i][j] is the nonzeros of gamma_i gamma_j, so the c component is
+    the contraction sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w).
     """
     second = calc.second_partials(w)
     acc = [[{} for _ in range(4)] for _ in range(4)]
     for i in range(4):
         for j in range(4):
-            for c, a, k in prods[i][j].nonzeros():
-                accumulate(acc[a][c], second[j][i].terms, k)
-    return [[NCPoly(t) for t in comps] for comps in acc]
+            terms = second[j][i].terms
+            for c, a, k in prods[i][j]:
+                accumulate(acc[a][c], terms, k)
+    return [[_poly(t) for t in comps] for comps in acc]
 
 
 def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
@@ -106,7 +107,7 @@ def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
     None when it holds on every basis word up to degree n, otherwise the
     first counterexample as text, e.g. "w=(0, 1), a=2".
     """
-    prods = [[gi * gj for gj in gs.gammas] for gi in gs.gammas]
+    prods = [[(gi * gj).nonzeros() for gj in gs.gammas] for gi in gs.gammas]
     zero = NCPoly.zero()
     for w in calc.alg.basis_upto(n):
         boxed = calc.box(NCPoly.from_word(w))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import DegreeError
-from .exact import ONE, Scalar
+from .exact import ONE, Scalar, _coerce, _raw, _reduce
 
 __all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "accumulate"]
 
@@ -46,17 +46,35 @@ def accumulate(out: dict, terms: dict, c=None) -> dict:
 
     This is the one sparse accumulate of the package: polynomials, tensor
     slots, coactions and coproducts are all dicts from keys to nonzero
-    Scalars, and every sum of them goes through here.
+    Scalars, and every sum of them goes through here.  It is one fused
+    multiply-add on the (a, b, d) triples of exact.Scalar: c * v and the
+    stored value are combined as plain ints and one canonical Scalar is
+    built per stored key, with a gcd only when a denominator other than
+    1 takes part.  A Scalar c is read directly, an int or Fraction c
+    through exact._coerce.
     """
+    if c is None:
+        ca, cb, cd = 1, 0, 1
+    elif isinstance(c, Scalar):
+        ca, cb, cd = c.a, c.b, c.d
+    else:
+        ca, cb, cd = _coerce(c)
+    if not (ca or cb):
+        return out
     get = out.get
     for k, v in terms.items():
-        if c is not None:
-            v = c * v
+        x, y = v.a, v.b
+        a, b, d = ca * x - cb * y, ca * y + cb * x, cd * v.d
         s = get(k)
         if s is not None:
-            v = s + v
-        if v:
-            out[k] = v
+            e = s.d
+            if e == d:
+                a += s.a
+                b += s.b
+            else:
+                a, b, d = a * e + s.a * d, b * e + s.b * d, d * e
+        if a or b:
+            out[k] = _raw(a, b, 1) if d == 1 else _reduce(a, b, d)
         elif s is not None:
             del out[k]
     return out

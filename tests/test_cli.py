@@ -350,6 +350,41 @@ def test_entry_point_subprocess():
     assert b"overall: pass" in proc.stdout
 
 
+# Calls main once per argv in a fresh interpreter; prints [exit code,
+# stdout, stderr] for each call as one JSON list.
+MAIN_IN_SEQUENCE = """
+import contextlib, io, json, sys
+from qminkowski.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def main_in_one_process(argvs):
+    cmd = [sys.executable, "-c", MAIN_IN_SEQUENCE, json.dumps(argvs)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_parser_reuse_keeps_every_byte_and_exit_code():
+    # the parser is built on the first main call of a process and reused:
+    # help, a usage error and a run, one after another, give what each
+    # gives in a process of its own
+    argvs = [["--help"], ["validate", "--builtin", "classical", "--bogus"],
+             ["validate", "--builtin", "classical"]]
+    alone = [main_in_one_process([argv])[0] for argv in argvs]
+    assert main_in_one_process(argvs) == alone
+    assert [code for code, _, _ in alone] == [0, 2, 0]
+    assert alone[0][1].startswith("usage: qminkowski")
+    assert "unrecognized arguments: --bogus" in alone[1][2]
+    assert alone[2][1].endswith("overall: pass\n")
+
+
 def test_huge_witness_prints_without_traceback(tmp_path):
     # Z[(0,1),0] has 4,000 digits, so the obstruction witness has about
     # 8,000: more than str() gives an int by default

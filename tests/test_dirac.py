@@ -220,7 +220,8 @@ def test_dirac_square_matches_applying_twice(inst):
     # in the contraction shows as a value mismatch
     calc = make_calculus(inst, 4)
     for gs in [gamma(inst)] + [random_gammas(seed) for seed in (1, 2, 3)]:
-        prods = [[gi * gj for gj in gs.gammas] for gi in gs.gammas]
+        prods = [[(gi * gj).nonzeros() for gj in gs.gammas]
+                 for gi in gs.gammas]
         for w in calc.alg.basis_upto(4):
             square = dirac_square(calc, prods, w)
             for a in range(4):

@@ -5,6 +5,7 @@ must store only nonzero coefficients, and the ring laws must hold exactly.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -96,18 +97,49 @@ def test_ctensor_add_stores_no_zero(a, b):
     assert (s + t) - t == s
 
 
-@PROFILE
-@given(st.dictionaries(words, scalars, max_size=5),
-       st.dictionaries(words, scalars, max_size=5), scalars)
-def test_accumulate_matches_termwise_sum(out, terms, c):
-    want = {}
-    for k in set(out) | set(terms):
-        v = out.get(k, Scalar(0)) + c * terms.get(k, Scalar(0))
+def termwise(out, terms, c=None):
+    """out + c * terms term by term through the Scalar dunders: the loop
+    accumulate ran before its arithmetic was fused, kept as the oracle."""
+    out = dict(out)
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        s = out.get(k)
+        if s is not None:
+            v = s + v
         if v:
-            want[k] = v
-    got = accumulate({k: v for k, v in out.items() if v},
-                     {k: v for k, v in terms.items() if v}, c)
+            out[k] = v
+        elif s is not None:
+            del out[k]
+    return out
+
+
+def canonical(v):
+    return v.d > 0 and gcd(v.a, v.b, v.d) == 1 and (v.a or v.b)
+
+
+# Gaussian rationals with small and with over-64-bit denominators, on few
+# keys, so that sums meet often, cancel and reduce.
+big = st.integers(2 ** 64, 2 ** 66)
+denominators = st.one_of(st.integers(1, 4), big)
+numerators = st.one_of(st.integers(-4, 4), big, big.map(lambda n: -n))
+gauss = st.builds(Scalar.from_quad, numerators, denominators, numerators,
+                  denominators)
+coefficients = st.one_of(st.none(), st.integers(-3, 3),
+                         st.builds(Fraction, numerators, denominators), gauss)
+sums = st.dictionaries(st.integers(0, 4), gauss, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums, sums, coefficients)
+def test_accumulate_matches_termwise_sum(out, terms, c):
+    out = {k: v for k, v in out.items() if v}
+    want = termwise(out, terms, c)
+    got = accumulate(dict(out), terms, c)
     assert got == want
+    assert all(canonical(v) for v in got.values())
     assert accumulate(dict(got), {}) == got
     assert accumulate({}, terms, ONE) == {k: v for k, v in terms.items()
                                           if v}
+    back = {k: -v for k, v in terms.items()}
+    assert accumulate(accumulate({}, terms, c), back, c) == {}
