@@ -1,5 +1,5 @@
-"""Time the quotient, Mat inverse and calculus layers: the best CPU time
-of N in-process runs.
+"""Time the quotient, Mat inverse, calculus, Dirac and Lorentz layers: the
+best CPU time of N in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
 
@@ -12,7 +12,11 @@ R_Q of the same dense instances at b = 1, named
 ``rq-inverse-classical``, a fresh classical FirstOrderCalculus at cap 5
 and its four identity checks, ``calculus-classical-deg5``, and
 check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
-whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``.
+whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``,
+dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
+``dirac-square-classical-deg4``, and the classical lambda_invariance_check
+at degree 4, which builds its own Lorentz quotient,
+``lambda-invariance-classical``.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  One
 JSON line goes to stdout: the Python version, N, and each case's
@@ -32,9 +36,10 @@ import time
 
 from qminkowski.braiding import build_rq
 from qminkowski.calculus import FirstOrderCalculus
+from qminkowski.dirac import dirac_square_check, gamma, metric
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict
-from qminkowski.lorentz import lorentz_relations
+from qminkowski.lorentz import lambda_invariance_check, lorentz_relations
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import TruncatedQuotient
 
@@ -82,6 +87,17 @@ def leibniz_after_differential(inst, cap):
     return lambda: calc.check_leibniz(cap)
 
 
+def dirac_square(inst, cap):
+    calc = FirstOrderCalculus(inst, cap)
+    gs = gamma(inst)
+    return lambda: dirac_square_check(calc, gs, cap)
+
+
+def lambda_invariance(inst, cap):
+    g = metric(inst)
+    return lambda: lambda_invariance_check(inst, g, cap)
+
+
 def quotient(gens, relations, cap):
     return lambda: TruncatedQuotient(gens, relations, cap)
 
@@ -107,6 +123,10 @@ def cases():
         lambda: calculus_checks(builtin("classical"), 5))
     out["leibniz-imag-deg5"] = (
         lambda: leibniz_after_differential(imag_instance(), 5))
+    out["dirac-square-classical-deg4"] = (
+        lambda: dirac_square(builtin("classical"), 4))
+    out["lambda-invariance-classical"] = (
+        lambda: lambda_invariance(builtin("classical"), 4))
     return out
 
 

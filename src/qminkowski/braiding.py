@@ -28,10 +28,9 @@ from .instance import PoincareInstance
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
-    "lam_id", "y_id", "b_name", "p_entry_word",
-    "build_rq", "yang_baxter_check",
-    "delta_b", "counit_b",
-    "CqtEvaluator", "make_evaluator", "r_eval",
+    "lam_id", "y_id", "p_entry_word",
+    "build_rq", "yang_baxter_check", "counit_b",
+    "CqtEvaluator", "make_evaluator",
     "star_cqt_check", "ct_check",
     "LorentzRBlocks", "lorentz_r_blocks",
 ]
@@ -46,12 +45,6 @@ def lam_id(i: int, j: int) -> int:
 def y_id(i: int) -> int:
     """Generator id of the translation y_i, 16..19."""
     return 16 + i
-
-
-def b_name(g: int) -> str:
-    if g < 16:
-        return "L%d%d" % divmod(g, 4)
-    return "y%d" % (g - 16)
 
 
 def _p_pos(g: int):
@@ -185,14 +178,6 @@ def _delta_word(w):
     return pairs
 
 
-def delta_b(p: NCPoly):
-    """Coproduct of a symmetry-algebra polynomial as {(w1, w2): coeff}."""
-    out = {}
-    for w, c in p.terms.items():
-        accumulate(out, {(w1, w2): cc for w1, w2, cc in _delta_word(w)}, c)
-    return out
-
-
 def counit_b(p: NCPoly) -> Scalar:
     acc = ZERO
     for w, c in p.terms.items():
@@ -271,17 +256,6 @@ class CqtEvaluator:
 
 def make_evaluator(inst: PoincareInstance, b=0) -> CqtEvaluator:
     return CqtEvaluator(build_rq(inst, b))
-
-
-def r_eval(ev: CqtEvaluator, p: NCPoly, q: NCPoly) -> Scalar:
-    """Bilinear extension of the word pairing."""
-    acc = ZERO
-    for wu, cu in p.terms.items():
-        for wv, cv in q.terms.items():
-            s = ev.r_word(wu, wv)
-            if s:
-                acc = acc + cu * cv * s
-    return acc
 
 
 def star_cqt_check(ev: CqtEvaluator) -> bool:

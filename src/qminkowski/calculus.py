@@ -20,23 +20,24 @@ and Z entry by entry.
 
 What is memoised, and where: a FirstOrderCalculus builds its own quotient
 .alg from its instance and owns four memos that live and die with it, all
-of normal forms: d of each word (a Form1), partial_i of each word, the
-image x_i (dx_j w) of each (i, j, w) as (k, term dict) pairs for its
-nonzero coordinates k, from which _x_act builds x_i acting on any
-one-form by linearity, and the wave operator of each word, from which
-box builds it on any polynomial.  left_mul is the unmemoised path (one
-left_mul_gen per letter) and stays the reference.  The hot paths work
-on plain term dicts and sum through qalgebra.accumulate, so no NCPoly
-or Form1 is copied per term.
-check_leibniz keeps, for one word b at a time, a table by word a of
-E_b(a) = d(ab) - a d(b) as four term dicts, filled by the recursion of
-d: E_b(()) = 0 and E_b(h a') = x_h E_b(a') + dx_h nf(a' b), reading
-nf(a' b) from the quotient's word normal forms.  The Leibniz rule at
-(a, b) is then E_b(a) = d(a) b, so neither d(ab) nor a d(b) is built;
-the table is dropped after each b.  second_partials (unmemoised) tables
-the sixteen second partials of a word, for both sides of
-check_partial_exchange and for dirac.dirac_square_check.  Nothing is
-cached at module level.
+of normal forms held as plain term dicts with no zero coefficient:
+_d_memo holds d of each word as four term dicts (one per dx_k), _p_memo
+partial_i of each word by (i, w), _act_memo the image x_i (dx_j w) of each
+(i, j, w) as (k, term dict) pairs for its nonzero coordinates k, from
+which _x_act builds x_i acting on any one-form by linearity, and
+_second_memo the 4x4 table of second partials of each word.  Every sum
+goes through qalgebra.accumulate; an NCPoly or Form1 is built only where
+differential, partial, box and left_mul return.  d is the recursion
+E_b(a) = d(ab) - a d(b) at b = (): E_b(()) = 0 and E_b(h a') =
+x_h E_b(a') + dx_h nf(a' b), reading nf(a' b) from the quotient's word
+normal forms.  check_leibniz keeps such a table by word a for one word b
+at a time, and checks the Leibniz rule at (a, b) as E_b(a) = d(a) b, so
+neither d(ab) nor a d(b) is built; the table is dropped after each b.
+left_mul, which runs x_i letter by letter, is the reference for the left
+action.  The table of second partials, [i][j] = partial_j(partial_i(w)),
+is read by both sides of check_partial_exchange, by
+dirac.dirac_square_check, and by box, which contracts it with the metric,
+sum_ij g_ij [i][j].  Nothing is cached at module level.
 
 Each check_* method returns None when its identity holds on every basis
 word up to the given degree, and otherwise the first counterexample as
@@ -116,29 +117,6 @@ class Form1:
 
     coords: tuple
 
-    @staticmethod
-    def zero() -> "Form1":
-        z = NCPoly.zero()
-        return Form1((z, z, z, z))
-
-    def __add__(self, other):
-        return Form1(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Form1(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "Form1":
-        return Form1(tuple(p.scale(c) for p in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.coords)
-
-
-def _form1(terms) -> Form1:
-    """The one-form whose coordinates are the four term dicts terms, which
-    hold no zero coefficient; the dicts are kept, not copied."""
-    return Form1(tuple(map(_poly, terms)))
-
 
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one instance.
@@ -154,7 +132,7 @@ class FirstOrderCalculus:
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
-        self._box_memo = {}
+        self._second_memo = {}
         self.g = metric(inst)
         self._g_terms = self.g.nonzeros()
         self._exchange = [[] for _ in range(16)]
@@ -193,39 +171,19 @@ class FirstOrderCalculus:
                     accumulate(out[k], img, c)
         return out
 
-    def left_mul_gen(self, i: int, form: Form1) -> Form1:
-        """x_i acting from the left on a one-form."""
-        return _form1(self._x_act(i, [p.terms for p in form.coords]))
-
     def left_mul(self, p: NCPoly, form: Form1) -> Form1:
-        out = Form1.zero()
+        """p acting from the left on a one-form, one letter at a time from
+        the right end of each word."""
+        out = ({}, {}, {}, {})
         for w, c in p.terms.items():
-            f = form
+            f = [q.terms for q in form.coords]
             for g in reversed(w):
-                f = self.left_mul_gen(g, f)
-            out = out + f.scale(c)
-        return out
-
-    def right_mul(self, form: Form1, p: NCPoly) -> Form1:
-        nf = self.alg.normal_form
-        return Form1(tuple(nf(f * p) for f in form.coords))
+                f = self._x_act(g, f)
+            for acc, t in zip(out, f):
+                accumulate(acc, t, c)
+        return Form1(tuple(map(_poly, out)))
 
     # -- differential and partials -----------------------------------------
-
-    def _d_word(self, w) -> Form1:
-        """d(w), memoised per word: d(h w') = x_h d(w') + dx_h w'."""
-        hit = self._d_memo.get(w)
-        if hit is None:
-            if w:
-                head, rest = w[0], w[1:]
-                out = self._x_act(head, [p.terms for p in
-                                         self._d_word(rest).coords])
-                accumulate(out[head], self.alg.word_normal_form(rest))
-                hit = _form1(out)
-            else:
-                hit = Form1.zero()
-            self._d_memo[w] = hit
-        return hit
 
     def _leibniz_e(self, table, a, b) -> tuple:
         """E_b(a) = d(ab) - a d(b) as four term dicts, memoised in table by
@@ -241,56 +199,68 @@ class FirstOrderCalculus:
             table[a] = hit
         return hit
 
+    def _d_word(self, w) -> tuple:
+        """d(w) = E_()(w) as four term dicts, memoised per word."""
+        return self._leibniz_e(self._d_memo, w, ())
+
     def differential(self, p: NCPoly) -> Form1:
         out = ({}, {}, {}, {})
         for w, c in p.terms.items():
-            for acc, q in zip(out, self._d_word(w).coords):
-                accumulate(acc, q.terms, c)
-        return _form1(out)
+            for acc, t in zip(out, self._d_word(w)):
+                accumulate(acc, t, c)
+        return Form1(tuple(map(_poly, out)))
 
-    def _p_word(self, i: int, w) -> NCPoly:
+    def _p_word(self, i: int, w) -> dict:
+        """partial_i(w) as a term dict, memoised per (i, w)."""
         memo = self._p_memo
         key = (i, w)
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not w:
-            out = NCPoly.zero()
-        else:
-            k, rest = w[0], w[1:]
-            acc = {rest: ONE} if k == i else {}
-            for l in range(4):
-                dl = self._p_word(l, rest).terms
-                for target, u, c in self._exchange[4 * k + l]:
-                    if target == i:
-                        accumulate(acc, {u + v: x for v, x in dl.items()}, c)
-            out = self.alg.normal_form(_poly(acc))
-        memo[key] = out
+        if hit is None:
+            acc = {}
+            if w:
+                k, rest = w[0], w[1:]
+                if k == i:
+                    acc[rest] = ONE
+                for l in range(4):
+                    dl = self._p_word(l, rest)
+                    for target, u, c in self._exchange[4 * k + l]:
+                        if target == i:
+                            accumulate(acc, {u + v: x for v, x in dl.items()},
+                                       c)
+                acc = self.alg.normal_form(_poly(acc)).terms
+            hit = memo[key] = acc
+        return hit
+
+    def _p_terms(self, i: int, terms) -> dict:
+        """partial_i of the polynomial with the given terms, as terms."""
+        out = {}
+        for w, c in terms.items():
+            accumulate(out, self._p_word(i, w), c)
         return out
 
     def partial(self, i: int, p: NCPoly) -> NCPoly:
-        out = {}
-        for w, c in p.terms.items():
-            accumulate(out, self._p_word(i, w).terms, c)
-        return _poly(out)
+        return _poly(self._p_terms(i, p.terms))
 
     # -- second-order operators ---------------------------------------------
 
-    def _box_word(self, w) -> NCPoly:
-        memo = self._box_memo
-        hit = memo.get(w)
+    def second_partials(self, w) -> tuple:
+        """The sixteen second partials of the word w as a table of term
+        dicts, memoised per word: [i][j] is partial_j(partial_i(w))."""
+        hit = self._second_memo.get(w)
         if hit is None:
-            out = {}
-            for i, j, c in self._g_terms:
-                accumulate(out, self.partial(j, self._p_word(i, w)).terms, c)
-            hit = memo[w] = _poly(out)
+            hit = self._second_memo[w] = tuple(
+                tuple(self._p_terms(j, self._p_word(i, w)) for j in range(4))
+                for i in range(4))
         return hit
 
     def box(self, p: NCPoly) -> NCPoly:
-        """The wave operator sum_ij g_ij partial_j partial_i."""
+        """The wave operator sum_ij g_ij partial_j partial_i, contracted
+        from the second-partial table of each word."""
         out = {}
         for w, c in p.terms.items():
-            accumulate(out, self._box_word(w).terms, c)
+            second = self.second_partials(w)
+            for i, j, g in self._g_terms:
+                accumulate(out, second[i][j], c * g)
         return _poly(out)
 
     def momentum(self, k: int, p: NCPoly) -> NCPoly:
@@ -310,7 +280,7 @@ class FirstOrderCalculus:
         for w in self.alg.basis_upto(n):
             form = self._d_word(w)
             for i in range(4):
-                if form.coords[i] != self._p_word(i, w):
+                if form[i] != self._p_word(i, w):
                     return "w=%s, i=%d" % (w, i)
         return None
 
@@ -324,7 +294,7 @@ class FirstOrderCalculus:
             for a in words:
                 if len(a) + len(b) > n:
                     break
-                da = [p.terms for p in self._d_word(a).coords]
+                da = self._d_word(a)
                 e_b = self._leibniz_e(table, a, b) if b else da  # E_() = d
                 for i, dai in enumerate(da):
                     rhs = {}
@@ -333,12 +303,6 @@ class FirstOrderCalculus:
                     if e_b[i] != rhs:
                         return "a=%s, b=%s, i=%d" % (a, b, i)
         return None
-
-    def second_partials(self, w):
-        """The sixteen second partials of the basis word w as a table:
-        [i][j] is partial_j(partial_i(w)), in normal form."""
-        return [[self.partial(j, self._p_word(i, w)) for j in range(4)]
-                for i in range(4)]
 
     def _exchanged(self, second):
         """[k][l] is the terms of sum_ij R_{ij,kl} second[i][j].  The R
@@ -349,7 +313,7 @@ class FirstOrderCalculus:
             i, j = divmod(row, 4)
             for k, u, c in terms:
                 if u:
-                    accumulate(rhs[k][u[0]], second[i][j].terms, c)
+                    accumulate(rhs[k][u[0]], second[i][j], c)
         return rhs
 
     def check_partial_exchange(self, n: int) -> str | None:
@@ -359,7 +323,7 @@ class FirstOrderCalculus:
             rhs = self._exchanged(second)
             for k in range(4):
                 for l in range(4):
-                    if second[k][l].terms != rhs[k][l]:
+                    if second[k][l] != rhs[k][l]:
                         return "w=%s, k=%d, l=%d" % (w, k, l)
         return None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
-from .qalgebra import NCPoly, _poly, accumulate
+from .qalgebra import NCPoly, accumulate
 
 __all__ = [
     "metric", "GammaSet", "gamma",
@@ -86,19 +86,21 @@ def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
 
 
 def dirac_square(calc, prods, w) -> list:
-    """D^2(e_a (x) w) for a = 0..3, each a list of its four components c.
+    """D^2(e_a (x) w) for a = 0..3, each a list of its four components c
+    as term dicts.
 
     prods[i][j] is the nonzeros of gamma_i gamma_j, so the c component is
-    the contraction sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w).
+    the contraction sum_ij (gamma_i gamma_j)[c, a] partial_i(partial_j w),
+    read from calc.second_partials(w).
     """
     second = calc.second_partials(w)
     acc = [[{} for _ in range(4)] for _ in range(4)]
     for i in range(4):
         for j in range(4):
-            terms = second[j][i].terms
+            terms = second[j][i]
             for c, a, k in prods[i][j]:
                 accumulate(acc[a][c], terms, k)
-    return [[_poly(t) for t in comps] for comps in acc]
+    return acc
 
 
 def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
@@ -108,11 +110,10 @@ def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
     first counterexample as text, e.g. "w=(0, 1), a=2".
     """
     prods = [[(gi * gj).nonzeros() for gj in gs.gammas] for gi in gs.gammas]
-    zero = NCPoly.zero()
     for w in calc.alg.basis_upto(n):
-        boxed = calc.box(NCPoly.from_word(w))
+        boxed = calc.box(NCPoly.from_word(w)).terms
         for a, comps in enumerate(dirac_square(calc, prods, w)):
             for c in range(4):
-                if comps[c] != (boxed if c == a else zero):
+                if comps[c] != (boxed if c == a else {}):
                     return "w=%s, a=%d" % (w, a)
     return None

@@ -36,11 +36,16 @@ def test_one_rep_of_a_calculus_case(capsys):
     one_rep(capsys, "leibniz-imag-deg5")
 
 
+def test_one_rep_of_the_dirac_square_case(capsys):
+    one_rep(capsys, "dirac-square-classical-deg4")
+
+
 def test_cases_and_reps_are_checked(capsys):
     mod = layers()
     assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
             "rq-inverse-classical", "calculus-classical-deg5",
-            "leibniz-imag-deg5"} <= set(mod.cases())
+            "leibniz-imag-deg5", "dirac-square-classical-deg4",
+            "lambda-invariance-classical"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

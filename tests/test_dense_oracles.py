@@ -104,7 +104,7 @@ def exchange_rhs_oracle(r, second):
                 for j in range(4):
                     c = r[4 * i + j, 4 * k + l]
                     if c:
-                        accumulate(rhs, second[i][j].terms, c)
+                        accumulate(rhs, second[i][j], c)
             out[k][l] = rhs
     return out
 
@@ -268,7 +268,7 @@ def test_exchange_table_matches_dense_loops(inst):
                 coords[j] = NCPoly.from_word(w)
                 form = Form1(tuple(coords))
                 for i in range(4):
-                    assert calc.left_mul_gen(i, form) == \
+                    assert calc.left_mul(NCPoly.gen(i), form) == \
                         per_entry_left_mul_gen(calc, i, form), (i, j, w)
     assert nonzero > 300     # of 680 partials: the comparison is not vacuous
 

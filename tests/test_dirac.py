@@ -227,7 +227,8 @@ def test_dirac_square_matches_applying_twice(inst):
             for a in range(4):
                 phi = Bispinor.basis(a, NCPoly.from_word(w))
                 twice = dirac_apply(calc, gs, dirac_apply(calc, gs, phi))
-                assert tuple(square[a]) == twice.components, (w, a)
+                assert square[a] == [p.terms for p in twice.components], \
+                    (w, a)
 
 
 @pytest.mark.parametrize("inst", [

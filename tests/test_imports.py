@@ -1,13 +1,17 @@
-"""Every import in src/ and tests/ is used.
+"""Every import in src/ and tests/ is used, and every exported name exists.
 
 No linter ships with the test dependencies, so this stdlib-ast scan is
 the lint step.  A name counts as used when it is read anywhere in its
 module, appears in a string annotation, or is listed in ``__all__``.
 Package ``__init__.py`` files are exempt: their imports are re-exports.
+A name listed in a module's ``__all__`` that the module does not define
+fails only ``from module import *``, so each ``__all__`` is checked too.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -63,3 +67,24 @@ def test_scan_flags_an_unused_import():
                      "def f() -> 'Mat':\n    return b\n")
     seen = used(tree)
     assert [n for n, _ in imported(tree) if n not in seen] == ["os", "system"]
+
+
+def stale_exports(module):
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_every_exported_name_exists():
+    paths = sorted((ROOT / "src" / "qminkowski").glob("*.py"))
+    modules = [importlib.import_module("qminkowski." + p.stem)
+               for p in paths if p.stem not in ("__init__", "__main__")]
+    assert sum(hasattr(m, "__all__") for m in modules) >= 10
+    assert ["%s.%s" % (m.__name__, name) for m in modules
+            for name in stale_exports(m)] == []
+
+
+def test_stale_export_is_flagged():
+    module = types.ModuleType("m")
+    module.a = 1
+    module.__all__ = ["a", "gone"]
+    assert stale_exports(module) == ["gone"]
