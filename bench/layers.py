@@ -14,9 +14,10 @@ and its four identity checks, ``calculus-classical-deg5``, and
 check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
 whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``,
 dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
-``dirac-square-classical-deg4``, and the classical lambda_invariance_check
-at degree 4, which builds its own Lorentz quotient,
-``lambda-invariance-classical``.
+``dirac-square-classical-deg4``, the classical lambda_invariance_check
+on a Lorentz quotient built at cap 4 in the timed call,
+``lambda-invariance-classical``, and the lorentz suite alone through
+run_suites on the classical instance, ``lorentz-suite-classical``.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  One
 JSON line goes to stdout: the Python version, N, and each case's
@@ -36,10 +37,12 @@ import time
 
 from qminkowski.braiding import build_rq
 from qminkowski.calculus import FirstOrderCalculus
+from qminkowski.cli import run_suites
 from qminkowski.dirac import dirac_square_check, gamma, metric
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict
-from qminkowski.lorentz import lambda_invariance_check, lorentz_relations
+from qminkowski.lorentz import lambda_invariance_check, lorentz_relations, \
+    make_lorentz
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import TruncatedQuotient
 
@@ -95,7 +98,11 @@ def dirac_square(inst, cap):
 
 def lambda_invariance(inst, cap):
     g = metric(inst)
-    return lambda: lambda_invariance_check(inst, g, cap)
+    return lambda: lambda_invariance_check(make_lorentz(inst, cap), g)
+
+
+def lorentz_suite(inst):
+    return lambda: run_suites(inst, ("lorentz",))
 
 
 def quotient(gens, relations, cap):
@@ -127,6 +134,8 @@ def cases():
         lambda: dirac_square(builtin("classical"), 4))
     out["lambda-invariance-classical"] = (
         lambda: lambda_invariance(builtin("classical"), 4))
+    out["lorentz-suite-classical"] = (
+        lambda: lorentz_suite(builtin("classical")))
     return out
 
 

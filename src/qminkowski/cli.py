@@ -9,15 +9,16 @@ checks print as "info" lines and never gate.  Exit status: 0 when the
 run passes, 1 when it fails, 2 on input problems.  Output contains no
 timestamps or timings, so identical inputs produce identical bytes.
 
-One run_suites call owns a _RunCache, which dies with the call (nothing
-computed from an instance is cached at module level): the suites of a
-report take from it one calculus per cap (or the CalculusObstruction it
-raised), one Minkowski quotient per cap and one pairing evaluator, since
-b is fixed per run.  Each is built through its module attribute
-(calculus.make_calculus, minkowski.make_minkowski,
-braiding.make_evaluator), so a tracer that wraps those names sees every
-build.  The argument parser is built on the first main call and reused
-by every later one in the process.
+Every suite takes one argument, the _Run that one run_suites call owns
+and that dies with the call (nothing computed from an instance is cached
+at module level).  It holds the instance, the parameters (degree,
+dirac_degree, b, k, n) and what the suites share: one calculus per cap
+(or the CalculusObstruction it raised), one Minkowski quotient per cap
+and one pairing evaluator, since b is fixed per run.  Each is built
+through its module attribute (calculus.make_calculus,
+minkowski.make_minkowski, braiding.make_evaluator), so a tracer that
+wraps those names sees every build.  The argument parser is built on
+the first main call and reused by every later one in the process.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -46,7 +46,6 @@ __all__ = ["main", "run_suites", "Report", "SuiteResult"]
 class SuiteResult:
     name: str
     checks: list
-    seconds: float = 0.0  # set by run_suites; never rendered
 
     @property
     def passed(self) -> bool:
@@ -72,15 +71,18 @@ class Report:
         }
 
 
-class _RunCache:
-    """The objects that the suites of one run share (module docstring)."""
-
-    def __init__(self, inst, b: Scalar):
-        self.inst = inst
-        self.b = b
-        self.calcs = {}      # cap -> FirstOrderCalculus or its obstruction
-        self.quotients = {}  # cap -> Minkowski quotient
-        self.ev = None
+@dataclass
+class _Run:
+    """One run's instance, parameters and shared objects (module doc)."""
+    inst: object
+    degree: int
+    dirac_degree: int
+    b: Scalar
+    k: Scalar
+    n: int
+    calcs: dict = field(default_factory=dict)  # cap -> calculus or obstruction
+    quotients: dict = field(default_factory=dict)  # cap -> Minkowski
+    ev: object = None
 
     def calculus(self, cap: int):
         hit = self.calcs.get(cap)
@@ -105,16 +107,16 @@ class _RunCache:
         return self.ev
 
 
-def suite_validate(inst) -> list:
-    return validate_instance(inst)
+def suite_validate(run: _Run) -> list:
+    return validate_instance(run.inst)
 
 
-def suite_pbw(cache: _RunCache, degree: int) -> list:
-    alg = cache.quotient(degree)
-    ok, profile = minkowski.pbw_check(alg, degree)
+def suite_pbw(run: _Run) -> list:
+    alg = run.quotient(run.degree)
+    ok, profile = minkowski.pbw_check(alg, run.degree)
     return [
         CheckResult("profile", ok, "%s vs classical %s"
-                    % (profile, minkowski.expected_profile(degree))),
+                    % (profile, minkowski.expected_profile(run.degree))),
         CheckResult("star-closed", minkowski.star_closed(alg),
                     "relation ideal stable under star"),
     ]
@@ -127,9 +129,10 @@ def _witnessed(name: str, witness, detail: str) -> CheckResult:
     return CheckResult(name, witness is None, detail)
 
 
-def suite_calculus(cache: _RunCache, degree: int) -> list:
+def suite_calculus(run: _Run) -> list:
+    degree = run.degree
     try:
-        calc = cache.calculus(degree)
+        calc = run.calculus(degree)
     except CalculusObstruction as exc:
         return [CheckResult("obstruction", False, str(exc))]
     checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
@@ -141,8 +144,8 @@ def suite_calculus(cache: _RunCache, degree: int) -> list:
     return checks
 
 
-def suite_dirac(cache: _RunCache, degree: int) -> list:
-    inst = cache.inst
+def suite_dirac(run: _Run) -> list:
+    inst, degree = run.inst, run.dirac_degree
     g = dirac.metric(inst)
     det_g = g.det()
     checks = [
@@ -156,7 +159,7 @@ def suite_dirac(cache: _RunCache, degree: int) -> list:
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
     try:
-        calc = cache.calculus(degree)
+        calc = run.calculus(degree)
     except CalculusObstruction:
         return checks + [CheckResult(
             "dirac-square", False,
@@ -166,10 +169,11 @@ def suite_dirac(cache: _RunCache, degree: int) -> list:
         "square equals wave operator, degree <= %d" % degree)]
 
 
-def suite_lorentz(cache: _RunCache) -> list:
-    inst = cache.inst
-    inv = lorentz.lambda_invariance_check(inst, dirac.metric(inst), 4)
-    real = lorentz.lambda_reality_diagnostic(inst)
+def suite_lorentz(run: _Run) -> list:
+    inst = run.inst
+    alg = lorentz.make_lorentz(inst, 4)
+    inv = lorentz.lambda_invariance_check(alg, dirac.metric(inst))
+    real = lorentz.lambda_reality_diagnostic(alg)
     return [
         _witnessed("lambda-invariance", inv,
                    "Lambda g Lambda^T = g at degree 4"),
@@ -179,8 +183,8 @@ def suite_lorentz(cache: _RunCache) -> list:
     ]
 
 
-def suite_braiding(cache: _RunCache, k: Scalar) -> list:
-    ev = cache.evaluator()
+def suite_braiding(run: _Run) -> list:
+    ev = run.evaluator()
     try:
         ev.rq_inverse()
         rq_inv_ok = True
@@ -196,9 +200,10 @@ def suite_braiding(cache: _RunCache, k: Scalar) -> list:
     ct = ev.is_cotriangular()
     checks.append(CheckResult("cotriangular", ct, "yes" if ct else "no",
                               advisory=True))
-    braiding.lorentz_r_blocks(cache.inst, k)
+    braiding.lorentz_r_blocks(run.inst, run.k)
     checks.append(CheckResult("spinor-blocks", True,
-                              "ww, wwbar, wbarw, wbarwbar built (k = %r)" % k))
+                              "ww, wwbar, wbarw, wbarwbar built (k = %r)"
+                              % run.k))
     return checks
 
 
@@ -211,9 +216,10 @@ def _counit_after_coaction(alg, p: NCPoly) -> NCPoly:
     return back
 
 
-def suite_fock(cache: _RunCache, n: int) -> list:
-    alg = cache.quotient(4)
-    ev = cache.evaluator()
+def suite_fock(run: _Run) -> list:
+    n = run.n
+    alg = run.quotient(4)
+    ev = run.evaluator()
     gens = [NCPoly.gen(i) for i in range(4)]
 
     def tensors(size):
@@ -270,33 +276,21 @@ def _mat_brief(m: Mat) -> str:
                            for i in range(m.rows)) + "]"
 
 
-# Each suite is looked up by its module-global name when it runs, so a
-# wrapper installed on cli.suite_* afterwards (a profiler, a tracer) is
-# the one called.
-_SUITES = {
-    "validate": lambda c, o: suite_validate(c.inst),
-    "pbw": lambda c, o: suite_pbw(c, o["degree"]),
-    "calculus": lambda c, o: suite_calculus(c, o["degree"]),
-    "dirac": lambda c, o: suite_dirac(c, o["dirac_degree"]),
-    "lorentz": lambda c, o: suite_lorentz(c),
-    "braiding": lambda c, o: suite_braiding(c, o["k"]),
-    "fock": lambda c, o: suite_fock(c, o["n"]),
-}
+_SUITES = ("validate", "pbw", "calculus", "dirac", "lorentz", "braiding",
+           "fock")
 
 
 def run_suites(inst, names, degree=4, dirac_degree=3, b=Scalar(0),
                k=Scalar(1), n=2) -> Report:
-    opts = {"degree": degree, "dirac_degree": dirac_degree, "k": k, "n": n}
-    cache = _RunCache(inst, b)
+    run = _Run(inst, degree, dirac_degree, b, k, n)
     rep = Report(instance=inst.name)
     for name in names:
-        suite = _SUITES.get(name)
-        if suite is None:
+        if name not in _SUITES:
             raise ValueError("unknown suite %r" % name)
-        t0 = time.perf_counter()
-        checks = suite(cache, opts)
-        rep.suites.append(SuiteResult(name, checks,
-                                      time.perf_counter() - t0))
+        # Looked up by its module-global name when it runs, so a wrapper
+        # installed on cli.suite_* afterwards (a profiler, a tracer) is the
+        # one called.
+        rep.suites.append(SuiteResult(name, globals()["suite_" + name](run)))
     return rep
 
 
@@ -394,15 +388,10 @@ def main(argv=None) -> int:
         n = getattr(args, "n", 2)
         if not 2 <= n <= 4:
             raise ParseError("--n must be between 2 and 4")
-        if args.command == "report":
-            rep = run_suites(inst, tuple(_SUITES), degree=degree,
-                             dirac_degree=3, b=b, k=k, n=n)
-        elif args.command == "dirac":
-            rep = run_suites(inst, ("dirac",), dirac_degree=degree,
-                             b=b, k=k, n=n)
-        else:
-            rep = run_suites(inst, (args.command,), degree=degree,
-                             b=b, k=k, n=n)
+        names = _SUITES if args.command == "report" else (args.command,)
+        dirac_degree = degree if args.command == "dirac" else 3
+        rep = run_suites(inst, names, degree=degree,
+                         dirac_degree=dirac_degree, b=b, k=k, n=n)
         if getattr(args, "json", None):
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(rep.to_json(), fh, indent=2, sort_keys=True)

@@ -4,14 +4,13 @@ Eight generators: w_AB (ids 0..3, id = 2A + B) and their conjugates
 wbar_AB (ids 4..7).  The defining relations say w preserves the invariant
 pair E, E' and exchanges with wbar through X; the relation set is closed
 under the star map w_AB <-> wbar_AB.  The 4x4 matrix Lambda built from
-w (x) wbar through the spinor-to-vector change of basis is the object the
-invariance check exercises: Lambda g Lambda^T = g entrywise in the
-quotient.
+w (x) wbar through the spinor-to-vector change of basis is what both
+checks read, in one quotient that the caller builds: Lambda g Lambda^T = g
+entrywise, and star fixing each entry (true in the free algebra already).
 """
 
 from __future__ import annotations
 
-from .errors import DegreeError
 from .exact import Mat, v_inverse, v_matrix
 from .instance import PoincareInstance
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
@@ -95,16 +94,13 @@ def lambda_entries():
     return tuple(tuple(NCPoly(t) for t in row) for row in terms)
 
 
-def lambda_invariance_check(inst: PoincareInstance, g: Mat,
-                            n: int = 4) -> str | None:
-    """Whether sum_kl Lambda_ik g_kl Lambda_jl = g_ij in the quotient.
+def lambda_invariance_check(alg: TruncatedQuotient, g: Mat) -> str | None:
+    """Whether sum_kl Lambda_ik g_kl Lambda_jl = g_ij in the quotient alg.
 
     None when it holds, otherwise the first failing entry as text, e.g.
-    "i=0, j=1".  Needs degree 4 words, so n >= 4.
+    "i=0, j=1".  The residuals have degree 4: below cap 4, alg raises
+    DegreeError.
     """
-    if n < 4:
-        raise DegreeError("invariance residuals have degree 4; n >= 4 needed")
-    alg = make_lorentz(inst, n)
     lam = lambda_entries()
     entries = g.nonzeros()
     for i in range(4):
@@ -118,9 +114,13 @@ def lambda_invariance_check(inst: PoincareInstance, g: Mat,
     return None
 
 
-def lambda_reality_diagnostic(inst: PoincareInstance, cap: int = 2) -> bool:
-    """Informational: star fixes every Lambda entry in the quotient."""
-    alg = make_lorentz(inst, cap)
+def lambda_reality_diagnostic(alg: TruncatedQuotient) -> bool:
+    """Informational: star fixes every Lambda entry in the quotient alg.
+
+    It holds for every instance and cap: star(Lambda_ij) = Lambda_ij in
+    the free algebra, since star maps c w_AC wbar_BD to conj(c) w_BD
+    wbar_AC and each sigma_i in V (and each 2x2 row of V^-1) is Hermitian.
+    """
     lam = lambda_entries()
     return all(alg.normal_form(lorentz_star(lam[i][j]) - lam[i][j]).is_zero()
                for i in range(4) for j in range(4))

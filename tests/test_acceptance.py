@@ -20,7 +20,7 @@ from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.fock import CTensor, braid_action, interchange_k, \
     lift_operator, symmetrize
 from qminkowski.instance import builtin
-from qminkowski.lorentz import lambda_invariance_check
+from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.minkowski import make_minkowski, pbw_check
 from qminkowski.qalgebra import NCPoly
 
@@ -156,8 +156,9 @@ def test_criterion_5_yang_baxter():
 
 def test_criterion_6_lorentz_invariance():
     inst = builtin("classical")
-    with_g = lambda_invariance_check(inst, metric(inst), 4) is None
-    with_id = lambda_invariance_check(inst, Mat.identity(4), 4) is None
+    alg = make_lorentz(inst, 4)
+    with_g = lambda_invariance_check(alg, metric(inst)) is None
+    with_id = lambda_invariance_check(alg, Mat.identity(4)) is None
     good = with_g and not with_id
     report(6, good, "module metric %s, identity metric %s"
            % (with_g, with_id))

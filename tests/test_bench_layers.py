@@ -40,12 +40,17 @@ def test_one_rep_of_the_dirac_square_case(capsys):
     one_rep(capsys, "dirac-square-classical-deg4")
 
 
+def test_one_rep_of_the_lorentz_suite_case(capsys):
+    one_rep(capsys, "lorentz-suite-classical")
+
+
 def test_cases_and_reps_are_checked(capsys):
     mod = layers()
     assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
             "rq-inverse-classical", "calculus-classical-deg5",
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
-            "lambda-invariance-classical"} <= set(mod.cases())
+            "lambda-invariance-classical",
+            "lorentz-suite-classical"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

@@ -11,6 +11,7 @@ import qminkowski.braiding as braiding
 import qminkowski.calculus as calculus
 import qminkowski.dirac as dirac
 import qminkowski.fock as fock
+import qminkowski.lorentz as lorentz
 import qminkowski.minkowski as minkowski
 from qminkowski.cli import _SUITES, main, run_suites
 from qminkowski.exact import Mat, ONE, Scalar
@@ -409,12 +410,13 @@ def test_file_input_round_trip(capsys, tmp_path):
     assert "clifford" in out
 
 
-def count_calls(monkeypatch, calls, module, name, key):
-    """Wrap module.name so that each call appends key(*args) to calls[name]."""
+def count_calls(monkeypatch, calls, module, name, key, label=None):
+    """Wrap module.name so that each call appends key(*args) to
+    calls[label], which defaults to name."""
     real = getattr(module, name)
 
     def counted(*args):
-        calls[name].append(key(*args))
+        calls[label or name].append(key(*args))
         return real(*args)
 
     monkeypatch.setattr(module, name, counted)
@@ -431,10 +433,14 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
             (dirac, "dirac_square_check", lambda calc, gs, n: n),
             (fock, "coaction", lambda alg, p: alg.cap)):
         count_calls(monkeypatch, calls, module, name, key)
+    # minkowski.build_quotient already counts under "build_quotient"
+    count_calls(monkeypatch, calls, lorentz, "build_quotient",
+                lambda gens, rels, cap: cap, label="lorentz_quotient")
     rep = run_suites(builtin("classical"), tuple(_SUITES))
     assert rep.passed
     assert calls["build_rq"] == [Scalar(0)] and calls["ct_check"] == [None]
     assert calls["build_quotient"].count(4) <= 2
+    assert calls["lorentz_quotient"] == [4]
     assert calls["make_calculus"] == [4, 3]
     # report --degree 6 moves only the pbw and calculus suites
     calls.clear()
@@ -445,4 +451,5 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     assert calls["make_calculus"] == [6, 3]
     assert calls["dirac_square_check"] == [3]
     assert set(calls["coaction"]) == {4}
+    assert calls["lorentz_quotient"] == [4]
 

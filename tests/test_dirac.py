@@ -15,7 +15,7 @@ from qminkowski.dirac import (
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
-from qminkowski.lorentz import lambda_invariance_check
+from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.qalgebra import NCPoly
 
 from test_acceptance import sign_twisted_flip
@@ -103,7 +103,8 @@ def test_failing_checks_name_their_witness(monkeypatch):
     calc = make_calculus(inst, 3)
     bad = gamma(inst, a=Scalar(2), b=ONE)
     assert dirac_square_check(calc, bad, 2) == "w=(0, 0), a=0"
-    assert lambda_invariance_check(inst, Mat.identity(4), 4) == "i=0, j=0"
+    assert lambda_invariance_check(make_lorentz(inst, 4),
+                                   Mat.identity(4)) == "i=0, j=0"
     # the suites print the witness after the detail of a FAIL line
     monkeypatch.setattr(dirac, "gamma", lambda inst: bad)
     (suite,) = cli.run_suites(inst, ("dirac",), dirac_degree=2).suites

@@ -124,11 +124,28 @@ def test_lambda_preserves_metric_at_points():
 
 def test_invariance_in_the_quotient():
     inst = builtin("classical")
-    assert lambda_invariance_check(inst, metric(inst), 4) is None
-    assert lambda_invariance_check(inst, Mat.identity(4), 4) is not None
+    alg = make_lorentz(inst, 4)
+    assert lambda_invariance_check(alg, metric(inst)) is None
+    assert lambda_invariance_check(alg, Mat.identity(4)) is not None
+    # the residuals have degree 4, which a cap-3 quotient cannot reduce
     with pytest.raises(DegreeError):
-        lambda_invariance_check(inst, metric(inst), 3)
+        lambda_invariance_check(make_lorentz(inst, 3), metric(inst))
 
 
 def test_reality_diagnostic():
-    assert lambda_reality_diagnostic(builtin("classical"))
+    assert lambda_reality_diagnostic(make_lorentz(builtin("classical"), 4))
+
+
+def test_star_fixes_lambda_in_the_free_algebra():
+    """star(Lambda_ij) = Lambda_ij before any relation is imposed.
+
+    Star sends c w_AC wbar_BD to conj(c) w_BD wbar_AC, and each sigma_i
+    in V (and each row of V^-1 as a 2x2 matrix) is Hermitian, so the
+    index swap undoes the conjugation.  This is why the reality
+    diagnostic's verdict cannot depend on the instance or the cap of the
+    quotient it is given.
+    """
+    lam = lambda_entries()
+    for i in range(4):
+        for j in range(4):
+            assert lorentz_star(lam[i][j]) == lam[i][j], (i, j)

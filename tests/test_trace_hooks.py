@@ -21,13 +21,15 @@ from qminkowski.instance import builtin
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
-# The sites perfbench/selftest.py checks for wrap and restore, and the
-# two suites that build a calculus.
+# The sites perfbench/selftest.py checks for wrap and restore, and every
+# suite, whose cli.suite_s.* metric would read zero after a rename.
 SITES = [
     (calculus, "kron"), (exact, "kron"),
     (minkowski, "build_quotient"), (lorentz, "build_quotient"),
     (qalgebra.TruncatedQuotient, "normal_form"), (exact.Mat, "__mul__"),
-    (cli, "suite_calculus"), (cli, "suite_dirac"),
+    (cli, "suite_validate"), (cli, "suite_pbw"), (cli, "suite_calculus"),
+    (cli, "suite_dirac"), (cli, "suite_lorentz"), (cli, "suite_braiding"),
+    (cli, "suite_fock"),
 ]
 
 
@@ -72,3 +74,17 @@ def test_words_checked_reads_the_calculus_algebra():
     calc = calculus.make_calculus(builtin("classical"), 3)
     assert calc.alg.dimension_profile() == [1, 4, 10, 20]
     assert spantrace()._words_checked((calc, 2), None) == 15
+
+
+def test_every_suite_fills_its_metric_through_run_suites():
+    tracer = spantrace().Tracer()
+    try:
+        tracer.install()
+        cli.run_suites(builtin("classical"), cli._SUITES)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics(1)
+    assert [s for s in cli._SUITES if not metrics["cli.suite_s." + s] > 0] \
+        == []
+    assert metrics["lorentz.invariance_s"] > 0
+    assert metrics["lorentz.reality_s"] > 0
