@@ -5,19 +5,22 @@ best CPU time of N in-process runs.
 
 The cases are the Minkowski quotient of the perfbench dense instances
 (``perfbench/instances.py``, seeds 11-13, entry density 0.3) at caps 3-5,
-named ``mink-dense<seed>-cap<c>``, the classical Lorentz quotient at
-caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, the inverse of the 25x25
+named ``mink-dense<seed>-cap<c>``, and the classical Lorentz quotient at
+caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, each timed as completion
+plus basis (the basis is built on first read, and the timed call reads
+it through dimension_profile, as pbw does); the inverse of the 25x25
 R_Q of the same dense instances at b = 1, named
 ``rq-inverse-dense<seed>``, and of the classical instance at b = 0,
-``rq-inverse-classical``, a fresh classical FirstOrderCalculus at cap 5
+``rq-inverse-classical``; a fresh classical FirstOrderCalculus at cap 5
 and its four identity checks, ``calculus-classical-deg5``, and
 check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
-whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``,
+whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``;
 dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
-``dirac-square-classical-deg4``, the classical lambda_invariance_check
+``dirac-square-classical-deg4``; the classical lambda_invariance_check
 on a Lorentz quotient built at cap 4 in the timed call,
-``lambda-invariance-classical``, and the lorentz suite alone through
-run_suites on the classical instance, ``lorentz-suite-classical``.
+``lambda-invariance-classical``; the lorentz suite alone through
+run_suites on the classical instance, ``lorentz-suite-classical``; and
+the classical metric, ``metric-classical``.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  One
 JSON line goes to stdout: the Python version, N, and each case's
@@ -106,7 +109,9 @@ def lorentz_suite(inst):
 
 
 def quotient(gens, relations, cap):
-    return lambda: TruncatedQuotient(gens, relations, cap)
+    """Completion plus basis: the quotient builds its basis on first read,
+    so the timed call reads it, as pbw does."""
+    return lambda: TruncatedQuotient(gens, relations, cap).dimension_profile()
 
 
 def cases():
@@ -136,6 +141,7 @@ def cases():
         lambda: lambda_invariance(builtin("classical"), 4))
     out["lorentz-suite-classical"] = (
         lambda: lorentz_suite(builtin("classical")))
+    out["metric-classical"] = lambda: lambda: metric(builtin("classical"))
     return out
 
 

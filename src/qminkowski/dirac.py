@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Mat, ONE, Scalar, flip, kron, pauli, sqrt_q, v_inverse
+from .exact import Mat, ONE, Scalar, ZERO, flip, kron, pauli, \
+    sqrt_q, v_inverse
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
@@ -23,14 +24,22 @@ __all__ = [
 
 
 def metric(inst) -> Mat:
-    """The 4x4 metric g in the coordinate basis."""
-    tau = flip(2, 2)
-    i2 = Mat.identity(2)
-    vec = (kron(v_inverse(), v_inverse())
-           * kron(kron(i2, inst.X), i2)
-           * kron(inst.E, tau * inst.E))
-    scale = Scalar(-2) * sqrt_q(inst.q)
-    return Mat(4, 4, [scale * vec[k, 0] for k in range(16)])
+    """The 4x4 metric g = -2 sqrt(q) V^-1 U V^-T in the coordinate basis.
+
+    U is the 16-vector u = (1 (x) X (x) 1)(E (x) tau E) read row-major,
+    U_ab = u_{4a+b}, with tau the flip of C^2 (x) C^2: by the row-major
+    identity (A (x) B) vec(U) = vec(A U B^T), this is the vector
+    -2 sqrt(q) (V^-1 (x) V^-1) u read as a 4x4 matrix.
+    """
+    x = kron(inst.E, flip(2, 2) * inst.E)
+    u = [ZERO] * 16
+    for m, mp, c in inst.X.nonzeros():
+        # u_{8s+2m+t} = sum_m' X_{mm'} x_{8s+2m'+t}
+        for n in (2 * m, 2 * m + 1, 8 + 2 * m, 9 + 2 * m):
+            u[n] = u[n] + c * x[n + 2 * (mp - m), 0]
+    vi = v_inverse()
+    return (vi * Mat(4, 4, u) * vi.transpose()).scale(
+        Scalar(-2) * sqrt_q(inst.q))
 
 
 @dataclass(frozen=True)

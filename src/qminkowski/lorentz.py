@@ -7,6 +7,12 @@ under the star map w_AB <-> wbar_AB.  The 4x4 matrix Lambda built from
 w (x) wbar through the spinor-to-vector change of basis is what both
 checks read, in one quotient that the caller builds: Lambda g Lambda^T = g
 entrywise, and star fixing each entry (true in the free algebra already).
+
+The invariance check runs in spinor indices: with W_{(AB),(CD)} =
+w_AC wbar_BD, Lambda = V^-1 W V, so Lambda g Lambda^T = V^-1 (W G W^T)
+V^-T with G = V g V^T.  The 16 spinor entries are sums of normal forms of
+the degree-4 words W_PQ W_P'Q', and no product of Lambda entries is
+formed.
 """
 
 from __future__ import annotations
@@ -100,16 +106,38 @@ def lambda_invariance_check(alg: TruncatedQuotient, g: Mat) -> str | None:
     None when it holds, otherwise the first failing entry as text, e.g.
     "i=0, j=1".  The residuals have degree 4: below cap 4, alg raises
     DegreeError.
+
+    The sum is taken in spinor indices.  With W_{(AB),(CD)} = w_AC wbar_BD,
+    Lambda = V^-1 W V, so Lambda g Lambda^T = V^-1 S V^-T with
+    S_PP' = sum_QQ' W_PQ G_QQ' W_P'Q' and G = V g V^T.  Each S_PP' is
+    accumulated from the normal forms of the words W_PQ W_P'Q'; normal
+    form is linear, so every residual is the element of the quotient that
+    the Lambda-coordinate sum gives.
     """
-    lam = lambda_entries()
-    entries = g.nonzeros()
+    v, vi = v_matrix(), v_inverse()
+    big_g = (v * g * v.transpose()).nonzeros()
+    word_nf = alg.word_normal_form
+    s = {}
+    for p in range(4):
+        a, b = divmod(p, 2)
+        for pp in range(4):
+            ap, bp = divmod(pp, 2)
+            acc = s[p, pp] = {}
+            for q, qq, c in big_g:
+                (c1, d1), (c2, d2) = divmod(q, 2), divmod(qq, 2)
+                accumulate(acc, word_nf((w_id(a, c1), wbar_id(b, d1),
+                                         w_id(ap, c2), wbar_id(bp, d2))), c)
+    rows = [[] for _ in range(4)]
+    for i, p, c in vi.nonzeros():
+        rows[i].append((p, c))
+    one = word_nf(())
     for i in range(4):
         for j in range(4):
-            acc = NCPoly.zero()
-            for k, l, c in entries:
-                acc = acc + (lam[i][k] * lam[j][l]).scale(c)
-            acc = acc - NCPoly.one().scale(g[i, j])
-            if not alg.normal_form(acc).is_zero():
+            res = accumulate({}, one, -g[i, j])
+            for p, ci in rows[i]:
+                for pp, cj in rows[j]:
+                    accumulate(res, s[p, pp], ci * cj)
+            if res:
                 return "i=%d, j=%d" % (i, j)
     return None
 

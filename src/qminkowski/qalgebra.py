@@ -195,8 +195,10 @@ class TruncatedQuotient:
 
     ``_rules`` maps each lead word u to ``(k, tail)``: u rewrites to tail
     inside a word w when k <= cap - |w|.  The normal form of a word is
-    memoised the first time it is asked for.  ``memos`` holds what other
-    modules memoise over this algebra (fock's coaction and K).
+    memoised the first time it is asked for, and the basis is built the
+    first time it is read, so a quotient used only for normal forms never
+    enumerates it.  ``memos`` holds what other modules memoise over this
+    algebra (fock's coaction and K).
     """
 
     def __init__(self, gens: int, relations, cap: int):
@@ -212,8 +214,10 @@ class TruncatedQuotient:
         self._lengths = []
         self._memo = {}
         self.memos = {}
+        # a plain attribute, not functools.cached_property: a later write
+        # through __dict__ slows every attribute read of the quotient
+        self._basis = None
         self._complete()
-        self._basis = self._build_basis()
 
     def _match(self, w, slack):
         """(i, j, tail) for the leftmost shortest lead w[i:j] whose rule has
@@ -321,10 +325,12 @@ class TruncatedQuotient:
                                 dict(tl), _sub(left, i, i + len(right), tr),
                                 -ONE)
 
-    def _build_basis(self):
+    def _levels(self):
         """The words of each degree that no rule applies to, in lexicographic
-        order.  A lead with k = 0 applies at every length, so no word
-        containing one is extended."""
+        order, built on first read.  A lead with k = 0 applies at every
+        length, so no word containing one is extended."""
+        if self._basis is not None:
+            return self._basis
         always = {u for u, (k, _) in self._rules.items() if k == 0}
         lengths = sorted({len(u) for u in always})
         per_degree, level = [], [()]
@@ -336,23 +342,24 @@ class TruncatedQuotient:
                                     if m <= d)]
             per_degree.append(tuple(w for w in level
                                     if self._match(w, self.cap - d) is None))
-        return tuple(per_degree)
+        self._basis = tuple(per_degree)
+        return self._basis
 
     def basis(self, degree: int):
         """Normal-form basis words of exactly the given degree."""
         if degree > self.cap:
             raise DegreeError("degree %d exceeds cap %d" % (degree, self.cap))
-        return self._basis[degree]
+        return self._levels()[degree]
 
     def basis_upto(self, degree: int):
         if degree > self.cap:
             raise DegreeError("degree %d exceeds cap %d" % (degree, self.cap))
         for d in range(degree + 1):
-            yield from self._basis[d]
+            yield from self._levels()[d]
 
     def dimension_profile(self):
         """Number of basis words in each degree 0..cap."""
-        return [len(b) for b in self._basis]
+        return [len(b) for b in self._levels()]
 
     def word_normal_form(self, w) -> dict:
         """The normal form of the word w as terms, memoised the first time

@@ -44,13 +44,22 @@ def test_one_rep_of_the_lorentz_suite_case(capsys):
     one_rep(capsys, "lorentz-suite-classical")
 
 
+def test_one_rep_of_the_metric_case(capsys):
+    one_rep(capsys, "metric-classical")
+
+
+def test_quotient_cases_read_the_basis():
+    quotient = layers().cases()["lorentz-cap2"]()
+    assert quotient() == [1, 8, 34]
+
+
 def test_cases_and_reps_are_checked(capsys):
     mod = layers()
     assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
             "rq-inverse-classical", "calculus-classical-deg5",
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
             "lambda-invariance-classical",
-            "lorentz-suite-classical"} <= set(mod.cases())
+            "lorentz-suite-classical", "metric-classical"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

@@ -1,5 +1,6 @@
 """Every sparse read of R, Z, T, the metric and the gammas against the
-dense index loop it replaced.
+dense index loop it replaced, and the spinor-index invariance check and
+the Kronecker-free metric against the formulas they replaced.
 
 Each oracle here is a loop the package ran before it read matrices only
 through Mat.nonzeros(): index arithmetic, a zero test, then the work.
@@ -26,11 +27,12 @@ import pytest
 from qminkowski.braiding import build_rq
 from qminkowski.calculus import FirstOrderCalculus, Form1
 from qminkowski.dirac import clifford_check, metric
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, v_inverse, \
-    v_matrix
+from qminkowski.errors import DegreeError
+from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, kron, \
+    sqrt_q, v_inverse, v_matrix
 from qminkowski.instance import builtin
-from qminkowski.lorentz import lambda_entries, lorentz_relations, w_id, \
-    wbar_id
+from qminkowski.lorentz import lambda_entries, lambda_invariance_check, \
+    lorentz_relations, make_lorentz, w_id, wbar_id
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
@@ -217,6 +219,33 @@ def lambda_entries_oracle():
     return tuple(out)
 
 
+def lambda_invariance_oracle(alg, g):
+    """The Lambda-coordinate loop: each residual sum_kl Lambda_ik g_kl
+    Lambda_jl - g_ij built from products of Lambda entries, then reduced."""
+    lam = lambda_entries()
+    entries = g.nonzeros()
+    for i in range(4):
+        for j in range(4):
+            acc = NCPoly.zero()
+            for k, l, c in entries:
+                acc = acc + (lam[i][k] * lam[j][l]).scale(c)
+            acc = acc - NCPoly.one().scale(g[i, j])
+            if not alg.normal_form(acc).is_zero():
+                return "i=%d, j=%d" % (i, j)
+    return None
+
+
+def metric_kron_oracle(inst):
+    """-2 sqrt(q) (V^-1 (x) V^-1)(1 (x) X (x) 1)(E (x) tau E) as a
+    16-vector, read row-major as the 4x4 metric."""
+    i2 = Mat.identity(2)
+    vec = (kron(v_inverse(), v_inverse())
+           * kron(kron(i2, inst.X), i2)
+           * kron(inst.E, flip(2, 2) * inst.E))
+    scale = Scalar(-2) * sqrt_q(inst.q)
+    return Mat(4, 4, [scale * vec[k, 0] for k in range(16)])
+
+
 def clifford_oracle(inst, gs, g):
     r = inst.R
     prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
@@ -287,3 +316,53 @@ def test_relations_and_rq_match_dense_loops(inst):
 
 def test_lambda_entries_match_dense_loops():
     assert lambda_entries() == lambda_entries_oracle()
+
+
+def test_lambda_invariance_matches_the_lambda_loop():
+    inst = builtin("classical")
+    alg = make_lorentz(inst, 4)
+    g = metric(inst)
+    cases = [g, Mat.identity(4), g.scale(-ONE), g.scale(I)]
+    for k in range(16):
+        data = list(g.data)
+        data[k] = data[k] + ONE
+        cases.append(Mat(4, 4, data))
+    # an antisymmetric perturbation leaves the diagonal of the classical
+    # residual zero, so its first failure is off the diagonal
+    for k, l in itertools.combinations(range(4), 2):
+        data = list(g.data)
+        data[4 * k + l] = data[4 * k + l] + ONE
+        data[4 * l + k] = data[4 * l + k] - ONE
+        cases.append(Mat(4, 4, data))
+    verdicts = [lambda_invariance_check(alg, m) for m in cases]
+    assert verdicts == [lambda_invariance_oracle(alg, m) for m in cases]
+    assert verdicts[0] is verdicts[2] is verdicts[3] is None
+    assert verdicts[1] == "i=0, j=0"
+    assert None not in verdicts[4:]
+    assert len(set(verdicts[4:])) > 1
+    low = make_lorentz(inst, 3)
+    for check in (lambda_invariance_check, lambda_invariance_oracle):
+        with pytest.raises(DegreeError):
+            check(low, g)
+
+
+def test_metric_matches_the_kronecker_formula():
+    assert metric(builtin("classical")) == \
+        metric_kron_oracle(builtin("classical"))
+    rng = random.Random(23)
+
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                      Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+    made = 0
+    while made < 40:
+        x = Mat(4, 4, [entry() if rng.random() < 0.7 else ZERO
+                       for _ in range(16)])
+        if x.det() == 0:
+            continue
+        e = Mat(4, 1, [entry() for _ in range(4)])
+        inst = dataclasses.replace(builtin("classical"), X=x, E=e,
+                                   q=ONE if made % 2 else -ONE)
+        assert metric(inst) == metric_kron_oracle(inst), made
+        made += 1

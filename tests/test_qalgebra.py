@@ -1,13 +1,21 @@
 """Free noncommutative polynomials and truncated quotients."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
+from qminkowski.dirac import metric
 from qminkowski.errors import DegreeError
 from qminkowski.exact import I, ONE, Scalar
+from qminkowski.instance import builtin
+from qminkowski.lorentz import lambda_invariance_check, \
+    lambda_reality_diagnostic, make_lorentz
+from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, build_quotient
+
+from test_quotient_oracle import perfbench_dense
 
 
 def x(i):
@@ -147,3 +155,34 @@ def test_basis_upto_matches_profile():
     words = list(q.basis_upto(3))
     assert len(words) == sum(prof)
     assert len(set(words)) == len(words)
+
+
+# sha256 of repr(tuple(basis_upto(4))) of the classical Lorentz quotient at
+# cap 4, as the quotient that built its basis on construction gave it
+LORENTZ_CAP4_BASIS_SHA = \
+    "d0c167aa95adee44be09df3d8285b55391da02e20ed0e33a8371100f449ff2e1"
+
+
+def test_basis_is_built_on_first_read():
+    inst = builtin("classical")
+    alg = make_lorentz(inst, 4)
+    assert lambda_invariance_check(alg, metric(inst)) is None
+    assert lambda_reality_diagnostic(alg)
+    assert alg._basis is None
+    assert alg.dimension_profile() == [1, 8, 34, 104, 259]
+    assert alg._basis is not None
+    words = tuple(alg.basis_upto(4))
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == \
+        LORENTZ_CAP4_BASIS_SHA
+    # normal forms taken first do not change the basis
+    assert words == tuple(make_lorentz(inst, 4).basis_upto(4))
+
+
+@pytest.mark.parametrize("seed", (11, 12, 13))
+def test_lazy_basis_of_the_dense_minkowski_quotients(seed):
+    rels = mink_relations(perfbench_dense(seed, 0.3))
+    for cap in (3, 4, 5):
+        alg = build_quotient(4, rels, cap)
+        assert alg._basis is None
+        # the dense data make 1 = 0: every degree is empty
+        assert alg.dimension_profile() == [0] * (cap + 1)
