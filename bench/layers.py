@@ -1,5 +1,5 @@
-"""Time the quotient, Mat inverse, calculus, Dirac and Lorentz layers: the
-best CPU time of N in-process runs.
+"""Time the quotient, Mat inverse, calculus, Dirac, Lorentz, pairing and
+Fock layers: the best CPU time of N in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
 
@@ -19,8 +19,13 @@ dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
 ``dirac-square-classical-deg4``; the classical lambda_invariance_check
 on a Lorentz quotient built at cap 4 in the timed call,
 ``lambda-invariance-classical``; the lorentz suite alone through
-run_suites on the classical instance, ``lorentz-suite-classical``; and
-the classical metric, ``metric-classical``.
+run_suites on the classical instance, ``lorentz-suite-classical``; the
+classical metric, ``metric-classical``; the fock suite at --n 4 on the
+classical instance at b = 0, the one braided path of the benchmark (K,
+the braid relation and symmetrize up to four slots), on a cap-4 quotient
+and an evaluator built in the set-up, ``fock-suite-classical-n4``; and
+star_cqt_check on a fresh evaluator of the dense seed-11 instance at
+b = 1, as the dense braiding op runs it, ``star-cqt-dense11``.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  One
 JSON line goes to stdout: the Python version, N, and each case's
@@ -31,6 +36,7 @@ another checkout's ``src`` times that checkout on the same cases.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -38,9 +44,9 @@ import random
 import sys
 import time
 
-from qminkowski.braiding import build_rq
+from qminkowski import cli
+from qminkowski.braiding import build_rq, make_evaluator, star_cqt_check
 from qminkowski.calculus import FirstOrderCalculus
-from qminkowski.cli import run_suites
 from qminkowski.dirac import dirac_square_check, gamma, metric
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict
@@ -105,7 +111,15 @@ def lambda_invariance(inst, cap):
 
 
 def lorentz_suite(inst):
-    return lambda: run_suites(inst, ("lorentz",))
+    return lambda: cli.run_suites(inst, ("lorentz",))
+
+
+def fock_suite(inst, n):
+    """The fock suite on a quotient and an evaluator built here."""
+    run = cli._Run(inst, 4, 3, ZERO, ONE, n)
+    run.quotient(4)
+    run.evaluator()
+    return lambda: cli.suite_fock(run)
 
 
 def quotient(gens, relations, cap):
@@ -142,6 +156,10 @@ def cases():
     out["lorentz-suite-classical"] = (
         lambda: lorentz_suite(builtin("classical")))
     out["metric-classical"] = lambda: lambda: metric(builtin("classical"))
+    out["fock-suite-classical-n4"] = (
+        lambda: fock_suite(builtin("classical"), 4))
+    out["star-cqt-dense11"] = lambda: functools.partial(
+        star_cqt_check, make_evaluator(dense_instance(11), ONE))
     return out
 
 

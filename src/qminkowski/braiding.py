@@ -1,9 +1,13 @@
 """Extended R-matrix, coquasitriangular evaluator, braiding diagnostics.
 
-The affine corepresentation matrix P is 5x5: P_ij = Lambda_ij for
-i, j < 4, P_i4 = y_i (translations), P_44 = 1 and P_4j = 0.  The pairing
-of the symmetry bialgebra with itself is fixed on generator pairs by a
-25x25 matrix R_Q and extended to words through the two product laws
+The symmetry bialgebra is generated by the entries of the 5x5 affine
+corepresentation matrix P: P_ij = Lambda_ij for i, j < 4, P_i4 = y_i
+(translations), P_44 = 1 and P_4j = 0.  Generator g is P_ab with (a, b) =
+divmod(g, 5), so the ids 0..19 are rows 0..3 of P, and every letter has
+the matrix coproduct and counit Delta(P_ab) = sum_k P_ak (x) P_kb and
+eps(P_ab) = delta_ab: each coproduct coefficient is 1.  The pairing of
+the bialgebra with itself is fixed on generator pairs by a 25x25 matrix
+R_Q and extended to words through the two product laws
 
     r(ab (x) c) = sum r(a (x) c") r(b (x) c'),   with Delta(c) = c" (x) c'
     r(a (x) cd) = sum r(a' (x) d) r(a" (x) c),   with Delta(a) = a' (x) a"
@@ -38,31 +42,20 @@ __all__ = [
 # --- generator alphabet of the symmetry bialgebra ---------------------------
 
 def lam_id(i: int, j: int) -> int:
-    """Generator id of Lambda_ij, 0..15."""
-    return 4 * i + j
+    """Generator id of Lambda_ij = P_ij."""
+    return 5 * i + j
 
 
 def y_id(i: int) -> int:
-    """Generator id of the translation y_i, 16..19."""
-    return 16 + i
-
-
-def _p_pos(g: int):
-    """Position of a generator inside the 5x5 matrix P."""
-    if g < 16:
-        return divmod(g, 4)
-    return (g - 16, 4)
+    """Generator id of the translation y_i = P_i4."""
+    return 5 * i + 4
 
 
 def p_entry_word(a: int, b: int):
     """The entry P_ab as a word, () for the unit, None for the zero entry."""
-    if a < 4 and b < 4:
-        return (lam_id(a, b),)
-    if a < 4 and b == 4:
-        return (y_id(a),)
-    if a == 4 and b == 4:
-        return ()
-    return None
+    if a < 4:
+        return (5 * a + b,)
+    return () if b == 4 else None
 
 
 # --- the 25x25 extended R-matrix --------------------------------------------
@@ -145,44 +138,29 @@ def yang_baxter_check(m: Mat) -> bool:
 # --- coalgebra structure on words -------------------------------------------
 
 def _delta_letter(g: int):
-    if g < 16:
-        i, j = divmod(g, 4)
-        return [((lam_id(i, k),), (lam_id(k, j),), ONE) for k in range(4)]
-    i = g - 16
-    out = [((y_id(i),), (), ONE)]
-    out.extend(((lam_id(i, j),), (y_id(j),), ONE) for j in range(4))
+    """Delta(P_ij) as (left, right) words: P_4j is 0 for j < 4, P_44 is 1."""
+    i, j = divmod(g, 5)
+    out = [((5 * i + k,), (5 * k + j,)) for k in range(4)]
+    if j == 4:
+        out.append(((g,), ()))
     return out
 
 
-def _counit_letter(g: int) -> Scalar:
-    if g < 16:
-        i, j = divmod(g, 4)
-        return ONE if i == j else ZERO
-    return ZERO
-
-
 def _counit_word(w) -> Scalar:
-    for g in w:
-        if not _counit_letter(g):
-            return ZERO
-    return ONE
+    return ONE if all(g // 5 == g % 5 for g in w) else ZERO
 
 
 def _delta_word(w):
-    pairs = [((), (), ONE)]
+    """Delta of a word as (left, right) pairs, each with coefficient 1."""
+    pairs = [((), ())]
     for g in w:
         letter = _delta_letter(g)
-        pairs = [(w1 + a, w2 + b, c * cc)
-                 for (w1, w2, c) in pairs
-                 for (a, b, cc) in letter]
+        pairs = [(w1 + a, w2 + b) for w1, w2 in pairs for a, b in letter]
     return pairs
 
 
 def counit_b(p: NCPoly) -> Scalar:
-    acc = ZERO
-    for w, c in p.terms.items():
-        acc = acc + c * _counit_word(w)
-    return acc
+    return sum((c for w, c in p.terms.items() if _counit_word(w)), ZERO)
 
 
 # --- the evaluator -----------------------------------------------------------
@@ -210,8 +188,8 @@ class CqtEvaluator:
         return self._rq_inv
 
     def _base(self, gu: int, gv: int) -> Scalar:
-        ju, ku = _p_pos(gu)
-        iv, lv = _p_pos(gv)
+        ju, ku = divmod(gu, 5)
+        iv, lv = divmod(gv, 5)
         return self.rq[5 * iv + ju, 5 * ku + lv]
 
     def r_word(self, u, v) -> Scalar:
@@ -227,24 +205,22 @@ class CqtEvaluator:
             out = self._base(u[0], v[0])
         elif len(u) > 1:
             head, rest = (u[0],), u[1:]
-            acc = ZERO
-            for w1, w2, c in _delta_word(v):
+            out = ZERO
+            for w1, w2 in _delta_word(v):
                 s = self.r_word(head, w1)
                 if s:
                     s2 = self.r_word(rest, w2)
                     if s2:
-                        acc = acc + c * s * s2
-            out = acc
+                        out = out + s * s2
         else:
             front, last = v[:-1], (v[-1],)
-            acc = ZERO
-            for w1, w2, c in _delta_word(u):
+            out = ZERO
+            for w1, w2 in _delta_word(u):
                 s = self.r_word(w1, last)
                 if s:
                     s2 = self.r_word(w2, front)
                     if s2:
-                        acc = acc + c * s * s2
-            out = acc
+                        out = out + s * s2
         self._memo[key] = out
         return out
 

@@ -8,6 +8,10 @@ actions on n slots demand a cotriangular evaluator, since only then do
 the adjacent interchanges satisfy the braid and involution identities
 that make the action well defined.  The coaction of a word and K on a
 word pair are memoised in ``alg.memos``, and live and die with alg.
+
+Inside the module every operator works on plain term dicts, {slot words:
+nonzero coeff}, summed through qalgebra.accumulate; a public function
+wraps its result in a CTensor once, when it returns.
 """
 
 from __future__ import annotations
@@ -48,29 +52,24 @@ class CTensor:
     @staticmethod
     def from_polys(alg: TruncatedQuotient, polys) -> "CTensor":
         """Tensor product of algebra elements, slots normal-formed."""
-        n = len(polys)
         acc = {(): ONE}
         for p in polys:
             nfp = alg.normal_form(p).terms
             acc = {ws + (w,): c * cw for ws, c in acc.items()
                    for w, cw in nfp.items()}
-        return CTensor(n, acc)
+        return _tensor(len(polys), acc)
 
     def __add__(self, other):
         if not isinstance(other, CTensor) or other.n != self.n:
             raise ValueError("slot count mismatch")
-        t = CTensor(self.n)
-        t.terms = accumulate(dict(self.terms), other.terms)
-        return t
+        return _tensor(self.n, accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(Scalar(-1))
 
     def scale(self, c) -> "CTensor":
-        t = CTensor(self.n)
-        if c:
-            t.terms = {ws: c * v for ws, v in self.terms.items()}
-        return t
+        return _tensor(self.n, {ws: c * v for ws, v in self.terms.items()}
+                       if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -93,6 +92,13 @@ class CTensor:
         return "CTensor(%d, %s)" % (self.n, " + ".join(bits))
 
 
+def _tensor(n: int, terms) -> CTensor:
+    """Wrap n-slot terms that hold no zero coefficient, without copying."""
+    t = CTensor.__new__(CTensor)
+    t.n, t.terms = n, terms
+    return t
+
+
 def _coaction_word(alg: TruncatedQuotient, w):
     cache = alg.memos.setdefault("coaction", {})
     hit = cache.get(w)
@@ -105,7 +111,7 @@ def _coaction_word(alg: TruncatedQuotient, w):
         letter = [(lam_id(g, j), (j,)) for j in range(4)] + [(y_id(g), ())]
         pairs = [(bw + (b,), cw + c) for bw, cw in pairs for b, c in letter]
     out = {(bw, cw2): c2 for bw, cw in pairs
-           for cw2, c2 in alg.normal_form(NCPoly.from_word(cw)).terms.items()}
+           for cw2, c2 in alg.word_normal_form(cw).items()}
     cache[w] = out
     return out
 
@@ -143,25 +149,38 @@ def interchange_k(ev: CqtEvaluator, alg: TruncatedQuotient,
     """The braiding on a two-slot tensor."""
     if t.n != 2:
         raise ValueError("interchange_k acts on two slots")
-    return _apply_k_at(ev, alg, t, 0)
+    return _tensor(2, _act(ev, alg, (1, 0), t.terms))
 
 
-def _apply_k_at(ev, alg, t: CTensor, pos: int) -> CTensor:
-    out = {}
-    for ws, c in t.terms.items():
-        head, tail = ws[:pos], ws[pos + 2:]
-        accumulate(out, {head + pair + tail: cc for pair, cc
-                         in _k_pair(ev, alg, ws[pos], ws[pos + 1]).items()},
-                   c)
-    res = CTensor(t.n)
-    res.terms = out
-    return res
+def _act(ev, alg, perm, terms) -> dict:
+    """The permutation action on a term dict: perm is bubble-sorted, and
+    for each swap at pos, the last first, K acts on slots (pos, pos + 1)."""
+    arr, swaps = list(perm), []
+    for _ in arr:
+        for pos in range(len(arr) - 1):
+            if arr[pos] > arr[pos + 1]:
+                arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
+                swaps.append(pos)
+    for pos in reversed(swaps):
+        out = {}
+        for ws, c in terms.items():
+            head, tail = ws[:pos], ws[pos + 2:]
+            accumulate(out, {head + pair + tail: cc for pair, cc in
+                             _k_pair(ev, alg, ws[pos], ws[pos + 1]).items()},
+                       c)
+        terms = out
+    return terms
 
 
 def _require_ct(ev: CqtEvaluator):
     if not ev.is_cotriangular():
         raise NotCotriangular("symmetric-group actions need a cotriangular "
                               "evaluator; this one is not")
+
+
+def _require_slots(n: int):
+    if n > MAX_SLOTS:
+        raise ValueError("at most %d slots supported" % MAX_SLOTS)
 
 
 def braid_action(ev: CqtEvaluator, alg: TruncatedQuotient, perm,
@@ -175,54 +194,36 @@ def braid_action(ev: CqtEvaluator, alg: TruncatedQuotient, perm,
     perm = tuple(perm)
     if sorted(perm) != list(range(t.n)):
         raise ValueError("perm must permute 0..%d" % (t.n - 1))
-    if t.n > MAX_SLOTS:
-        raise ValueError("at most %d slots supported" % MAX_SLOTS)
+    _require_slots(t.n)
     _require_ct(ev)
-    arr = list(perm)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(arr) - 1):
-            if arr[pos] > arr[pos + 1]:
-                arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
-                swaps.append(pos)
-                changed = True
-    out = t
-    for pos in reversed(swaps):
-        out = _apply_k_at(ev, alg, out, pos)
-    return out
+    return _tensor(t.n, _act(ev, alg, perm, t.terms))
 
 
 def symmetrize(ev: CqtEvaluator, alg: TruncatedQuotient,
                t: CTensor) -> CTensor:
     """Average of the braided action over the symmetric group."""
     _require_ct(ev)
-    acc = CTensor(t.n)
+    _require_slots(t.n)
+    out, weight = {}, Scalar(1) / Scalar(factorial(t.n))
     for perm in permutations(range(t.n)):
-        acc = acc + braid_action(ev, alg, perm, t)
-    return acc.scale(Scalar(1) / Scalar(factorial(t.n)))
+        accumulate(out, _act(ev, alg, perm, t.terms), weight)
+    return _tensor(t.n, out)
 
 
 def lift_operator(ev: CqtEvaluator, alg: TruncatedQuotient, w_op,
-                  n: int, t: CTensor) -> CTensor:
-    """Lift a one-slot operator W to n slots:
+                  t: CTensor) -> CTensor:
+    """Lift a one-slot operator W to the n slots of t:
     sum_m pi_(0,m) (W on slot 0) pi_(0,m)."""
-    if t.n != n:
-        raise ValueError("tensor has %d slots, expected %d" % (t.n, n))
     _require_ct(ev)
-    total = CTensor(n)
-    for m in range(n):
-        perm = list(range(n))
+    _require_slots(t.n)
+    total = {}
+    for m in range(t.n):
+        perm = list(range(t.n))
         perm[0], perm[m] = perm[m], perm[0]
-        moved = braid_action(ev, alg, perm, t) if m else t
         hit = {}
-        for ws, c in moved.terms.items():
+        for ws, c in _act(ev, alg, perm, t.terms).items():
             img = alg.normal_form(w_op(NCPoly.from_word(ws[0])))
             accumulate(hit, {(w0,) + ws[1:]: c0
                              for w0, c0 in img.terms.items()}, c)
-        applied = CTensor(n)
-        applied.terms = hit
-        total = total + (braid_action(ev, alg, perm, applied)
-                         if m else applied)
-    return total
+        accumulate(total, _act(ev, alg, perm, hit))
+    return _tensor(t.n, total)

@@ -345,15 +345,17 @@ class TruncatedQuotient:
         self._basis = tuple(per_degree)
         return self._basis
 
-    def basis(self, degree: int):
-        """Normal-form basis words of exactly the given degree."""
+    def _within_cap(self, degree: int):
         if degree > self.cap:
             raise DegreeError("degree %d exceeds cap %d" % (degree, self.cap))
+
+    def basis(self, degree: int):
+        """Normal-form basis words of exactly the given degree."""
+        self._within_cap(degree)
         return self._levels()[degree]
 
     def basis_upto(self, degree: int):
-        if degree > self.cap:
-            raise DegreeError("degree %d exceeds cap %d" % (degree, self.cap))
+        self._within_cap(degree)
         for d in range(degree + 1):
             yield from self._levels()[d]
 
@@ -367,16 +369,12 @@ class TruncatedQuotient:
         changed."""
         nf = self._memo.get(w)
         if nf is None:
-            if len(w) > self.cap:
-                raise DegreeError("degree %d exceeds cap %d"
-                                  % (len(w), self.cap))
+            self._within_cap(len(w))
             nf = self._memo[w] = self._reduce({w: ONE}, self.cap)
         return nf
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        if p.degree() > self.cap:
-            raise DegreeError("degree %d exceeds cap %d"
-                              % (p.degree(), self.cap))
+        self._within_cap(p.degree())
         out, word_nf = {}, self.word_normal_form
         for w, c in p.terms.items():
             accumulate(out, word_nf(w), c)

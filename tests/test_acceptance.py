@@ -210,7 +210,7 @@ def test_criterion_8_fock_sector():
 
     calc = make_calculus(inst, 4)
     state = symmetrize(ev, alg, CTensor.from_polys(alg, [x(0), x(0)]))
-    lifted = lift_operator(ev, alg, lambda p: calc.partial(0, p), 2, state)
+    lifted = lift_operator(ev, alg, lambda p: calc.partial(0, p), state)
     want = symmetrize(ev, alg,
                       CTensor.from_polys(alg, [one, x(0)])).scale(Scalar(2))
     lift_ok = lifted == want

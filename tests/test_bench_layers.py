@@ -48,6 +48,21 @@ def test_one_rep_of_the_metric_case(capsys):
     one_rep(capsys, "metric-classical")
 
 
+def test_one_rep_of_the_fock_suite_case(capsys):
+    one_rep(capsys, "fock-suite-classical-n4")
+
+
+def test_one_rep_of_the_star_cqt_case(capsys):
+    one_rep(capsys, "star-cqt-dense11")
+
+
+def test_fock_suite_case_passes_every_check():
+    checks = layers().cases()["fock-suite-classical-n4"]()()
+    assert [c.name for c in checks if c.passed and not c.advisory] == [
+        "coaction-counit", "k-involution", "braid-relation",
+        "symmetrize-projector"]
+
+
 def test_quotient_cases_read_the_basis():
     quotient = layers().cases()["lorentz-cap2"]()
     assert quotient() == [1, 8, 34]
@@ -59,7 +74,8 @@ def test_cases_and_reps_are_checked(capsys):
             "rq-inverse-classical", "calculus-classical-deg5",
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
             "lambda-invariance-classical",
-            "lorentz-suite-classical", "metric-classical"} <= set(mod.cases())
+            "lorentz-suite-classical", "metric-classical",
+            "fock-suite-classical-n4", "star-cqt-dense11"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

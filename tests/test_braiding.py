@@ -39,7 +39,7 @@ def delta_b(p):
     """Coproduct of a symmetry-algebra polynomial as {(w1, w2): coeff}."""
     out = {}
     for w, c in p.terms.items():
-        accumulate(out, {(w1, w2): cc for w1, w2, cc in _delta_word(w)}, c)
+        accumulate(out, {pair: ONE for pair in _delta_word(w)}, c)
     return out
 
 
@@ -208,6 +208,25 @@ def test_counit_values():
             assert counit_b(NCPoly.gen(lam_id(i, j))) == want
         assert counit_b(NCPoly.gen(y_id(i))) == ZERO
     assert counit_b(NCPoly.one()) == ONE
+
+
+def test_every_letter_is_an_entry_of_p():
+    """Delta(P_ab) = sum_k P_ak (x) P_kb and eps(P_ab) = delta_ab on all
+    20 generators, each named through p_entry_word."""
+    letters = {}
+    for a in range(4):
+        for b in range(5):
+            (g,) = p_entry_word(a, b)
+            letters[g] = (a, b)
+    assert sorted(letters) == list(range(20))
+    for g, (a, b) in letters.items():
+        want = {}
+        for k in range(5):
+            left, right = p_entry_word(a, k), p_entry_word(k, b)
+            if left is not None and right is not None:
+                want[(left, right)] = ONE
+        assert delta_b(NCPoly.gen(g)) == want
+        assert counit_b(NCPoly.gen(g)) == (ONE if a == b else ZERO)
 
 
 def test_counit_law():

@@ -27,6 +27,12 @@ REPORT_PINS = [
     (("--b", "1", "--n", "3"),
      "1ee36f11c21a2a109ef614fc475dfbaf5dd11d51f7cbabcb6465d44c5a48cfa9",
      "d35ca04d656ff100336d1595beb15198b0323a984c30476cf180eb3989e077cd"),
+    (("--n", "3"),
+     "624af5468c874b751499c35caca7c272fbb378f6d645b2430338bce884eba911",
+     "138462c4cbf6f365ff87d25f548754c17c11412b9c579e6d703d461385eed586"),
+    (("--n", "4"),
+     "64b38cb4ebc4188d40065f36e2d17fa61477df4ea2055275c6c4fd2e984d97cc",
+     "830fb20a2149072660bc9d3f14124431089fdeef9eaacd83b5fccb55eba8a6fc"),
 ]
 
 # Exit code and stdout sha256 of each other subcommand, on `--builtin
@@ -302,6 +308,18 @@ def test_subcommands_are_pinned(capsys, tmp_path):
             code, out, _ = run(capsys, *args, *source)
             got = (code, hashlib.sha256(out.encode()).hexdigest())
             assert got == want, args + source
+
+
+def test_fock_on_the_sign_twisted_flip_is_pinned(capsys, tmp_path):
+    # With T = 0 the sign-twisted flip is cotriangular, so every braided
+    # check runs off the plain flip, up to four slots.
+    path = tmp_path / "twisted.json"
+    write_instance(dataclasses.replace(builtin("classical"), name="twisted",
+                                       R=sign_twisted_flip()), str(path))
+    code, out, _ = run(capsys, "fock", "--n", "4", str(path))
+    assert "info cotriangular: yes" in out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "96399fbcb158353cccb3a164f9ed5a58b7b1e7f9eef8d8bbc44c4efa04c0d145")
 
 
 def test_report_json_unwritable_path(capsys, tmp_path):

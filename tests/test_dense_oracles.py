@@ -15,27 +15,36 @@ one exchange table, so the identity d = sum_i dx_i partial_i cannot see
 a wrong table; these comparisons can.  The dense data makes 1 = 0 in
 its own quotient, so the calculus comparisons also run over the free
 algebra truncated at the same cap, where no term is reduced away.
+
+The braided permutation action and the symmetrizer are compared with the
+per-permutation loops they replaced, which apply each interchange of a
+bubble-sort decomposition as one two-slot CTensor per term and add the
+n! images as CTensors, on the classical flip and on the sign-twisted
+flip (both cotriangular at b = 0).
 """
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qminkowski.braiding import build_rq
+from qminkowski.braiding import build_rq, make_evaluator
 from qminkowski.calculus import FirstOrderCalculus, Form1
 from qminkowski.dirac import clifford_check, metric
 from qminkowski.errors import DegreeError
+from qminkowski.fock import CTensor, braid_action, interchange_k, symmetrize
 from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, kron, \
     sqrt_q, v_inverse, v_matrix
 from qminkowski.instance import builtin
 from qminkowski.lorentz import lambda_entries, lambda_invariance_check, \
     lorentz_relations, make_lorentz, w_id, wbar_id
-from qminkowski.minkowski import mink_relations
+from qminkowski.minkowski import make_minkowski, mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
+from test_acceptance import sign_twisted_flip
 from test_calculus import per_entry_left_mul_gen, shifted, z_perturbed
 from test_cli import twisted_tshift
 from test_dirac import random_gammas
@@ -266,6 +275,39 @@ def clifford_oracle(inst, gs, g):
 # --- comparisons -------------------------------------------------------------
 
 
+def k_at_oracle(ev, alg, t, pos):
+    """K on slots (pos, pos + 1), one two-slot CTensor per term."""
+    out = CTensor(t.n)
+    for ws, c in t.terms.items():
+        pair = interchange_k(ev, alg, CTensor(2, {ws[pos:pos + 2]: c}))
+        out = out + CTensor(t.n, {ws[:pos] + p + ws[pos + 2:]: v
+                                  for p, v in pair.terms.items()})
+    return out
+
+
+def braid_action_oracle(ev, alg, perm, t):
+    """The bubble-sort interchanges of perm, applied last swap first."""
+    arr, swaps = list(perm), []
+    changed = True
+    while changed:
+        changed = False
+        for pos in range(len(arr) - 1):
+            if arr[pos] > arr[pos + 1]:
+                arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
+                swaps.append(pos)
+                changed = True
+    for pos in reversed(swaps):
+        t = k_at_oracle(ev, alg, t, pos)
+    return t
+
+
+def symmetrize_oracle(ev, alg, t):
+    acc = CTensor(t.n)
+    for perm in itertools.permutations(range(t.n)):
+        acc = acc + braid_action_oracle(ev, alg, perm, t)
+    return acc.scale(Scalar(1) / Scalar(math.factorial(t.n)))
+
+
 def calculi(inst, cap=3):
     """The calculus over the instance's own quotient, and one whose
     algebra is swapped, before first use, for the free algebra."""
@@ -366,3 +408,26 @@ def test_metric_matches_the_kronecker_formula():
                                    q=ONE if made % 2 else -ONE)
         assert metric(inst) == metric_kron_oracle(inst), made
         made += 1
+
+
+@pytest.mark.parametrize("r", [flip(4, 4), sign_twisted_flip()],
+                         ids=["classical", "sign-twisted"])
+def test_braided_actions_match_the_per_permutation_loops(r):
+    inst = dataclasses.replace(builtin("classical"), R=r)
+    alg = make_minkowski(inst, 4)
+    ev = make_evaluator(inst, 0)
+    rng = random.Random(61)
+    words = list(alg.basis_upto(2))
+
+    def slot():
+        # up to two basis words of degree <= 2, Gaussian-rational weights
+        return NCPoly({rng.choice(words): Scalar(rng.randint(1, 3),
+                                                 rng.randint(-1, 1))
+                       for _ in range(2)})
+
+    for n in (2, 3, 4):
+        t = CTensor.from_polys(alg, [slot() for _ in range(n)])
+        for perm in itertools.permutations(range(n)):
+            assert braid_action(ev, alg, perm, t) == \
+                braid_action_oracle(ev, alg, perm, t), perm
+        assert symmetrize(ev, alg, t) == symmetrize_oracle(ev, alg, t)

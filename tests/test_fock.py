@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qminkowski.braiding import make_evaluator
+from qminkowski.braiding import lam_id, make_evaluator, y_id
 from qminkowski.dirac import metric
 from qminkowski.errors import NotCotriangular
 from qminkowski.exact import ONE, Scalar, ZERO
@@ -47,15 +47,15 @@ def tens(alg, *polys):
 
 def test_coaction_on_generators(alg):
     co = coaction(alg, x(0))
-    want = {((j,), (j,)): ONE for j in range(4)}   # Lambda_{0j} has id j
-    want[((16,), ())] = ONE                        # y_0 tensor 1
+    want = {((lam_id(0, j),), (j,)): ONE for j in range(4)}
+    want[((y_id(0),), ())] = ONE                   # y_0 tensor 1
     assert co == want
 
 
 def test_coaction_on_a_product_has_all_cross_terms(alg):
     co = coaction(alg, x(0) * x(1))
     assert len(co) == 25
-    assert co[((16, 17), ())] == ONE               # y_0 y_1 tensor 1
+    assert co[((y_id(0), y_id(1)), ())] == ONE     # y_0 y_1 tensor 1
 
 
 def test_coaction_counit_law(alg):
@@ -214,6 +214,27 @@ def test_braid_guards(alg, ev0):
         braid_action(ev0, alg, tuple(range(MAX_SLOTS + 1)), big)
 
 
+def test_guard_order(alg, ev0):
+    """symmetrize and lift_operator refuse a non-cotriangular evaluator
+    before they look at the slot count; braid_action checks the
+    permutation, then the slot bound, then cotriangularity."""
+    ev1 = make_evaluator(builtin("classical"), b=1)
+    big = CTensor.from_polys(alg, [x(0)] * (MAX_SLOTS + 1))
+    keep = lambda p: p
+    not_ct, bound = "cotriangular", "at most %d slots" % MAX_SLOTS
+    for ev, match in ((ev1, not_ct), (ev0, bound)):
+        with pytest.raises((NotCotriangular, ValueError), match=match):
+            symmetrize(ev, alg, big)
+        with pytest.raises((NotCotriangular, ValueError), match=match):
+            lift_operator(ev, alg, keep, big)
+    with pytest.raises(ValueError, match="perm must permute"):
+        braid_action(ev1, alg, (0,) * (MAX_SLOTS + 1), big)
+    with pytest.raises(ValueError, match=bound):
+        braid_action(ev1, alg, tuple(range(MAX_SLOTS + 1)), big)
+    with pytest.raises(NotCotriangular):
+        braid_action(ev1, alg, (1, 0), tens(alg, x(0), x(1)))
+
+
 # --- symmetrization and lifted operators ------------------------------------------
 
 
@@ -247,7 +268,7 @@ def test_lift_partial_lowers_one_slot(alg, ev0):
     calc = make_calculus(builtin("classical"), 4)
     one = NCPoly.one()
     t = symmetrize(ev0, alg, tens(alg, x(0), x(0)))
-    lifted = lift_operator(ev0, alg, lambda p: calc.partial(0, p), 2, t)
+    lifted = lift_operator(ev0, alg, lambda p: calc.partial(0, p), t)
     want = symmetrize(ev0, alg, tens(alg, one, x(0))).scale(Scalar(2))
     assert lifted == want
 
@@ -255,7 +276,7 @@ def test_lift_partial_lowers_one_slot(alg, ev0):
 def test_lift_identity_counts_slots(alg, ev0):
     for n in (2, 3):
         t = symmetrize(ev0, alg, tens(alg, *[x(k) for k in range(n)]))
-        lifted = lift_operator(ev0, alg, lambda p: p, n, t)
+        lifted = lift_operator(ev0, alg, lambda p: p, t)
         assert lifted == t.scale(Scalar(n))
 
 
@@ -263,7 +284,7 @@ def test_lift_is_linear_and_symmetric(alg, ev0):
     t1 = symmetrize(ev0, alg, tens(alg, x(0), x(1)))
     t2 = symmetrize(ev0, alg, tens(alg, x(2), x(2)))
     mul0 = lambda p: alg.normal_form(x(0) * p)
-    a = lift_operator(ev0, alg, mul0, 2, t1 + t2)
-    b = lift_operator(ev0, alg, mul0, 2, t1) + lift_operator(ev0, alg, mul0, 2, t2)
+    a = lift_operator(ev0, alg, mul0, t1 + t2)
+    b = lift_operator(ev0, alg, mul0, t1) + lift_operator(ev0, alg, mul0, t2)
     assert a == b
     assert symmetrize(ev0, alg, a) == a
