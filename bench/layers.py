@@ -23,9 +23,14 @@ run_suites on the classical instance, ``lorentz-suite-classical``; the
 classical metric, ``metric-classical``; the fock suite at --n 4 on the
 classical instance at b = 0, the one braided path of the benchmark (K,
 the braid relation and symmetrize up to four slots), on a cap-4 quotient
-and an evaluator built in the set-up, ``fock-suite-classical-n4``; and
-star_cqt_check on a fresh evaluator of the dense seed-11 instance at
-b = 1, as the dense braiding op runs it, ``star-cqt-dense11``.
+and an evaluator built in the set-up, ``fock-suite-classical-n4``;
+star_cqt_check on a fresh evaluator of the classical instance at b = 0,
+where the check passes and reads all 441 pairings of the entries of P,
+``star-cqt-classical``; and star_cqt_check on a fresh evaluator of the
+dense seed-11 instance at b = 1, ``star-cqt-dense11``, which stops at
+the first asymmetric pair after a handful of pairings and so sits near
+the timer's resolution: it stays because it is what the dense braiding
+op of the benchmark runs.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  One
 JSON line goes to stdout: the Python version, N, and each case's
@@ -158,6 +163,8 @@ def cases():
     out["metric-classical"] = lambda: lambda: metric(builtin("classical"))
     out["fock-suite-classical-n4"] = (
         lambda: fock_suite(builtin("classical"), 4))
+    out["star-cqt-classical"] = lambda: functools.partial(
+        star_cqt_check, make_evaluator(builtin("classical"), ZERO))
     out["star-cqt-dense11"] = lambda: functools.partial(
         star_cqt_check, make_evaluator(dense_instance(11), ONE))
     return out

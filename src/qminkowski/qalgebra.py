@@ -21,11 +21,17 @@ that act on short words only.  Every tail is kept in normal form at its
 rule's nominal degree |u| + k, reduced again whenever a new lead fires in
 it: u fires only with slack at least k, so a tail word t lands where the
 slack is at least |u| + k - |t|, which is what that reduction grants t.
+An ambiguity is queued as its word and the places of its two leads, and
+the difference of its two rewrites is formed only when it leaves the
+queue, from the tails as they stand then: each is a reduction of the
+tail the rule had when the ambiguity was found, by rules valid at its
+nominal degree, so the difference lies in the same truncated ideal.
 
 The leads are the leading words of the ideal part, so the basis (the
 words no rule applies to) and every normal form (memoised rewriting) are
-canonical: they do not depend on relation order or on the order in which
-ambiguities were resolved.
+canonical: they do not depend on relation order, on the order in which
+ambiguities were resolved, or on which element of the ideal an
+ambiguity's difference is.
 """
 
 from __future__ import annotations
@@ -259,24 +265,37 @@ class TruncatedQuotient:
         least k, a tail word t stands where the slack is at least
         |u| + k - |t|, and each rewrite of that reduction is one the
         context allows.
+
+        An ambiguity's difference is formed from the rules as they stand
+        when it is popped, not when it is found: the tails have been
+        re-reduced in between, and a rule replaced with a smaller
+        t-exponent still applies at the old degree, so the difference lies
+        in the same truncated ideal at degree D and the canonical basis
+        and normal forms cannot change.
         """
-        queue = [(r.degree(), n, r.terms)
+        rules = self._rules
+        queue = [(r.degree(), n, r.terms, None)
                  for n, r in enumerate(self.relation_set) if r.terms]
         heapify(queue)
         seq = len(queue)
         while queue:
-            degree, _, terms = heappop(queue)
+            degree, _, terms, amb = heappop(queue)
+            if amb is not None:
+                w, left, i, right, j = amb
+                terms = accumulate(
+                    _sub(w, i, i + len(left), rules[left][1]),
+                    _sub(w, j, j + len(right), rules[right][1]), -ONE)
             rest = self._reduce(terms, degree)
             if not rest:
                 continue
             lead = max(rest, key=_key)
             neg = -ONE / rest.pop(lead)
             rule = (degree - len(lead), {w: neg * v for w, v in rest.items()})
-            self._rules[lead] = rule
-            self._lengths = sorted({len(u) for u in self._rules})
+            rules[lead] = rule
+            self._lengths = sorted({len(u) for u in rules})
             self._reduce_tails(lead, rule[0])
-            for amb_degree, amb in self._ambiguities(lead, rule):
-                heappush(queue, (amb_degree, seq, amb))
+            for amb_degree, amb in self._ambiguities(lead, rule[0]):
+                heappush(queue, (amb_degree, seq, None, amb))
                 seq += 1
 
     def _reduce_tails(self, v, kv):
@@ -296,34 +315,29 @@ class TruncatedQuotient:
                     rules[u] = (k, self._reduce(t, len(u) + k))
                     break
 
-    def _ambiguities(self, v, rule):
-        """(nominal degree, difference of the two rewrites) for every
-        overlap and inclusion of the lead v with a kept lead, v included,
-        up to the cap.
+    def _ambiguities(self, v, kv):
+        """(nominal degree, (W, left, i, right, j)) for every overlap and
+        inclusion W of the lead v, with t-exponent kv, and a kept lead, v
+        included, up to the cap: left sits at W[i:] and right at W[j:], and
+        an inclusion is the case W == left.  ``_complete`` forms the
+        difference of the two rewrites when it pops the entry.
 
         An overlap word or including lead W sits at degree |W| + max(k_u,
         k_v).  Leads that meet in no letter need no check: every term
         below a lead carries at least the lead's t-exponent.
         """
-        kv, tv = rule
-        for u, (ku, tu) in self._rules.items():
+        for u, (ku, _) in self._rules.items():
             k = max(ku, kv)
-            pairs = [(u, tu, v, tv)]
-            if u != v:
-                pairs.append((v, tv, u, tu))
-            for left, tl, right, tr in pairs:
+            pairs = [(u, v)] if u == v else [(u, v), (v, u)]
+            for left, right in pairs:
                 for n in range(1, min(len(left), len(right))):
                     w = left + right[n:]
                     if len(w) + k <= self.cap and left[-n:] == right[:n]:
-                        yield len(w) + k, accumulate(
-                            _sub(w, 0, len(left), tl),
-                            _sub(w, len(left) - n, len(w), tr), -ONE)
+                        yield len(w) + k, (w, left, 0, right, len(left) - n)
                 if len(right) < len(left) and len(left) + k <= self.cap:
                     for i in range(len(left) - len(right) + 1):
                         if left[i:i + len(right)] == right:
-                            yield len(left) + k, accumulate(
-                                dict(tl), _sub(left, i, i + len(right), tr),
-                                -ONE)
+                            yield len(left) + k, (left, left, 0, right, i)
 
     def _levels(self):
         """The words of each degree that no rule applies to, in lexicographic

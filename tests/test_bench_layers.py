@@ -56,6 +56,12 @@ def test_one_rep_of_the_star_cqt_case(capsys):
     one_rep(capsys, "star-cqt-dense11")
 
 
+def test_classical_star_cqt_case_reads_every_pairing():
+    call = layers().cases()["star-cqt-classical"]()
+    assert call() is True
+    assert len(call.args[0]._memo) == 441
+
+
 def test_fock_suite_case_passes_every_check():
     checks = layers().cases()["fock-suite-classical-n4"]()()
     assert [c.name for c in checks if c.passed and not c.advisory] == [
@@ -75,7 +81,8 @@ def test_cases_and_reps_are_checked(capsys):
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
             "lambda-invariance-classical",
             "lorentz-suite-classical", "metric-classical",
-            "fock-suite-classical-n4", "star-cqt-dense11"} <= set(mod.cases())
+            "fock-suite-classical-n4", "star-cqt-classical",
+            "star-cqt-dense11"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)
