@@ -7,11 +7,10 @@ from .errors import (
 from .exact import Scalar, Mat, kron, flip, parse_scalar
 from .instance import (
     PoincareInstance, builtin, builtin_names, load_instance, write_instance,
-    validate_instance,
 )
 from .qalgebra import NCPoly, build_quotient
 from .minkowski import make_minkowski, mink_relations, pbw_check
-from .calculus import make_calculus, f_tilde, Form1
+from .calculus import make_calculus, f_tilde
 from .dirac import metric, gamma, clifford_check, clifford_ok, \
     dirac_square_check
 from .lorentz import make_lorentz, lambda_entries, lambda_invariance_check

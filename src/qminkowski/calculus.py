@@ -1,7 +1,9 @@
 """Covariant first-order differential calculus on the coordinate algebra.
 
 The bimodule of one-forms is free as a right module with basis dx_0..dx_3,
-and the left action is pushed through that basis with the exchange rule
+so a one-form sum_i dx_i f_i is the tuple (f_0, f_1, f_2, f_3) of its
+coordinate NCPolys, and the left action is pushed through that basis with
+the exchange rule
 
     x_i dx_j = sum_kl R_{ij,kl} dx_k x_l + sum_k Z_{ij,k} dx_k.
 
@@ -26,7 +28,7 @@ partial_i of each word by (i, w), _act_memo the image x_i (dx_j w) of each
 (i, j, w) as (k, term dict) pairs for its nonzero coordinates k, from
 which _x_act builds x_i acting on any one-form by linearity, and
 _second_memo the 4x4 table of second partials of each word.  Every sum
-goes through qalgebra.accumulate; an NCPoly or Form1 is built only where
+goes through qalgebra.accumulate; an NCPoly is built only where
 differential, partial, box and left_mul return.  d is the recursion
 E_b(a) = d(ab) - a d(b) at b = (): E_b(()) = 0 and E_b(h a') =
 x_h E_b(a') + dx_h nf(a' b), reading nf(a' b) from the quotient's word
@@ -46,8 +48,6 @@ text: the word or pair and the index, e.g. "a=(0,), b=(1, 2), i=3".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dirac import metric
 from .errors import CalculusObstruction
 from .exact import Mat, ONE, Scalar, ZERO, kron
@@ -55,7 +55,7 @@ from .minkowski import make_minkowski
 from .qalgebra import NCPoly, _poly, accumulate
 
 __all__ = [
-    "f_tilde", "Form1", "FirstOrderCalculus", "make_calculus",
+    "f_tilde", "FirstOrderCalculus", "make_calculus",
     "kron",  # re-exported: perfbench and the trace tests wrap calculus.kron
 ]
 
@@ -111,13 +111,6 @@ def f_tilde(inst) -> Mat:
     return Mat(64, 4, data)
 
 
-@dataclass(frozen=True)
-class Form1:
-    """A one-form in right-module coordinates: sum_i dx_i coords[i]."""
-
-    coords: tuple
-
-
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one instance.
 
@@ -171,17 +164,17 @@ class FirstOrderCalculus:
                     accumulate(out[k], img, c)
         return out
 
-    def left_mul(self, p: NCPoly, form: Form1) -> Form1:
+    def left_mul(self, p: NCPoly, form: tuple) -> tuple:
         """p acting from the left on a one-form, one letter at a time from
         the right end of each word."""
         out = ({}, {}, {}, {})
         for w, c in p.terms.items():
-            f = [q.terms for q in form.coords]
+            f = [q.terms for q in form]
             for g in reversed(w):
                 f = self._x_act(g, f)
             for acc, t in zip(out, f):
                 accumulate(acc, t, c)
-        return Form1(tuple(map(_poly, out)))
+        return tuple(map(_poly, out))
 
     # -- differential and partials -----------------------------------------
 
@@ -203,12 +196,12 @@ class FirstOrderCalculus:
         """d(w) = E_()(w) as four term dicts, memoised per word."""
         return self._leibniz_e(self._d_memo, w, ())
 
-    def differential(self, p: NCPoly) -> Form1:
+    def differential(self, p: NCPoly) -> tuple:
         out = ({}, {}, {}, {})
         for w, c in p.terms.items():
             for acc, t in zip(out, self._d_word(w)):
                 accumulate(acc, t, c)
-        return Form1(tuple(map(_poly, out)))
+        return tuple(map(_poly, out))
 
     def _p_word(self, i: int, w) -> dict:
         """partial_i(w) as a term dict, memoised per (i, w)."""

@@ -1,13 +1,14 @@
 """Command line interface.
 
 Every subcommand loads an instance (from a file argument or --builtin),
-runs one named suite of checks and prints one line per check.  A suite
-is a list of CheckResult records, and one rule (instance.gating_passed)
-decides every verdict: a suite passes when each of its non-advisory
-checks passes, and the run passes when every suite does.  Advisory
-checks print as "info" lines and never gate.  Exit status: 0 when the
-run passes, 1 when it fails, 2 on input problems.  Output contains no
-timestamps or timings, so identical inputs produce identical bytes.
+runs one named suite of checks and prints one line per check.  Every
+suite is built here, as a list of CheckResult records, and one rule
+(gating_passed) decides every verdict: a suite passes when each of its
+non-advisory checks passes, and the run passes when every suite does.
+Advisory checks print as "info" lines and never gate.  Exit status: 0
+when the run passes, 1 when it fails, 2 on input problems.  Output
+contains no timestamps or timings, so identical inputs produce identical
+bytes.
 
 Every suite takes one argument, the _Run that one run_suites call owns
 and that dies with the call (nothing computed from an instance is cached
@@ -34,12 +35,31 @@ from itertools import product
 from . import braiding, calculus, dirac, fock, lorentz, minkowski
 from .errors import CalculusObstruction, ConstraintError, ParseError, \
     QMinkError
-from .exact import Mat, Scalar, parse_scalar
-from .instance import CheckResult, builtin, builtin_names, gating_passed, \
-    load_instance, validate_instance
+from .exact import Scalar, is_sign, parse_scalar
+from .instance import builtin, builtin_names, load_instance
 from .qalgebra import NCPoly, accumulate
 
-__all__ = ["main", "run_suites", "Report", "SuiteResult"]
+__all__ = ["main", "run_suites", "Report", "SuiteResult", "CheckResult",
+           "gating_passed"]
+
+
+@dataclass
+class CheckResult:
+    """One named check.  An advisory check reports but never gates."""
+
+    name: str
+    passed: bool
+    detail: str
+    advisory: bool = False
+
+    def line(self) -> str:
+        tag = "info" if self.advisory else ("pass" if self.passed else "FAIL")
+        return "%s %s: %s" % (tag.ljust(4), self.name, self.detail)
+
+
+def gating_passed(checks) -> bool:
+    """The one gating rule: every non-advisory check passed."""
+    return all(c.passed for c in checks if not c.advisory)
 
 
 @dataclass
@@ -108,7 +128,30 @@ class _Run:
 
 
 def suite_validate(run: _Run) -> list:
-    return validate_instance(run.inst)
+    """The structural checks.  A nonzero calculus obstruction is advisory:
+    the algebra itself is still usable, only the differential layer is
+    unavailable."""
+    inst = run.inst
+    det_x = inst.X.det()
+    g = dirac.metric(inst)
+    sym = g.conj_t() == g
+    det_g = g.det()
+    ft_zero = calculus.f_tilde(inst).is_zero()
+    return [
+        CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
+                                    "Z 16x4, T 16x1"),
+        CheckResult("q-sign", is_sign(inst.q), "q = %r" % inst.q),
+        CheckResult("s-sign", is_sign(inst.s), "s = %r" % inst.s),
+        CheckResult("x-invertible", det_x != 0, "det X = %r" % det_x),
+        CheckResult("metric-symmetric", sym, "conj(g_ij) == g_ji" if sym
+                    else "conjugate symmetry fails"),
+        CheckResult("metric-nondegenerate", det_g != 0,
+                    "det g = %r" % det_g),
+        CheckResult("calculus-obstruction", ft_zero,
+                    "obstruction matrix vanishes" if ft_zero
+                    else "obstruction matrix is nonzero; differential "
+                         "layer unavailable", advisory=True),
+    ]
 
 
 def suite_pbw(run: _Run) -> list:
@@ -150,7 +193,7 @@ def suite_dirac(run: _Run) -> list:
     det_g = g.det()
     checks = [
         CheckResult("metric-symmetric", g.conj_t() == g,
-                    "g = %s" % _mat_brief(g)),
+                    "g = %s" % g),
         CheckResult("metric-nondegenerate", det_g != 0,
                     "det g = %r" % det_g),
     ]
@@ -267,11 +310,6 @@ def suite_fock(run: _Run) -> list:
         "symmetrize-projector", all(idempotent(m) for m in range(2, n + 1)),
         "symmetrization is idempotent (2..%d slots)" % n))
     return checks
-
-
-def _mat_brief(m: Mat) -> str:
-    return "[" + "; ".join(" ".join(repr(m[i, j]) for j in range(m.cols))
-                           for i in range(m.rows)) + "]"
 
 
 _SUITES = ("validate", "pbw", "calculus", "dirac", "lorentz", "braiding",

@@ -2,23 +2,20 @@
 
 The metric g, a 4x4 Mat, comes out of the invariant bilinear data in the
 2x2 spinor picture; gammas are assembled in Weyl form from the Pauli
-blocks and the deformed lower blocks A_i.  The pair (a, b) scaling the
-off-diagonal blocks is kept as arguments because the square of the Dirac
-operator D = sum_i gamma_i partial_i matches the wave operator exactly
-when a*b = 1.  D is never applied: D^2 is the contraction of the products
-gamma_i gamma_j with the second partials partial_i partial_j of a word.
+blocks sigma_i and the deformed blocks A_i.  The Dirac operator D =
+sum_i gamma_i partial_i is never applied: D^2 is the contraction of the
+products gamma_i gamma_j with the second partials partial_i partial_j of
+a word.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .exact import Mat, ONE, Scalar, ZERO, flip, kron, pauli, \
     sqrt_q, v_inverse
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
-    "metric", "GammaSet", "gamma",
+    "metric", "gamma",
     "clifford_check", "clifford_ok", "dirac_square", "dirac_square_check",
 ]
 
@@ -42,45 +39,31 @@ def metric(inst) -> Mat:
         Scalar(-2) * sqrt_q(inst.q))
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    gammas: tuple  # four 4x4 matrices
-    lower: tuple   # the four 2x2 blocks A_i
-
-
-def gamma(inst, a=ONE, b=ONE) -> GammaSet:
-    """Weyl-form gammas [[0, b A_i], [a sigma_i, 0]]."""
+def gamma(inst) -> tuple:
+    """The four Weyl-form gammas [[0, A_i], [sigma_i, 0]], 4x4 each."""
     tau = flip(2, 2)
     d = tau * inst.X.inverse() * tau
     e2 = Mat(2, 2, [inst.E[k, 0] for k in range(4)])
     qih = ONE / sqrt_q(inst.q)
-    lower = []
-    for i in range(4):
-        # contraction (sigma_i o D)[K,L] = sum_AB sigma_i[A,B] D[(A,B),(K,L)]
-        m = Mat(2, 2, (Mat(1, 4, pauli(i).data) * d).data)
-        lower.append((e2.transpose() * m * e2).scale(qih))
     gammas = []
     for i in range(4):
         s = pauli(i)
-        al = lower[i]
-        ent = [Scalar(0)] * 16
+        # contraction (sigma_i o D)[K,L] = sum_AB sigma_i[A,B] D[(A,B),(K,L)]
+        m = Mat(2, 2, (Mat(1, 4, s.data) * d).data)
+        al = (e2.transpose() * m * e2).scale(qih)
+        ent = [ZERO] * 16
         for r in range(2):
             for c in range(2):
-                ent[4 * r + (c + 2)] = b * al[r, c]
-                ent[4 * (r + 2) + c] = a * s[r, c]
+                ent[4 * r + c + 2] = al[r, c]
+                ent[4 * (r + 2) + c] = s[r, c]
         gammas.append(Mat(4, 4, ent))
-    return GammaSet(tuple(gammas), tuple(lower))
+    return tuple(gammas)
 
 
-def clifford_check(inst, gs: GammaSet = None, g: Mat = None):
+def clifford_check(inst, gs: tuple, g: Mat):
     """Residuals gamma_i gamma_j + R_{ji,lk} gamma_k gamma_l - 2 g_ji."""
-    if gs is None:
-        gs = gamma(inst)
-    if g is None:
-        g = metric(inst)
     i4 = Mat.identity(4)
-    prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
-             for i in range(4)]
+    prods = [[gs[i] * gs[j] for j in range(4)] for i in range(4)]
     sums = {(i, j): prods[i][j] for i in range(4) for j in range(4)}
     for row, col, c in inst.R.nonzeros():
         j, i = divmod(row, 4)
@@ -90,7 +73,7 @@ def clifford_check(inst, gs: GammaSet = None, g: Mat = None):
             for (i, j), acc in sums.items()}
 
 
-def clifford_ok(inst, gs: GammaSet = None, g: Mat = None) -> bool:
+def clifford_ok(inst, gs: tuple, g: Mat) -> bool:
     return all(m.is_zero() for m in clifford_check(inst, gs, g).values())
 
 
@@ -112,13 +95,13 @@ def dirac_square(calc, prods, w) -> list:
     return acc
 
 
-def dirac_square_check(calc, gs: GammaSet, n: int) -> str | None:
+def dirac_square_check(calc, gs: tuple, n: int) -> str | None:
     """D;D = wave operator, componentwise, on spinors e_a (x) word.
 
     None when it holds on every basis word up to degree n, otherwise the
     first counterexample as text, e.g. "w=(0, 1), a=2".
     """
-    prods = [[(gi * gj).nonzeros() for gj in gs.gammas] for gi in gs.gammas]
+    prods = [[(gi * gj).nonzeros() for gj in gs] for gi in gs]
     for w in calc.alg.basis_upto(n):
         boxed = calc.box(NCPoly.from_word(w)).terms
         for a, comps in enumerate(dirac_square(calc, prods, w)):

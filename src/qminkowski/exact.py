@@ -568,10 +568,13 @@ class Mat:
                              stamps[i]))
         return Mat(n, n, out)
 
+    def __str__(self):
+        """Rows separated by "; ", e.g. [1 0; 0 -1]."""
+        return "[%s]" % "; ".join(" ".join(map(repr, self.row(i)))
+                                  for i in range(self.rows))
+
     def __repr__(self):
-        body = "; ".join(" ".join(repr(x) for x in self.row(i))
-                         for i in range(self.rows))
-        return "Mat(%dx%d: %s)" % (self.rows, self.cols, body)
+        return "Mat(%dx%d %s)" % (self.rows, self.cols, self)
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -1,4 +1,4 @@
-"""Structure-data instances: loading, validation, serialization.
+"""Structure-data instances: the schema, JSON I/O and the builtin data.
 
 An instance bundles the signs q, s and the matrices E (4x1), E' (1x4),
 X (4x4), R (16x16), Z (16x4), T (16x1) that drive every construction in
@@ -6,6 +6,7 @@ the package.  Files are JSON with a fixed schema: scalars are four-integer
 arrays [re_num, re_den, im_num, im_den] with positive denominators, and
 matrices are {"rows": r, "cols": c, "entries": [scalar, ...]} in row-major
 order.  Unknown keys are rejected so typos cannot silently change a run.
+The checks run on an instance are the suites in cli.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dirac import metric
 from .errors import ConstraintError, ParseError, UnknownInstance
-from .exact import Mat, ONE, Scalar, flip, is_sign, require_sign
+from .exact import Mat, ONE, Scalar, flip, require_sign
 
 __all__ = [
-    "PoincareInstance", "CheckResult", "gating_passed",
-    "load_instance", "write_instance", "instance_to_dict",
-    "instance_from_dict", "builtin", "builtin_names", "validate_instance",
+    "PoincareInstance", "load_instance", "write_instance",
+    "instance_to_dict", "instance_from_dict", "builtin", "builtin_names",
 ]
 
 _SHAPES = {
@@ -166,56 +165,3 @@ def builtin(name: str) -> PoincareInstance:
 def builtin_names():
     return ("classical",)
 
-
-@dataclass
-class CheckResult:
-    """One named check.  An advisory check reports but never gates."""
-
-    name: str
-    passed: bool
-    detail: str
-    advisory: bool = False
-
-    def line(self) -> str:
-        tag = "info" if self.advisory else ("pass" if self.passed else "FAIL")
-        return "%s %s: %s" % (tag.ljust(4), self.name, self.detail)
-
-
-def gating_passed(checks) -> bool:
-    """The one gating rule: every non-advisory check passed."""
-    return all(c.passed for c in checks if not c.advisory)
-
-
-def validate_instance(inst: PoincareInstance) -> list:
-    """Run the structural checks; return one CheckResult per check.
-
-    A nonzero calculus obstruction is advisory: the algebra itself is
-    still usable, only the differential layer is unavailable.
-    """
-    checks = []
-    add = checks.append
-
-    add(CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
-                                    "Z 16x4, T 16x1"))
-    add(CheckResult("q-sign", is_sign(inst.q), "q = %r" % inst.q))
-    add(CheckResult("s-sign", is_sign(inst.s), "s = %r" % inst.s))
-    det_x = inst.X.det()
-    add(CheckResult("x-invertible", det_x != 0, "det X = %r" % det_x))
-
-    g = metric(inst)
-    sym = g.conj_t() == g
-    add(CheckResult("metric-symmetric", sym,
-                    "conj(g_ij) == g_ji" if sym else "conjugate symmetry "
-                    "fails"))
-    det_g = g.det()
-    add(CheckResult("metric-nondegenerate", det_g != 0, "det g = %r" % det_g))
-
-    # deferred: calculus imports minkowski, which imports this module
-    from .calculus import f_tilde
-    ft = f_tilde(inst)
-    add(CheckResult("calculus-obstruction", ft.is_zero(),
-                    "obstruction matrix vanishes" if ft.is_zero()
-                    else "obstruction matrix is nonzero; differential layer "
-                         "unavailable",
-                    advisory=True))
-    return checks

@@ -25,6 +25,22 @@ from qminkowski.minkowski import make_minkowski, pbw_check
 from qminkowski.qalgebra import NCPoly
 
 
+def rescaled(gs, a, b):
+    """The gammas [[0, b A_i], [a sigma_i, 0]] from gs = gamma(inst) =
+    [[0, A_i], [sigma_i, 0]].  The square of the Dirac operator D =
+    sum_i gamma_i partial_i matches the wave operator exactly when
+    a*b = 1, so a pair with a*b != 1 is a negative control."""
+    out = []
+    for gm in gs:
+        ent = list(gm.data)
+        for r in range(2):
+            for c in range(2):
+                ent[4 * r + c + 2] = b * ent[4 * r + c + 2]
+                ent[4 * (r + 2) + c] = a * ent[4 * (r + 2) + c]
+        out.append(Mat(4, 4, ent))
+    return tuple(out)
+
+
 def report(num, ok, detail):
     print("criterion %d: %s (%s)" % (num, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (num, detail)
@@ -123,16 +139,19 @@ def test_criterion_4_metric_and_gammas():
 
     gs = gamma(inst)
     signs = (ONE, -ONE, -ONE, -ONE)
-    blocks_ok = all(gs.lower[i] == pauli(i).scale(signs[i]) for i in range(4))
+    # A_i is the upper-right 2x2 block of gamma_i
+    blocks_ok = all(
+        Mat(2, 2, [gs[i][r, 2 + c] for r in range(2) for c in range(2)])
+        == pauli(i).scale(signs[i]) for i in range(4))
 
-    residuals = clifford_check(inst)
+    residuals = clifford_check(inst, gs, g)
     clifford_zero = all(m.is_zero() for m in residuals.values())
 
     calc = make_calculus(inst, 4)
     square_ok = dirac_square_check(calc, gs, 3) is None
 
-    bad = gamma(inst, a=Scalar(2), b=ONE)       # a b = 2
-    bad_clifford = clifford_ok(inst, gs=bad)
+    bad = rescaled(gs, Scalar(2), ONE)          # a b = 2
+    bad_clifford = clifford_ok(inst, bad, g)
     bad_square = dirac_square_check(calc, bad, 2) is None
     control_ok = (not bad_clifford) and (not bad_square)
 

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qminkowski.minkowski as minkowski
-from qminkowski.calculus import FirstOrderCalculus, Form1, f_tilde, \
-    make_calculus
+from qminkowski.calculus import FirstOrderCalculus, f_tilde, make_calculus
 from qminkowski.cli import main
 from qminkowski.dirac import dirac_square_check, gamma
 from qminkowski.errors import CalculusObstruction
@@ -235,8 +234,8 @@ def test_differential_collects_partials(classical_calc):
             p = p + NCPoly.from_word(w).scale(Scalar(rng.randint(-2, 2)))
         form = calc.differential(p)
         for i in range(4):
-            assert form.coords[i] == calc.partial(i, p)
-    assert all(c.is_zero() for c in calc.differential(NCPoly.one()).coords)
+            assert form[i] == calc.partial(i, p)
+    assert all(c.is_zero() for c in calc.differential(NCPoly.one()))
 
 
 def test_box_is_the_wave_operator(classical_calc):
@@ -274,7 +273,7 @@ def test_bimodule_commutes_classically(classical_calc):
     left = calc.left_mul(x(0), dx1)
     right = right_mul(calc, dx1, x(0))
     assert left == right
-    assert left.coords[1] == x(0)
+    assert left[1] == x(0)
 
 
 def test_identity_checks_at_low_degree(classical_calc):
@@ -362,7 +361,7 @@ def per_entry_left_mul_gen(calc, i, form):
     for k in range(4):
         acc = NCPoly.zero()
         for j in range(4):
-            fj = form.coords[j]
+            fj = form[j]
             for l in range(4):
                 c = r[4 * i + j, 4 * k + l]
                 if c:
@@ -371,7 +370,7 @@ def per_entry_left_mul_gen(calc, i, form):
             if c:
                 acc = acc + fj.scale(c)
         coords.append(calc.alg.normal_form(acc))
-    return Form1(tuple(coords))
+    return tuple(coords)
 
 
 @pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
@@ -384,7 +383,7 @@ def test_memoised_left_action_matches_unmemoised(inst):
         for j in range(4):
             coords = [zero] * 4
             coords[j] = NCPoly.from_word(w)
-            forms.append(Form1(tuple(coords)))
+            forms.append(tuple(coords))
     for form in forms:
         for i in range(4):
             assert calc.left_mul(x(i), form) == \
@@ -400,7 +399,7 @@ def test_memoised_left_action_matches_unmemoised(inst):
                 adb = calc.left_mul(NCPoly.from_word(a), db)
                 got = calc._leibniz_e(table, a, b)
                 for i in range(4):
-                    want = dab.coords[i] - adb.coords[i]
+                    want = dab[i] - adb[i]
                     assert got[i] == want.terms, (a, b, i)
     for w in words:
         second = calc.second_partials(w)
@@ -448,7 +447,7 @@ def test_memos_hold_term_dicts_of_basis_words(inst):
 
 def right_mul(calc, form, p):
     """The one-form times p from the right, coordinate by coordinate."""
-    return Form1(tuple(calc.alg.normal_form(f * p) for f in form.coords))
+    return tuple(calc.alg.normal_form(f * p) for f in form)
 
 
 def leibniz_oracle(calc, n):
@@ -466,7 +465,7 @@ def leibniz_oracle(calc, n):
             a_db = calc.left_mul(pa, db)
             da_b = right_mul(calc, calc.differential(pa), pb)
             for i in range(4):
-                if lhs.coords[i] != a_db.coords[i] + da_b.coords[i]:
+                if lhs[i] != a_db[i] + da_b[i]:
                     return "a=%s, b=%s, i=%d" % (a, b, i)
     return None
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import pytest
 
 from qminkowski.braiding import build_rq, make_evaluator
-from qminkowski.calculus import FirstOrderCalculus, Form1
+from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.dirac import clifford_check, metric
 from qminkowski.errors import DegreeError
 from qminkowski.fock import CTensor, braid_action, interchange_k, symmetrize
@@ -257,8 +257,7 @@ def metric_kron_oracle(inst):
 
 def clifford_oracle(inst, gs, g):
     r = inst.R
-    prods = [[gs.gammas[i] * gs.gammas[j] for j in range(4)]
-             for i in range(4)]
+    prods = [[gs[i] * gs[j] for j in range(4)] for i in range(4)]
     residuals = {}
     for i in range(4):
         for j in range(4):
@@ -337,7 +336,7 @@ def test_exchange_table_matches_dense_loops(inst):
             for j in range(4):
                 coords = [zero] * 4
                 coords[j] = NCPoly.from_word(w)
-                form = Form1(tuple(coords))
+                form = tuple(coords)
                 for i in range(4):
                     assert calc.left_mul(NCPoly.gen(i), form) == \
                         per_entry_left_mul_gen(calc, i, form), (i, j, w)

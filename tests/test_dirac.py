@@ -9,8 +9,8 @@ import pytest
 
 from qminkowski import cli, dirac
 from qminkowski.dirac import (
-    GammaSet, clifford_check, clifford_ok, dirac_square, dirac_square_check,
-    gamma, metric,
+    clifford_check, clifford_ok, dirac_square, dirac_square_check, gamma,
+    metric,
 )
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
 from qminkowski.instance import builtin
@@ -18,7 +18,7 @@ from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.qalgebra import NCPoly
 
-from test_acceptance import sign_twisted_flip
+from test_acceptance import rescaled, sign_twisted_flip
 from test_calculus import leibniz_breaking, shifted
 
 
@@ -58,40 +58,40 @@ def test_metric_tensor_flags():
 def test_gamma_blocks_classical():
     gs = gamma(builtin("classical"))
     signs = (ONE, -ONE, -ONE, -ONE)
-    for i in range(4):
-        assert gs.lower[i] == pauli(i).scale(signs[i])
-        gm = gs.gammas[i]
+    for i, gm in enumerate(gs):
+        a_i = pauli(i).scale(signs[i])
         for a in range(2):
             for b in range(2):
                 assert gm[a, b] == ZERO                    # top left
                 assert gm[2 + a, 2 + b] == ZERO            # bottom right
-                assert gm[a, 2 + b] == gs.lower[i][a, b]   # b * A_i with b=1
-                assert gm[2 + a, b] == pauli(i)[a, b]      # a * sigma_i
+                assert gm[a, 2 + b] == a_i[a, b]           # A_i
+                assert gm[2 + a, b] == pauli(i)[a, b]      # sigma_i
 
 
 def test_clifford_relations():
     inst = builtin("classical")
-    res = clifford_check(inst)
-    assert len(res) == 16
-    assert all(m.is_zero() for m in res.values())
-    assert clifford_ok(inst)
-    # direct anticommutator oracle: R is the swap, so the residual is
-    # gamma_i gamma_j + gamma_j gamma_i - 2 g_ji
     gs = gamma(inst)
     g = metric(inst)
+    res = clifford_check(inst, gs, g)
+    assert len(res) == 16
+    assert all(m.is_zero() for m in res.values())
+    assert clifford_ok(inst, gs, g)
+    # direct anticommutator oracle: R is the swap, so the residual is
+    # gamma_i gamma_j + gamma_j gamma_i - 2 g_ji
     for i in range(4):
         for j in range(4):
-            anti = gs.gammas[i] * gs.gammas[j] + gs.gammas[j] * gs.gammas[i]
+            anti = gs[i] * gs[j] + gs[j] * gs[i]
             assert anti == Mat.identity(4).scale(Scalar(2) * g[j, i])
 
 
 def test_normalization_scale():
     inst = builtin("classical")
+    gs, g = gamma(inst), metric(inst)
     # ab = 1 keeps everything, ab != 1 breaks Clifford and the square
-    ok_pair = gamma(inst, a=Scalar(2), b=Scalar(Fraction(1, 2)))
-    assert all(m.is_zero() for m in clifford_check(inst, gs=ok_pair).values())
-    bad = gamma(inst, a=Scalar(2), b=ONE)
-    assert not all(m.is_zero() for m in clifford_check(inst, gs=bad).values())
+    ok_pair = rescaled(gs, Scalar(2), Scalar(Fraction(1, 2)))
+    assert all(m.is_zero() for m in clifford_check(inst, ok_pair, g).values())
+    bad = rescaled(gs, Scalar(2), ONE)
+    assert not all(m.is_zero() for m in clifford_check(inst, bad, g).values())
 
     calc = make_calculus(inst, 3)
     assert dirac_square_check(calc, ok_pair, 2) is None
@@ -101,7 +101,7 @@ def test_normalization_scale():
 def test_failing_checks_name_their_witness(monkeypatch):
     inst = builtin("classical")
     calc = make_calculus(inst, 3)
-    bad = gamma(inst, a=Scalar(2), b=ONE)
+    bad = rescaled(gamma(inst), Scalar(2), ONE)
     assert dirac_square_check(calc, bad, 2) == "w=(0, 0), a=0"
     assert lambda_invariance_check(make_lorentz(inst, 4),
                                    Mat.identity(4)) == "i=0, j=0"
@@ -144,7 +144,7 @@ def dirac_apply(calc, gs, phi):
     for a in range(4):
         acc = NCPoly.zero()
         for i in range(4):
-            gi = gs.gammas[i]
+            gi = gs[i]
             for b in range(4):
                 c = gi[a, b]
                 if c:
@@ -210,8 +210,7 @@ def random_gammas(seed):
         return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                       Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
 
-    return GammaSet(tuple(Mat(4, 4, [entry() for _ in range(16)])
-                          for _ in range(4)), ())
+    return tuple(Mat(4, 4, [entry() for _ in range(16)]) for _ in range(4))
 
 
 @pytest.mark.parametrize("inst", [builtin("classical"), TWISTED],
@@ -221,8 +220,7 @@ def test_dirac_square_matches_applying_twice(inst):
     # in the contraction shows as a value mismatch
     calc = make_calculus(inst, 4)
     for gs in [gamma(inst)] + [random_gammas(seed) for seed in (1, 2, 3)]:
-        prods = [[(gi * gj).nonzeros() for gj in gs.gammas]
-                 for gi in gs.gammas]
+        prods = [[(gi * gj).nonzeros() for gj in gs] for gi in gs]
         for w in calc.alg.basis_upto(4):
             square = dirac_square(calc, prods, w)
             for a in range(4):
@@ -237,10 +235,11 @@ def test_dirac_square_matches_applying_twice(inst):
     leibniz_breaking()], ids=["classical", "tshift", "twisted", "zt-bent"])
 def test_square_witnesses_match_oracle(inst):
     calc = make_calculus(inst, 4)
+    base = gamma(inst)
     pairs = ((1, 1), (2, Fraction(1, 2)), (2, 1),
              (Scalar(0, 1), Scalar(0, -1)))
     for a, b in pairs:
-        gs = gamma(inst, a, b)
+        gs = rescaled(base, a, b)
         for n in (2, 3, 4):
             assert dirac_square_check(calc, gs, n) == \
                 square_oracle(calc, gs, n), (a, b, n)

@@ -6,6 +6,9 @@ module, appears in a string annotation, or is listed in ``__all__``.
 Package ``__init__.py`` files are exempt: their imports are re-exports.
 A name listed in a module's ``__all__`` that the module does not define
 fails only ``from module import *``, so each ``__all__`` is checked too.
+The same scan holds the layering: ``instance`` (schema, JSON I/O, builtin)
+imports only ``errors`` and ``exact`` from the package, and no module in
+src/ imports inside a function.
 """
 
 import ast
@@ -88,3 +91,57 @@ def test_stale_export_is_flagged():
     module.a = 1
     module.__all__ = ["a", "gone"]
     assert stale_exports(module) == ["gone"]
+
+
+def package_imports(tree):
+    """The package modules that a module imports from."""
+    mods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                mods.add(node.module.split(".")[0])
+            else:                                   # from . import x, y
+                mods.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[0] == "qminkowski":
+                mods.update(parts[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            mods.update(a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("qminkowski."))
+    return mods
+
+
+def function_level_imports(tree):
+    """(function name, line) of each import inside a function body."""
+    return [(fn.name, node.lineno) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_instance_imports_only_errors_and_exact():
+    tree = parse(ROOT / "src" / "qminkowski" / "instance.py")
+    assert package_imports(tree) <= {"errors", "exact"}
+
+
+def test_no_function_level_import_in_src():
+    found = ["%s:%d %s" % (p.relative_to(ROOT), line, fn)
+             for p in sorted((ROOT / "src").rglob("*.py"))
+             for fn, line in function_level_imports(parse(p))]
+    assert found == []
+
+
+def test_layering_scan_flags_a_violation():
+    tree = ast.parse("from .dirac import metric\nfrom . import exact\n"
+                     "import qminkowski.fock\n"
+                     "from qminkowski.lorentz import make_lorentz\n\n"
+                     "def f():\n    from .calculus import f_tilde\n"
+                     "    return f_tilde\n")
+    assert package_imports(tree) == {"dirac", "exact", "fock", "lorentz",
+                                     "calculus"}
+    assert function_level_imports(tree) == [("f", 7)]

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qminkowski.cli import gating_passed, run_suites
 from qminkowski.errors import ConstraintError, ParseError, UnknownInstance
 from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, is_sign
 from qminkowski.instance import (
-    PoincareInstance, builtin, builtin_names, gating_passed,
-    instance_from_dict, instance_to_dict, load_instance, validate_instance,
-    write_instance,
+    PoincareInstance, builtin, builtin_names, instance_from_dict,
+    instance_to_dict, load_instance, write_instance,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -163,7 +163,8 @@ def test_load_instance_errors(tmp_path):
 
 
 def test_validate_classical():
-    checks = validate_instance(builtin("classical"))
+    (suite,) = run_suites(builtin("classical"), ("validate",)).suites
+    checks = suite.checks
     assert gating_passed(checks)
     names = [c.name for c in checks]
     assert "x-invertible" in names and "metric-nondegenerate" in names
@@ -177,7 +178,8 @@ def test_validate_flags_obstruction_as_advisory_only():
     z = Mat.zeros(16, 4)
     z.data[4 * 1 + 0] = ONE          # Z[(0,1), 0]
     bent = dataclasses.replace(inst, name="bent", Z=z)
-    checks = validate_instance(bent)
+    (suite,) = run_suites(bent, ("validate",)).suites
+    checks = suite.checks
     assert gating_passed(checks)        # advisory failures do not gate
     obstruction = [c for c in checks if c.name == "calculus-obstruction"]
     assert obstruction and not obstruction[0].passed
