@@ -5,11 +5,13 @@ Fock layers: the best CPU time of N in-process runs.
 
 The cases are the Minkowski quotient of the perfbench dense instances
 (``perfbench/instances.py``, seeds 11-13, entry density 0.3) at caps 3-5,
-named ``mink-dense<seed>-cap<c>``, and the classical Lorentz quotient at
-caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, each timed as completion
-plus basis (the basis is built on first read, and the timed call reads
-it through dimension_profile, as pbw does); the inverse of the 25x25
-R_Q of the same dense instances at b = 1, named
+named ``mink-dense<seed>-cap<c>``, the Minkowski quotient of
+``instances/moved-twisted.json`` (a dense R whose quotient, unlike theirs,
+does not collapse) at caps 4-6, ``mink-moved-cap<c>``, and the classical
+Lorentz quotient at caps 2, 4, 5 and 6, named ``lorentz-cap<c>``, each
+timed as completion plus basis (the basis is built on first read, and
+the timed call reads it through dimension_profile, as pbw does); the
+inverse of the 25x25 R_Q of the perfbench dense instances at b = 1, named
 ``rq-inverse-dense<seed>``, and of the classical instance at b = 0,
 ``rq-inverse-classical``; a fresh classical FirstOrderCalculus at cap 5
 and its four identity checks, ``calculus-classical-deg5``, and
@@ -54,14 +56,15 @@ from qminkowski.braiding import build_rq, make_evaluator, star_cqt_check
 from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.dirac import dirac_square_check, gamma, metric
 from qminkowski.exact import ONE, ZERO
-from qminkowski.instance import builtin, instance_from_dict
+from qminkowski.instance import builtin, instance_from_dict, load_instance
 from qminkowski.lorentz import lambda_invariance_check, lorentz_relations, \
     make_lorentz
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import TruncatedQuotient
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "perfbench", "instances.py")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PERFBENCH = os.path.join(ROOT, "perfbench", "instances.py")
+MOVED = os.path.join(ROOT, "instances", "moved-twisted.json")
 DENSE_SEEDS = (11, 12, 13)
 DENSE_DENSITY = 0.3     # perfbench's dense-random entry density
 IMAG_SEED = 5
@@ -142,6 +145,9 @@ def cases():
             out["mink-dense%d-cap%d" % (seed, cap)] = (
                 lambda seed=seed, cap=cap: quotient(
                     4, mink_relations(dense_instance(seed)), cap))
+    for cap in (4, 5, 6):
+        out["mink-moved-cap%d" % cap] = lambda cap=cap: quotient(
+            4, mink_relations(load_instance(MOVED)), cap)
     for cap in (2, 4, 5, 6):
         out["lorentz-cap%d" % cap] = lambda cap=cap: quotient(
             8, lorentz_relations(builtin("classical")), cap)

@@ -32,24 +32,13 @@ from .instance import PoincareInstance
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
-    "lam_id", "y_id", "p_entry_word",
-    "build_rq", "yang_baxter_check", "counit_b",
+    "p_entry_word", "build_rq", "yang_baxter_check", "coproduct", "counit_b",
     "CqtEvaluator", "make_evaluator",
     "star_cqt_check", "ct_check",
     "LorentzRBlocks", "lorentz_r_blocks",
 ]
 
 # --- generator alphabet of the symmetry bialgebra ---------------------------
-
-def lam_id(i: int, j: int) -> int:
-    """Generator id of Lambda_ij = P_ij."""
-    return 5 * i + j
-
-
-def y_id(i: int) -> int:
-    """Generator id of the translation y_i = P_i4."""
-    return 5 * i + 4
-
 
 def p_entry_word(a: int, b: int):
     """The entry P_ab as a word, () for the unit, None for the zero entry."""
@@ -150,7 +139,7 @@ def _counit_word(w) -> Scalar:
     return ONE if all(g // 5 == g % 5 for g in w) else ZERO
 
 
-def _delta_word(w):
+def coproduct(w):
     """Delta of a word as (left, right) pairs, each with coefficient 1."""
     pairs = [((), ())]
     for g in w:
@@ -206,7 +195,7 @@ class CqtEvaluator:
         elif len(u) > 1:
             head, rest = (u[0],), u[1:]
             out = ZERO
-            for w1, w2 in _delta_word(v):
+            for w1, w2 in coproduct(v):
                 s = self.r_word(head, w1)
                 if s:
                     s2 = self.r_word(rest, w2)
@@ -215,7 +204,7 @@ class CqtEvaluator:
         else:
             front, last = v[:-1], (v[-1],)
             out = ZERO
-            for w1, w2 in _delta_word(u):
+            for w1, w2 in coproduct(u):
                 s = self.r_word(w1, last)
                 if s:
                     s2 = self.r_word(w2, front)

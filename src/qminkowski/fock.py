@@ -2,8 +2,9 @@
 
 A CTensor is a finitely supported sum of n-fold word tensors with every
 slot in normal form.  The affine coaction x_i -> sum_j Lambda_ij (x) x_j
-+ y_i (x) 1 feeds the evaluator pairing; the interchange operator K on
-two slots is the braiding that replaces the plain flip.  Symmetric-group
++ y_i (x) 1, the coproduct of the translation y_i = P_i4 with x_j read
+for y_j, feeds the evaluator pairing; the interchange operator K on two
+slots is the braiding that replaces the plain flip.  Symmetric-group
 actions on n slots demand a cotriangular evaluator, since only then do
 the adjacent interchanges satisfy the braid and involution identities
 that make the action well defined.  The coaction of a word and K on a
@@ -21,7 +22,7 @@ from math import factorial
 
 from .errors import NotCotriangular
 from .exact import ONE, Scalar
-from .braiding import CqtEvaluator, lam_id, y_id
+from .braiding import CqtEvaluator, coproduct
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate
 
 __all__ = [
@@ -104,14 +105,12 @@ def _coaction_word(alg: TruncatedQuotient, w):
     hit = cache.get(w)
     if hit is not None:
         return hit
-    # Each letter x_g goes to sum_j Lambda_gj (x) x_j + y_g (x) 1.  The
-    # symmetry word names every choice made, so no two terms share a key.
-    pairs = [((), ())]
-    for g in w:
-        letter = [(lam_id(g, j), (j,)) for j in range(4)] + [(y_id(g), ())]
-        pairs = [(bw + (b,), cw + c) for bw, cw in pairs for b, c in letter]
-    out = {(bw, cw2): c2 for bw, cw in pairs
-           for cw2, c2 in alg.word_normal_form(cw).items()}
+    # x_g is the translation y_g = P_g4: the coaction is its coproduct with
+    # the right leg read back, y_k -> x_k and P_44 -> 1.  The symmetry word
+    # names every choice made, so no two terms share a key.
+    out = {(bw, cw): c for bw, yw in coproduct(tuple(5 * g + 4 for g in w))
+           for cw, c in alg.word_normal_form(
+               tuple(h // 5 for h in yw)).items()}
     cache[w] = out
     return out
 

@@ -12,20 +12,20 @@ span is the degree-cap part of the ideal of the relations made
 homogeneous with a central variable t (each r padded with t up to deg r),
 read at t = 1, and degree-lexicographic order is the order "length in the
 generators, then lexicographic" there.  The quotient is built by overlap
-completion of the homogeneous relations (Bergman's diamond lemma), taking
-ambiguities in ascending degree and stopping at the cap.  Each rule
-rewrites its lead word u to smaller words and carries a t-exponent k: in
-the cap-c quotient it applies to a word w containing u only when
-k <= c - |w|, so a relation with constant or linear terms can give rules
-that act on short words only.  Every tail is kept in normal form at its
-rule's nominal degree |u| + k, reduced again whenever a new lead fires in
-it: u fires only with slack at least k, so a tail word t lands where the
-slack is at least |u| + k - |t|, which is what that reduction grants t.
-An ambiguity is queued as its word and the places of its two leads, and
-the difference of its two rewrites is formed only when it leaves the
-queue, from the tails as they stand then: each is a reduction of the
-tail the rule had when the ambiguity was found, by rules valid at its
-nominal degree, so the difference lies in the same truncated ideal.
+completion of the homogeneous relations (Bergman's diamond lemma), one
+degree at a time up to the cap.  Each rule rewrites its lead word u to
+smaller words and carries a t-exponent k: in the cap-c quotient it
+applies to a word w containing u only when k <= c - |w|, so a relation
+with constant or linear terms can give rules that act on short words
+only.  Once a degree is complete, every tail is reduced again at its
+rule's nominal degree |u| + k: u fires only with slack at least k, so a
+tail word t lands where the slack is at least |u| + k - |t|, which is
+what that reduction grants t.  An ambiguity waits in its degree's list
+as its word and the places of its two leads, and the difference of its
+two rewrites is formed only when its degree comes up, from the tails as
+they stand then: each is a reduction of the tail the rule had when the
+ambiguity was found, by rules valid at its nominal degree, so the
+difference lies in the same truncated ideal.
 
 The leads are the leading words of the ideal part, so the basis (the
 words no rule applies to) and every normal form (memoised rewriting) are
@@ -35,8 +35,6 @@ ambiguity's difference is.
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 from .errors import DegreeError
 from .exact import ONE, Scalar, _coerce, _raw, _reduce
@@ -255,72 +253,60 @@ class TruncatedQuotient:
     def _complete(self):
         """Overlap completion of the homogenised relations up to the cap.
 
-        Relations and ambiguities are taken in ascending nominal degree D;
-        what does not reduce to zero becomes a rule whose lead is its
-        greatest word u, with t-exponent D - |u|.  A new rule's own
-        ambiguities all lie above D, so degree D is complete once the heap
-        holds nothing of degree D.  Each new rule then reduces the tails
-        it fires in (``_reduce_tails``), so every tail stays in normal form
-        at its own nominal degree |u| + k; since u fires only with slack at
-        least k, a tail word t stands where the slack is at least
-        |u| + k - |t|, and each rewrite of that reduction is one the
-        context allows.
-
-        An ambiguity's difference is formed from the rules as they stand
-        when it is popped, not when it is found: the tails have been
-        re-reduced in between, and a rule replaced with a smaller
-        t-exponent still applies at the old degree, so the difference lies
-        in the same truncated ideal at degree D and the canonical basis
-        and normal forms cannot change.
+        Pending relations and ambiguities wait in one list per nominal
+        degree D, and the lowest degree is worked through first in, first
+        out.  What does not reduce to zero becomes a rule whose lead is its
+        greatest word u, with t-exponent D - |u|; u is reduced at D, where
+        any older rule with lead u would fire, so no rule is replaced.  A
+        new rule's ambiguities all lie above D, so a degree's list never
+        grows while it is worked through.  Once it is done, the tails are
+        reduced again (``_reduce_tails``); a lead of degree D fires in no
+        tail of a lower degree, so the ambiguities of a later degree read
+        tails in normal form.
         """
         rules = self._rules
-        queue = [(r.degree(), n, r.terms, None)
-                 for n, r in enumerate(self.relation_set) if r.terms]
-        heapify(queue)
-        seq = len(queue)
-        while queue:
-            degree, _, terms, amb = heappop(queue)
-            if amb is not None:
-                w, left, i, right, j = amb
-                terms = accumulate(
-                    _sub(w, i, i + len(left), rules[left][1]),
-                    _sub(w, j, j + len(right), rules[right][1]), -ONE)
-            rest = self._reduce(terms, degree)
-            if not rest:
-                continue
-            lead = max(rest, key=_key)
-            neg = -ONE / rest.pop(lead)
-            rule = (degree - len(lead), {w: neg * v for w, v in rest.items()})
-            rules[lead] = rule
-            self._lengths = sorted({len(u) for u in rules})
-            self._reduce_tails(lead, rule[0])
-            for amb_degree, amb in self._ambiguities(lead, rule[0]):
-                heappush(queue, (amb_degree, seq, None, amb))
-                seq += 1
+        pending = {}
+        for r in self.relation_set:
+            if r.terms:
+                pending.setdefault(r.degree(), []).append(r.terms)
+        while pending:
+            degree = min(pending)
+            before = len(rules)
+            for item in pending.pop(degree):
+                if isinstance(item, tuple):
+                    w, left, i, right, j = item
+                    item = accumulate(
+                        _sub(w, i, i + len(left), rules[left][1]),
+                        _sub(w, j, j + len(right), rules[right][1]), -ONE)
+                rest = self._reduce(item, degree)
+                if not rest:
+                    continue
+                lead = max(rest, key=_key)
+                neg = -ONE / rest.pop(lead)
+                k = degree - len(lead)
+                rules[lead] = (k, {w: neg * v for w, v in rest.items()})
+                self._lengths = sorted({len(u) for u in rules})
+                for amb_degree, amb in self._ambiguities(lead, k):
+                    pending.setdefault(amb_degree, []).append(amb)
+            if len(rules) > before:
+                self._reduce_tails()
 
-    def _reduce_tails(self, v, kv):
-        """Reduce again each rule's tail in which the new lead v, with
-        t-exponent kv, fires: in a word w of the tail of u -> (k, t) when
-        kv <= |u| + k - |w|.  (A tail never holds its own lead.)"""
-        m = len(v)
+    def _reduce_tails(self):
+        """Reduce every rule's tail again at its nominal degree |u| + k.  A
+        lead fires only with slack at least its t-exponent, so a tail word t
+        stands where the slack is at least |u| + k - |t|: each rewrite is one
+        that every context of u allows, and an ambiguity's difference formed
+        from the tails as they stand lies in the same truncated ideal."""
         rules = self._rules
         for u, (k, t) in rules.items():
-            top = len(u) + k - kv
-            if top < m:
-                continue
-            for w in t:
-                n = len(w)
-                if m <= n <= top and (w == v or n > m and any(
-                        w[i:i + m] == v for i in range(n - m + 1))):
-                    rules[u] = (k, self._reduce(t, len(u) + k))
-                    break
+            rules[u] = (k, self._reduce(t, len(u) + k))
 
     def _ambiguities(self, v, kv):
         """(nominal degree, (W, left, i, right, j)) for every overlap and
         inclusion W of the lead v, with t-exponent kv, and a kept lead, v
         included, up to the cap: left sits at W[i:] and right at W[j:], and
         an inclusion is the case W == left.  ``_complete`` forms the
-        difference of the two rewrites when it pops the entry.
+        difference of the two rewrites when the entry's degree comes up.
 
         An overlap word or including lead W sits at degree |W| + max(k_u,
         k_v).  Leads that meet in no letter need no check: every term

@@ -12,21 +12,23 @@ rule's tail, at the slack that tail has wherever its rule fires.
 Where the padded rows take too long (the dense relations past cap 3),
 the engine is compared with ``EagerQuotient``: the same completion, but
 forming each ambiguity's difference when the ambiguity is found, from the
-tails as they are then.
+tails as they are then, and reducing again the tails each new lead fires
+in as soon as it is added.
 """
 
 import dataclasses
 import importlib.util
 import pathlib
 import random
+import time
 from heapq import heapify, heappop, heappush
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qminkowski.exact import ONE, Scalar
-from qminkowski.instance import builtin, instance_from_dict
+from qminkowski.exact import ONE, Mat, Scalar, kron
+from qminkowski.instance import builtin, instance_from_dict, load_instance
 from qminkowski.lorentz import lorentz_relations
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, TruncatedQuotient, _sub, \
@@ -141,8 +143,8 @@ def test_dense_random_minkowski(seed, cap):
     assert_matches_oracle(4, mink_relations(rand_instance(seed)), cap)
 
 
-PERFBENCH_INSTANCES = (pathlib.Path(__file__).resolve().parent.parent
-                       / "perfbench" / "instances.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH_INSTANCES = ROOT / "perfbench" / "instances.py"
 
 
 def perfbench_instance(kind, seed, *args):
@@ -163,6 +165,33 @@ def perfbench_dense(seed, density):
     return perfbench_instance("dense", seed, density)
 
 
+MOVED = load_instance(ROOT / "instances" / "moved-twisted.json")
+
+
+def test_moved_twisted_file_matches_its_recipe():
+    """instances/README.md: the sign-twisted flip moved by the first
+    invertible integer A of random.Random(5) with entries in -2..2."""
+    rng = random.Random(5)
+    while True:
+        a = Mat.from_rows([[Scalar(rng.randint(-2, 2)) for _ in range(4)]
+                           for _ in range(4)])
+        if a.det():
+            break
+    aa = kron(a, a)
+    assert MOVED == dataclasses.replace(
+        CLASSICAL, name="moved-twisted",
+        R=aa * sign_twisted_flip() * aa.inverse())
+    assert sum(1 for x in MOVED.R.data if x) == 165
+
+
+def test_moved_twisted_minkowski():
+    """A dense R whose quotient keeps the classical profile."""
+    assert_matches_oracle(4, mink_relations(MOVED), 3)
+    q = build_quotient(4, mink_relations(MOVED), 6)
+    assert len(q._rules) == 30
+    assert q.dimension_profile() == [1, 4, 10, 20, 35, 56, 84]
+
+
 @pytest.mark.parametrize("seed", (11, 12))
 @pytest.mark.parametrize("density", (0.3, 0.5))
 def test_perfbench_dense_minkowski(density, seed):
@@ -174,7 +203,9 @@ def test_perfbench_dense_minkowski(density, seed):
 class EagerQuotient(TruncatedQuotient):
     """Overlap completion that forms each ambiguity's difference as soon as
     the ambiguity is found, from the tails as they are at that moment; the
-    difference then waits in the heap until its degree comes up."""
+    difference then waits in a heap until its degree comes up.  Each new
+    rule at once reduces again the tails it fires in, instead of one pass
+    over every tail when a degree is complete."""
 
     def _complete(self):
         queue = [(r.degree(), n, r.terms)
@@ -191,10 +222,27 @@ class EagerQuotient(TruncatedQuotient):
             rule = (degree - len(lead), {w: neg * v for w, v in rest.items()})
             self._rules[lead] = rule
             self._lengths = sorted({len(u) for u in self._rules})
-            self._reduce_tails(lead, rule[0])
+            self._reduce_tails_with(lead, rule[0])
             for amb_degree, amb in self._eager_ambiguities(lead, rule):
                 heappush(queue, (amb_degree, seq, amb))
                 seq += 1
+
+    def _reduce_tails_with(self, v, kv):
+        """Reduce again each rule's tail in which the new lead v, with
+        t-exponent kv, fires: in a word w of the tail of u -> (k, t) when
+        kv <= |u| + k - |w|.  (A tail never holds its own lead.)"""
+        m = len(v)
+        rules = self._rules
+        for u, (k, t) in rules.items():
+            top = len(u) + k - kv
+            if top < m:
+                continue
+            for w in t:
+                n = len(w)
+                if m <= n <= top and (w == v or n > m and any(
+                        w[i:i + m] == v for i in range(n - m + 1))):
+                    rules[u] = (k, self._reduce(t, len(u) + k))
+                    break
 
     def _eager_ambiguities(self, v, rule):
         kv, tv = rule
@@ -239,9 +287,14 @@ def test_perfbench_dense_matches_eager(seed, density, cap):
                          cap)
 
 
-# The dense quotients above collapse (1 lies in the truncated ideal, as
-# test_perfbench_dense_minkowski shows at cap 3); these do not, one degree
-# past where the padded rows are checked.
+# The perfbench dense quotients above collapse (1 lies in the truncated
+# ideal, as test_perfbench_dense_minkowski shows at cap 3); these do not,
+# one degree past where the padded rows are checked.
+@pytest.mark.parametrize("cap", (3, 4))
+def test_moved_twisted_matches_eager(cap):
+    assert_matches_eager(4, mink_relations(MOVED), cap)
+
+
 @pytest.mark.parametrize("name", sorted(BENT))
 def test_bent_minkowski_matches_eager(name):
     assert_matches_eager(4, mink_relations(BENT[name]), 6)
@@ -262,6 +315,15 @@ TAIL_CASES = (
                          ids=["%s-%d" % (c[0], c[3]) for c in TAIL_CASES])
 def test_rule_tails_stay_reduced(name, gens, relations, cap):
     assert_tails_reduced(build_quotient(gens, relations, cap))
+
+
+def test_cap_far_past_any_degree_costs_nothing():
+    """Completion keeps nothing sized by the cap, so a cap of 10**9 costs
+    what the relations cost."""
+    start = time.process_time()
+    q = TruncatedQuotient(4, mink_relations(CLASSICAL), 10 ** 9)
+    assert q.word_normal_form((1, 0)) == {(0, 1): ONE}
+    assert time.process_time() - start < 0.5
 
 
 def test_seed_31_collapses_at_cap_3():
