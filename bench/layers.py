@@ -32,12 +32,19 @@ where the check passes and reads all 441 pairings of the entries of P,
 dense seed-11 instance at b = 1, ``star-cqt-dense11``, which stops at
 the first asymmetric pair after a handful of pairings and so sits near
 the timer's resolution: it stays because it is what the dense braiding
-op of the benchmark runs.
+op of the benchmark runs; and r_word on every pair of a letter and a
+length-2 word, in both orders, on a fresh evaluator of the dense seed-11
+instance at b = 1, ``r-word-words-dense11``, the one case that enters
+the word recursion of the pairing (no suite pairs more than letters).
 Each case has a set-up that runs, untimed, before every rep and returns
-the call to time, so no rep reads what an earlier one memoised.  One
-JSON line goes to stdout: the Python version, N, and each case's
-seconds.  The package is imported from PYTHONPATH, so pointing it at
-another checkout's ``src`` times that checkout on the same cases.
+the call to time, so no rep reads what an earlier one memoised.  Each
+``mink-*`` and ``lorentz-cap*`` case also runs once untimed with its
+completion counted: the rewriting steps (the ``_match`` calls that find
+a rule) and the ``_reduce`` calls, which timer noise cannot hide.  One
+JSON line goes to stdout: the Python version, N, each case's seconds,
+and the counts as ``"steps": {case: [steps, calls]}``.  The package is
+imported from PYTHONPATH, so pointing it at another checkout's ``src``
+times that checkout on the same cases.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -130,10 +138,48 @@ def fock_suite(inst, n):
     return lambda: cli.suite_fock(run)
 
 
+def profile(gens, relations, cap):
+    return TruncatedQuotient(gens, relations, cap).dimension_profile()
+
+
 def quotient(gens, relations, cap):
     """Completion plus basis: the quotient builds its basis on first read,
     so the timed call reads it, as pbw does."""
-    return lambda: TruncatedQuotient(gens, relations, cap).dimension_profile()
+    return functools.partial(profile, gens, relations, cap)
+
+
+def word_pairings(ev):
+    """r_word on every letter and length-2 word, in both orders."""
+    def call():
+        for a in range(20):
+            for w in itertools.product(range(20), repeat=2):
+                ev.r_word((a,), w)
+                ev.r_word(w, (a,))
+    return call
+
+
+def rewriting(gens, relations, cap):
+    """[rewriting steps, _reduce calls] of one completion, counted by
+    wrapping TruncatedQuotient._match and _reduce while it runs."""
+    counts = [0, 0]
+    match, reduce = TruncatedQuotient._match, TruncatedQuotient._reduce
+
+    def counted_match(self, w, slack):
+        found = match(self, w, slack)
+        counts[0] += found is not None
+        return found
+
+    def counted_reduce(self, terms, degree):
+        counts[1] += 1
+        return reduce(self, terms, degree)
+
+    TruncatedQuotient._match = counted_match
+    TruncatedQuotient._reduce = counted_reduce
+    try:
+        TruncatedQuotient(gens, relations, cap)
+    finally:
+        TruncatedQuotient._match, TruncatedQuotient._reduce = match, reduce
+    return counts
 
 
 def cases():
@@ -173,6 +219,8 @@ def cases():
         star_cqt_check, make_evaluator(builtin("classical"), ZERO))
     out["star-cqt-dense11"] = lambda: functools.partial(
         star_cqt_check, make_evaluator(dense_instance(11), ONE))
+    out["r-word-words-dense11"] = lambda: word_pairings(
+        make_evaluator(dense_instance(11), ONE))
     return out
 
 
@@ -195,11 +243,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
-    seconds = {}
+    seconds, steps = {}, {}
     for name in args.case or known:
         seconds[name] = round(best_time(known[name], args.reps), 6)
+        if name.startswith(("mink-", "lorentz-cap")):
+            steps[name] = rewriting(*known[name]().args)
     print(json.dumps({"python": sys.version.split()[0], "reps": args.reps,
-                      "cpu_s": seconds}))
+                      "cpu_s": seconds, "steps": steps}))
     return 0
 
 

@@ -192,22 +192,19 @@ class CqtEvaluator:
             out = _counit_word(u)
         elif len(u) == 1 and len(v) == 1:
             out = self._base(u[0], v[0])
-        elif len(u) > 1:
-            head, rest = (u[0],), u[1:]
-            out = ZERO
-            for w1, w2 in coproduct(v):
-                s = self.r_word(head, w1)
-                if s:
-                    s2 = self.r_word(rest, w2)
-                    if s2:
-                        out = out + s * s2
         else:
-            front, last = v[:-1], (v[-1],)
+            # the laws: r(ab (x) c) over Delta(c), r(a (x) cd) over Delta(a)
+            if len(u) > 1:
+                head, rest = (u[0],), u[1:]
+                args = [(head, w1, rest, w2) for w1, w2 in coproduct(v)]
+            else:
+                front, last = v[:-1], (v[-1],)
+                args = [(w1, last, w2, front) for w1, w2 in coproduct(u)]
             out = ZERO
-            for w1, w2 in coproduct(u):
-                s = self.r_word(w1, last)
+            for u1, v1, u2, v2 in args:
+                s = self.r_word(u1, v1)
                 if s:
-                    s2 = self.r_word(w2, front)
+                    s2 = self.r_word(u2, v2)
                     if s2:
                         out = out + s * s2
         self._memo[key] = out

@@ -139,15 +139,14 @@ class FirstOrderCalculus:
 
     def _act(self, i: int, j: int, w) -> tuple:
         """x_i (dx_j w) as a (k, terms) pair for each nonzero coordinate k,
-        memoised per (i, j, w)."""
+        the sum of c nf(u + w) over the table's terms c dx_k u, memoised
+        per (i, j, w)."""
         key = (i, j, w)
         hit = self._act_memo.get(key)
         if hit is None:
-            terms = ({}, {}, {}, {})
+            images = ({}, {}, {}, {})
             for k, u, c in self._exchange[4 * i + j]:
-                terms[k][u + w] = c
-            images = (self.alg.normal_form(NCPoly(t)).terms if t else t
-                      for t in terms)
+                accumulate(images[k], self.alg.word_normal_form(u + w), c)
             hit = self._act_memo[key] = tuple(
                 (k, img) for k, img in enumerate(images) if img)
         return hit

@@ -14,9 +14,9 @@ Every suite takes one argument, the _Run that one run_suites call owns
 and that dies with the call (nothing computed from an instance is cached
 at module level).  It holds the instance, the parameters (degree,
 dirac_degree, b, k, n) and what the suites share: one calculus per cap
-(or the CalculusObstruction it raised), one Minkowski quotient per cap
-and one pairing evaluator, since b is fixed per run.  Each is built
-through its module attribute (calculus.make_calculus,
+(or, in its place, the CalculusObstruction it raised), one Minkowski
+quotient per cap and one pairing evaluator, since b is fixed per run.
+Each is built through its module attribute (calculus.make_calculus,
 minkowski.make_minkowski, braiding.make_evaluator), so a tracer that
 wraps those names sees every build.  The argument parser is built on
 the first main call and reused by every later one in the process.
@@ -105,6 +105,7 @@ class _Run:
     ev: object = None
 
     def calculus(self, cap: int):
+        """The calculus at cap, or the CalculusObstruction it raised."""
         hit = self.calcs.get(cap)
         if hit is None:
             try:
@@ -112,8 +113,6 @@ class _Run:
             except CalculusObstruction as exc:
                 hit = exc
             self.calcs[cap] = hit
-        if isinstance(hit, CalculusObstruction):
-            raise hit
         return hit
 
     def quotient(self, cap: int):
@@ -174,10 +173,9 @@ def _witnessed(name: str, witness, detail: str) -> CheckResult:
 
 def suite_calculus(run: _Run) -> list:
     degree = run.degree
-    try:
-        calc = run.calculus(degree)
-    except CalculusObstruction as exc:
-        return [CheckResult("obstruction", False, str(exc))]
+    calc = run.calculus(degree)
+    if isinstance(calc, CalculusObstruction):
+        return [CheckResult("obstruction", False, str(calc))]
     checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
     for name, fn in (("differential", calc.check_differential_consistency),
                      ("leibniz", calc.check_leibniz),
@@ -201,9 +199,8 @@ def suite_dirac(run: _Run) -> list:
     cl = dirac.clifford_ok(inst, gs, g)
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
-    try:
-        calc = run.calculus(degree)
-    except CalculusObstruction:
+    calc = run.calculus(degree)
+    if isinstance(calc, CalculusObstruction):
         return checks + [CheckResult(
             "dirac-square", False,
             "calculus unavailable (nonzero obstruction)")]

@@ -10,8 +10,7 @@ a word.
 
 from __future__ import annotations
 
-from .exact import Mat, ONE, Scalar, ZERO, flip, kron, pauli, \
-    sqrt_q, v_inverse
+from .exact import Mat, ONE, PAULI, Scalar, ZERO, V_INV, flip, kron, sqrt_q
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
@@ -34,8 +33,7 @@ def metric(inst) -> Mat:
         # u_{8s+2m+t} = sum_m' X_{mm'} x_{8s+2m'+t}
         for n in (2 * m, 2 * m + 1, 8 + 2 * m, 9 + 2 * m):
             u[n] = u[n] + c * x[n + 2 * (mp - m), 0]
-    vi = v_inverse()
-    return (vi * Mat(4, 4, u) * vi.transpose()).scale(
+    return (V_INV * Mat(4, 4, u) * V_INV.transpose()).scale(
         Scalar(-2) * sqrt_q(inst.q))
 
 
@@ -47,7 +45,7 @@ def gamma(inst) -> tuple:
     qih = ONE / sqrt_q(inst.q)
     gammas = []
     for i in range(4):
-        s = pauli(i)
+        s = PAULI[i]
         # contraction (sigma_i o D)[K,L] = sum_AB sigma_i[A,B] D[(A,B),(K,L)]
         m = Mat(2, 2, (Mat(1, 4, s.data) * d).data)
         al = (e2.transpose() * m * e2).scale(qih)

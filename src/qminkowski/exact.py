@@ -30,7 +30,7 @@ __all__ = [
     "Scalar", "ZERO", "ONE", "I", "parse_scalar", "is_sign", "require_sign",
     "sqrt_q",
     "Mat", "kron", "flip",
-    "pauli", "v_matrix", "v_inverse",
+    "PAULI", "V", "V_INV",
 ]
 
 
@@ -139,12 +139,7 @@ class Scalar:
         if o is None:
             return NotImplemented
         c, e, f = o
-        d = self.d
-        if f == 1:
-            return _raw(self.a - c * d, self.b - e * d, d)
-        if d == 1:
-            return _raw(self.a * f - c, self.b * f - e, f)
-        return _reduce(self.a * f - c * d, self.b * f - e * d, d * f)
+        return self.__add__(_raw(-c, -e, f))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -466,8 +461,7 @@ class Mat:
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a - b for a, b in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self):
         return Mat(self.rows, self.cols, [-a for a in self.data])
@@ -597,33 +591,19 @@ def flip(m: int, n: int) -> Mat:
     return Mat(n * m, m * n, out)
 
 
-_PAULI = (
+# sigma_0 = identity, sigma_1, sigma_2, sigma_3
+PAULI = (
     Mat.from_rows([[1, 0], [0, 1]]),
     Mat.from_rows([[0, 1], [1, 0]]),
     Mat.from_rows([[0, Scalar(0, -1)], [Scalar(0, 1), 0]]),
     Mat.from_rows([[1, 0], [0, -1]]),
 )
 
-
-def pauli(i: int) -> Mat:
-    """sigma_0 = identity, sigma_1, sigma_2, sigma_3."""
-    return _PAULI[i]
-
-
-_V = Mat.from_rows([
+# the basis change V with V_{(CD),i} = (sigma_i)_{CD}, and its inverse
+V = Mat.from_rows([
     [1, 0, 0, 1],
     [0, 1, Scalar(0, -1), 0],
     [0, 1, Scalar(0, 1), 0],
     [1, 0, 0, -1],
 ])
-
-_V_INV = _V.inverse()
-
-
-def v_matrix() -> Mat:
-    """Basis change V with V_{(CD),i} = (sigma_i)_{CD}."""
-    return _V
-
-
-def v_inverse() -> Mat:
-    return _V_INV
+V_INV = V.inverse()

@@ -17,7 +17,7 @@ formed.
 
 from __future__ import annotations
 
-from .exact import Mat, v_inverse, v_matrix
+from .exact import Mat, V, V_INV
 from .instance import PoincareInstance
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
     build_quotient
@@ -91,8 +91,8 @@ def lambda_entries():
     """The 4x4 matrix of quadratic algebra elements
     Lambda_ij = sum V^-1_{i,(AB)} w_AC wbar_BD V_{(CD),j}."""
     terms = [[{} for _ in range(4)] for _ in range(4)]
-    right = v_matrix().nonzeros()
-    for i, ab, ci in v_inverse().nonzeros():
+    right = V.nonzeros()
+    for i, ab, ci in V_INV.nonzeros():
         a, b = divmod(ab, 2)
         for cd, j, cj in right:
             c, d = divmod(cd, 2)
@@ -114,8 +114,7 @@ def lambda_invariance_check(alg: TruncatedQuotient, g: Mat) -> str | None:
     form is linear, so every residual is the element of the quotient that
     the Lambda-coordinate sum gives.
     """
-    v, vi = v_matrix(), v_inverse()
-    big_g = (v * g * v.transpose()).nonzeros()
+    big_g = (V * g * V.transpose()).nonzeros()
     word_nf = alg.word_normal_form
     s = {}
     for p in range(4):
@@ -128,7 +127,7 @@ def lambda_invariance_check(alg: TruncatedQuotient, g: Mat) -> str | None:
                 accumulate(acc, word_nf((w_id(a, c1), wbar_id(b, d1),
                                          w_id(ap, c2), wbar_id(bp, d2))), c)
     rows = [[] for _ in range(4)]
-    for i, p, c in vi.nonzeros():
+    for i, p, c in V_INV.nonzeros():
         rows[i].append((p, c))
     one = word_nf(())
     for i in range(4):

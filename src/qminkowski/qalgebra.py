@@ -21,11 +21,11 @@ only.  Once a degree is complete, every tail is reduced again at its
 rule's nominal degree |u| + k: u fires only with slack at least k, so a
 tail word t lands where the slack is at least |u| + k - |t|, which is
 what that reduction grants t.  An ambiguity waits in its degree's list
-as its word and the places of its two leads, and the difference of its
-two rewrites is formed only when its degree comes up, from the tails as
-they stand then: each is a reduction of the tail the rule had when the
-ambiguity was found, by rules valid at its nominal degree, so the
-difference lies in the same truncated ideal.
+as its word, the lead it starts with, and the other lead and its place,
+and the difference of its two rewrites is formed only when its degree
+comes up, from the tails as they stand then: each is a reduction of the
+tail the rule had when the ambiguity was found, by rules valid at its
+nominal degree, so the difference lies in the same truncated ideal.
 
 The leads are the leading words of the ideal part, so the basis (the
 words no rule applies to) and every normal form (memoised rewriting) are
@@ -274,9 +274,9 @@ class TruncatedQuotient:
             before = len(rules)
             for item in pending.pop(degree):
                 if isinstance(item, tuple):
-                    w, left, i, right, j = item
+                    w, left, right, j = item
                     item = accumulate(
-                        _sub(w, i, i + len(left), rules[left][1]),
+                        _sub(w, 0, len(left), rules[left][1]),
                         _sub(w, j, j + len(right), rules[right][1]), -ONE)
                 rest = self._reduce(item, degree)
                 if not rest:
@@ -302,10 +302,10 @@ class TruncatedQuotient:
             rules[u] = (k, self._reduce(t, len(u) + k))
 
     def _ambiguities(self, v, kv):
-        """(nominal degree, (W, left, i, right, j)) for every overlap and
+        """(nominal degree, (W, left, right, j)) for every overlap and
         inclusion W of the lead v, with t-exponent kv, and a kept lead, v
-        included, up to the cap: left sits at W[i:] and right at W[j:], and
-        an inclusion is the case W == left.  ``_complete`` forms the
+        included, up to the cap: W starts with left, right sits at W[j:],
+        and an inclusion is the case W == left.  ``_complete`` forms the
         difference of the two rewrites when the entry's degree comes up.
 
         An overlap word or including lead W sits at degree |W| + max(k_u,
@@ -319,11 +319,11 @@ class TruncatedQuotient:
                 for n in range(1, min(len(left), len(right))):
                     w = left + right[n:]
                     if len(w) + k <= self.cap and left[-n:] == right[:n]:
-                        yield len(w) + k, (w, left, 0, right, len(left) - n)
+                        yield len(w) + k, (w, left, right, len(left) - n)
                 if len(right) < len(left) and len(left) + k <= self.cap:
                     for i in range(len(left) - len(right) + 1):
                         if left[i:i + len(right)] == right:
-                            yield len(left) + k, (left, left, 0, right, i)
+                            yield len(left) + k, (left, left, right, i)
 
     def _levels(self):
         """The words of each degree that no rule applies to, in lexicographic

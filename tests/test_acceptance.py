@@ -16,7 +16,7 @@ from qminkowski.calculus import f_tilde, make_calculus
 from qminkowski.dirac import clifford_check, clifford_ok, \
     dirac_square_check, gamma, metric
 from qminkowski.errors import CalculusObstruction
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
+from qminkowski.exact import I, Mat, ONE, PAULI, Scalar, ZERO
 from qminkowski.fock import CTensor, braid_action, interchange_k, \
     lift_operator, symmetrize
 from qminkowski.instance import builtin
@@ -142,7 +142,7 @@ def test_criterion_4_metric_and_gammas():
     # A_i is the upper-right 2x2 block of gamma_i
     blocks_ok = all(
         Mat(2, 2, [gs[i][r, 2 + c] for r in range(2) for c in range(2)])
-        == pauli(i).scale(signs[i]) for i in range(4))
+        == PAULI[i].scale(signs[i]) for i in range(4))
 
     residuals = clifford_check(inst, gs, g)
     clifford_zero = all(m.is_zero() for m in residuals.values())

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from qminkowski.qalgebra import TruncatedQuotient
+
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
@@ -26,6 +28,22 @@ def one_rep(capsys, case):
 
 def test_one_rep_of_one_case(capsys):
     one_rep(capsys, "mink-dense11-cap3")
+
+
+def test_quotient_cases_count_their_rewriting(capsys):
+    """One untimed completion of dense seed 11 at cap 3 takes 574 rewriting
+    steps in 117 _reduce calls; a case that builds no quotient has none,
+    and the counted methods are put back."""
+    methods = TruncatedQuotient._match, TruncatedQuotient._reduce
+    assert layers().main(["--reps", "1", "--case", "mink-dense11-cap3",
+                          "--case", "metric-classical"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["steps"] == {"mink-dense11-cap3": [574, 117]}
+    assert (TruncatedQuotient._match, TruncatedQuotient._reduce) == methods
+
+
+def test_one_rep_of_the_word_pairing_case(capsys):
+    one_rep(capsys, "r-word-words-dense11")
 
 
 def test_one_rep_of_an_inverse_case(capsys):
@@ -82,7 +100,7 @@ def test_cases_and_reps_are_checked(capsys):
             "lambda-invariance-classical",
             "lorentz-suite-classical", "metric-classical",
             "fock-suite-classical-n4", "star-cqt-classical",
-            "star-cqt-dense11"} <= set(mod.cases())
+            "star-cqt-dense11", "r-word-words-dense11"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

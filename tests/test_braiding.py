@@ -23,7 +23,7 @@ from qminkowski.instance import builtin
 from qminkowski.lorentz import make_lorentz, w_id, wbar_id
 from qminkowski.qalgebra import NCPoly, accumulate
 
-from test_quotient_oracle import perfbench_dense, perfbench_instance
+from test_quotient_oracle import MOVED, perfbench_dense, perfbench_instance
 
 
 def ev_for(b):
@@ -317,6 +317,34 @@ def test_pairing_regrouping_coherence():
                                 NCPoly.from_word((d,)))
                 assert split_eval((a, b), (c,), d) == direct
                 assert split_eval((a,), (b, c), d) == direct
+
+
+@pytest.mark.parametrize("inst", [MOVED, perfbench_dense(11, 0.3)],
+                         ids=["moved-twisted", "dense11"])
+def test_pairing_laws_on_letter_pairs(inst):
+    """Both product laws on a two-letter word against R_Q, over all letter
+    triples, with a = P_ij, b = P_kl and c = P_mn:
+
+        r(ab (x) c) = sum_p R_Q[5m+i, 5j+p] R_Q[5p+k, 5l+n]
+        r(c (x) ab) = sum_p R_Q[5k+m, 5p+l] R_Q[5i+p, 5n+j]
+
+    p runs to 4, where the unit row and column of R_Q stand for P_44 = 1
+    and P_4n = 0.  On dense tables the laws tell the two coproduct legs
+    apart, which the classical swap cannot."""
+    ev = make_evaluator(inst, ONE)
+    rq = ev.rq
+    for a in range(20):
+        i, j = divmod(a, 5)
+        for b in range(20):
+            k, l = divmod(b, 5)
+            for c in range(20):
+                m, n = divmod(c, 5)
+                want = sum((rq[5 * m + i, 5 * j + p] * rq[5 * p + k, 5 * l + n]
+                            for p in range(5)), ZERO)
+                assert ev.r_word((a, b), (c,)) == want, (a, b, c)
+                want = sum((rq[5 * k + m, 5 * p + l] * rq[5 * i + p, 5 * n + j]
+                            for p in range(5)), ZERO)
+                assert ev.r_word((c,), (a, b)) == want, (c, a, b)
 
 
 @pytest.mark.parametrize("b", [ZERO, ONE])

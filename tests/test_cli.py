@@ -19,6 +19,7 @@ from qminkowski.instance import builtin, instance_to_dict, write_instance
 
 from test_acceptance import sign_twisted_flip
 from test_calculus import shifted, z_perturbed
+from test_quotient_oracle import ROOT
 
 # sha256 of `report --builtin classical ARGS` stdout and of its --json file.
 REPORT_PINS = [
@@ -320,6 +321,20 @@ def test_fock_on_the_sign_twisted_flip_is_pinned(capsys, tmp_path):
     assert "info cotriangular: yes" in out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
         0, "96399fbcb158353cccb3a164f9ed5a58b7b1e7f9eef8d8bbc44c4efa04c0d145")
+
+
+def test_moved_twisted_report_is_pinned(capsys):
+    # The one report whose left action, Yang-Baxter check and braided Fock
+    # path (cotriangular: yes) run on a dense R with a non-collapsing
+    # quotient.  box-commutes, clifford and dirac-square FAIL because the
+    # metric frame does not move with the coordinates; ROADMAP item 15
+    # (frame covariance) re-pins this hash.
+    code, out, _ = run(capsys, "report",
+                       str(ROOT / "instances" / "moved-twisted.json"),
+                       "--n", "3")
+    assert "info cotriangular: yes" in out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        1, "8ed0391e1983c04e259e865c52fb550b5205b45c9ff10d3c200bdb0af486a0e8")
 
 
 def test_report_json_unwritable_path(capsys, tmp_path):

@@ -36,8 +36,8 @@ from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.dirac import clifford_check, metric
 from qminkowski.errors import DegreeError
 from qminkowski.fock import CTensor, braid_action, interchange_k, symmetrize
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, flip, kron, \
-    sqrt_q, v_inverse, v_matrix
+from qminkowski.exact import I, Mat, ONE, Scalar, V, V_INV, ZERO, flip, \
+    kron, sqrt_q
 from qminkowski.instance import builtin
 from qminkowski.lorentz import lambda_entries, lambda_invariance_check, \
     lorentz_relations, make_lorentz, w_id, wbar_id
@@ -212,7 +212,7 @@ def lorentz_relations_oracle(inst):
 
 
 def lambda_entries_oracle():
-    vi, v = v_inverse(), v_matrix()
+    vi, v = V_INV, V
     out = []
     for i in range(4):
         row = []
@@ -248,7 +248,7 @@ def metric_kron_oracle(inst):
     """-2 sqrt(q) (V^-1 (x) V^-1)(1 (x) X (x) 1)(E (x) tau E) as a
     16-vector, read row-major as the 4x4 metric."""
     i2 = Mat.identity(2)
-    vec = (kron(v_inverse(), v_inverse())
+    vec = (kron(V_INV, V_INV)
            * kron(kron(i2, inst.X), i2)
            * kron(inst.E, flip(2, 2) * inst.E))
     scale = Scalar(-2) * sqrt_q(inst.q)

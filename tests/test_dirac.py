@@ -12,7 +12,7 @@ from qminkowski.dirac import (
     clifford_check, clifford_ok, dirac_square, dirac_square_check, gamma,
     metric,
 )
-from qminkowski.exact import Mat, ONE, Scalar, ZERO, pauli
+from qminkowski.exact import Mat, ONE, PAULI, Scalar, ZERO
 from qminkowski.instance import builtin
 from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check, make_lorentz
@@ -43,7 +43,7 @@ def test_classical_metric_trace_oracle():
     half = Scalar(Fraction(-1, 2))
     for i in range(4):
         for j in range(4):
-            m = pauli(i) * eps * pauli(j).transpose() * eps
+            m = PAULI[i] * eps * PAULI[j].transpose() * eps
             tr = m[0, 0] + m[1, 1]
             assert g[i, j] == half * tr
 
@@ -59,13 +59,13 @@ def test_gamma_blocks_classical():
     gs = gamma(builtin("classical"))
     signs = (ONE, -ONE, -ONE, -ONE)
     for i, gm in enumerate(gs):
-        a_i = pauli(i).scale(signs[i])
+        a_i = PAULI[i].scale(signs[i])
         for a in range(2):
             for b in range(2):
                 assert gm[a, b] == ZERO                    # top left
                 assert gm[2 + a, 2 + b] == ZERO            # bottom right
                 assert gm[a, 2 + b] == a_i[a, b]           # A_i
-                assert gm[2 + a, b] == pauli(i)[a, b]      # sigma_i
+                assert gm[2 + a, b] == PAULI[i][a, b]      # sigma_i
 
 
 def test_clifford_relations():

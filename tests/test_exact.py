@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from qminkowski.braiding import build_rq
 from qminkowski.errors import ConstraintError, ParseError, ShapeError
 from qminkowski.exact import (
-    I, Mat, ONE, Scalar, ZERO, flip, kron, parse_scalar, pauli, sqrt_q,
-    v_inverse, v_matrix,
+    I, Mat, ONE, PAULI, Scalar, V, V_INV, ZERO, flip, kron, parse_scalar,
+    sqrt_q,
 )
 from qminkowski.instance import builtin
 
@@ -541,7 +541,7 @@ def test_flip_intertwines_kron_factors():
 
 
 def test_pauli_algebra():
-    s = [pauli(k) for k in range(4)]
+    s = PAULI
     i2 = Mat.identity(2)
     assert s[0] == i2
     for k in range(4):
@@ -554,16 +554,16 @@ def test_pauli_algebra():
 
 
 def test_v_matrix_entries_and_inverse():
-    v, vi = v_matrix(), v_inverse()
+    v, vi = V, V_INV
     # V_{(CD),i} = (sigma_i)_{CD} under the pair index (C,D) -> 2C+D
     for c in range(2):
         for d in range(2):
             for i in range(4):
-                assert v[2 * c + d, i] == pauli(i)[c, d]
+                assert v[2 * c + d, i] == PAULI[i][c, d]
     assert v * vi == Mat.identity(4)
     # trace orthogonality gives the closed form of the inverse
     half = Scalar(Fraction(1, 2))
     for i in range(4):
         for c in range(2):
             for d in range(2):
-                assert vi[i, 2 * c + d] == half * pauli(i)[d, c]
+                assert vi[i, 2 * c + d] == half * PAULI[i][d, c]

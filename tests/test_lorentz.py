@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from qminkowski.dirac import metric
 from qminkowski.errors import DegreeError
-from qminkowski.exact import I, Mat, ONE, Scalar, ZERO, pauli
+from qminkowski.exact import I, Mat, ONE, PAULI, Scalar, ZERO
 from qminkowski.instance import builtin
 from qminkowski.lorentz import (
     lambda_entries, lambda_invariance_check, lambda_reality_diagnostic,
@@ -101,7 +101,7 @@ def test_lambda_matches_closed_form_at_points():
     for w in SL2_POINTS:
         for i in range(4):
             for j in range(4):
-                m = pauli(i) * w * pauli(j) * w.conj_t()
+                m = PAULI[i] * w * PAULI[j] * w.conj_t()
                 want = half * (m[0, 0] + m[1, 1])
                 got = evaluate(lam[i][j], w)
                 assert got == want
