@@ -21,11 +21,16 @@ dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
 ``dirac-square-classical-deg4``; the classical lambda_invariance_check
 on a Lorentz quotient built at cap 4 in the timed call,
 ``lambda-invariance-classical``; the lorentz suite alone through
-run_suites on the classical instance, ``lorentz-suite-classical``; the
-classical metric, ``metric-classical``; the fock suite at --n 4 on the
-classical instance at b = 0, the one braided path of the benchmark (K,
-the braid relation and symmetrize up to four slots), on a cap-4 quotient
-and an evaluator built in the set-up, ``fock-suite-classical-n4``;
+run_suites on the classical instance, ``lorentz-suite-classical``; all
+seven suites through run_suites on the classical instance, as ``report
+--builtin classical`` runs them, ``report-classical``; the dirac suite
+on a run whose calculus suite has run in the set-up, so that it reads
+the second partials that suite filled,
+``dirac-suite-after-calculus-classical``; the classical metric,
+``metric-classical``; the fock suite at --n 4 on the classical instance
+at b = 0, the one braided path of the benchmark (K, the braid relation
+and symmetrize up to four slots), on a cap-4 quotient and an evaluator
+built in the set-up, ``fock-suite-classical-n4``;
 star_cqt_check on a fresh evaluator of the classical instance at b = 0,
 where the check passes and reads all 441 pairings of the entries of P,
 ``star-cqt-classical``; and star_cqt_check on a fresh evaluator of the
@@ -130,6 +135,17 @@ def lorentz_suite(inst):
     return lambda: cli.run_suites(inst, ("lorentz",))
 
 
+def report(inst):
+    return lambda: cli.run_suites(inst, cli._SUITES)
+
+
+def dirac_after_calculus(inst):
+    """The dirac suite on a run whose calculus suite ran here."""
+    run = cli._Run(inst, 4, 3, ZERO, ONE, 2)
+    cli.suite_calculus(run)
+    return functools.partial(cli.suite_dirac, run)
+
+
 def fock_suite(inst, n):
     """The fock suite on a quotient and an evaluator built here."""
     run = cli._Run(inst, 4, 3, ZERO, ONE, n)
@@ -212,6 +228,9 @@ def cases():
         lambda: lambda_invariance(builtin("classical"), 4))
     out["lorentz-suite-classical"] = (
         lambda: lorentz_suite(builtin("classical")))
+    out["report-classical"] = lambda: report(builtin("classical"))
+    out["dirac-suite-after-calculus-classical"] = (
+        lambda: dirac_after_calculus(builtin("classical")))
     out["metric-classical"] = lambda: lambda: metric(builtin("classical"))
     out["fock-suite-classical-n4"] = (
         lambda: fock_suite(builtin("classical"), 4))

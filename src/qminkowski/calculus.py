@@ -21,7 +21,8 @@ recursions; it cannot see a wrong table, which the tests compare with R
 and Z entry by entry.
 
 What is memoised, and where: a FirstOrderCalculus builds its own quotient
-.alg from its instance and owns four memos that live and die with it, all
+.alg from its instance, unless it is handed one to share, and owns four
+memos that live and die with it, all
 of normal forms held as plain term dicts with no zero coefficient:
 _d_memo holds d of each word as four term dicts (one per dx_k), _p_memo
 partial_i of each word by (i, w), _act_memo the image x_i (dx_j w) of each
@@ -39,7 +40,9 @@ left_mul, which runs x_i letter by letter, is the reference for the left
 action.  The table of second partials, [i][j] = partial_j(partial_i(w)),
 is read by both sides of check_partial_exchange, by
 dirac.dirac_square_check, and by box, which contracts it with the metric,
-sum_ij g_ij [i][j].  Nothing is cached at module level.
+sum_ij g_ij [i][j].  Their readers skip an empty partial or
+second-partial entry rather than accumulate it.  Nothing is cached at
+module level.
 
 Each check_* method returns None when its identity holds on every basis
 word up to the given degree, and otherwise the first counterexample as
@@ -114,14 +117,15 @@ def f_tilde(inst) -> Mat:
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one instance.
 
-    .alg is the quotient of the instance at the given cap, and every output
-    is a normal form there; g is the instance metric, read by the wave
-    operator.  Unchecked: make_calculus checks the obstruction first.
+    .alg is the quotient of the instance at the given cap (alg, when
+    given, or one built here), and every output is a normal form there; g
+    is the instance metric, read by the wave operator.  Unchecked:
+    make_calculus checks the obstruction first.
     """
 
-    def __init__(self, inst, cap: int):
+    def __init__(self, inst, cap: int, alg=None):
         self.inst = inst
-        self.alg = make_minkowski(inst, cap)
+        self.alg = make_minkowski(inst, cap) if alg is None else alg
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
@@ -215,6 +219,8 @@ class FirstOrderCalculus:
                     acc[rest] = ONE
                 for l in range(4):
                     dl = self._p_word(l, rest)
+                    if not dl:
+                        continue
                     for target, u, c in self._exchange[4 * k + l]:
                         if target == i:
                             accumulate(acc, {u + v: x for v, x in dl.items()},
@@ -227,7 +233,9 @@ class FirstOrderCalculus:
         """partial_i of the polynomial with the given terms, as terms."""
         out = {}
         for w, c in terms.items():
-            accumulate(out, self._p_word(i, w), c)
+            p = self._p_word(i, w)
+            if p:
+                accumulate(out, p, c)
         return out
 
     def partial(self, i: int, p: NCPoly) -> NCPoly:
@@ -252,7 +260,8 @@ class FirstOrderCalculus:
         for w, c in p.terms.items():
             second = self.second_partials(w)
             for i, j, g in self._g_terms:
-                accumulate(out, second[i][j], c * g)
+                if second[i][j]:
+                    accumulate(out, second[i][j], c * g)
         return _poly(out)
 
     def momentum(self, k: int, p: NCPoly) -> NCPoly:
@@ -303,9 +312,12 @@ class FirstOrderCalculus:
         rhs = [[{} for _ in range(4)] for _ in range(4)]
         for row, terms in enumerate(self._exchange):
             i, j = divmod(row, 4)
+            entry = second[i][j]
+            if not entry:
+                continue
             for k, u, c in terms:
                 if u:
-                    accumulate(rhs[k][u[0]], second[i][j], c)
+                    accumulate(rhs[k][u[0]], entry, c)
         return rhs
 
     def check_partial_exchange(self, n: int) -> str | None:
@@ -330,11 +342,13 @@ class FirstOrderCalculus:
         return None
 
 
-def make_calculus(inst, cap: int = 4) -> FirstOrderCalculus:
+def make_calculus(inst, cap: int = 4, alg=None) -> FirstOrderCalculus:
     """Build the calculus over the cap-truncated algebra of inst, or raise
-    CalculusObstruction with a witness before any quotient is built."""
+    CalculusObstruction with a witness before any quotient is built.  alg,
+    when given, is that algebra, already built (cli shares it between
+    suites)."""
     entries = f_tilde(inst).nonzeros()
     if entries:
         raise CalculusObstruction("obstruction entry (%d, %d) = %r"
                                   % entries[0])
-    return FirstOrderCalculus(inst, cap)
+    return FirstOrderCalculus(inst, cap, alg)

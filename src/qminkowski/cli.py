@@ -13,12 +13,17 @@ bytes.
 Every suite takes one argument, the _Run that one run_suites call owns
 and that dies with the call (nothing computed from an instance is cached
 at module level).  It holds the instance, the parameters (degree,
-dirac_degree, b, k, n) and what the suites share: one calculus per cap
-(or, in its place, the CalculusObstruction it raised), one Minkowski
-quotient per cap and one pairing evaluator, since b is fixed per run.
-Each is built through its module attribute (calculus.make_calculus,
-minkowski.make_minkowski, braiding.make_evaluator), so a tracer that
-wraps those names sees every build.  The argument parser is built on
+dirac_degree, b, k, n) and what the suites share: one Minkowski
+quotient per cap, one calculus per cap over that quotient and one pairing
+evaluator, since b is fixed per run.  A calculus stands in for each
+smaller cap its quotient serves (TruncatedQuotient.serves: every
+completion rule has t-exponent 0), so the dirac suite then reads the
+second partials the calculus suite filled; a CalculusObstruction, kept
+in place of a calculus, stands for every cap, since the obstruction
+matrix reads none.  Each is built through its module attribute
+(calculus.make_calculus, minkowski.make_minkowski,
+braiding.make_evaluator), so a tracer that wraps those names sees every
+build.  The argument parser is built on
 the first main call and reused by every later one in the process.
 """
 
@@ -105,14 +110,23 @@ class _Run:
     ev: object = None
 
     def calculus(self, cap: int):
-        """The calculus at cap, or the CalculusObstruction it raised."""
-        hit = self.calcs.get(cap)
+        """The calculus at cap, or the CalculusObstruction it raised: one
+        already built when it serves cap (module doc), else a new one over
+        the run's quotient at cap; one built with no such quotient lends
+        the run its own."""
+        hit = self.calcs.get(cap) or next(
+            (c for c in self.calcs.values()
+             if isinstance(c, CalculusObstruction) or c.alg.serves(cap)),
+            None)
         if hit is None:
             try:
-                hit = calculus.make_calculus(self.inst, cap)
+                hit = calculus.make_calculus(self.inst, cap,
+                                             self.quotients.get(cap))
             except CalculusObstruction as exc:
                 hit = exc
-            self.calcs[cap] = hit
+            else:
+                self.quotients.setdefault(cap, hit.alg)
+        self.calcs[cap] = hit
         return hit
 
     def quotient(self, cap: int):

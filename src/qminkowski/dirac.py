@@ -88,6 +88,8 @@ def dirac_square(calc, prods, w) -> list:
     for i in range(4):
         for j in range(4):
             terms = second[j][i]
+            if not terms:
+                continue
             for c, a, k in prods[i][j]:
                 accumulate(acc[a][c], terms, k)
     return acc

@@ -26,6 +26,10 @@ and the difference of its two rewrites is formed only when its degree
 comes up, from the tails as they stand then: each is a reduction of the
 tail the rule had when the ambiguity was found, by rules valid at its
 nominal degree, so the difference lies in the same truncated ideal.
+Completion never reads the cap except to drop ambiguities above it, so
+a quotient whose rules all have t-exponent 0 is, at degrees <= c, the
+quotient truncated at any smaller cap c (TruncatedQuotient.serves),
+and one quotient can stand in for those.
 
 The leads are the leading words of the ideal part, so the basis (the
 words no rule applies to) and every normal form (memoised rewriting) are
@@ -344,6 +348,28 @@ class TruncatedQuotient:
                                     if self._match(w, self.cap - d) is None))
         self._basis = tuple(per_degree)
         return self._basis
+
+    def serves(self, cap: int) -> bool:
+        """Whether this quotient, read at degrees <= cap, is the quotient
+        truncated at cap: true at its own cap, and at a smaller one when
+        every rule has t-exponent 0.
+
+        Completion to cap makes exactly the rules of nominal degree <= cap
+        that completion to self.cap makes: a degree's list holds the
+        relations and ambiguities of that degree alone, both completions
+        keep an ambiguity of degree <= cap, and every reduction reads the
+        slack of its nominal degree, never the cap.  Later degrees only add
+        rules, and with t-exponent 0 a rule of nominal degree D > cap has a
+        lead of length D, longer than any word of degree <= cap and than
+        any tail word of a lower rule, so it fires in none of them.  A rule
+        with t-exponent 0 fires at any slack, so the normal forms and basis
+        words of degree <= cap are the same under either cap.  A positive
+        t-exponent breaks both steps: its rule fires at a slack only the
+        larger cap grants, and a short lead can sit at a nominal degree
+        above cap.
+        """
+        return cap == self.cap or cap < self.cap and all(
+            k == 0 for k, _ in self._rules.values())
 
     def _within_cap(self, degree: int):
         if degree > self.cap:

@@ -62,6 +62,19 @@ def test_one_rep_of_the_lorentz_suite_case(capsys):
     one_rep(capsys, "lorentz-suite-classical")
 
 
+def test_one_rep_of_the_report_case(capsys):
+    one_rep(capsys, "report-classical")
+
+
+def test_dirac_suite_case_reads_the_calculus_suite_calculus():
+    """The timed dirac suite passes and builds no calculus of its own: the
+    run's cap-4 calculus serves its degree 3."""
+    call = layers().cases()["dirac-suite-after-calculus-classical"]()
+    run = call.args[0]
+    assert [c.passed for c in call()] == [True] * 4
+    assert list(run.calcs) == [4, 3] and run.calcs[3] is run.calcs[4]
+
+
 def test_one_rep_of_the_metric_case(capsys):
     one_rep(capsys, "metric-classical")
 
@@ -98,7 +111,8 @@ def test_cases_and_reps_are_checked(capsys):
             "rq-inverse-classical", "calculus-classical-deg5",
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
             "lambda-invariance-classical",
-            "lorentz-suite-classical", "metric-classical",
+            "lorentz-suite-classical", "report-classical",
+            "dirac-suite-after-calculus-classical", "metric-classical",
             "fock-suite-classical-n4", "star-cqt-classical",
             "star-cqt-dense11", "r-word-words-dense11"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):

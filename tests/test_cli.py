@@ -18,7 +18,7 @@ from qminkowski.exact import Mat, ONE, Scalar
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
 from test_acceptance import sign_twisted_flip
-from test_calculus import shifted, z_perturbed
+from test_calculus import leibniz_breaking, shifted, z_perturbed
 from test_quotient_oracle import ROOT
 
 # sha256 of `report --builtin classical ARGS` stdout and of its --json file.
@@ -456,14 +456,20 @@ def count_calls(monkeypatch, calls, module, name, key, label=None):
 
 
 def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
+    """A report whose quotient has only t-exponent-0 rules builds one
+    Minkowski quotient and one calculus per cap: the dirac suite reads the
+    calculus suite's calculus, whatever --degree (>= 3) is, and pbw shares
+    its quotient.  A positive t-exponent (leibniz_breaking) keeps a cap-3
+    calculus of its own; an obstruction is found once and builds nothing."""
     calls = collections.defaultdict(list)
     for module, name, key in (
             (braiding, "build_rq", lambda inst, b: b),
             (braiding, "ct_check", lambda ev: None),
             (minkowski, "build_quotient", lambda gens, rels, cap: cap),
             (minkowski, "pbw_check", lambda alg, n: alg.cap),
-            (calculus, "make_calculus", lambda inst, cap: cap),
-            (dirac, "dirac_square_check", lambda calc, gs, n: n),
+            (calculus, "make_calculus", lambda inst, cap, alg=None: cap),
+            (dirac, "dirac_square_check",
+             lambda calc, gs, n: (calc.alg.cap, n)),
             (fock, "coaction", lambda alg, p: alg.cap)):
         count_calls(monkeypatch, calls, module, name, key)
     # minkowski.build_quotient already counts under "build_quotient"
@@ -472,17 +478,32 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     rep = run_suites(builtin("classical"), tuple(_SUITES))
     assert rep.passed
     assert calls["build_rq"] == [Scalar(0)] and calls["ct_check"] == [None]
-    assert calls["build_quotient"].count(4) <= 2
+    assert calls["build_quotient"] == [4]
     assert calls["lorentz_quotient"] == [4]
-    assert calls["make_calculus"] == [4, 3]
-    # report --degree 6 moves only the pbw and calculus suites
+    assert calls["make_calculus"] == [4]
+    assert calls["dirac_square_check"] == [(4, 3)]
+    # report --degree 6 moves only the pbw and calculus suites; the dirac
+    # suite reads the cap-6 calculus at degree 3, fock its own cap-4 quotient
     calls.clear()
     code, _, _ = run(capsys, "report", "--builtin", "classical", "--degree",
                      "6")
     assert code == 0
     assert calls["pbw_check"] == [6]
-    assert calls["make_calculus"] == [6, 3]
-    assert calls["dirac_square_check"] == [3]
+    assert calls["build_quotient"] == [6, 4]
+    assert calls["make_calculus"] == [6]
+    assert calls["dirac_square_check"] == [(6, 3)]
     assert set(calls["coaction"]) == {4}
     assert calls["lorentz_quotient"] == [4]
-
+    # a rule with t-exponent 3 at cap 4: the dirac suite builds its own
+    # cap-3 calculus over a cap-3 quotient
+    calls.clear()
+    run_suites(leibniz_breaking(), tuple(_SUITES))
+    assert calls["make_calculus"] == [4, 3]
+    assert calls["build_quotient"] == [4, 3]
+    assert calls["dirac_square_check"] == [(3, 3)]
+    # an obstructed instance: one make_calculus call, no quotient for it
+    calls.clear()
+    run_suites(z_perturbed(), tuple(_SUITES))
+    assert calls["make_calculus"] == [4]
+    assert calls["build_quotient"] == [4]
+    assert calls["dirac_square_check"] == []
