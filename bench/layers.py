@@ -1,5 +1,5 @@
-"""Time the quotient, Mat inverse, calculus, Dirac, Lorentz, pairing and
-Fock layers: the best CPU time of N in-process runs.
+"""Time the instance loader and the quotient, Mat inverse, calculus, Dirac,
+Lorentz, pairing and Fock layers: the best CPU time of N in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
 
@@ -37,10 +37,15 @@ where the check passes and reads all 441 pairings of the entries of P,
 dense seed-11 instance at b = 1, ``star-cqt-dense11``, which stops at
 the first asymmetric pair after a handful of pairings and so sits near
 the timer's resolution: it stays because it is what the dense braiding
-op of the benchmark runs; and r_word on every pair of a letter and a
+op of the benchmark runs; r_word on every pair of a letter and a
 length-2 word, in both orders, on a fresh evaluator of the dense seed-11
 instance at b = 1, ``r-word-words-dense11``, the one case that enters
-the word recursion of the pairing (no suite pairs more than letters).
+the word recursion of the pairing (no suite pairs more than letters);
+load_instance on ``instances/classical.json`` (read, JSON parse and
+every check, as each benchmark op loads its file), ``load-classical``;
+and instance_from_dict on the perfbench dense seed-11 document, already
+parsed, ``load-dense11``: 360 matrix literals each, 3 and 7 of them
+distinct.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  Each
 ``mink-*`` and ``lorentz-cap*`` case also runs once untimed with its
@@ -78,6 +83,7 @@ from qminkowski.qalgebra import TruncatedQuotient
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PERFBENCH = os.path.join(ROOT, "perfbench", "instances.py")
 MOVED = os.path.join(ROOT, "instances", "moved-twisted.json")
+CLASSICAL = os.path.join(ROOT, "instances", "classical.json")
 DENSE_SEEDS = (11, 12, 13)
 DENSE_DENSITY = 0.3     # perfbench's dense-random entry density
 IMAG_SEED = 5
@@ -91,10 +97,13 @@ def perfbench_instances():
     return gen
 
 
+def dense_doc(seed):
+    return perfbench_instances().dense("dense%d" % seed, random.Random(seed),
+                                       DENSE_DENSITY)
+
+
 def dense_instance(seed):
-    doc = perfbench_instances().dense("dense%d" % seed, random.Random(seed),
-                                      DENSE_DENSITY)
-    return instance_from_dict(doc)
+    return instance_from_dict(dense_doc(seed))
 
 
 def imag_instance():
@@ -240,6 +249,10 @@ def cases():
         star_cqt_check, make_evaluator(dense_instance(11), ONE))
     out["r-word-words-dense11"] = lambda: word_pairings(
         make_evaluator(dense_instance(11), ONE))
+    out["load-classical"] = lambda: functools.partial(load_instance,
+                                                      CLASSICAL)
+    out["load-dense11"] = lambda: functools.partial(instance_from_dict,
+                                                    dense_doc(11))
     return out
 
 

@@ -15,10 +15,11 @@ and that dies with the call (nothing computed from an instance is cached
 at module level).  It holds the instance, the parameters (degree,
 dirac_degree, b, k, n) and what the suites share: one Minkowski
 quotient per cap, one calculus per cap over that quotient and one pairing
-evaluator, since b is fixed per run.  A calculus stands in for each
-smaller cap its quotient serves (TruncatedQuotient.serves: every
-completion rule has t-exponent 0), so the dirac suite then reads the
-second partials the calculus suite filled; a CalculusObstruction, kept
+evaluator, since b is fixed per run.  A quotient, and a calculus over
+it, stands in for each smaller cap it serves (TruncatedQuotient.serves:
+every completion rule has t-exponent 0), so the dirac suite then reads
+the second partials the calculus suite filled, and fock reads a larger
+quotient pbw built; a CalculusObstruction, kept
 in place of a calculus, stands for every cap, since the obstruction
 matrix reads none.  Each is built through its module attribute
 (calculus.make_calculus, minkowski.make_minkowski,
@@ -106,14 +107,14 @@ class _Run:
     k: Scalar
     n: int
     calcs: dict = field(default_factory=dict)  # cap -> calculus or obstruction
-    quotients: dict = field(default_factory=dict)  # cap -> Minkowski
+    quotients: dict = field(default_factory=dict)  # cap -> one serving it
     ev: object = None
 
     def calculus(self, cap: int):
         """The calculus at cap, or the CalculusObstruction it raised: one
         already built when it serves cap (module doc), else a new one over
-        the run's quotient at cap; one built with no such quotient lends
-        the run its own."""
+        a quotient of the run that serves cap; one built with no such
+        quotient lends the run its own."""
         hit = self.calcs.get(cap) or next(
             (c for c in self.calcs.values()
              if isinstance(c, CalculusObstruction) or c.alg.serves(cap)),
@@ -121,7 +122,7 @@ class _Run:
         if hit is None:
             try:
                 hit = calculus.make_calculus(self.inst, cap,
-                                             self.quotients.get(cap))
+                                             self._served(cap))
             except CalculusObstruction as exc:
                 hit = exc
             else:
@@ -129,10 +130,17 @@ class _Run:
         self.calcs[cap] = hit
         return hit
 
+    def _served(self, cap: int):
+        """A quotient already built that serves cap, or None."""
+        return next((q for q in self.quotients.values() if q.serves(cap)),
+                    None)
+
     def quotient(self, cap: int):
-        if cap not in self.quotients:
-            self.quotients[cap] = minkowski.make_minkowski(self.inst, cap)
-        return self.quotients[cap]
+        """The Minkowski quotient at cap: one already built when it serves
+        cap, else a new one."""
+        alg = self._served(cap) or minkowski.make_minkowski(self.inst, cap)
+        self.quotients[cap] = alg
+        return alg
 
     def evaluator(self):
         if self.ev is None:

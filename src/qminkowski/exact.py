@@ -2,7 +2,12 @@
 
 A Scalar is a Gaussian rational (a + b*i) / d stored as three ints with
 d > 0 and gcd(a, b, d) == 1, so every operation in the package is exact,
-and integer-valued entries (d == 1) cost plain int arithmetic.
+and integer-valued entries (d == 1) cost plain int arithmetic.  No
+Scalar is ever changed after it is built (every operation returns a new
+one), so term dicts, matrices and memos share one freely instead of
+building an equal copy: qalgebra.accumulate stores a term's own Scalar
+under a new key when the coefficient is 1, and the instance loader
+hands one Scalar to every entry that repeats a literal.
 Matrices are dense, row-major, and immutable by convention: builders
 assemble an entry list and hand it to ``Mat`` once.  ``Mat.nonzeros()``
 is the one sparse read: products, Kronecker products and every module

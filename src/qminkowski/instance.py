@@ -6,6 +6,11 @@ the package.  Files are JSON with a fixed schema: scalars are four-integer
 arrays [re_num, re_den, im_num, im_den] with positive denominators, and
 matrices are {"rows": r, "cols": c, "entries": [scalar, ...]} in row-major
 order.  Unknown keys are rejected so typos cannot silently change a run.
+One instance_from_dict call keeps a dict from each matrix literal's four
+ints to its Scalar, so a literal that repeats (a file holds a handful of
+distinct ones among its 360) is validated and reduced once; the entries
+share that Scalar, which is sound because no Scalar is ever changed
+after it is built.  Nothing outlives the call.
 The checks run on an instance are the suites in cli.
 """
 
@@ -74,7 +79,9 @@ def _scalar_from_quad(obj, where: str) -> Scalar:
     return Scalar.from_quad(*obj)
 
 
-def _mat_from_obj(obj, key: str) -> Mat:
+def _mat_from_obj(obj, key: str, seen: dict) -> Mat:
+    """The matrix of key; seen maps the four ints of each literal read so
+    far in the document to its Scalar (module doc)."""
     rows, cols = _SHAPES[key]
     if (not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}):
         raise ParseError("%s: expected rows/cols/entries object" % key)
@@ -85,8 +92,22 @@ def _mat_from_obj(obj, key: str) -> Mat:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("%s: expected %d entries" % (key, rows * cols))
-    data = [_scalar_from_quad(e, "%s[%d]" % (key, i))
-            for i, e in enumerate(entries)]
+    data = []
+    for i, e in enumerate(entries):
+        # Only exact ints key seen (True == 1 and 1.0 == 1 hash alike), and
+        # a refused literal is never stored, so each is refused at its index.
+        quad = None
+        if type(e) is list and len(e) == 4:
+            a, b, c, d = e
+            if (type(a) is int and type(b) is int and type(c) is int
+                    and type(d) is int):
+                quad = a, b, c, d
+        x = seen.get(quad)
+        if x is None:
+            x = _scalar_from_quad(e, "%s[%d]" % (key, i))
+            if quad is not None:
+                seen[quad] = x
+        data.append(x)
     return Mat(rows, cols, data)
 
 
@@ -105,11 +126,12 @@ def instance_from_dict(doc) -> PoincareInstance:
                          % (missing, extra))
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ParseError("name must be a nonempty string")
+    seen = {}
     return PoincareInstance(
         name=doc["name"],
         q=_scalar_from_quad(doc["q"], "q"),
         s=_scalar_from_quad(doc["s"], "s"),
-        **{k: _mat_from_obj(doc[k], k) for k in _SHAPES},
+        **{k: _mat_from_obj(doc[k], k, seen) for k in _SHAPES},
     )
 
 

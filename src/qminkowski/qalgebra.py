@@ -58,8 +58,11 @@ def accumulate(out: dict, terms: dict, c=None) -> dict:
     multiply-add on the (a, b, d) triples of exact.Scalar: c * v and the
     stored value are combined as plain ints and one canonical Scalar is
     built per stored key, with a gcd only when a denominator other than
-    1 takes part.  A Scalar c is read directly, an int or Fraction c
-    through exact._coerce.
+    1 takes part; but when c is 1 (omitted, ONE, or an int or Fraction
+    1), a key new to out stores the term's own Scalar, or nothing when it
+    is zero: 1 * v is v, and no Scalar is ever changed after it is built,
+    so out and terms may share it.  A Scalar c is read directly, an int
+    or Fraction c through exact._coerce.
     """
     if c is None:
         ca, cb, cd = 1, 0, 1
@@ -69,11 +72,16 @@ def accumulate(out: dict, terms: dict, c=None) -> dict:
         ca, cb, cd = _coerce(c)
     if not (ca or cb):
         return out
+    unit = ca == 1 and not cb and cd == 1
     get = out.get
     for k, v in terms.items():
+        s = get(k)
+        if s is None and unit:
+            if v.a or v.b:
+                out[k] = v
+            continue
         x, y = v.a, v.b
         a, b, d = ca * x - cb * y, ca * y + cb * x, cd * v.d
-        s = get(k)
         if s is not None:
             e = s.d
             if e == d:

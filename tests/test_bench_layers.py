@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from qminkowski.instance import builtin
 from qminkowski.qalgebra import TruncatedQuotient
 
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -75,6 +76,18 @@ def test_dirac_suite_case_reads_the_calculus_suite_calculus():
     assert list(run.calcs) == [4, 3] and run.calcs[3] is run.calcs[4]
 
 
+def test_one_rep_of_each_load_case(capsys):
+    one_rep(capsys, "load-classical")
+    one_rep(capsys, "load-dense11")
+
+
+def test_load_cases_build_their_instances():
+    cases = layers().cases()
+    assert cases["load-classical"]().args[0].endswith("classical.json")
+    assert cases["load-classical"]()() == builtin("classical")
+    assert cases["load-dense11"]()().name == "dense11"
+
+
 def test_one_rep_of_the_metric_case(capsys):
     one_rep(capsys, "metric-classical")
 
@@ -114,7 +127,8 @@ def test_cases_and_reps_are_checked(capsys):
             "lorentz-suite-classical", "report-classical",
             "dirac-suite-after-calculus-classical", "metric-classical",
             "fock-suite-classical-n4", "star-cqt-classical",
-            "star-cqt-dense11", "r-word-words-dense11"} <= set(mod.cases())
+            "star-cqt-dense11", "r-word-words-dense11", "load-classical",
+            "load-dense11"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

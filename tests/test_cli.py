@@ -457,9 +457,9 @@ def count_calls(monkeypatch, calls, module, name, key, label=None):
 
 def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     """A report whose quotient has only t-exponent-0 rules builds one
-    Minkowski quotient and one calculus per cap: the dirac suite reads the
-    calculus suite's calculus, whatever --degree (>= 3) is, and pbw shares
-    its quotient.  A positive t-exponent (leibniz_breaking) keeps a cap-3
+    Minkowski quotient and one calculus at --degree >= 4: the dirac suite
+    reads the calculus suite's calculus, and pbw and fock share its
+    quotient.  A positive t-exponent (leibniz_breaking) keeps a cap-3
     calculus of its own; an obstruction is found once and builds nothing."""
     calls = collections.defaultdict(list)
     for module, name, key in (
@@ -483,16 +483,16 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     assert calls["make_calculus"] == [4]
     assert calls["dirac_square_check"] == [(4, 3)]
     # report --degree 6 moves only the pbw and calculus suites; the dirac
-    # suite reads the cap-6 calculus at degree 3, fock its own cap-4 quotient
+    # suite reads the cap-6 calculus at degree 3, fock the cap-6 quotient
     calls.clear()
     code, _, _ = run(capsys, "report", "--builtin", "classical", "--degree",
                      "6")
     assert code == 0
     assert calls["pbw_check"] == [6]
-    assert calls["build_quotient"] == [6, 4]
+    assert calls["build_quotient"] == [6]
     assert calls["make_calculus"] == [6]
     assert calls["dirac_square_check"] == [(6, 3)]
-    assert set(calls["coaction"]) == {4}
+    assert set(calls["coaction"]) == {6}
     assert calls["lorentz_quotient"] == [4]
     # a rule with t-exponent 3 at cap 4: the dirac suite builds its own
     # cap-3 calculus over a cap-3 quotient

@@ -107,6 +107,35 @@ def test_bad_scalar_quads():
     reject(d)
 
 
+def parse_message(d):
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict(d)
+    return str(exc.value)
+
+
+def test_a_repeated_literal_is_matched_only_as_exact_ints():
+    """The loader reads each distinct literal once, but an entry equal to
+    an accepted [0, 1, 0, 1] only under == (True == 1, 1.0 == 1) is still
+    refused, by name, in the same matrix or a later one; a refused literal
+    is never kept, so its repeat raises at its first index."""
+    assert classical_dict()["E"]["entries"][0] == [0, 1, 0, 1]
+    for key, index in (("E", 3), ("R", 17), ("T", 15)):
+        assert classical_dict()[key]["entries"][index] == [0, 1, 0, 1]
+        for bad in ([0, True, 0, 1], [0, 1.0, 0, 1]):
+            d = classical_dict()
+            d[key]["entries"][index] = bad
+            assert parse_message(d) == \
+                "%s[%d]: scalar must be four integers" % (key, index)
+    d = classical_dict()
+    for key, index in (("X", 1), ("X", 2), ("R", 17)):
+        d[key]["entries"][index] = [1, 0, 0, 1]
+    assert parse_message(d) == "X[1]: denominators must be positive"
+    d = classical_dict()
+    for index in (3, 17):
+        d["R"]["entries"][index] = [1, 1, 0, -1]
+    assert parse_message(d) == "R[3]: denominators must be positive"
+
+
 def test_bad_matrix_blocks():
     d = classical_dict()
     d["R"]["rows"] = 15

@@ -143,3 +143,19 @@ def test_accumulate_matches_termwise_sum(out, terms, c):
                                           if v}
     back = {k: -v for k, v in terms.items()}
     assert accumulate(accumulate({}, terms, c), back, c) == {}
+
+
+def test_unit_accumulate_keeps_the_terms_own_scalars():
+    """With c equal to 1, a key new to out stores the term's own Scalar
+    (Scalars are never changed, so sharing it is sound) and a zero term
+    stores nothing; a key already in out gets the sum, and terms is left
+    as it was."""
+    half, two = Scalar(Fraction(1, 2), 3), Scalar(2)
+    for c in (None, 1, Fraction(1), ONE, Scalar(1)):
+        terms = {"new": half, "old": two, "zero": Scalar(0)}
+        out = accumulate({"old": -Scalar(5), "kept": I}, terms, c)
+        assert out == {"new": half, "old": Scalar(-3), "kept": I}
+        assert out["new"] is half
+        assert terms == {"new": half, "old": two, "zero": Scalar(0)}
+    out = accumulate({}, {"new": half}, Scalar(-1))
+    assert out == {"new": -half} and canonical(out["new"])
