@@ -23,9 +23,11 @@ on a Lorentz quotient built at cap 4 in the timed call,
 ``lambda-invariance-classical``; the lorentz suite alone through
 run_suites on the classical instance, ``lorentz-suite-classical``; all
 seven suites through run_suites on the classical instance, as ``report
---builtin classical`` runs them, ``report-classical``; the dirac suite
-on a run whose calculus suite has run in the set-up, so that it reads
-the second partials that suite filled,
+--builtin classical`` runs them, ``report-classical``, and at
+``--degree 2``, where the fock suite's cap-4 quotient serves pbw,
+calculus and dirac at their smaller caps, ``report-classical-deg2``; the
+dirac suite on a run whose calculus suite has run in the set-up, so that
+it reads the second partials that suite filled,
 ``dirac-suite-after-calculus-classical``; the classical metric,
 ``metric-classical``; the fock suite at --n 4 on the classical instance
 at b = 0, the one braided path of the benchmark (K, the braid relation
@@ -144,22 +146,22 @@ def lorentz_suite(inst):
     return lambda: cli.run_suites(inst, ("lorentz",))
 
 
-def report(inst):
-    return lambda: cli.run_suites(inst, cli._SUITES)
+def report(inst, degree=4):
+    return lambda: cli.run_suites(inst, cli._SUITES, degree=degree)
 
 
 def dirac_after_calculus(inst):
     """The dirac suite on a run whose calculus suite ran here."""
-    run = cli._Run(inst, 4, 3, ZERO, ONE, 2)
+    run = cli._Run(inst, 4, 3, ZERO, ONE, 2, cap=4)
     cli.suite_calculus(run)
     return functools.partial(cli.suite_dirac, run)
 
 
 def fock_suite(inst, n):
     """The fock suite on a quotient and an evaluator built here."""
-    run = cli._Run(inst, 4, 3, ZERO, ONE, n)
+    run = cli._Run(inst, 4, 3, ZERO, ONE, n, cap=4)
     run.quotient(4)
-    run.evaluator()
+    run.evaluator
     return lambda: cli.suite_fock(run)
 
 
@@ -238,6 +240,7 @@ def cases():
     out["lorentz-suite-classical"] = (
         lambda: lorentz_suite(builtin("classical")))
     out["report-classical"] = lambda: report(builtin("classical"))
+    out["report-classical-deg2"] = lambda: report(builtin("classical"), 2)
     out["dirac-suite-after-calculus-classical"] = (
         lambda: dirac_after_calculus(builtin("classical")))
     out["metric-classical"] = lambda: lambda: metric(builtin("classical"))

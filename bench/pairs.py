@@ -12,10 +12,11 @@ alternating order.  The output file gathers, per workload, this script's
 command line, the seeds, every run's result line and, per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles and the
 number of pairs the change won, and per per-layer metric each side's
-median and range over its traced runs.  The machine, the Python, the
-parent's git commit and each side's ``report --builtin classical``
-stdout sha256 are recorded once.  Runs are appended to an existing
-output file, one workload at a time.
+median and range over its traced runs; the command line names the two
+checkouts PARENT and CHANGE.  The machine, the Python, the parent's git
+commit with where it was read (parent_commit) and each side's ``report
+--builtin classical`` stdout sha256 are recorded once.  Runs are
+appended to an existing output file, one workload at a time.
 """
 
 from __future__ import annotations
@@ -42,11 +43,50 @@ def run(checkout, workload, seed, seconds, trace):
 
 
 def commit(checkout):
-    """The checkout's git commit, or None when it is not a git checkout."""
-    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                         cwd=checkout, text=True, stdout=subprocess.PIPE,
-                         stderr=subprocess.DEVNULL, check=False)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """(short HEAD commit, whether tracked files have uncommitted changes)
+    when checkout is the top of a git work tree, else None (a directory
+    made by git archive, even one that sits inside another work tree)."""
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=checkout, text=True,
+                             stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, check=False)
+        return out.stdout if out.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top.strip()) != \
+            os.path.realpath(checkout):
+        return None
+    return (git("rev-parse", "--short", "HEAD").strip(),
+            bool(git("status", "--porcelain", "--untracked-files=no")))
+
+
+def parent_commit(sides):
+    """The parent's commit and where it was read: the parent checkout's
+    HEAD; for a parent that is no git checkout, the HEAD of a change
+    checkout whose tracked files have uncommitted changes, since the
+    change is then the work on top of that commit; else (None, None)."""
+    parent = commit(sides["parent"])
+    if parent is not None:
+        return parent[0], "parent HEAD" + (", uncommitted changes"
+                                           if parent[1] else "")
+    change = commit(sides["change"])
+    if change is not None and change[1]:
+        return change[0], "change HEAD, under its uncommitted changes"
+    return None, None
+
+
+def placeholders(argv):
+    """argv with the values of --parent and --change written PARENT and
+    CHANGE, so the record names no directory of the machine it ran on."""
+    out = []
+    for tok in argv:
+        flag, eq, _ = tok.partition("=")
+        if out and out[-1] in ("--parent", "--change"):
+            tok = out[-1][2:].upper()
+        elif eq and flag in ("--parent", "--change"):
+            tok = "%s=%s" % (flag, flag[2:].upper())
+        out.append(tok)
+    return out
 
 
 def report_sha(checkout):
@@ -143,7 +183,7 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     doc["machine"] = machine()
-    doc["parent_commit"] = commit(sides["parent"])
+    doc["parent_commit"], doc["parent_commit_source"] = parent_commit(sides)
     doc["report_sha256"] = {k: report_sha(v) for k, v in sides.items()}
     doc["run_command"] = ("perfbench/run.py --workload W --seed S "
                           "--seconds %g --trace 0 (pairs) or --trace 1 "
@@ -162,7 +202,7 @@ def main(argv=None):
         for side in sides_in_order(k):
             traced[side].append(run(sides[side], args.workload, seed,
                                     seconds, 1))
-    entry = {"argv": ["bench/pairs.py"] + argv,
+    entry = {"argv": ["bench/pairs.py"] + placeholders(argv),
              "seeds": args.seeds, "pairs": pairs,
              "summary": summarise(pairs, better),
              "traced": {side: {"runs": runs,

@@ -13,19 +13,19 @@ bytes.
 Every suite takes one argument, the _Run that one run_suites call owns
 and that dies with the call (nothing computed from an instance is cached
 at module level).  It holds the instance, the parameters (degree,
-dirac_degree, b, k, n) and what the suites share: one Minkowski
-quotient per cap, one calculus per cap over that quotient and one pairing
-evaluator, since b is fixed per run.  A quotient, and a calculus over
-it, stands in for each smaller cap it serves (TruncatedQuotient.serves:
-every completion rule has t-exponent 0), so the dirac suite then reads
-the second partials the calculus suite filled, and fock reads a larger
-quotient pbw built; a CalculusObstruction, kept
-in place of a calculus, stands for every cap, since the obstruction
-matrix reads none.  Each is built through its module attribute
-(calculus.make_calculus, minkowski.make_minkowski,
+dirac_degree, b, k, n), the pairing evaluator, built once since b is
+fixed per run, and one sharing rule for the Minkowski quotient: the run
+first builds the one at the largest cap its suites read, and a suite
+reads it at every cap it serves (TruncatedQuotient.serves: every
+completion rule has t-exponent 0), else one built at its own cap.  A
+calculus, or the CalculusObstruction found in its place, is kept in its
+quotient's memos, so the dirac suite reads the second partials the
+calculus suite filled; the obstruction reads no quotient, so it is
+looked for before the run builds one.  Each is built through its module
+attribute (calculus.make_calculus, minkowski.make_minkowski,
 braiding.make_evaluator), so a tracer that wraps those names sees every
-build.  The argument parser is built on
-the first main call and reused by every later one in the process.
+build.  The argument parser is built on the first main call and reused
+by every later one in the process.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 from . import braiding, calculus, dirac, fock, lorentz, minkowski
@@ -106,46 +106,40 @@ class _Run:
     b: Scalar
     k: Scalar
     n: int
-    calcs: dict = field(default_factory=dict)  # cap -> calculus or obstruction
-    quotients: dict = field(default_factory=dict)  # cap -> one serving it
-    ev: object = None
-
-    def calculus(self, cap: int):
-        """The calculus at cap, or the CalculusObstruction it raised: one
-        already built when it serves cap (module doc), else a new one over
-        a quotient of the run that serves cap; one built with no such
-        quotient lends the run its own."""
-        hit = self.calcs.get(cap) or next(
-            (c for c in self.calcs.values()
-             if isinstance(c, CalculusObstruction) or c.alg.serves(cap)),
-            None)
-        if hit is None:
-            try:
-                hit = calculus.make_calculus(self.inst, cap,
-                                             self._served(cap))
-            except CalculusObstruction as exc:
-                hit = exc
-            else:
-                self.quotients.setdefault(cap, hit.alg)
-        self.calcs[cap] = hit
-        return hit
-
-    def _served(self, cap: int):
-        """A quotient already built that serves cap, or None."""
-        return next((q for q in self.quotients.values() if q.serves(cap)),
-                    None)
+    cap: int  # the largest Minkowski cap the run's suites read
+    quotients: dict = field(default_factory=dict)  # cap -> one built there
 
     def quotient(self, cap: int):
-        """The Minkowski quotient at cap: one already built when it serves
-        cap, else a new one."""
-        alg = self._served(cap) or minkowski.make_minkowski(self.inst, cap)
-        self.quotients[cap] = alg
-        return alg
+        """The quotient at the run's cap when it serves cap, else the one
+        at cap; each is built on its first read."""
+        for c in (self.cap, cap):
+            if c not in self.quotients:
+                self.quotients[c] = minkowski.make_minkowski(self.inst, c)
+            if self.quotients[c].serves(cap):
+                return self.quotients[c]
 
+    def calculus(self, cap: int):
+        """The calculus over quotient(cap), or the CalculusObstruction it
+        raised, kept in that quotient's memos.  Before the run has built a
+        quotient, make_calculus looks for the obstruction and only then
+        builds the one at the run's cap."""
+        alg = self.quotient(cap) if self.quotients else None
+        calc = None if alg is None else alg.memos.get("calculus")
+        if calc is None:
+            try:
+                calc = calculus.make_calculus(
+                    self.inst, self.cap if alg is None else alg.cap, alg)
+            except CalculusObstruction as exc:
+                calc = exc
+            else:
+                alg = self.quotients.setdefault(calc.alg.cap, calc.alg)
+            if alg is not None:
+                alg.memos["calculus"] = calc
+        return calc if alg is None or alg.serves(cap) else self.calculus(cap)
+
+    @cached_property
     def evaluator(self):
-        if self.ev is None:
-            self.ev = braiding.make_evaluator(self.inst, self.b)
-        return self.ev
+        return braiding.make_evaluator(self.inst, self.b)
 
 
 def suite_validate(run: _Run) -> list:
@@ -246,7 +240,7 @@ def suite_lorentz(run: _Run) -> list:
 
 
 def suite_braiding(run: _Run) -> list:
-    ev = run.evaluator()
+    ev = run.evaluator
     try:
         ev.rq_inverse()
         rq_inv_ok = True
@@ -276,10 +270,13 @@ def _counit_after_coaction(alg, p: NCPoly) -> dict:
     return back
 
 
+_FOCK_CAP = 4  # the cap of the Minkowski quotient the fock suite reads
+
+
 def suite_fock(run: _Run) -> list:
     n = run.n
-    alg = run.quotient(4)
-    ev = run.evaluator()
+    alg = run.quotient(_FOCK_CAP)
+    ev = run.evaluator
     gens = [NCPoly.gen(i) for i in range(4)]
 
     def tensors(size):
@@ -337,7 +334,10 @@ _SUITES = ("validate", "pbw", "calculus", "dirac", "lorentz", "braiding",
 
 def run_suites(inst, names, degree=4, dirac_degree=3, b=Scalar(0),
                k=Scalar(1), n=2) -> Report:
-    run = _Run(inst, degree, dirac_degree, b, k, n)
+    caps = {"pbw": degree, "calculus": degree, "dirac": dirac_degree,
+            "fock": _FOCK_CAP}
+    run = _Run(inst, degree, dirac_degree, b, k, n,
+               max((caps.get(name, 2) for name in names), default=2))
     rep = Report(instance=inst.name)
     for name in names:
         if name not in _SUITES:

@@ -214,7 +214,7 @@ class TruncatedQuotient:
     memoised the first time it is asked for, and the basis is built the
     first time it is read, so a quotient used only for normal forms never
     enumerates it.  ``memos`` holds what other modules memoise over this
-    algebra (fock's coaction and K).
+    algebra (fock's coaction and K, a cli run's calculus).
     """
 
     def __init__(self, gens: int, relations, cap: int):

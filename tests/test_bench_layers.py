@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from qminkowski import calculus, cli, dirac, minkowski
 from qminkowski.instance import builtin
 from qminkowski.qalgebra import TruncatedQuotient
 
@@ -67,13 +68,34 @@ def test_one_rep_of_the_report_case(capsys):
     one_rep(capsys, "report-classical")
 
 
-def test_dirac_suite_case_reads_the_calculus_suite_calculus():
-    """The timed dirac suite passes and builds no calculus of its own: the
-    run's cap-4 calculus serves its degree 3."""
+def test_degree_2_report_case_passes_every_suite():
+    rep = layers().cases()["report-classical-deg2"]()()
+    assert rep.passed and [s.name for s in rep.suites] == list(cli._SUITES)
+    assert "[1, 4, 10]" in rep.suites[1].checks[0].detail
+
+
+def test_dirac_suite_case_reads_the_calculus_suite_calculus(monkeypatch):
+    """The timed dirac suite passes and builds no quotient and no calculus
+    of its own: it reads, at degree 3, the calculus that the run's one
+    cap-4 quotient keeps in its memos."""
     call = layers().cases()["dirac-suite-after-calculus-classical"]()
     run = call.args[0]
+    assert list(run.quotients) == [4]
+    alg = run.quotients[4]
+    calc = alg.memos["calculus"]
+    assert calc.alg is alg
+    read, square = [], dirac.dirac_square_check
+
+    def reading(calc, gs, n):
+        read.append((calc, n))
+        return square(calc, gs, n)
+    monkeypatch.setattr(dirac, "dirac_square_check", reading)
+    # a build would call None and raise
+    monkeypatch.setattr(calculus, "make_calculus", None)
+    monkeypatch.setattr(minkowski, "make_minkowski", None)
     assert [c.passed for c in call()] == [True] * 4
-    assert list(run.calcs) == [4, 3] and run.calcs[3] is run.calcs[4]
+    assert read == [(calc, 3)]
+    assert run.quotients == {4: alg} and alg.memos["calculus"] is calc
 
 
 def test_one_rep_of_each_load_case(capsys):
@@ -125,6 +147,7 @@ def test_cases_and_reps_are_checked(capsys):
             "leibniz-imag-deg5", "dirac-square-classical-deg4",
             "lambda-invariance-classical",
             "lorentz-suite-classical", "report-classical",
+            "report-classical-deg2",
             "dirac-suite-after-calculus-classical", "metric-classical",
             "fock-suite-classical-n4", "star-cqt-classical",
             "star-cqt-dense11", "r-word-words-dense11", "load-classical",

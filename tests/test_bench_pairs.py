@@ -70,3 +70,43 @@ def test_traced_runs_give_each_layer_a_median_and_range(tmp_path,
         assert set(layers) == {m["name"] for m in bench["per_layer"]}
         assert layers["exact.echelon_s"] == {
             "unit": "s", "median": low + 1, "min": low, "max": low + 2}
+
+
+def test_the_record_names_no_checkout_and_finds_the_parent_commit(
+        tmp_path, monkeypatch):
+    """argv names the checkouts PARENT and CHANGE.  The parent commit is
+    the parent checkout's HEAD, or, for a parent made by git archive, the
+    HEAD of a change checkout with uncommitted changes."""
+    mod = load_pairs()
+    root = Path(__file__).resolve().parent.parent
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    (sides["parent"] / "BENCHMARK.json").write_text(json.dumps(bench))
+    names = ([m["name"] for m in bench["end_to_end"]]
+             + [m["name"] for m in bench["per_layer"]])
+    monkeypatch.setattr(mod, "run", lambda *args: {
+        "metrics": {n: {"unit": "s", "value": 1} for n in names}})
+    monkeypatch.setattr(mod, "report_sha", lambda checkout: "0")
+    heads = {"parent": ("abc1234", False), "change": ("def5678", True)}
+    monkeypatch.setattr(mod, "commit",
+                        lambda checkout: heads[Path(checkout).name])
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(sides["parent"]),
+            "--change=%s" % sides["change"], "--workload", "report-mix",
+            "--seeds", "1-2", "--out", str(out)]
+    found = []
+    for parent_head in (("abc1234", False), None):
+        heads["parent"] = parent_head
+        assert mod.main(argv) == 0
+        doc = json.loads(out.read_text())
+        found.append((doc["parent_commit"], doc["parent_commit_source"]))
+        assert doc["workloads"]["report-mix"]["argv"] == [
+            "bench/pairs.py", "--parent", "PARENT", "--change=CHANGE",
+            "--workload", "report-mix", "--seeds", "1-2", "--out", str(out)]
+    assert found == [("abc1234", "parent HEAD"),
+                     ("def5678",
+                      "change HEAD, under its uncommitted changes")]
+    heads["change"] = ("def5678", False)   # a committed change: no guess
+    assert mod.parent_commit(sides) == (None, None)

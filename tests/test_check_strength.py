@@ -1,0 +1,176 @@
+"""Every gating line can fail: a table of planted defects and failing
+instances.
+
+Each row names a gating line that run_suites prints and a way to make it
+FAIL: either a planted defect, a monkeypatch of one function in src/,
+under which it FAILs on a named instance, or an instance on which it
+FAILs as shipped.  A planted-defect row asserts the exact set of lines,
+by (suite, check), that change against the unpatched run, so a defect
+that reaches further than its line, or a check that stops seeing it,
+shows here.
+"""
+
+import dataclasses
+import pathlib
+
+import pytest
+
+import qminkowski.braiding as braiding
+import qminkowski.dirac as dirac
+import qminkowski.fock as fock
+import qminkowski.lorentz as lorentz
+from qminkowski.calculus import FirstOrderCalculus
+from qminkowski.cli import _SUITES, run_suites
+from qminkowski.exact import Mat, ONE, Scalar
+from qminkowski.instance import builtin, load_instance
+
+from test_acceptance import sign_twisted_flip
+
+MOVED = (pathlib.Path(__file__).resolve().parent.parent / "instances"
+         / "moved-twisted.json")
+
+
+def classical():
+    return builtin("classical")
+
+
+def twisted():
+    return dataclasses.replace(classical(), name="twisted",
+                               R=sign_twisted_flip())
+
+
+def lines(inst, **params):
+    """{(suite, check): printed line} of a whole report."""
+    rep = run_suites(inst, _SUITES, **params)
+    return {(s.name, c.name): c.line() for s in rep.suites for c in s.checks}
+
+
+def fails(printed):
+    """The (suite, check) keys of the FAIL lines among printed."""
+    return {key for key, text in printed.items() if text.startswith("FAIL")}
+
+
+def wrap(monkeypatch, owner, name, change):
+    """Replace owner.name by a function that hands the original's result
+    to change."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: change(real(*args)))
+
+
+def rq_entry_bumped(monkeypatch):
+    def bump(rq):
+        data = list(rq.data)
+        data[1] = data[1] + ONE     # R_Q[0, 1] += 1
+        return Mat(rq.rows, rq.cols, data)
+    wrap(monkeypatch, braiding, "build_rq", bump)
+
+
+def k_pair_doubled(monkeypatch):
+    wrap(monkeypatch, fock, "_k_pair",
+         lambda out: {key: c * Scalar(2) for key, c in out.items()})
+
+
+def v_corner_negated(monkeypatch):
+    data = list(lorentz.V.data)
+    data[0] = -data[0]
+    monkeypatch.setattr(lorentz, "V", Mat(4, 4, data))
+
+
+def gamma0_doubled(monkeypatch):
+    wrap(monkeypatch, dirac, "gamma",
+         lambda gs: (gs[0].scale(Scalar(2)),) + tuple(gs[1:]))
+
+
+def square_term_dropped(monkeypatch):
+    real = dirac.dirac_square
+
+    def dropped(calc, prods, w):
+        prods = [list(row) for row in prods]
+        prods[1][2] = []
+        return real(calc, prods, w)
+    monkeypatch.setattr(dirac, "dirac_square", dropped)
+
+
+def exchange_transposed(monkeypatch):
+    real = FirstOrderCalculus._exchanged
+    monkeypatch.setattr(
+        FirstOrderCalculus, "_exchanged",
+        lambda self, second: [list(col)
+                              for col in zip(*real(self, second))])
+
+
+def metric_corner_negated(monkeypatch):
+    """g_00 negated in the wave operator only (FirstOrderCalculus._g_terms),
+    not in the metric the dirac suite prints."""
+    init = FirstOrderCalculus.__init__
+
+    def negated(self, *args):
+        init(self, *args)
+        self._g_terms = [(i, j, -g if (i, j) == (0, 0) else g)
+                         for i, j, g in self._g_terms]
+    monkeypatch.setattr(FirstOrderCalculus, "__init__", negated)
+
+
+BRAIDED = {("fock", "k-involution"), ("fock", "braid-relation"),
+           ("fock", "symmetrize-projector"), ("fock", "braided-checks")}
+
+# (gating line, planted defect, instance, run_suites parameters,
+#  every (suite, check) whose line changes, the lines that turn FAIL)
+PLANTED = [
+    ("yang-baxter", rq_entry_bumped, classical, {"n": 3},
+     {("braiding", "yang-baxter"), ("braiding", "star-compatible"),
+      ("braiding", "cotriangular"), ("fock", "cotriangular")} | BRAIDED,
+     {("braiding", "yang-baxter"), ("braiding", "star-compatible")}),
+    # both sides of the braid relation scale by 8, so it still holds
+    ("k-involution", k_pair_doubled, classical, {"b": Scalar(0), "n": 3},
+     {("fock", "k-involution"), ("fock", "symmetrize-projector")},
+     {("fock", "k-involution"), ("fock", "symmetrize-projector")}),
+    ("lambda-invariance", v_corner_negated, classical, {},
+     {("lorentz", "lambda-invariance")},
+     {("lorentz", "lambda-invariance")}),
+    ("clifford", gamma0_doubled, classical, {},
+     {("dirac", "clifford"), ("dirac", "dirac-square")},
+     {("dirac", "clifford"), ("dirac", "dirac-square")}),
+    ("dirac-square", square_term_dropped, classical, {},
+     {("dirac", "dirac-square")}, {("dirac", "dirac-square")}),
+    # on classical data R is symmetric, so the transpose moves nothing
+    ("partial-exchange", exchange_transposed, twisted, {},
+     {("calculus", "partial-exchange")},
+     {("calculus", "partial-exchange")}),
+    # a wrong metric in the wave operator: box-commutes cannot see it on
+    # classical data, only dirac-square does
+    ("dirac-square", metric_corner_negated, classical, {},
+     {("dirac", "dirac-square")}, {("dirac", "dirac-square")}),
+]
+
+
+@pytest.mark.parametrize(
+    "line, defect, make, params, moved, failed", PLANTED,
+    ids=["%s-%s" % (row[0], row[1].__name__) for row in PLANTED])
+def test_a_planted_defect_fails_its_line(monkeypatch, line, defect, make,
+                                         params, moved, failed):
+    inst = make()
+    before = lines(inst, **params)
+    defect(monkeypatch)
+    after = lines(inst, **params)
+    assert {key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)} == moved
+    assert fails(after) - fails(before) == failed
+    assert line in {check for _, check in failed}
+
+
+# (gating line, instance, run_suites parameters, the lines that FAIL)
+FAILING = [
+    # the metric frame does not move with the coordinates (ROADMAP item 15)
+    ("box-commutes", lambda: load_instance(str(MOVED)), {"n": 3},
+     {("calculus", "box-commutes"), ("dirac", "clifford"),
+      ("dirac", "dirac-square")}),
+]
+
+
+@pytest.mark.parametrize("line, make, params, failed", FAILING,
+                         ids=[row[0] for row in FAILING])
+def test_an_instance_fails_its_line(line, make, params, failed):
+    assert fails(lines(make(), **params)) == failed
+    assert line in {check for _, check in failed}

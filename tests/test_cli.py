@@ -3,7 +3,9 @@
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import random
 import subprocess
 import sys
 
@@ -337,6 +339,42 @@ def test_moved_twisted_report_is_pinned(capsys):
         1, "8ed0391e1983c04e259e865c52fb550b5205b45c9ff10d3c200bdb0af486a0e8")
 
 
+# Exit code and stdout sha256 of `report --builtin classical --degree D`
+# and, on the dense seed-11 instance that CI writes from
+# perfbench/instances.py, of `pbw --degree 5` and `report`.  CI pins
+# degrees 2 and 5 and both dense runs through the installed script.
+CLASSICAL_DEGREE_PINS = [
+    ("2", "d0f9521497dcbf304107242e59d22736cbe07bfa388d44c444daeaabd22be2dd"),
+    ("3", "785dbb62c24dce7a7d2ff78634b99ba27b2f3de278edbb79c5665f778f924514"),
+    ("5", "272840147f4134666f353eb28d943e9ebdbf1196430d72998c5fc89c9a76b608"),
+]
+DENSE_PINS = [
+    (("pbw", "--degree", "5"),
+     "1def4445c0af1746b343db4f523ca84b05b6ab9a155ee55de732de24339b0029"),
+    (("report",),
+     "6d85f51223d1182e7ac0fddae55353f2262fd35c3ce557148adf079ed0f62205"),
+]
+
+
+def test_classical_reports_at_other_degrees_are_pinned(capsys):
+    for degree, sha in CLASSICAL_DEGREE_PINS:
+        code, out, _ = run(capsys, "report", "--builtin", "classical",
+                           "--degree", degree)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
+
+
+def test_dense_pbw_and_report_are_pinned(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(gen.dense("dense", random.Random(11), 0.3)))
+    for args, sha in DENSE_PINS:
+        code, out, _ = run(capsys, *args, str(path))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, sha)
+
+
 def test_report_json_unwritable_path(capsys, tmp_path):
     for target in (tmp_path / "missing" / "out.json", tmp_path):
         code, out, err = run(capsys, "report", "--builtin", "classical",
@@ -455,12 +493,14 @@ def count_calls(monkeypatch, calls, module, name, key, label=None):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
+def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
+                                                 tmp_path):
     """A report whose quotient has only t-exponent-0 rules builds one
-    Minkowski quotient and one calculus at --degree >= 4: the dirac suite
-    reads the calculus suite's calculus, and pbw and fock share its
-    quotient.  A positive t-exponent (leibniz_breaking) keeps a cap-3
-    calculus of its own; an obstruction is found once and builds nothing."""
+    Minkowski quotient, at the largest cap a suite reads, and one calculus
+    over it, at every --degree: the dirac suite reads the calculus suite's
+    calculus, and pbw and fock share its quotient.  A positive t-exponent
+    (leibniz_breaking) keeps a quotient and calculus of its own per smaller
+    cap; an obstruction is found once and builds nothing."""
     calls = collections.defaultdict(list)
     for module, name, key in (
             (braiding, "build_rq", lambda inst, b: b),
@@ -507,3 +547,30 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys):
     assert calls["make_calculus"] == [4]
     assert calls["build_quotient"] == [4]
     assert calls["dirac_square_check"] == []
+    # report --degree 2 and 3 build the cap-4 quotient fock reads first,
+    # and it serves pbw, calculus and dirac at their smaller caps
+    for degree in ("2", "3"):
+        calls.clear()
+        code, _, _ = run(capsys, "report", "--builtin", "classical",
+                         "--degree", degree)
+        assert code == 0
+        assert calls["build_quotient"] == [4]
+        assert len(calls["make_calculus"]) == 1
+        assert calls["pbw_check"] == [4]
+        assert calls["dirac_square_check"] == [(4, 3)]
+    # with a positive t-exponent no quotient serves a smaller cap, so
+    # pbw and calculus (cap 2), dirac (cap 3) and fock (cap 4) each build
+    calls.clear()
+    run_suites(leibniz_breaking(), tuple(_SUITES), degree=2)
+    assert len(calls["build_quotient"]) == 3
+    assert set(calls["build_quotient"]) == {2, 3, 4}
+    assert calls["dirac_square_check"] == [(3, 3)]
+    # an obstructed calculus or dirac subcommand builds no quotient at all
+    path = tmp_path / "z.json"
+    write_instance(z_perturbed(), str(path))
+    for argv in (("calculus", "--degree", "5"), ("dirac", "--degree", "4")):
+        calls.clear()
+        code, _, _ = run(capsys, *argv, str(path))
+        assert code == 1
+        assert calls["build_quotient"] == []
+        assert len(calls["make_calculus"]) == 1
