@@ -79,7 +79,7 @@ from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict, load_instance
 from qminkowski.lorentz import lambda_invariance_check, lorentz_relations, \
     make_lorentz
-from qminkowski.minkowski import mink_relations
+from qminkowski.minkowski import make_minkowski, mink_relations
 from qminkowski.qalgebra import TruncatedQuotient
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -117,7 +117,7 @@ def imag_instance():
 
 def calculus_checks(inst, cap):
     def call():
-        calc = FirstOrderCalculus(inst, cap)
+        calc = FirstOrderCalculus(inst, make_minkowski(inst, cap))
         for check in (calc.check_differential_consistency,
                       calc.check_leibniz, calc.check_partial_exchange,
                       calc.check_box_commutes):
@@ -126,13 +126,13 @@ def calculus_checks(inst, cap):
 
 
 def leibniz_after_differential(inst, cap):
-    calc = FirstOrderCalculus(inst, cap)
+    calc = FirstOrderCalculus(inst, make_minkowski(inst, cap))
     calc.check_differential_consistency(cap)
     return lambda: calc.check_leibniz(cap)
 
 
 def dirac_square(inst, cap):
-    calc = FirstOrderCalculus(inst, cap)
+    calc = FirstOrderCalculus(inst, make_minkowski(inst, cap))
     gs = gamma(inst)
     return lambda: dirac_square_check(calc, gs, cap)
 

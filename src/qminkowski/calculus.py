@@ -13,17 +13,17 @@ where u is (l,) for R_{ij,kl} and () for Z_{ij,k}, so x_i (dx_j w) is the
 sum of c dx_k (u + w).  The left action, the partials and the partial
 exchange check all read this one table.
 
-Such a calculus exists exactly when a 64x4 obstruction matrix vanishes;
-make_calculus refuses to hand out a calculus otherwise.  Partials are the
-coefficient functionals of d and are computed by their own recursion, so
-the identity d(a) = sum_i dx_i partial_i(a) cross-checks the two
-recursions; it cannot see a wrong table, which the tests compare with R
-and Z entry by entry.
+Such a calculus exists exactly when a 64x4 obstruction matrix vanishes:
+obstruction names its first nonzero entry, and make_calculus raises that
+witness rather than hand out a calculus.  Partials are the coefficient
+functionals of d and are computed by their own recursion, so the
+identity d(a) = sum_i dx_i partial_i(a) cross-checks the two recursions;
+it cannot see a wrong table, which the tests compare with R and Z entry
+by entry.
 
-What is memoised, and where: a FirstOrderCalculus builds its own quotient
-.alg from its instance, unless it is handed one to share, and owns four
-memos that live and die with it, all
-of normal forms held as plain term dicts with no zero coefficient:
+What is memoised, and where: a FirstOrderCalculus is handed its quotient
+.alg, which others may share, and owns four memos that live and die with
+it, all of normal forms held as plain term dicts with no zero coefficient:
 _d_memo holds d of each word as four term dicts (one per dx_k), _p_memo
 partial_i of each word by (i, w), _act_memo the image x_i (dx_j w) of each
 (i, j, w) as (k, term dict) pairs for its nonzero coordinates k, from
@@ -58,7 +58,7 @@ from .minkowski import make_minkowski
 from .qalgebra import NCPoly, _poly, accumulate
 
 __all__ = [
-    "f_tilde", "FirstOrderCalculus", "make_calculus",
+    "f_tilde", "obstruction", "FirstOrderCalculus", "make_calculus",
     "kron",  # re-exported: perfbench and the trace tests wrap calculus.kron
 ]
 
@@ -114,18 +114,24 @@ def f_tilde(inst) -> Mat:
     return Mat(64, 4, data)
 
 
+def obstruction(inst) -> str | None:
+    """The first nonzero entry of f_tilde as witness text, or None when
+    the calculus exists."""
+    entries = f_tilde(inst).nonzeros()
+    return "obstruction entry (%d, %d) = %r" % entries[0] if entries else None
+
+
 class FirstOrderCalculus:
     """Differential, partials and the wave operator over one instance.
 
-    .alg is the quotient of the instance at the given cap (alg, when
-    given, or one built here), and every output is a normal form there; g
-    is the instance metric, read by the wave operator.  Unchecked:
-    make_calculus checks the obstruction first.
+    .alg is a Minkowski quotient of inst, and every output is a normal
+    form there; g is the instance metric, read by the wave operator.
+    Unchecked: make_calculus checks the obstruction first.
     """
 
-    def __init__(self, inst, cap: int, alg=None):
+    def __init__(self, inst, alg):
         self.inst = inst
-        self.alg = make_minkowski(inst, cap) if alg is None else alg
+        self.alg = alg
         self._d_memo = {}
         self._p_memo = {}
         self._act_memo = {}
@@ -342,13 +348,11 @@ class FirstOrderCalculus:
         return None
 
 
-def make_calculus(inst, cap: int = 4, alg=None) -> FirstOrderCalculus:
-    """Build the calculus over the cap-truncated algebra of inst, or raise
-    CalculusObstruction with a witness before any quotient is built.  alg,
-    when given, is that algebra, already built (cli shares it between
-    suites)."""
-    entries = f_tilde(inst).nonzeros()
-    if entries:
-        raise CalculusObstruction("obstruction entry (%d, %d) = %r"
-                                  % entries[0])
-    return FirstOrderCalculus(inst, cap, alg)
+def make_calculus(inst, cap: int = 4) -> FirstOrderCalculus:
+    """The calculus over the cap-truncated algebra of inst, or
+    CalculusObstruction with the obstruction witness, raised before any
+    quotient is built."""
+    witness = obstruction(inst)
+    if witness is not None:
+        raise CalculusObstruction(witness)
+    return FirstOrderCalculus(inst, make_minkowski(inst, cap))

@@ -14,15 +14,16 @@ Every suite takes one argument, the _Run that one run_suites call owns
 and that dies with the call (nothing computed from an instance is cached
 at module level).  It holds the instance, the parameters (degree,
 dirac_degree, b, k, n), the pairing evaluator, built once since b is
-fixed per run, and one sharing rule for the Minkowski quotient: the run
-first builds the one at the largest cap its suites read, and a suite
-reads it at every cap it serves (TruncatedQuotient.serves: every
-completion rule has t-exponent 0), else one built at its own cap.  A
-calculus, or the CalculusObstruction found in its place, is kept in its
-quotient's memos, so the dirac suite reads the second partials the
-calculus suite filled; the obstruction reads no quotient, so it is
-looked for before the run builds one.  Each is built through its module
-attribute (calculus.make_calculus, minkowski.make_minkowski,
+fixed per run, the calculus obstruction, read once by validate and by
+the calculus and dirac suites before they build anything, and one
+sharing rule for the Minkowski quotient: the run first builds the one
+at the largest cap its suites read, and a suite reads it at every cap
+it serves (TruncatedQuotient.serves: every completion rule has
+t-exponent 0), else one built at its own cap.  A calculus is built
+straight over its quotient and kept in that quotient's memos, so the
+dirac suite reads the second partials the calculus suite filled.  Each
+is built through its module attribute (calculus.obstruction,
+calculus.FirstOrderCalculus, minkowski.make_minkowski,
 braiding.make_evaluator), so a tracer that wraps those names sees every
 build.  The argument parser is built on the first main call and reused
 by every later one in the process.
@@ -39,8 +40,7 @@ from functools import cache, cached_property
 from itertools import product
 
 from . import braiding, calculus, dirac, fock, lorentz, minkowski
-from .errors import CalculusObstruction, ConstraintError, ParseError, \
-    QMinkError
+from .errors import ConstraintError, ParseError, QMinkError
 from .exact import Scalar, is_sign, parse_scalar
 from .instance import builtin, builtin_names, load_instance
 from .qalgebra import NCPoly, accumulate
@@ -99,7 +99,7 @@ class Report:
 
 @dataclass
 class _Run:
-    """One run's instance, parameters and shared objects (module doc)."""
+    """One run's inputs, obstruction and shared objects (module doc)."""
     inst: object
     degree: int
     dirac_degree: int
@@ -118,24 +118,20 @@ class _Run:
             if self.quotients[c].serves(cap):
                 return self.quotients[c]
 
+    @cached_property
+    def obstruction(self):
+        """The calculus obstruction's witness text, or None."""
+        return calculus.obstruction(self.inst)
+
     def calculus(self, cap: int):
-        """The calculus over quotient(cap), or the CalculusObstruction it
-        raised, kept in that quotient's memos.  Before the run has built a
-        quotient, make_calculus looks for the obstruction and only then
-        builds the one at the run's cap."""
-        alg = self.quotient(cap) if self.quotients else None
-        calc = None if alg is None else alg.memos.get("calculus")
+        """The calculus over quotient(cap), kept in that quotient's memos.
+        Unchecked: a suite reads obstruction first."""
+        alg = self.quotient(cap)
+        calc = alg.memos.get("calculus")
         if calc is None:
-            try:
-                calc = calculus.make_calculus(
-                    self.inst, self.cap if alg is None else alg.cap, alg)
-            except CalculusObstruction as exc:
-                calc = exc
-            else:
-                alg = self.quotients.setdefault(calc.alg.cap, calc.alg)
-            if alg is not None:
-                alg.memos["calculus"] = calc
-        return calc if alg is None or alg.serves(cap) else self.calculus(cap)
+            calc = alg.memos["calculus"] = calculus.FirstOrderCalculus(
+                self.inst, alg)
+        return calc
 
     @cached_property
     def evaluator(self):
@@ -151,7 +147,7 @@ def suite_validate(run: _Run) -> list:
     g = dirac.metric(inst)
     sym = g.conj_t() == g
     det_g = g.det()
-    ft_zero = calculus.f_tilde(inst).is_zero()
+    ft_zero = run.obstruction is None
     return [
         CheckResult("shapes", True, "E 4x1, Eprime 1x4, X 4x4, R 16x16, "
                                     "Z 16x4, T 16x1"),
@@ -189,9 +185,9 @@ def _witnessed(name: str, witness, detail: str) -> CheckResult:
 
 def suite_calculus(run: _Run) -> list:
     degree = run.degree
+    if run.obstruction is not None:
+        return [CheckResult("obstruction", False, run.obstruction)]
     calc = run.calculus(degree)
-    if isinstance(calc, CalculusObstruction):
-        return [CheckResult("obstruction", False, str(calc))]
     checks = [CheckResult("obstruction", True, "obstruction matrix is zero")]
     for name, fn in (("differential", calc.check_differential_consistency),
                      ("leibniz", calc.check_leibniz),
@@ -215,13 +211,13 @@ def suite_dirac(run: _Run) -> list:
     cl = dirac.clifford_ok(inst, gs, g)
     checks.append(CheckResult("clifford", cl, "all 16 residuals zero"
                               if cl else "nonzero residual"))
-    calc = run.calculus(degree)
-    if isinstance(calc, CalculusObstruction):
+    if run.obstruction is not None:
         return checks + [CheckResult(
             "dirac-square", False,
             "calculus unavailable (nonzero obstruction)")]
     return checks + [_witnessed(
-        "dirac-square", dirac.dirac_square_check(calc, gs, degree),
+        "dirac-square",
+        dirac.dirac_square_check(run.calculus(degree), gs, degree),
         "square equals wave operator, degree <= %d" % degree)]
 
 

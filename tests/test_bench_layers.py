@@ -90,8 +90,9 @@ def test_dirac_suite_case_reads_the_calculus_suite_calculus(monkeypatch):
         read.append((calc, n))
         return square(calc, gs, n)
     monkeypatch.setattr(dirac, "dirac_square_check", reading)
-    # a build would call None and raise
-    monkeypatch.setattr(calculus, "make_calculus", None)
+    # a build, or a second look for the obstruction, would call None
+    monkeypatch.setattr(calculus, "FirstOrderCalculus", None)
+    monkeypatch.setattr(calculus, "obstruction", None)
     monkeypatch.setattr(minkowski, "make_minkowski", None)
     assert [c.passed for c in call()] == [True] * 4
     assert read == [(calc, 3)]

@@ -163,8 +163,9 @@ def test_z_perturbation_obstructs(monkeypatch):
                 make_calculus(inst, cap)
             assert str(exc.value) == "obstruction entry " + witness
     assert builds == []
-    # the unchecked constructor builds the quotient of its own instance
-    calc = FirstOrderCalculus(z_perturbed(), 3)
+    # the unchecked constructor takes any quotient it is handed
+    calc = FirstOrderCalculus(z_perturbed(),
+                              minkowski.make_minkowski(z_perturbed(), 3))
     assert len(builds) == 1
     assert calc.inst.name == "zbent" and calc.alg.cap == 3
 
@@ -415,7 +416,7 @@ def test_memos_hold_term_dicts_of_basis_words(inst):
     # NCPoly equality is dict equality and the public methods wrap memo
     # dicts without filtering them, so a stored zero coefficient or a
     # word outside the basis would flip a verdict
-    calc = FirstOrderCalculus(inst, 4)
+    calc = FirstOrderCalculus(inst, minkowski.make_minkowski(inst, 4))
     for check in (calc.check_differential_consistency, calc.check_leibniz,
                   calc.check_partial_exchange, calc.check_box_commutes):
         check(4)
@@ -494,10 +495,10 @@ def test_box_pairs_each_metric_entry_with_its_second_partial(case):
     # [i][j]; with a metric that is not symmetric a transposed read
     # changes box on 80 words of the first case and 15 of the second
     if case == "rand33-free":
-        calc = FirstOrderCalculus(rand_instance(33), 3)
-        calc.alg = build_quotient(4, [], 3)
+        calc = FirstOrderCalculus(rand_instance(33), build_quotient(4, [], 3))
     else:
-        calc = FirstOrderCalculus(nonsymmetric_metric(), 4)
+        inst = nonsymmetric_metric()
+        calc = FirstOrderCalculus(inst, minkowski.make_minkowski(inst, 4))
     g = calc.g
     assert g != g.transpose()
     for w in calc.alg.basis_upto(calc.alg.cap):
@@ -517,13 +518,11 @@ def box_commutes_oracle(calc, n):
 
 def assert_checks_match_oracles(inst, cap, free=False):
     """Both checks and both oracles, each on a calculus of its own, so no
-    memo filled by one side is read by the other; free swaps the algebra
-    for the free algebra truncated at the cap before first use."""
-    calcs = [FirstOrderCalculus(inst, cap) for _ in range(2)]
-    if free:
-        for calc in calcs:
-            calc.alg = build_quotient(4, [], cap)
-    new, old = calcs
+    memo filled by one side is read by the other; free hands each the
+    free algebra truncated at the cap in place of the instance's quotient."""
+    new, old = (FirstOrderCalculus(inst, build_quotient(4, [], cap) if free
+                                   else minkowski.make_minkowski(inst, cap))
+                for _ in range(2))
     got = (new.check_leibniz(cap), new.check_box_commutes(cap))
     assert got == (leibniz_oracle(old, cap), box_commutes_oracle(old, cap))
     return got

@@ -500,14 +500,16 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
     over it, at every --degree: the dirac suite reads the calculus suite's
     calculus, and pbw and fock share its quotient.  A positive t-exponent
     (leibniz_breaking) keeps a quotient and calculus of its own per smaller
-    cap; an obstruction is found once and builds nothing."""
+    cap; f_tilde runs once per report, and an obstruction builds
+    nothing."""
     calls = collections.defaultdict(list)
     for module, name, key in (
             (braiding, "build_rq", lambda inst, b: b),
             (braiding, "ct_check", lambda ev: None),
             (minkowski, "build_quotient", lambda gens, rels, cap: cap),
             (minkowski, "pbw_check", lambda alg, n: alg.cap),
-            (calculus, "make_calculus", lambda inst, cap, alg=None: cap),
+            (calculus, "FirstOrderCalculus", lambda inst, alg: alg.cap),
+            (calculus, "f_tilde", lambda inst: None),
             (dirac, "dirac_square_check",
              lambda calc, gs, n: (calc.alg.cap, n)),
             (fock, "coaction", lambda alg, p: alg.cap)):
@@ -520,7 +522,8 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
     assert calls["build_rq"] == [Scalar(0)] and calls["ct_check"] == [None]
     assert calls["build_quotient"] == [4]
     assert calls["lorentz_quotient"] == [4]
-    assert calls["make_calculus"] == [4]
+    assert calls["FirstOrderCalculus"] == [4]
+    assert calls["f_tilde"] == [None]
     assert calls["dirac_square_check"] == [(4, 3)]
     # report --degree 6 moves only the pbw and calculus suites; the dirac
     # suite reads the cap-6 calculus at degree 3, fock the cap-6 quotient
@@ -530,7 +533,8 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
     assert code == 0
     assert calls["pbw_check"] == [6]
     assert calls["build_quotient"] == [6]
-    assert calls["make_calculus"] == [6]
+    assert calls["FirstOrderCalculus"] == [6]
+    assert calls["f_tilde"] == [None]
     assert calls["dirac_square_check"] == [(6, 3)]
     assert set(calls["coaction"]) == {6}
     assert calls["lorentz_quotient"] == [4]
@@ -538,32 +542,38 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
     # cap-3 calculus over a cap-3 quotient
     calls.clear()
     run_suites(leibniz_breaking(), tuple(_SUITES))
-    assert calls["make_calculus"] == [4, 3]
+    assert calls["FirstOrderCalculus"] == [4, 3]
+    assert calls["f_tilde"] == [None]
     assert calls["build_quotient"] == [4, 3]
     assert calls["dirac_square_check"] == [(3, 3)]
-    # an obstructed instance: one make_calculus call, no quotient for it
+    # an obstructed instance: one f_tilde call, no calculus
     calls.clear()
     run_suites(z_perturbed(), tuple(_SUITES))
-    assert calls["make_calculus"] == [4]
+    assert calls["f_tilde"] == [None]
+    assert calls["FirstOrderCalculus"] == []
     assert calls["build_quotient"] == [4]
     assert calls["dirac_square_check"] == []
     # report --degree 2 and 3 build the cap-4 quotient fock reads first,
-    # and it serves pbw, calculus and dirac at their smaller caps
-    for degree in ("2", "3"):
+    # and it serves pbw, calculus and dirac at their smaller caps; at
+    # --degree 5 the calculus suite sets the cap
+    for degree, cap in (("2", 4), ("3", 4), ("5", 5)):
         calls.clear()
         code, _, _ = run(capsys, "report", "--builtin", "classical",
                          "--degree", degree)
         assert code == 0
-        assert calls["build_quotient"] == [4]
-        assert len(calls["make_calculus"]) == 1
-        assert calls["pbw_check"] == [4]
-        assert calls["dirac_square_check"] == [(4, 3)]
+        assert calls["build_quotient"] == [cap]
+        assert calls["FirstOrderCalculus"] == [cap]
+        assert calls["f_tilde"] == [None]
+        assert calls["pbw_check"] == [cap]
+        assert calls["dirac_square_check"] == [(cap, 3)]
     # with a positive t-exponent no quotient serves a smaller cap, so
     # pbw and calculus (cap 2), dirac (cap 3) and fock (cap 4) each build
     calls.clear()
     run_suites(leibniz_breaking(), tuple(_SUITES), degree=2)
     assert len(calls["build_quotient"]) == 3
     assert set(calls["build_quotient"]) == {2, 3, 4}
+    assert calls["FirstOrderCalculus"] == [2, 3]
+    assert calls["f_tilde"] == [None]
     assert calls["dirac_square_check"] == [(3, 3)]
     # an obstructed calculus or dirac subcommand builds no quotient at all
     path = tmp_path / "z.json"
@@ -573,4 +583,5 @@ def test_one_run_builds_each_shared_object_once(monkeypatch, capsys,
         code, _, _ = run(capsys, *argv, str(path))
         assert code == 1
         assert calls["build_quotient"] == []
-        assert len(calls["make_calculus"]) == 1
+        assert calls["FirstOrderCalculus"] == []
+        assert calls["f_tilde"] == [None]

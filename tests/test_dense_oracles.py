@@ -308,12 +308,10 @@ def symmetrize_oracle(ev, alg, t):
 
 
 def calculi(inst, cap=3):
-    """The calculus over the instance's own quotient, and one whose
-    algebra is swapped, before first use, for the free algebra."""
-    own = FirstOrderCalculus(inst, cap)
-    free = FirstOrderCalculus(inst, cap)
-    free.alg = build_quotient(4, [], cap)
-    return [own, free]
+    """The calculus over the instance's own quotient, and one over the
+    free algebra."""
+    return [FirstOrderCalculus(inst, make_minkowski(inst, cap)),
+            FirstOrderCalculus(inst, build_quotient(4, [], cap))]
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
