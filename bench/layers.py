@@ -17,6 +17,12 @@ inverse of the 25x25 R_Q of the perfbench dense instances at b = 1, named
 and its four identity checks, ``calculus-classical-deg5``, and
 check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
 whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``;
+check_differential_consistency(5) on a fresh calculus of that instance,
+which fills d and the partials, ``differential-imag-deg5``; the cold
+word normal forms of every word that the four checks of its degree-5
+calculus read, asked in first-read order of a fresh cap-5 quotient,
+``normal-forms-imag-deg5``; the classical 64x4 obstruction f_tilde,
+``f-tilde-classical``;
 dirac_square_check at degree 4 on a fresh classical calculus at cap 4,
 ``dirac-square-classical-deg4``; the classical lambda_invariance_check
 on a Lorentz quotient built at cap 4 in the timed call,
@@ -73,7 +79,7 @@ import time
 
 from qminkowski import cli
 from qminkowski.braiding import build_rq, make_evaluator, star_cqt_check
-from qminkowski.calculus import FirstOrderCalculus
+from qminkowski.calculus import FirstOrderCalculus, f_tilde
 from qminkowski.dirac import dirac_square_check, gamma, metric
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict, load_instance
@@ -123,6 +129,42 @@ def calculus_checks(inst, cap):
                       calc.check_box_commutes):
             check(cap)
     return call
+
+
+def read_words(inst, cap):
+    """The distinct words, in first-read order, whose normal forms the
+    four identity checks of a cap-`cap` calculus of inst ask of its
+    quotient, recorded by wrapping TruncatedQuotient.word_normal_form
+    while they run."""
+    read, word_nf = {}, TruncatedQuotient.word_normal_form
+
+    def recording(self, w):
+        read[w] = None
+        return word_nf(self, w)
+
+    TruncatedQuotient.word_normal_form = recording
+    try:
+        calculus_checks(inst, cap)()
+    finally:
+        TruncatedQuotient.word_normal_form = word_nf
+    return list(read)
+
+
+def word_normal_forms(alg, words):
+    for w in words:
+        alg.word_normal_form(w)
+
+
+def cold_normal_forms(inst, cap):
+    """The words a cap-`cap` calculus reads, normalised on a fresh
+    quotient."""
+    return functools.partial(word_normal_forms, make_minkowski(inst, cap),
+                             read_words(inst, cap))
+
+
+def differential(inst, cap):
+    calc = FirstOrderCalculus(inst, make_minkowski(inst, cap))
+    return functools.partial(calc.check_differential_consistency, cap)
 
 
 def leibniz_after_differential(inst, cap):
@@ -233,6 +275,12 @@ def cases():
         lambda: calculus_checks(builtin("classical"), 5))
     out["leibniz-imag-deg5"] = (
         lambda: leibniz_after_differential(imag_instance(), 5))
+    out["normal-forms-imag-deg5"] = (
+        lambda: cold_normal_forms(imag_instance(), 5))
+    out["differential-imag-deg5"] = (
+        lambda: differential(imag_instance(), 5))
+    out["f-tilde-classical"] = (
+        lambda: functools.partial(f_tilde, builtin("classical")))
     out["dirac-square-classical-deg4"] = (
         lambda: dirac_square(builtin("classical"), 4))
     out["lambda-invariance-classical"] = (

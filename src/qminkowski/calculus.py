@@ -11,7 +11,10 @@ A FirstOrderCalculus holds that rule once, as a table read from the
 nonzeros of R and Z: row 4i + j lists (k, u, c) for each term c dx_k u,
 where u is (l,) for R_{ij,kl} and () for Z_{ij,k}, so x_i (dx_j w) is the
 sum of c dx_k (u + w).  The left action, the partials and the partial
-exchange check all read this one table.
+exchange check all read this one table; the partials read it through an
+index by target, _by_target[4k + i], which lists (l, u, c) for each term
+c dx_i u of x_k dx_l in the order of the rows 4k + l, so that partial_i
+of a word x_k w' visits only the terms that feed it.
 
 Such a calculus exists exactly when a 64x4 obstruction matrix vanishes:
 obstruction names its first nonzero entry, and make_calculus raises that
@@ -25,17 +28,19 @@ What is memoised, and where: a FirstOrderCalculus is handed its quotient
 .alg, which others may share, and owns four memos that live and die with
 it, all of normal forms held as plain term dicts with no zero coefficient:
 _d_memo holds d of each word as four term dicts (one per dx_k), _p_memo
-partial_i of each word by (i, w), _act_memo the image x_i (dx_j w) of each
-(i, j, w) as (k, term dict) pairs for its nonzero coordinates k, from
-which _x_act builds x_i acting on any one-form by linearity, and
-_second_memo the 4x4 table of second partials of each word.  Every sum
-goes through qalgebra.accumulate; an NCPoly is built only where
-differential, partial, box and left_mul return.  d is the recursion
+partial_i of each word by (i, w), _act_memo sixteen act tables, one per
+row 4i + j, each mapping a word w to the image x_i (dx_j w) as (k, term
+dict) pairs for its nonzero coordinates k, which _x_act reads inline to
+build x_i acting on any one-form by linearity, and _second_memo the 4x4
+table of second partials of each word.  Every sum goes through
+qalgebra.accumulate; an NCPoly is built only where differential,
+partial, box and left_mul return.  d is the recursion
 E_b(a) = d(ab) - a d(b) at b = (): E_b(()) = 0 and E_b(h a') =
 x_h E_b(a') + dx_h nf(a' b), reading nf(a' b) from the quotient's word
 normal forms.  check_leibniz keeps such a table by word a for one word b
-at a time, and checks the Leibniz rule at (a, b) as E_b(a) = d(a) b, so
-neither d(ab) nor a d(b) is built; the table is dropped after each b.
+at a time, with the right products w -> nf(w b) that d(a) b reads, and
+checks the Leibniz rule at (a, b) as E_b(a) = d(a) b, so neither d(ab)
+nor a d(b) is built; both tables are dropped after each b.
 left_mul, which runs x_i letter by letter, is the reference for the left
 action.  The table of second partials, [i][j] = partial_j(partial_i(w)),
 is read by both sides of check_partial_exchange, by
@@ -134,7 +139,7 @@ class FirstOrderCalculus:
         self.alg = alg
         self._d_memo = {}
         self._p_memo = {}
-        self._act_memo = {}
+        self._act_memo = [{} for _ in range(16)]
         self._second_memo = {}
         self.g = metric(inst)
         self._g_terms = self.g.nonzeros()
@@ -144,21 +149,23 @@ class FirstOrderCalculus:
             self._exchange[row].append((k, (l,), c))
         for row, k, c in inst.Z.nonzeros():
             self._exchange[row].append((k, (), c))
+        self._by_target = [[] for _ in range(16)]
+        for row, terms in enumerate(self._exchange):
+            k, l = divmod(row, 4)
+            for i, u, c in terms:
+                self._by_target[4 * k + i].append((l, u, c))
 
     # -- bimodule structure ------------------------------------------------
 
     def _act(self, i: int, j: int, w) -> tuple:
         """x_i (dx_j w) as a (k, terms) pair for each nonzero coordinate k,
-        the sum of c nf(u + w) over the table's terms c dx_k u, memoised
-        per (i, j, w)."""
-        key = (i, j, w)
-        hit = self._act_memo.get(key)
-        if hit is None:
-            images = ({}, {}, {}, {})
-            for k, u, c in self._exchange[4 * i + j]:
-                accumulate(images[k], self.alg.word_normal_form(u + w), c)
-            hit = self._act_memo[key] = tuple(
-                (k, img) for k, img in enumerate(images) if img)
+        the sum of c nf(u + w) over the table's terms c dx_k u, stored in
+        the act table of row 4i + j under w."""
+        images = ({}, {}, {}, {})
+        for k, u, c in self._exchange[4 * i + j]:
+            accumulate(images[k], self.alg.word_normal_form(u + w), c)
+        hit = self._act_memo[4 * i + j][w] = tuple(
+            (k, img) for k, img in enumerate(images) if img)
         return hit
 
     def _x_act(self, i: int, coords) -> tuple:
@@ -166,10 +173,13 @@ class FirstOrderCalculus:
         the term dicts coords: the sum of c x_i (dx_j w) over the terms
         c w of each coords[j], as four term dicts."""
         out = ({}, {}, {}, {})
-        act = self._act
         for j, fj in enumerate(coords):
+            table = self._act_memo[4 * i + j]
             for w, c in fj.items():
-                for k, img in act(i, j, w):
+                pairs = table.get(w)
+                if pairs is None:
+                    pairs = self._act(i, j, w)
+                for k, img in pairs:
                     accumulate(out[k], img, c)
         return out
 
@@ -223,14 +233,10 @@ class FirstOrderCalculus:
                 k, rest = w[0], w[1:]
                 if k == i:
                     acc[rest] = ONE
-                for l in range(4):
+                for l, u, c in self._by_target[4 * k + i]:
                     dl = self._p_word(l, rest)
-                    if not dl:
-                        continue
-                    for target, u, c in self._exchange[4 * k + l]:
-                        if target == i:
-                            accumulate(acc, {u + v: x for v, x in dl.items()},
-                                       c)
+                    if dl:
+                        accumulate(acc, {u + v: x for v, x in dl.items()}, c)
                 acc = self.alg.normal_form(_poly(acc)).terms
             hit = memo[key] = acc
         return hit
@@ -295,18 +301,23 @@ class FirstOrderCalculus:
         """d(ab) = a d(b) + d(a) b for basis pairs inside the cap, checked
         as E_b(a) = d(ab) - a d(b) against d(a) b (module docstring)."""
         words = list(self.alg.basis_upto(n))     # ascending degree
-        word_nf = self.alg.word_normal_form
+        word_nf, d_memo = self.alg.word_normal_form, self._d_memo
         for b in words:
-            table = {}
+            table, right = {}, {}       # right: w -> nf(w + b)
             for a in words:
                 if len(a) + len(b) > n:
                     break
-                da = self._d_word(a)
+                da = d_memo.get(a)
+                if da is None:
+                    da = self._d_word(a)
                 e_b = self._leibniz_e(table, a, b) if b else da  # E_() = d
                 for i, dai in enumerate(da):
                     rhs = {}
                     for w, c in dai.items():
-                        accumulate(rhs, word_nf(w + b), c)
+                        wb = right.get(w)
+                        if wb is None:
+                            wb = right[w] = word_nf(w + b)
+                        accumulate(rhs, wb, c)
                     if e_b[i] != rhs:
                         return "a=%s, b=%s, i=%d" % (a, b, i)
         return None

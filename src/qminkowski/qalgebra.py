@@ -32,10 +32,12 @@ quotient truncated at any smaller cap c (TruncatedQuotient.serves),
 and one quotient can stand in for those.
 
 The leads are the leading words of the ideal part, so the basis (the
-words no rule applies to) and every normal form (memoised rewriting) are
-canonical: they do not depend on relation order, on the order in which
-ambiguities were resolved, or on which element of the ideal an
-ambiguity's difference is.
+words no rule applies to) and every normal form are canonical: they do
+not depend on relation order, on the order in which ambiguities were
+resolved, or on which element of the ideal an ambiguity's difference
+is.  So a word's normal form is memoised one rewrite step at a time:
+it is the sum of the normal forms of the words its first rewrite makes,
+and the memo keeps every word met on the way.
 """
 
 from __future__ import annotations
@@ -210,10 +212,10 @@ class TruncatedQuotient:
     """A free algebra modulo degree <= 2 relations, truncated at a degree cap.
 
     ``_rules`` maps each lead word u to ``(k, tail)``: u rewrites to tail
-    inside a word w when k <= cap - |w|.  The normal form of a word is
-    memoised the first time it is asked for, and the basis is built the
-    first time it is read, so a quotient used only for normal forms never
-    enumerates it.  ``memos`` holds what other modules memoise over this
+    inside a word w when k <= cap - |w|.  Word normal forms are memoised
+    one rewrite step at a time (word_normal_form), and the basis is built
+    the first time it is read, so a quotient used only for normal forms
+    never enumerates it.  ``memos`` holds what other modules memoise over this
     algebra (fock's coaction and K, a cli run's calculus).
     """
 
@@ -398,14 +400,46 @@ class TruncatedQuotient:
         return [len(b) for b in self._levels()]
 
     def word_normal_form(self, w) -> dict:
-        """The normal form of the word w as terms, memoised the first time
-        it is asked for; the dict is the memo's own and is not to be
-        changed."""
-        nf = self._memo.get(w)
-        if nf is None:
-            self._within_cap(len(w))
-            nf = self._memo[w] = self._reduce({w: ONE}, self.cap)
-        return nf
+        """The normal form of the word w as terms, memoised; the dict is
+        the memo's own and is not to be changed.
+
+        On a miss, w takes one rewrite step (the rule ``_reduce`` would
+        apply to it at slack cap - |w|), and its normal form is the sum of
+        those of the step's words, each memoised the same way: every word
+        met on the way stays in the memo.  This is ``_reduce({w: ONE},
+        cap)``, which treats each word at its own slack, and the normal
+        forms are canonical.  Every step makes smaller words, so the walk
+        ends; it keeps its own stack, and a long word needs no deep
+        recursion."""
+        memo = self._memo
+        nf = memo.get(w)
+        if nf is not None:
+            return nf
+        self._within_cap(len(w))
+        cap, steps, stack = self.cap, {}, [w]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            step = steps.get(v)
+            if step is None:
+                m = self._match(v, cap - len(v))
+                if m is None:
+                    memo[v] = {v: ONE}
+                    stack.pop()
+                    continue
+                step = steps[v] = _sub(v, *m)
+                todo = [u for u in step if u not in memo]
+                if todo:
+                    stack += todo
+                    continue
+            nf = {}
+            for u, c in step.items():
+                accumulate(nf, memo[u], c)
+            memo[v] = nf
+            stack.pop()
+        return memo[w]
 
     def normal_form(self, p: NCPoly) -> NCPoly:
         self._within_cap(p.degree())

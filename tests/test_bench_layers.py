@@ -56,6 +56,24 @@ def test_one_rep_of_a_calculus_case(capsys):
     one_rep(capsys, "leibniz-imag-deg5")
 
 
+def test_normal_forms_case_reads_cold_normal_forms(capsys):
+    method = TruncatedQuotient.word_normal_form
+    call = layers().cases()["normal-forms-imag-deg5"]()
+    assert TruncatedQuotient.word_normal_form is method
+    alg, words = call.args
+    # 271 distinct words, 201 of them outside the basis
+    assert not alg._memo and len(set(words)) == len(words) == 271
+    assert len(set(words) - set(alg.basis_upto(5))) == 201
+    call()
+    assert set(words) <= set(alg._memo)
+    one_rep(capsys, "normal-forms-imag-deg5")
+
+
+def test_one_rep_of_the_differential_and_f_tilde_cases(capsys):
+    one_rep(capsys, "differential-imag-deg5")
+    one_rep(capsys, "f-tilde-classical")
+
+
 def test_one_rep_of_the_dirac_square_case(capsys):
     one_rep(capsys, "dirac-square-classical-deg4")
 
@@ -145,7 +163,9 @@ def test_cases_and_reps_are_checked(capsys):
     mod = layers()
     assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
             "rq-inverse-classical", "calculus-classical-deg5",
-            "leibniz-imag-deg5", "dirac-square-classical-deg4",
+            "leibniz-imag-deg5", "normal-forms-imag-deg5",
+            "differential-imag-deg5", "f-tilde-classical",
+            "dirac-square-classical-deg4",
             "lambda-invariance-classical",
             "lorentz-suite-classical", "report-classical",
             "report-classical-deg2",

@@ -428,19 +428,38 @@ def test_memos_hold_term_dicts_of_basis_words(inst):
             w in basis and isinstance(c, Scalar) and c
             for w, c in terms.items())
 
-    memos = (calc._d_memo, calc._p_memo, calc._act_memo, calc._second_memo)
-    assert all(memos)
+    # the left action is 16 act tables, one per row 4i + j, keyed by word
+    acts = calc._act_memo
+    assert type(acts) is list and len(acts) == 16
+    assert all(type(table) is dict for table in acts)
+    memos = (calc._d_memo, calc._p_memo, calc._second_memo)
+    assert all(memos) and any(acts)
     for form in calc._d_memo.values():
         assert type(form) is tuple and len(form) == 4
         assert all(map(clean, form))
     assert all(map(clean, calc._p_memo.values()))
-    for pairs in calc._act_memo.values():
-        assert type(pairs) is tuple
-        for k, img in pairs:
-            assert k in range(4) and img and clean(img)
+    for table in acts:
+        for w, pairs in table.items():
+            assert type(w) is tuple and type(pairs) is tuple
+            for k, img in pairs:
+                assert k in range(4) and img and clean(img)
     for table in calc._second_memo.values():
         assert len(table) == 4 and all(len(row) == 4 for row in table)
         assert all(clean(t) for row in table for t in row)
+
+
+@pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
+def test_partial_index_lists_each_exchange_term_once(inst):
+    # _by_target[4k + i] lists (l, u, c) for each term c dx_i u of the rows
+    # 4k + l, in row order and term order
+    calc = make_calculus(inst, 2)
+    for k in range(4):
+        for i in range(4):
+            assert calc._by_target[4 * k + i] == [
+                (l, u, c) for l in range(4)
+                for target, u, c in calc._exchange[4 * k + l]
+                if target == i]
+    assert sum(map(len, calc._by_target)) == sum(map(len, calc._exchange))
 
 
 # --- the Leibniz and box-commutes checks against their exhaustive loops -------

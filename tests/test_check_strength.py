@@ -19,9 +19,10 @@ import qminkowski.braiding as braiding
 import qminkowski.dirac as dirac
 import qminkowski.fock as fock
 import qminkowski.lorentz as lorentz
+import qminkowski.minkowski as minkowski
 from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.cli import _SUITES, run_suites
-from qminkowski.exact import Mat, ONE, Scalar
+from qminkowski.exact import I, Mat, ONE, Scalar
 from qminkowski.instance import builtin, load_instance
 from qminkowski.qalgebra import accumulate
 
@@ -145,6 +146,16 @@ def leibniz_term_doubled(monkeypatch):
     monkeypatch.setattr(FirstOrderCalculus, "_leibniz_e", doubled)
 
 
+def commutator_dropped(monkeypatch):
+    """The Minkowski relations lose the rows that hold the word (0, 1)."""
+    wrap(monkeypatch, minkowski, "mink_relations",
+         lambda rels: [r for r in rels if (0, 1) not in r.terms])
+
+
+def rq_scaled_by_i(monkeypatch):
+    wrap(monkeypatch, braiding, "build_rq", lambda rq: rq.scale(I))
+
+
 BRAIDED = {("fock", "k-involution"), ("fock", "braid-relation"),
            ("fock", "symmetrize-projector"), ("fock", "braided-checks")}
 
@@ -183,6 +194,16 @@ PLANTED = [
      {("calculus", "differential")}, {("calculus", "differential")}),
     ("leibniz", leibniz_term_doubled, classical, {},
      {("calculus", "leibniz")}, {("calculus", "leibniz")}),
+    # x_0 x_1 no longer commutes: the profile grows from degree 2 on, and
+    # no calculus line moves
+    ("profile", commutator_dropped, classical, {"n": 3},
+     {("pbw", "profile")}, {("pbw", "profile")}),
+    # Yang-Baxter is homogeneous in R_Q, so it still holds; the pairing
+    # loses its conjugate-flip symmetry and is no longer cotriangular
+    ("star-compatible", rq_scaled_by_i, classical, {"b": Scalar(0), "n": 3},
+     {("braiding", "star-compatible"), ("braiding", "cotriangular"),
+      ("fock", "cotriangular")} | BRAIDED,
+     {("braiding", "star-compatible")}),
 ]
 
 

@@ -339,6 +339,28 @@ def test_moved_twisted_report_is_pinned(capsys):
         1, "8ed0391e1983c04e259e865c52fb550b5205b45c9ff10d3c200bdb0af486a0e8")
 
 
+# Exit code and stdout sha256 of the calculus and dirac suites on
+# instances/moved-twisted.json: a dense R whose left action, partials and
+# second partials all run, and whose FAILs name their witnesses.  CI pins
+# both through the installed script.
+MOVED_CALCULUS_PINS = [
+    (("calculus", "--degree", "5"),
+     "4b10fc5dc6ca5f5649fbaa981cdcdbb69e61082e61613b0023cd98b5e9c7dd69"),
+    (("dirac", "--degree", "4"),
+     "e59d026de6a202de2d61c2fb7bcd731dd7ddf143071ad501c542bbd8e290a8bc"),
+]
+
+
+def test_moved_twisted_calculus_and_dirac_are_pinned(capsys):
+    path = str(ROOT / "instances" / "moved-twisted.json")
+    for (suite, *args), sha in MOVED_CALCULUS_PINS:
+        code, out, _ = run(capsys, suite, path, *args)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, sha)
+    code, out, _ = run(capsys, "calculus", path, "--degree", "5")
+    assert "  FAIL box-commutes: degree <= 5; fails at w=(0, 0, 1), i=0" \
+        in out.splitlines()
+
+
 # Exit code and stdout sha256 of `report --builtin classical --degree D`
 # and, on the dense seed-11 instance that CI writes from
 # perfbench/instances.py, of `pbw --degree 5` and `report`.  CI pins

@@ -1,6 +1,7 @@
 """Free noncommutative polynomials and truncated quotients."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -186,3 +187,55 @@ def test_lazy_basis_of_the_dense_minkowski_quotients(seed):
         assert alg._basis is None
         # the dense data make 1 = 0: every degree is empty
         assert alg.dimension_profile() == [0] * (cap + 1)
+
+
+# --- word normal forms memoised one rewrite step at a time --------------------
+
+
+def nf_oracle_quotients():
+    """(name, quotient builder): Minkowski quotients at cap 5 on classical,
+    imag-shift, Leibniz-breaking (a t-exponent-3 rule), moved-twisted and
+    dense seed-11 data, and the classical Lorentz quotient at cap 4."""
+    from test_calculus import leibniz_breaking
+    from test_quotient_oracle import MOVED, perfbench_instance
+
+    def mink(make):
+        return lambda: build_quotient(4, mink_relations(make()), 5)
+    return [
+        ("classical", mink(lambda: builtin("classical"))),
+        ("imag-shift", mink(lambda: perfbench_instance("imag_shift", 3, 2,
+                                                       True))),
+        ("zt-bent", mink(leibniz_breaking)),
+        ("moved-twisted", mink(lambda: MOVED)),
+        ("dense11", mink(lambda: perfbench_dense(11, 0.3))),
+        ("lorentz", lambda: make_lorentz(builtin("classical"), 4)),
+    ]
+
+
+@pytest.mark.parametrize("name, make", nf_oracle_quotients(),
+                         ids=[name for name, _ in nf_oracle_quotients()])
+def test_word_normal_form_is_full_reduction(name, make):
+    # each word is asked of a fresh quotient in shuffled order, so most
+    # are found in the memo that earlier words' rewrite steps filled
+    q = make()
+    words = [w for d in range(q.cap + 1)
+             for w in itertools.product(range(q.gens), repeat=d)]
+    random.Random(5).shuffle(words)
+    for w in words:
+        assert q.word_normal_form(w) == q._reduce({w: ONE}, q.cap), w
+    assert set(q._memo) == set(words)
+    if name == "zt-bent":
+        assert any(k > 0 for k, _ in q._rules.values())
+
+
+def test_long_word_normal_form_needs_no_deep_recursion():
+    # the reverse-sorted degree-16 word of the classical quotient at cap 16
+    q = build_quotient(4, mink_relations(builtin("classical")), 16)
+    w = (3,) * 4 + (2,) * 4 + (1,) * 4 + (0,) * 4
+    assert q.word_normal_form(w) == q._reduce({w: ONE}, 16) == \
+        {w[::-1]: ONE}
+    # every word met on the way is memoised at its own normal form
+    q = build_quotient(3, comm_relations(3), 3)
+    q.word_normal_form((2, 1, 0))
+    assert q._memo == {w: {(0, 1, 2): ONE}
+                       for w in ((2, 1, 0), (1, 2, 0), (1, 0, 2), (0, 1, 2))}
