@@ -18,7 +18,12 @@ and its four identity checks, ``calculus-classical-deg5``, and
 check_leibniz(5) on a fresh calculus of a perfbench imag-shift instance
 whose check_differential_consistency(5) has run, ``leibniz-imag-deg5``;
 check_differential_consistency(5) on a fresh calculus of that instance,
-which fills d and the partials, ``differential-imag-deg5``; the cold
+which fills d and the partials, ``differential-imag-deg5``;
+check_partial_exchange(5) on a fresh calculus of that instance, which
+fills the partials and the second-partial table,
+``partial-exchange-imag-deg5``; check_box_commutes(5) alone on a fresh
+classical calculus, where box fills each word's second partials,
+``box-commutes-classical-deg5``; the cold
 word normal forms of every word that the four checks of its degree-5
 calculus read, asked in first-read order of a fresh cap-5 quotient,
 ``normal-forms-imag-deg5``; the classical 64x4 obstruction f_tilde,
@@ -162,9 +167,10 @@ def cold_normal_forms(inst, cap):
                              read_words(inst, cap))
 
 
-def differential(inst, cap):
+def one_check(inst, cap, name):
+    """The identity check `name` at degree cap on a fresh calculus."""
     calc = FirstOrderCalculus(inst, make_minkowski(inst, cap))
-    return functools.partial(calc.check_differential_consistency, cap)
+    return functools.partial(getattr(calc, name), cap)
 
 
 def leibniz_after_differential(inst, cap):
@@ -277,8 +283,12 @@ def cases():
         lambda: leibniz_after_differential(imag_instance(), 5))
     out["normal-forms-imag-deg5"] = (
         lambda: cold_normal_forms(imag_instance(), 5))
-    out["differential-imag-deg5"] = (
-        lambda: differential(imag_instance(), 5))
+    out["differential-imag-deg5"] = lambda: one_check(
+        imag_instance(), 5, "check_differential_consistency")
+    out["partial-exchange-imag-deg5"] = lambda: one_check(
+        imag_instance(), 5, "check_partial_exchange")
+    out["box-commutes-classical-deg5"] = lambda: one_check(
+        builtin("classical"), 5, "check_box_commutes")
     out["f-tilde-classical"] = (
         lambda: functools.partial(f_tilde, builtin("classical")))
     out["dirac-square-classical-deg4"] = (

@@ -10,11 +10,10 @@ the exchange rule
 A FirstOrderCalculus holds that rule once, as a table read from the
 nonzeros of R and Z: row 4i + j lists (k, u, c) for each term c dx_k u,
 where u is (l,) for R_{ij,kl} and () for Z_{ij,k}, so x_i (dx_j w) is the
-sum of c dx_k (u + w).  The left action, the partials and the partial
-exchange check all read this one table; the partials read it through an
-index by target, _by_target[4k + i], which lists (l, u, c) for each term
-c dx_i u of x_k dx_l in the order of the rows 4k + l, so that partial_i
-of a word x_k w' visits only the terms that feed it.
+sum of c dx_k (u + w).  Each reader takes this one table row by row:
+the left action x_i (dx_j w) reads row 4i + j, the partials of x_k w'
+read the rows 4k + l of the nonzero partial_l(w'), and the partial
+exchange check the R terms of every row.
 
 Such a calculus exists exactly when a 64x4 obstruction matrix vanishes:
 obstruction names its first nonzero entry, and make_calculus raises that
@@ -26,26 +25,26 @@ by entry.
 
 What is memoised, and where: a FirstOrderCalculus is handed its quotient
 .alg, which others may share, and owns four memos that live and die with
-it, all of normal forms held as plain term dicts with no zero coefficient:
-_d_memo holds d of each word as four term dicts (one per dx_k), _p_memo
-partial_i of each word by (i, w), _act_memo sixteen act tables, one per
-row 4i + j, each mapping a word w to the image x_i (dx_j w) as (k, term
+it, each keyed by word and holding normal forms as plain term dicts with
+no zero coefficient: _d_memo holds d of each word as four term dicts (one
+per dx_k), _p_memo its four partials, _act_memo sixteen act tables, one
+per row 4i + j, each mapping w to the image x_i (dx_j w) as (k, term
 dict) pairs for its nonzero coordinates k, which _x_act reads inline to
 build x_i acting on any one-form by linearity, and _second_memo the 4x4
-table of second partials of each word.  Every sum goes through
-qalgebra.accumulate; an NCPoly is built only where differential,
-partial, box and left_mul return.  d is the recursion
-E_b(a) = d(ab) - a d(b) at b = (): E_b(()) = 0 and E_b(h a') =
-x_h E_b(a') + dx_h nf(a' b), reading nf(a' b) from the quotient's word
-normal forms.  check_leibniz keeps such a table by word a for one word b
-at a time, with the right products w -> nf(w b) that d(a) b reads, and
-checks the Leibniz rule at (a, b) as E_b(a) = d(a) b, so neither d(ab)
-nor a d(b) is built; both tables are dropped after each b.
-left_mul, which runs x_i letter by letter, is the reference for the left
-action.  The table of second partials, [i][j] = partial_j(partial_i(w)),
-is read by both sides of check_partial_exchange, by
-dirac.dirac_square_check, and by box, which contracts it with the metric,
-sum_ij g_ij [i][j].  Their readers skip an empty partial or
+table of second partials.  Every sum goes through qalgebra.accumulate; an
+NCPoly is built only where differential, partial, box and left_mul
+return.  d is the recursion E_b(a) = d(ab) - a d(b) at b = (), where
+E_b(()) = 0 and E_b(h a') = x_h E_b(a') + dx_h nf(a' b), reading nf(a' b)
+from the quotient's word normal forms.  check_leibniz keeps such a table
+by word a for one word b at a time, with the right products w -> nf(w b)
+that d(a) b reads, and checks the Leibniz rule at (a, b) as
+E_b(a) = d(a) b, so neither d(ab) nor a d(b) is built; both tables are
+dropped after each b.  left_mul, which runs x_i letter by letter, is the
+reference for the left action.  The second partials of w, [i][j] =
+partial_j(partial_i(w)) with row i the four partials of partial_i(w),
+are read by both sides of check_partial_exchange, by
+dirac.dirac_square_check, and by box, which contracts them with the
+metric, sum_ij g_ij [i][j].  Their readers skip an empty partial or
 second-partial entry rather than accumulate it.  Nothing is cached at
 module level.
 
@@ -149,11 +148,6 @@ class FirstOrderCalculus:
             self._exchange[row].append((k, (l,), c))
         for row, k, c in inst.Z.nonzeros():
             self._exchange[row].append((k, (), c))
-        self._by_target = [[] for _ in range(16)]
-        for row, terms in enumerate(self._exchange):
-            k, l = divmod(row, 4)
-            for i, u, c in terms:
-                self._by_target[4 * k + i].append((l, u, c))
 
     # -- bimodule structure ------------------------------------------------
 
@@ -222,36 +216,42 @@ class FirstOrderCalculus:
                 accumulate(acc, t, c)
         return tuple(map(_poly, out))
 
-    def _p_word(self, i: int, w) -> dict:
-        """partial_i(w) as a term dict, memoised per (i, w)."""
-        memo = self._p_memo
-        key = (i, w)
-        hit = memo.get(key)
+    def _partials(self, w) -> tuple:
+        """The four partials of the word w as term dicts, memoised per
+        word: partial_i(x_k w') is [i = k] w' plus c (u + v) for each term
+        c dx_i u of row 4k + l and each term v of partial_l(w')."""
+        hit = self._p_memo.get(w)
         if hit is None:
-            acc = {}
+            acc = ({}, {}, {}, {})
             if w:
                 k, rest = w[0], w[1:]
-                if k == i:
-                    acc[rest] = ONE
-                for l, u, c in self._by_target[4 * k + i]:
-                    dl = self._p_word(l, rest)
+                acc[k][rest] = ONE
+                for l, dl in enumerate(self._partials(rest)):
                     if dl:
-                        accumulate(acc, {u + v: x for v, x in dl.items()}, c)
-                acc = self.alg.normal_form(_poly(acc)).terms
-            hit = memo[key] = acc
+                        for i, u, c in self._exchange[4 * k + l]:
+                            accumulate(acc[i],
+                                       {u + v: x for v, x in dl.items()}, c)
+                acc = tuple(self.alg.normal_form(_poly(a)).terms for a in acc)
+            hit = self._p_memo[w] = acc
         return hit
 
-    def _p_terms(self, i: int, terms) -> dict:
-        """partial_i of the polynomial with the given terms, as terms."""
-        out = {}
+    def _p_terms(self, terms) -> tuple:
+        """The four partials of the polynomial with the given terms, as
+        term dicts."""
+        out = ({}, {}, {}, {})
         for w, c in terms.items():
-            p = self._p_word(i, w)
-            if p:
-                accumulate(out, p, c)
+            for acc, p in zip(out, self._partials(w)):
+                if p:
+                    accumulate(acc, p, c)
         return out
 
     def partial(self, i: int, p: NCPoly) -> NCPoly:
-        return _poly(self._p_terms(i, p.terms))
+        out = {}
+        for w, c in p.terms.items():
+            pi = self._partials(w)[i]
+            if pi:
+                accumulate(out, pi, c)
+        return _poly(out)
 
     # -- second-order operators ---------------------------------------------
 
@@ -261,8 +261,7 @@ class FirstOrderCalculus:
         hit = self._second_memo.get(w)
         if hit is None:
             hit = self._second_memo[w] = tuple(
-                tuple(self._p_terms(j, self._p_word(i, w)) for j in range(4))
-                for i in range(4))
+                self._p_terms(p) for p in self._partials(w))
         return hit
 
     def box(self, p: NCPoly) -> NCPoly:
@@ -291,9 +290,9 @@ class FirstOrderCalculus:
     def check_differential_consistency(self, n: int) -> str | None:
         """d(a) = sum_i dx_i partial_i(a) on every basis word."""
         for w in self.alg.basis_upto(n):
-            form = self._d_word(w)
+            form, partials = self._d_word(w), self._partials(w)
             for i in range(4):
-                if form[i] != self._p_word(i, w):
+                if form[i] != partials[i]:
                     return "w=%s, i=%d" % (w, i)
         return None
 
@@ -352,9 +351,9 @@ class FirstOrderCalculus:
         """The wave operator commutes with every partial."""
         for w in self.alg.basis_upto(n):
             p = NCPoly.from_word(w)
-            bp = self.box(p)
+            pb = self._p_terms(self.box(p).terms)
             for i in range(4):
-                if self.partial(i, bp) != self.box(self.partial(i, p)):
+                if pb[i] != self.box(self.partial(i, p)).terms:
                     return "w=%s, i=%d" % (w, i)
         return None
 

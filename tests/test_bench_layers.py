@@ -164,7 +164,8 @@ def test_cases_and_reps_are_checked(capsys):
     assert {"mink-dense13-cap5", "lorentz-cap6", "rq-inverse-dense13",
             "rq-inverse-classical", "calculus-classical-deg5",
             "leibniz-imag-deg5", "normal-forms-imag-deg5",
-            "differential-imag-deg5", "f-tilde-classical",
+            "differential-imag-deg5", "partial-exchange-imag-deg5",
+            "box-commutes-classical-deg5", "f-tilde-classical",
             "dirac-square-classical-deg4",
             "lambda-invariance-classical",
             "lorentz-suite-classical", "report-classical",

@@ -292,11 +292,14 @@ def test_identity_checks_at_low_degree(classical_calc):
     ((1, (0, 1), x(2)), "check_box_commutes", "w=(0, 0, 1), i=1"),
 ])
 def test_identity_checks_name_a_wrong_partial(seeded, check, witness):
-    # A wrong partial_i(w) planted in the memo is what every later partial
-    # reads, so each check must fail and name where.
+    # A wrong partial_i(w) planted in the memo, beside the other three
+    # real partials of w, is what every later partial reads, so each check
+    # must fail and name where.
     calc = make_calculus(builtin("classical"), 3)
     i, w, wrong = seeded
-    calc._p_memo[(i, w)] = wrong.terms
+    planted = list(calc._partials(w))
+    planted[i] = wrong.terms
+    calc._p_memo[w] = tuple(planted)
     assert getattr(calc, check)(3) == witness
 
 
@@ -434,10 +437,10 @@ def test_memos_hold_term_dicts_of_basis_words(inst):
     assert all(type(table) is dict for table in acts)
     memos = (calc._d_memo, calc._p_memo, calc._second_memo)
     assert all(memos) and any(acts)
-    for form in calc._d_memo.values():
+    # d and the partials: four term dicts per word
+    for form in (*calc._d_memo.values(), *calc._p_memo.values()):
         assert type(form) is tuple and len(form) == 4
         assert all(map(clean, form))
-    assert all(map(clean, calc._p_memo.values()))
     for table in acts:
         for w, pairs in table.items():
             assert type(w) is tuple and type(pairs) is tuple
@@ -446,20 +449,6 @@ def test_memos_hold_term_dicts_of_basis_words(inst):
     for table in calc._second_memo.values():
         assert len(table) == 4 and all(len(row) == 4 for row in table)
         assert all(clean(t) for row in table for t in row)
-
-
-@pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
-def test_partial_index_lists_each_exchange_term_once(inst):
-    # _by_target[4k + i] lists (l, u, c) for each term c dx_i u of the rows
-    # 4k + l, in row order and term order
-    calc = make_calculus(inst, 2)
-    for k in range(4):
-        for i in range(4):
-            assert calc._by_target[4 * k + i] == [
-                (l, u, c) for l in range(4)
-                for target, u, c in calc._exchange[4 * k + l]
-                if target == i]
-    assert sum(map(len, calc._by_target)) == sum(map(len, calc._exchange))
 
 
 # --- the Leibniz and box-commutes checks against their exhaustive loops -------

@@ -342,10 +342,12 @@ def test_moved_twisted_report_is_pinned(capsys):
 # Exit code and stdout sha256 of the calculus and dirac suites on
 # instances/moved-twisted.json: a dense R whose left action, partials and
 # second partials all run, and whose FAILs name their witnesses.  CI pins
-# both through the installed script.
+# each through the installed script.
 MOVED_CALCULUS_PINS = [
     (("calculus", "--degree", "5"),
      "4b10fc5dc6ca5f5649fbaa981cdcdbb69e61082e61613b0023cd98b5e9c7dd69"),
+    (("calculus", "--degree", "6"),
+     "272c10f51721049fa5d5e5b77f3a32c4e331e63f5df5160ad8fd920bed246c70"),
     (("dirac", "--degree", "4"),
      "e59d026de6a202de2d61c2fb7bcd731dd7ddf143071ad501c542bbd8e290a8bc"),
 ]
@@ -359,6 +361,22 @@ def test_moved_twisted_calculus_and_dirac_are_pinned(capsys):
     code, out, _ = run(capsys, "calculus", path, "--degree", "5")
     assert "  FAIL box-commutes: degree <= 5; fails at w=(0, 0, 1), i=0" \
         in out.splitlines()
+
+
+# Exit code and stdout sha256 of the classical calculus and dirac suites
+# past the report's degree; CI pins both through the installed script.
+CLASSICAL_CALCULUS_PINS = [
+    (("calculus", str(ROOT / "instances" / "classical.json"), "--degree",
+      "6"), "ed246c153ff32580488db217f8f8555d78034d5d432273b4e5730173330f8827"),
+    (("dirac", "--builtin", "classical", "--degree", "5"),
+     "862b10bd5b11958538869be083136cf106def7b64ed9884b6fbb059a13ee9787"),
+]
+
+
+def test_classical_calculus_and_dirac_are_pinned(capsys):
+    for args, sha in CLASSICAL_CALCULUS_PINS:
+        code, out, _ = run(capsys, *args)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
 
 
 # Exit code and stdout sha256 of `report --builtin classical --degree D`

@@ -45,7 +45,8 @@ from qminkowski.minkowski import make_minkowski, mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
 from test_acceptance import sign_twisted_flip
-from test_calculus import per_entry_left_mul_gen, shifted, z_perturbed
+from test_calculus import MEMO_INSTANCES, per_entry_left_mul_gen, \
+    shifted, z_perturbed
 from test_cli import twisted_tshift
 from test_dirac import random_gammas
 
@@ -312,6 +313,20 @@ def calculi(inst, cap=3):
     free algebra."""
     return [FirstOrderCalculus(inst, make_minkowski(inst, cap)),
             FirstOrderCalculus(inst, build_quotient(4, [], cap))]
+
+
+@pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
+def test_partials_of_each_word_match_dense_loops(inst):
+    # the four partials of a word, read row by row from the exchange
+    # table, against each partial_i read from R and Z entry by entry
+    calc = FirstOrderCalculus(inst, make_minkowski(inst, 3))
+    memo = {}
+    for n in range(4):
+        for w in itertools.product(range(4), repeat=n):
+            got = calc._partials(w)
+            for i in range(4):
+                assert got[i] == p_word_oracle(calc, i, w, memo).terms, \
+                    (w, i)
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
