@@ -200,14 +200,16 @@ def report(inst, degree=4):
 
 def dirac_after_calculus(inst):
     """The dirac suite on a run whose calculus suite ran here."""
-    run = cli._Run(inst, 4, 3, ZERO, ONE, 2, cap=4)
+    run = cli._Run(inst, degree=4, dirac_degree=3, b=ZERO, k=ONE, n=2,
+                   cap=4)
     cli.suite_calculus(run)
     return functools.partial(cli.suite_dirac, run)
 
 
 def fock_suite(inst, n):
     """The fock suite on a quotient and an evaluator built here."""
-    run = cli._Run(inst, 4, 3, ZERO, ONE, n, cap=4)
+    run = cli._Run(inst, degree=4, dirac_degree=3, b=ZERO, k=ONE, n=n,
+                   cap=4)
     run.quotient(4)
     run.evaluator
     return lambda: cli.suite_fock(run)

@@ -252,7 +252,13 @@ class TruncatedQuotient:
         return None
 
     def _reduce(self, terms, degree):
-        """Fully reduce terms, read as homogeneous of the given degree."""
+        """Fully reduce terms, read as homogeneous of the given degree.
+        Completion keeps this scan beside the step-memo walk of
+        ``word_normal_form`` on purpose: while rules are still being added
+        no memo stays valid, completion through a per-call walk or through
+        a per-degree memo cleared on each new rule measured up to 1.64x
+        slower, and word normal forms read through this scan slowed the
+        calculus (ROADMAP item 16)."""
         todo, out = dict(terms), {}
         while todo:
             w = max(todo, key=_key)

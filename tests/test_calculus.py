@@ -102,8 +102,6 @@ def rand_instance(seed):
 
 
 def test_obstruction_matches_index_oracle():
-    from test_cli import twisted_tshift
-
     for inst in [builtin("classical"), z_perturbed(), twisted_tshift(),
                  leibniz_breaking()] + [rand_instance(s) for s in (31, 32, 33)]:
         assert_obstruction_matches_oracles(inst)
@@ -141,8 +139,6 @@ def z_perturbed():
 
 
 def test_z_perturbation_obstructs(monkeypatch):
-    from test_cli import twisted_tshift
-
     ft = f_tilde(z_perturbed())
     nonzero = {(i, j): ft[i, j]
                for i in range(64) for j in range(4) if ft[i, j]}
@@ -176,6 +172,16 @@ def shifted(name, entries):
     for k, v in entries.items():
         t.data[k] = v
     return dataclasses.replace(builtin("classical"), name=name, T=t)
+
+
+def twisted_tshift():
+    """Flip R with sigma_02 = sigma_20 = -1, and T[(0,1)] = 1.
+
+    The calculus obstructs, and x_2 reduces to 0 in the cap-4 quotient
+    (profile [1, 3, 6, 20, 35]).
+    """
+    return dataclasses.replace(shifted("twisted-tshift", {1: ONE}),
+                               R=sign_twisted_flip())
 
 
 def test_central_shift_passes_obstruction():

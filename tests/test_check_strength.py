@@ -7,11 +7,12 @@ under which it FAILs on a named instance, or an instance on which it
 FAILs as shipped.  A planted-defect row asserts the exact set of lines,
 by (suite, check), that change against the unpatched run, so a defect
 that reaches further than its line, or a check that stops seeing it,
-shows here.
+shows here.  A gating line with no failing case yet is in CANNOT_FAIL,
+with its reason, and a line that only reports is ADVISORY; every line a
+report prints is named in one of the four tables.
 """
 
 import dataclasses
-import pathlib
 
 import pytest
 
@@ -23,14 +24,12 @@ import qminkowski.minkowski as minkowski
 from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.cli import _SUITES, run_suites
 from qminkowski.exact import I, Mat, ONE, Scalar, ZERO
-from qminkowski.instance import builtin, load_instance
+from qminkowski.instance import builtin
 from qminkowski.qalgebra import accumulate
 
 from test_acceptance import sign_twisted_flip
 from test_calculus import z_perturbed
-
-MOVED = (pathlib.Path(__file__).resolve().parent.parent / "instances"
-         / "moved-twisted.json")
+from test_quotient_oracle import MOVED
 
 
 def classical():
@@ -106,6 +105,19 @@ def metric_entry_bumped(monkeypatch):
         data[1] = data[1] + ONE
         return Mat(g.rows, g.cols, data)
     wrap(monkeypatch, dirac, "metric", bumped)
+
+
+def metric_entry_zeroed(monkeypatch):
+    """g_33 = 0 in dirac.metric, so g is singular."""
+    def zeroed(g):
+        data = list(g.data)
+        data[15] = ZERO
+        return Mat(g.rows, g.cols, data)
+    wrap(monkeypatch, dirac, "metric", zeroed)
+
+
+def counit_zeroed(monkeypatch):
+    monkeypatch.setattr(braiding, "counit_b", lambda p: ZERO)
 
 
 def v_corner_negated(monkeypatch):
@@ -257,6 +269,17 @@ PLANTED = [
       ("dirac", "clifford"), ("lorentz", "lambda-invariance")},
      {("validate", "metric-symmetric"), ("dirac", "metric-symmetric"),
       ("dirac", "clifford"), ("lorentz", "lambda-invariance")}),
+    # the dirac metric-symmetric line prints g, so it moves but passes
+    ("metric-nondegenerate", metric_entry_zeroed, classical, {},
+     {("validate", "metric-nondegenerate"), ("dirac", "metric-nondegenerate"),
+      ("dirac", "metric-symmetric"), ("dirac", "clifford"),
+      ("lorentz", "lambda-invariance")},
+     {("validate", "metric-nondegenerate"), ("dirac", "metric-nondegenerate"),
+      ("dirac", "clifford"), ("lorentz", "lambda-invariance")}),
+    # a coaction that drops its y (x) 1 terms would move nothing here:
+    # counit(P_i4) = 0
+    ("coaction-counit", counit_zeroed, classical, {"n": 3},
+     {("fock", "coaction-counit")}, {("fock", "coaction-counit")}),
 ]
 
 
@@ -288,7 +311,7 @@ def test_a_planted_defect_fails_its_line(monkeypatch, line, defect, make,
 # (gating line, instance, run_suites parameters, the lines that FAIL)
 FAILING = [
     # the metric frame does not move with the coordinates (ROADMAP item 15)
-    ("box-commutes", lambda: load_instance(str(MOVED)), {"n": 3},
+    ("box-commutes", lambda: MOVED, {"n": 3},
      {("calculus", "box-commutes"), ("dirac", "clifford"),
       ("dirac", "dirac-square")}),
     # a Lie-type Z entry: the calculus does not exist, and the star and
@@ -311,3 +334,28 @@ FAILING = [
 def test_an_instance_fails_its_line(line, make, params, failed):
     assert fails(lines(make(), **params)) == failed
     assert line in {check for _, check in failed}
+
+
+# Gating lines that no input makes FAIL today: the reason, and the ROADMAP
+# item that gives each a failing case.
+CANNOT_FAIL = {
+    "shapes": ("the PoincareInstance constructor raises first", 7),
+    "q-sign": ("the PoincareInstance constructor raises first", 7),
+    "s-sign": ("the PoincareInstance constructor raises first", 7),
+    "x-invertible": ("the PoincareInstance constructor raises first", 7),
+    "spinor-blocks": ("it is the constant True", 1),
+}
+
+# Lines that report and never gate a verdict: each prints as info.
+ADVISORY = {"calculus-obstruction", "lambda-reality", "cotriangular",
+            "braided-checks"}
+
+
+@pytest.mark.parametrize("make", [classical, lambda: MOVED],
+                         ids=["classical", "moved-twisted"])
+def test_every_line_has_a_failing_case_or_a_reason(make):
+    named = ({row[0] for row in PLANTED + FAILING} | set(CANNOT_FAIL)
+             | ADVISORY)
+    for (_, check), text in lines(make(), n=3).items():
+        assert check in named, text
+        assert (text.split()[0] == "info") == (check in ADVISORY), text

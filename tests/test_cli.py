@@ -3,9 +3,7 @@
 import collections
 import dataclasses
 import hashlib
-import importlib.util
 import json
-import random
 import subprocess
 import sys
 
@@ -19,47 +17,16 @@ from qminkowski.cli import _SUITES, main, run_suites
 from qminkowski.exact import Mat, ONE, Scalar
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
-from test_acceptance import sign_twisted_flip
-from test_calculus import leibniz_breaking, shifted, z_perturbed
+from test_calculus import leibniz_breaking, shifted, twisted_tshift, \
+    z_perturbed
+from test_check_strength import twisted
+from test_pins import CLASSICAL, PINS
 from test_quotient_oracle import ROOT
 
-# sha256 of `report --builtin classical ARGS` stdout and of its --json file.
-REPORT_PINS = [
-    ((), "abd24a79fff32f0dec27de79efa82c66f7c3dbc01a627cf2a47e88c4d716bcf8",
-     "40162857b17242029a7663fcd29833f56ea37bf917ae1eebcf8b0279eb17bc49"),
-    (("--b", "1", "--n", "3"),
-     "1ee36f11c21a2a109ef614fc475dfbaf5dd11d51f7cbabcb6465d44c5a48cfa9",
-     "d35ca04d656ff100336d1595beb15198b0323a984c30476cf180eb3989e077cd"),
-    (("--n", "3"),
-     "624af5468c874b751499c35caca7c272fbb378f6d645b2430338bce884eba911",
-     "138462c4cbf6f365ff87d25f548754c17c11412b9c579e6d703d461385eed586"),
-    (("--n", "4"),
-     "64b38cb4ebc4188d40065f36e2d17fa61477df4ea2055275c6c4fd2e984d97cc",
-     "830fb20a2149072660bc9d3f14124431089fdeef9eaacd83b5fccb55eba8a6fc"),
-]
-
-# Exit code and stdout sha256 of each other subcommand, on `--builtin
-# classical` and on twisted_tshift().
-SUBCOMMAND_PINS = [
-    (("validate",),
-     (0, "d03329ebf85aff831f282303ebe03c65544de4a24d5a98c9969b37d87c189fb7"),
-     (0, "370a37ad0c2641f062fd4a24a2b62e2ae517d75d9706f729c17299c0e5e3af4b")),
-    (("pbw", "--degree", "6"),
-     (0, "760967df217f861a22229f56708e9a4cea9ea7362c3b859da7fb198ec6940028"),
-     (1, "992e2853491606928c54de05a12bd34cafc12c8a3f2038019fcbdf4a7cd708e2")),
-    (("calculus", "--degree", "5"),
-     (0, "7432054c806787e4ed2f96358c7b8ffb09d83e2e861e389f7e3480b6c5b5cf3c"),
-     (1, "0102e5cd36c98c4479ec5bc1885c2114c93241c145e4034e0cb2850705ddc368")),
-    (("dirac", "--degree", "4"),
-     (0, "201a0b15a3ae13d0833c731c9effb836a24f47d65f58369badec2a574be4bbe4"),
-     (1, "e6530ee668ed0880e8008777ec993b8b0c42092b2c6fcd45149e973bce1e8fae")),
-    (("braiding", "--b", "1", "--k", "-1"),
-     (0, "21d5065adca083bded8a49475738428cc2f1ff60ebf71ebf7b14eed0850512b1"),
-     (1, "bb325a4bee1b11810a7329cad72f7c0e9bfffed007fe4727b61fd23cf7ed4637")),
-    (("fock", "--n", "4"),
-     (0, "1de59bd6c80b4e23791f1e7928ac4aef78c3432fe21240da1ecb4da904ffa041"),
-     (0, "5d88131686fb92560e81073484e5fd4ec9f92c493d0191581a71fb7e26b55a65")),
-]
+# The report argv whose --json file test_pins pins: run here for its
+# schema and for run-to-run stability.
+CLASSICAL_REPORTS = [pin.argv for pin in PINS
+                     if pin.source == CLASSICAL and pin.json_sha]
 
 
 def run(capsys, *argv):
@@ -201,11 +168,10 @@ def test_fock_braid_relation_needs_three(capsys):
 
 def test_report_json_schema(capsys, tmp_path):
     path = tmp_path / "report.json"
-    for args, _, json_sha in REPORT_PINS:
-        code, out, _ = run(capsys, "report", "--builtin", "classical",
-                           *args, "--json", str(path))
+    for argv in CLASSICAL_REPORTS:
+        code, out, _ = run(capsys, *argv, "--builtin", "classical",
+                           "--json", str(path))
         assert code == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
         doc = json.loads(path.read_text())
         assert set(doc) == {"instance", "suites", "pass"}
         assert doc["pass"] is True
@@ -217,24 +183,11 @@ def test_report_json_schema(capsys, tmp_path):
 
 
 def test_report_runs_are_identical(capsys):
-    for args, out_sha, _ in REPORT_PINS:
-        code1, out1, _ = run(capsys, "report", "--builtin", "classical",
-                             *args)
-        code2, out2, _ = run(capsys, "report", "--builtin", "classical",
-                             *args)
+    for argv in CLASSICAL_REPORTS:
+        code1, out1, _ = run(capsys, *argv, "--builtin", "classical")
+        code2, out2, _ = run(capsys, *argv, "--builtin", "classical")
         assert code1 == code2 == 0
         assert out1 == out2
-        assert hashlib.sha256(out1.encode()).hexdigest() == out_sha
-
-
-def twisted_tshift():
-    """Flip R with sigma_02 = sigma_20 = -1, and T[(0,1)] = 1.
-
-    The calculus obstructs, and x_2 reduces to 0 in the cap-4 quotient
-    (profile [1, 3, 6, 20, 35]).
-    """
-    return dataclasses.replace(shifted("twisted-tshift", {1: ONE}),
-                               R=sign_twisted_flip())
 
 
 def suite_blocks(out):
@@ -278,141 +231,42 @@ def test_one_gating_rule(capsys, tmp_path):
         ["calculus-obstruction"]
 
 
-# sha256 of `report FILE` stdout and of its --json file, off the classical
-# point: they take the FAIL paths (obstruction witness, Clifford residual,
-# star-closed, and for twisted_tshift a profile mismatch).
-OFF_CLASSICAL_PINS = [
-    (twisted_tshift,
-     "74743452a2a71d216d412c34a91bb097d1e30640bf3b90e31515c0ca5c9effff",
-     "d31ec025973fdda08bb0ffc853ac15bcef91a06b70c8a08408c369f44f0872c4"),
-    (z_perturbed,
-     "9f974737baaa7fa11c9f92b8734c2f954049e2ca3539388e7baa6089afe7cb8a",
-     "382462c2cc4bcd1a136913863d5bb8349acff20ebfe5ea72592d8edf7ebf5e31"),
-]
-
-
-def test_off_classical_reports_are_pinned(capsys, tmp_path):
-    inst = tmp_path / "inst.json"
-    path = tmp_path / "report.json"
-    for make, out_sha, json_sha in OFF_CLASSICAL_PINS:
-        write_instance(make(), str(inst))
-        code, out, _ = run(capsys, "report", str(inst), "--json", str(path))
-        assert code == 1
-        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
-
-
-def test_subcommands_are_pinned(capsys, tmp_path):
-    twisted = tmp_path / "twisted.json"
-    write_instance(twisted_tshift(), str(twisted))
-    for args, classical, off in SUBCOMMAND_PINS:
-        for source, want in ((("--builtin", "classical"), classical),
-                             ((str(twisted),), off)):
-            code, out, _ = run(capsys, *args, *source)
-            got = (code, hashlib.sha256(out.encode()).hexdigest())
-            assert got == want, args + source
+def pinned(argv, source):
+    """The (exit code, stdout sha256) that tests/test_pins.py pins."""
+    (pin,) = [p for p in PINS if (p.argv, p.source) == (argv, source)]
+    return pin.code, pin.out_sha
 
 
 def test_fock_on_the_sign_twisted_flip_is_pinned(capsys, tmp_path):
     # With T = 0 the sign-twisted flip is cotriangular, so every braided
     # check runs off the plain flip, up to four slots.
     path = tmp_path / "twisted.json"
-    write_instance(dataclasses.replace(builtin("classical"), name="twisted",
-                                       R=sign_twisted_flip()), str(path))
+    write_instance(twisted(), str(path))
     code, out, _ = run(capsys, "fock", "--n", "4", str(path))
     assert "info cotriangular: yes" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        0, "96399fbcb158353cccb3a164f9ed5a58b7b1e7f9eef8d8bbc44c4efa04c0d145")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        pinned(("fock", "--n", "4"), twisted)
 
 
 def test_moved_twisted_report_is_pinned(capsys):
-    # The one report whose left action, Yang-Baxter check and braided Fock
-    # path (cotriangular: yes) run on a dense R with a non-collapsing
-    # quotient.  box-commutes, clifford and dirac-square FAIL because the
-    # metric frame does not move with the coordinates; ROADMAP item 15
-    # (frame covariance) re-pins this hash.
+    # The dense R of instances/moved-twisted.json is cotriangular too, and
+    # its quotient does not collapse.
     code, out, _ = run(capsys, "report",
                        str(ROOT / "instances" / "moved-twisted.json"),
                        "--n", "3")
     assert "info cotriangular: yes" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
-        1, "8ed0391e1983c04e259e865c52fb550b5205b45c9ff10d3c200bdb0af486a0e8")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        pinned(("report", "--n", "3"), "moved-twisted.json")
 
 
-# Exit code and stdout sha256 of the calculus and dirac suites on
-# instances/moved-twisted.json: a dense R whose left action, partials and
-# second partials all run, and whose FAILs name their witnesses.  CI pins
-# each through the installed script.
-MOVED_CALCULUS_PINS = [
-    (("calculus", "--degree", "5"),
-     "4b10fc5dc6ca5f5649fbaa981cdcdbb69e61082e61613b0023cd98b5e9c7dd69"),
-    (("calculus", "--degree", "6"),
-     "272c10f51721049fa5d5e5b77f3a32c4e331e63f5df5160ad8fd920bed246c70"),
-    (("dirac", "--degree", "4"),
-     "e59d026de6a202de2d61c2fb7bcd731dd7ddf143071ad501c542bbd8e290a8bc"),
-]
-
-
-def test_moved_twisted_calculus_and_dirac_are_pinned(capsys):
-    path = str(ROOT / "instances" / "moved-twisted.json")
-    for (suite, *args), sha in MOVED_CALCULUS_PINS:
-        code, out, _ = run(capsys, suite, path, *args)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, sha)
-    code, out, _ = run(capsys, "calculus", path, "--degree", "5")
+def test_moved_twisted_box_commutes_names_its_witness(capsys):
+    # the metric frame does not move with the coordinates; ROADMAP item 15
+    # (frame covariance) re-pins the calculus row of tests/test_pins.py
+    _, out, _ = run(capsys, "calculus",
+                    str(ROOT / "instances" / "moved-twisted.json"),
+                    "--degree", "5")
     assert "  FAIL box-commutes: degree <= 5; fails at w=(0, 0, 1), i=0" \
         in out.splitlines()
-
-
-# Exit code and stdout sha256 of the classical calculus and dirac suites
-# past the report's degree; CI pins both through the installed script.
-CLASSICAL_CALCULUS_PINS = [
-    (("calculus", str(ROOT / "instances" / "classical.json"), "--degree",
-      "6"), "ed246c153ff32580488db217f8f8555d78034d5d432273b4e5730173330f8827"),
-    (("dirac", "--builtin", "classical", "--degree", "5"),
-     "862b10bd5b11958538869be083136cf106def7b64ed9884b6fbb059a13ee9787"),
-]
-
-
-def test_classical_calculus_and_dirac_are_pinned(capsys):
-    for args, sha in CLASSICAL_CALCULUS_PINS:
-        code, out, _ = run(capsys, *args)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
-
-
-# Exit code and stdout sha256 of `report --builtin classical --degree D`
-# and, on the dense seed-11 instance that CI writes from
-# perfbench/instances.py, of `pbw --degree 5` and `report`.  CI pins
-# degrees 2 and 5 and both dense runs through the installed script.
-CLASSICAL_DEGREE_PINS = [
-    ("2", "d0f9521497dcbf304107242e59d22736cbe07bfa388d44c444daeaabd22be2dd"),
-    ("3", "785dbb62c24dce7a7d2ff78634b99ba27b2f3de278edbb79c5665f778f924514"),
-    ("5", "272840147f4134666f353eb28d943e9ebdbf1196430d72998c5fc89c9a76b608"),
-]
-DENSE_PINS = [
-    (("pbw", "--degree", "5"),
-     "1def4445c0af1746b343db4f523ca84b05b6ab9a155ee55de732de24339b0029"),
-    (("report",),
-     "6d85f51223d1182e7ac0fddae55353f2262fd35c3ce557148adf079ed0f62205"),
-]
-
-
-def test_classical_reports_at_other_degrees_are_pinned(capsys):
-    for degree, sha in CLASSICAL_DEGREE_PINS:
-        code, out, _ = run(capsys, "report", "--builtin", "classical",
-                           "--degree", degree)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha)
-
-
-def test_dense_pbw_and_report_are_pinned(capsys, tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_instances", ROOT / "perfbench" / "instances.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps(gen.dense("dense", random.Random(11), 0.3)))
-    for args, sha in DENSE_PINS:
-        code, out, _ = run(capsys, *args, str(path))
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, sha)
 
 
 def test_report_json_unwritable_path(capsys, tmp_path):

@@ -46,8 +46,7 @@ from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
 from test_acceptance import sign_twisted_flip
 from test_calculus import MEMO_INSTANCES, per_entry_left_mul_gen, \
-    shifted, z_perturbed
-from test_cli import twisted_tshift
+    shifted, twisted_tshift, z_perturbed
 from test_dirac import random_gammas
 
 

@@ -147,15 +147,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH_INSTANCES = ROOT / "perfbench" / "instances.py"
 
 
-def perfbench_instance(kind, seed, *args):
-    """The instance that perfbench/instances.py's generator kind (dense,
-    imag_shift, complex_shift, zbent) draws from seed and args."""
+def perfbench_generators():
+    """perfbench/instances.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_instances",
                                                   PERFBENCH_INSTANCES)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    doc = getattr(gen, kind)("%s%d" % (kind, seed), random.Random(seed),
-                             *args)
+    return gen
+
+
+def perfbench_instance(kind, seed, *args):
+    """The instance that perfbench/instances.py's generator kind (dense,
+    imag_shift, complex_shift, zbent) draws from seed and args."""
+    doc = getattr(perfbench_generators(), kind)(
+        "%s%d" % (kind, seed), random.Random(seed), *args)
     return instance_from_dict(doc)
 
 

@@ -6,32 +6,23 @@ at degrees up to that cap, the basis and the word normal forms of the
 quotient built at that cap.
 """
 
-import dataclasses
 import itertools
-import pathlib
 
 import pytest
 
 from qminkowski.calculus import make_calculus
 from qminkowski.cli import _SUITES, run_suites
 from qminkowski.exact import ONE
-from qminkowski.instance import builtin, load_instance
+from qminkowski.instance import builtin
 from qminkowski.minkowski import make_minkowski
 
-from test_acceptance import sign_twisted_flip
 from test_calculus import leibniz_breaking, shifted, z_perturbed
-
-MOVED = (pathlib.Path(__file__).resolve().parent.parent / "instances"
-         / "moved-twisted.json")
-
-
-def twisted():
-    return dataclasses.replace(builtin("classical"), name="twisted",
-                               R=sign_twisted_flip())
+from test_check_strength import twisted
+from test_quotient_oracle import MOVED
 
 
 def moved():
-    return load_instance(str(MOVED))
+    return MOVED
 
 
 # Every completion rule of these has t-exponent 0 at caps 2-6.
