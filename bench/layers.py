@@ -40,10 +40,14 @@ calculus and dirac at their smaller caps, ``report-classical-deg2``; the
 dirac suite on a run whose calculus suite has run in the set-up, so that
 it reads the second partials that suite filled,
 ``dirac-suite-after-calculus-classical``; the classical metric,
-``metric-classical``; the fock suite at --n 4 on the classical instance
-at b = 0, the one braided path of the benchmark (K, the braid relation
-and symmetrize up to four slots), on a cap-4 quotient and an evaluator
-built in the set-up, ``fock-suite-classical-n4``;
+``metric-classical``; clifford_check on the instance's own gammas and
+metric, classical and of the dense seed-11 instance,
+``clifford-classical`` and ``clifford-dense11``; mink_relations of the
+dense seed-11 instance, whose R - 1 and products with Z and T it forms,
+``mink-relations-dense11``; the fock suite at --n 4 on the classical
+instance at b = 0, the one braided path of the benchmark (K, the braid
+relation and symmetrize up to four slots), on a cap-4 quotient and an
+evaluator built in the set-up, ``fock-suite-classical-n4``;
 star_cqt_check on a fresh evaluator of the classical instance at b = 0,
 where the check passes and reads all 441 pairings of the entries of P,
 ``star-cqt-classical``; and star_cqt_check on a fresh evaluator of the
@@ -61,9 +65,10 @@ parsed, ``load-dense11``: 360 matrix literals each, 3 and 7 of them
 distinct.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  Each
-``mink-*`` and ``lorentz-cap*`` case also runs once untimed with its
-completion counted: the rewriting steps (the ``_match`` calls that find
-a rule) and the ``_reduce`` calls, which timer noise cannot hide.  One
+quotient case (``mink-dense*``, ``mink-moved-*`` and ``lorentz-cap*``)
+also runs once untimed with its completion counted: the rewriting steps
+(the ``_match`` calls that find a rule) and the ``_reduce`` calls, which
+timer noise cannot hide.  One
 JSON line goes to stdout: the Python version, N, each case's seconds,
 and the counts as ``"steps": {case: [steps, calls]}``.  The package is
 imported from PYTHONPATH, so pointing it at another checkout's ``src``
@@ -85,7 +90,8 @@ import time
 from qminkowski import cli
 from qminkowski.braiding import build_rq, make_evaluator, star_cqt_check
 from qminkowski.calculus import FirstOrderCalculus, f_tilde
-from qminkowski.dirac import dirac_square_check, gamma, metric
+from qminkowski.dirac import clifford_check, dirac_square_check, gamma, \
+    metric
 from qminkowski.exact import ONE, ZERO
 from qminkowski.instance import builtin, instance_from_dict, load_instance
 from qminkowski.lorentz import lambda_invariance_check, lorentz_relations, \
@@ -100,6 +106,7 @@ CLASSICAL = os.path.join(ROOT, "instances", "classical.json")
 DENSE_SEEDS = (11, 12, 13)
 DENSE_DENSITY = 0.3     # perfbench's dense-random entry density
 IMAG_SEED = 5
+QUOTIENT_CASES = ("mink-dense", "mink-moved-", "lorentz-cap")
 
 
 def perfbench_instances():
@@ -215,6 +222,11 @@ def fock_suite(inst, n):
     return lambda: cli.suite_fock(run)
 
 
+def clifford(inst):
+    """clifford_check on the instance's own gammas and metric."""
+    return functools.partial(clifford_check, inst, gamma(inst), metric(inst))
+
+
 def profile(gens, relations, cap):
     return TruncatedQuotient(gens, relations, cap).dimension_profile()
 
@@ -304,6 +316,10 @@ def cases():
     out["dirac-suite-after-calculus-classical"] = (
         lambda: dirac_after_calculus(builtin("classical")))
     out["metric-classical"] = lambda: lambda: metric(builtin("classical"))
+    out["clifford-classical"] = lambda: clifford(builtin("classical"))
+    out["clifford-dense11"] = lambda: clifford(dense_instance(11))
+    out["mink-relations-dense11"] = lambda: functools.partial(
+        mink_relations, dense_instance(11))
     out["fock-suite-classical-n4"] = (
         lambda: fock_suite(builtin("classical"), 4))
     out["star-cqt-classical"] = lambda: functools.partial(
@@ -341,7 +357,7 @@ def main(argv=None):
     seconds, steps = {}, {}
     for name in args.case or known:
         seconds[name] = round(best_time(known[name], args.reps), 6)
-        if name.startswith(("mink-", "lorentz-cap")):
+        if name.startswith(QUOTIENT_CASES):
             steps[name] = rewriting(*known[name]().args)
     print(json.dumps({"python": sys.version.split()[0], "reps": args.reps,
                       "cpu_s": seconds, "steps": steps}))

@@ -58,17 +58,30 @@ def gamma(inst) -> tuple:
     return tuple(gammas)
 
 
+_DIAG4 = {(n, n): ONE for n in range(4)}
+
+
 def clifford_check(inst, gs: tuple, g: Mat):
-    """Residuals gamma_i gamma_j + R_{ji,lk} gamma_k gamma_l - 2 g_ji."""
-    i4 = Mat.identity(4)
-    prods = [[gs[i] * gs[j] for j in range(4)] for i in range(4)]
-    sums = {(i, j): prods[i][j] for i in range(4) for j in range(4)}
+    """Residuals gamma_i gamma_j + R_{ji,lk} gamma_k gamma_l - 2 g_ji.
+
+    Each residual is summed as a term dict keyed by (row, col) from the
+    nonzeros of the gamma products and of R, and returned as a 4x4 Mat.
+    """
+    prods = [[{(r, c): x for r, c, x in (gi * gj).nonzeros()} for gj in gs]
+             for gi in gs]
+    sums = {(i, j): dict(prods[i][j]) for i in range(4) for j in range(4)}
     for row, col, c in inst.R.nonzeros():
         j, i = divmod(row, 4)
         l, k = divmod(col, 4)
-        sums[(i, j)] = sums[(i, j)] + prods[k][l].scale(c)
-    return {(i, j): acc - i4.scale(Scalar(2) * g[j, i])
-            for (i, j), acc in sums.items()}
+        accumulate(sums[(i, j)], prods[k][l], c)
+    out = {}
+    for (i, j), acc in sums.items():
+        accumulate(acc, _DIAG4, Scalar(-2) * g[j, i])
+        data = [ZERO] * 16
+        for (r, c), x in acc.items():
+            data[4 * r + c] = x
+        out[(i, j)] = Mat(4, 4, data)
+    return out
 
 
 def clifford_ok(inst, gs: tuple, g: Mat) -> bool:

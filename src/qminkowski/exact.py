@@ -460,13 +460,22 @@ class Mat:
         return hash((self.rows, self.cols, tuple(self.data)))
 
     def __add__(self, other):
+        """Entrywise sum; an entry where other is zero keeps self's own
+        Scalar, so the work is one Scalar add per nonzero of other."""
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.data, other.data)])
+        data = self.data[:]
+        for k, b in enumerate(other.data):
+            if b:
+                data[k] = data[k] + b
+        return Mat(self.rows, self.cols, data)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return self + -other
+        data = self.data[:]
+        for k, b in enumerate(other.data):
+            if b:
+                data[k] = data[k] - b
+        return Mat(self.rows, self.cols, data)
 
     def __neg__(self):
         return Mat(self.rows, self.cols, [-a for a in self.data])

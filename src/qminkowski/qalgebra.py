@@ -212,7 +212,9 @@ class TruncatedQuotient:
     """A free algebra modulo degree <= 2 relations, truncated at a degree cap.
 
     ``_rules`` maps each lead word u to ``(k, tail)``: u rewrites to tail
-    inside a word w when k <= cap - |w|.  Word normal forms are memoised
+    inside a word w when k <= cap - |w|.  ``_rank``, ``_by_length``,
+    ``_by_prefix`` and ``_by_suffix`` index the leads for completion's
+    overlap search.  Word normal forms are memoised
     one rewrite step at a time (word_normal_form), and the basis is built
     the first time it is read, so a quotient used only for normal forms
     never enumerates it.  ``memos`` holds what other modules memoise over this
@@ -230,6 +232,10 @@ class TruncatedQuotient:
                 raise DegreeError("relations must have degree at most 2")
         self._rules = {}
         self._lengths = []
+        self._rank = {}
+        self._by_prefix = {}
+        self._by_suffix = {}
+        self._by_length = {}
         self._memo = {}
         self.memos = {}
         # a plain attribute, not functools.cached_property: a later write
@@ -283,6 +289,11 @@ class TruncatedQuotient:
         reduced again (``_reduce_tails``); a lead of degree D fires in no
         tail of a lower degree, so the ambiguities of a later degree read
         tails in normal form.
+
+        Each rule is filed in the lead indexes (``_index``) as it is stored
+        and before its ambiguities are sought, and leads are never removed
+        or replaced: so the indexes always hold exactly the leads of
+        _rules, each list in rank order.
         """
         rules = self._rules
         pending = {}
@@ -305,7 +316,7 @@ class TruncatedQuotient:
                 neg = -ONE / rest.pop(lead)
                 k = degree - len(lead)
                 rules[lead] = (k, {w: neg * v for w, v in rest.items()})
-                self._lengths = sorted({len(u) for u in rules})
+                self._index(lead)
                 for amb_degree, amb in self._ambiguities(lead, k):
                     pending.setdefault(amb_degree, []).append(amb)
             if len(rules) > before:
@@ -321,6 +332,16 @@ class TruncatedQuotient:
         for u, (k, t) in rules.items():
             rules[u] = (k, self._reduce(t, len(u) + k))
 
+    def _index(self, lead):
+        """File a new lead under its rank (its insertion index in _rules),
+        its length, and each of its proper prefixes and suffixes."""
+        self._rank[lead] = len(self._rank)
+        for n in range(1, len(lead)):
+            self._by_prefix.setdefault(lead[:n], []).append(lead)
+            self._by_suffix.setdefault(lead[-n:], []).append(lead)
+        self._by_length.setdefault(len(lead), []).append(lead)
+        self._lengths = sorted(self._by_length)
+
     def _ambiguities(self, v, kv):
         """(nominal degree, (W, left, right, j)) for every overlap and
         inclusion W of the lead v, with t-exponent kv, and a kept lead, v
@@ -331,19 +352,48 @@ class TruncatedQuotient:
         An overlap word or including lead W sits at degree |W| + max(k_u,
         k_v).  Leads that meet in no letter need no check: every term
         below a lead carries at least the lead's t-exponent.
+
+        The candidates come from the lead indexes, which hold every kept
+        lead, v included: a lead u ends as v begins, in n < |u|, |v|
+        letters, exactly when u is filed under the suffix v[:n], and begins
+        as v ends when it is filed under the prefix v[-n:]; only a lead of
+        another length can include v or lie inside it.  The entries
+        come lead by lead in rank order, the order of _rules, and for each
+        lead u as the all-rules scan makes them: the overlaps u v by
+        overlap length, u's inclusions of v, then (u != v) the overlaps v u
+        and v's inclusions of u.
         """
-        for u, (ku, _) in self._rules.items():
-            k = max(ku, kv)
-            pairs = [(u, v)] if u == v else [(u, v), (v, u)]
-            for left, right in pairs:
-                for n in range(1, min(len(left), len(right))):
-                    w = left + right[n:]
-                    if len(w) + k <= self.cap and left[-n:] == right[:n]:
-                        yield len(w) + k, (w, left, right, len(left) - n)
-                if len(right) < len(left) and len(left) + k <= self.cap:
-                    for i in range(len(left) - len(right) + 1):
-                        if left[i:i + len(right)] == right:
-                            yield len(left) + k, (left, left, right, i)
+        rules, cap, m = self._rules, self.cap, len(v)
+        hits = {}
+        for n in range(1, m):
+            for u in self._by_suffix.get(v[:n], ()):
+                hits.setdefault(u, ([], []))[0].append(n)
+            for u in self._by_prefix.get(v[-n:], ()):
+                hits.setdefault(u, ([], []))[1].append(n)
+        for length, leads in self._by_length.items():
+            if length != m:
+                for u in leads:
+                    hits.setdefault(u, ((), ()))
+        for u in sorted(hits, key=self._rank.__getitem__):
+            ends, starts = hits[u]
+            k = max(rules[u][0], kv)
+            lu = len(u)
+            for n in ends:
+                if lu + m - n + k <= cap:
+                    yield lu + m - n + k, (u + v[n:], u, v, lu - n)
+            if m < lu and lu + k <= cap:
+                for i in range(lu - m + 1):
+                    if u[i:i + m] == v:
+                        yield lu + k, (u, u, v, i)
+            if u == v:
+                continue
+            for n in starts:
+                if m + lu - n + k <= cap:
+                    yield m + lu - n + k, (v + u[n:], v, u, m - n)
+            if lu < m and m + k <= cap:
+                for i in range(m - lu + 1):
+                    if v[i:i + lu] == u:
+                        yield m + k, (v, v, u, i)
 
     def _levels(self):
         """The words of each degree that no rule applies to, in lexicographic

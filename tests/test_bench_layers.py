@@ -44,6 +44,40 @@ def test_quotient_cases_count_their_rewriting(capsys):
     assert (TruncatedQuotient._match, TruncatedQuotient._reduce) == methods
 
 
+# [rewriting steps, _reduce calls] of each quotient case: a change to how
+# completion finds its ambiguities must keep them, since the order in which
+# they are found is the order in which they are resolved.
+QUOTIENT_STEPS = {
+    "mink-dense11-cap3": [574, 117], "mink-dense11-cap4": [622, 157],
+    "mink-dense11-cap5": [694, 205], "mink-dense12-cap3": [493, 117],
+    "mink-dense12-cap4": [541, 157], "mink-dense12-cap5": [613, 205],
+    "mink-dense13-cap3": [542, 117], "mink-dense13-cap4": [590, 157],
+    "mink-dense13-cap5": [662, 205], "mink-moved-cap4": [277, 55],
+    "mink-moved-cap5": [1135, 99], "mink-moved-cap6": [4956, 179],
+    "lorentz-cap2": [24, 78], "lorentz-cap4": [296, 150],
+    "lorentz-cap5": [296, 150], "lorentz-cap6": [296, 150],
+}
+
+
+def test_quotient_cases_keep_their_rewriting_counts():
+    mod = layers()
+    known = mod.cases()
+    assert {name for name in known
+            if name.startswith(mod.QUOTIENT_CASES)} == set(QUOTIENT_STEPS)
+    assert {name: mod.rewriting(*known[name]().args)
+            for name in QUOTIENT_STEPS} == QUOTIENT_STEPS
+
+
+def test_one_rep_of_the_clifford_and_relation_cases(capsys):
+    for case in ("clifford-classical", "clifford-dense11",
+                 "mink-relations-dense11"):
+        one_rep(capsys, case)
+    # a case named mink-* that builds no quotient counts no completion
+    assert layers().main(["--reps", "1", "--case",
+                          "mink-relations-dense11"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == {}
+
+
 def test_one_rep_of_the_word_pairing_case(capsys):
     one_rep(capsys, "r-word-words-dense11")
 
@@ -171,6 +205,8 @@ def test_cases_and_reps_are_checked(capsys):
             "lorentz-suite-classical", "report-classical",
             "report-classical-deg2",
             "dirac-suite-after-calculus-classical", "metric-classical",
+            "clifford-classical", "clifford-dense11",
+            "mink-relations-dense11",
             "fock-suite-classical-n4", "star-cqt-classical",
             "star-cqt-dense11", "r-word-words-dense11", "load-classical",
             "load-dense11"} <= set(mod.cases())

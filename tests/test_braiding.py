@@ -395,7 +395,8 @@ def ct_product_oracle(ev):
     return inverse == f * ev.rq * f
 
 
-@pytest.mark.parametrize("inst", [
+# The benchmark's families, drawn as perfbench/instances.py draws them.
+RQ_INSTANCES = [
     builtin("classical"),
     perfbench_instance("imag_shift", 1, 2, False),
     perfbench_instance("imag_shift", 2, 3, True),
@@ -405,12 +406,50 @@ def ct_product_oracle(ev):
     perfbench_instance("zbent", 2, True),
     perfbench_dense(11, 0.3),
     perfbench_dense(12, 0.3),
-    perfbench_dense(11, 0.1),       # singular R_Q at b = 1
-], ids=lambda inst: inst.name)
+    perfbench_dense(11, 0.1),       # singular R, so a singular R_Q
+]
+RQ_B = (ZERO, ONE, -ONE, I, Scalar(Fraction(-1, 2)))
+
+
+@pytest.mark.parametrize("inst", RQ_INSTANCES, ids=lambda inst: inst.name)
 def test_ct_check_matches_the_product_form(inst):
-    for b in (ZERO, ONE, -ONE, I, Scalar(Fraction(-1, 2))):
+    for b in RQ_B:
         ev = make_evaluator(inst, b=b)
         assert ct_check(ev) is ct_product_oracle(ev)
+
+
+@pytest.mark.parametrize("inst", RQ_INSTANCES, ids=lambda inst: inst.name)
+def test_rq_determinant_is_the_r_determinant(inst):
+    """det R_Q = det R at every b.  Rows 5i + 4, 20 + i and 24 of R_Q each
+    hold a single 1, in columns 20 + i, 5i + 4 and 24, so R_Q is block
+    triangular: R on the other rows and columns, and on these a
+    permutation of four swaps and a fixed point, of determinant 1.  So R_Q
+    is invertible exactly when R is."""
+    det = inst.R.det()
+    for b in RQ_B:
+        ev = make_evaluator(inst, b=b)
+        assert ev.rq.det() == det
+        try:
+            ev.rq_inverse()
+        except ConstraintError:
+            assert det == 0
+        else:
+            assert det != 0
+
+
+def test_cotriangularity_is_one_product_with_the_flip_conjugate():
+    """ct_check is R_Q (F R_Q F) = 1 with F = flip(5, 5): a square matrix
+    with a right inverse is invertible and that is its inverse, and a
+    singular R_Q has none."""
+    f, one = flip(5, 5), Mat.identity(25)
+    seen = set()
+    for inst in RQ_INSTANCES:
+        for b in RQ_B:
+            ev = make_evaluator(inst, b=b)
+            want = ev.rq * (f * ev.rq * f) == one
+            assert ct_check(ev) is want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_ct_check_on_cotriangular_tables_away_from_the_flip():

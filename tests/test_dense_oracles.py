@@ -33,7 +33,7 @@ import pytest
 
 from qminkowski.braiding import build_rq, make_evaluator
 from qminkowski.calculus import FirstOrderCalculus
-from qminkowski.dirac import clifford_check, metric
+from qminkowski.dirac import clifford_check, gamma, metric
 from qminkowski.errors import DegreeError
 from qminkowski.fock import CTensor, braid_action, interchange_k, symmetrize
 from qminkowski.exact import I, Mat, ONE, Scalar, V, V_INV, ZERO, flip, \
@@ -44,10 +44,11 @@ from qminkowski.lorentz import lambda_entries, lambda_invariance_check, \
 from qminkowski.minkowski import make_minkowski, mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
-from test_acceptance import sign_twisted_flip
+from test_acceptance import rescaled, sign_twisted_flip
 from test_calculus import MEMO_INSTANCES, per_entry_left_mul_gen, \
     shifted, twisted_tshift, z_perturbed
 from test_dirac import random_gammas
+from test_quotient_oracle import MOVED, perfbench_dense
 
 
 def dense_instance(seed):
@@ -361,10 +362,32 @@ def test_relations_and_rq_match_dense_loops(inst):
     assert lorentz_relations(inst) == lorentz_relations_oracle(inst)
     for b in (ZERO, ONE, I, Scalar(Fraction(-1, 2))):
         assert build_rq(inst, b) == build_rq_oracle(inst, b)
-    g = metric(inst)
-    for seed in (1, 2):
-        gs = random_gammas(seed)
-        assert clifford_check(inst, gs, g) == clifford_oracle(inst, gs, g)
+
+
+CLIFFORD_INSTANCES = [
+    builtin("classical"),
+    dataclasses.replace(builtin("classical"), name="sign-twisted",
+                        R=sign_twisted_flip()),
+    MOVED,
+    *(perfbench_dense(seed, 0.3) for seed in (11, 12, 13)),
+    *INSTANCES,
+]
+
+
+@pytest.mark.parametrize("inst", CLIFFORD_INSTANCES,
+                         ids=[inst.name for inst in CLIFFORD_INSTANCES])
+def test_clifford_residuals_match_the_dense_loop(inst):
+    """Every residual Mat equals the dense loop's, for the instance's own
+    gammas, the a b = 2 pair of test_dirac and two random sets."""
+    g, gs = metric(inst), gamma(inst)
+    nonzero = 0
+    for pair in (gs, rescaled(gs, Scalar(2), ONE), random_gammas(1),
+                 random_gammas(2)):
+        got = clifford_check(inst, pair, g)
+        assert got == clifford_oracle(inst, pair, g)
+        assert all(type(m) is Mat for m in got.values())
+        nonzero += sum(not m.is_zero() for m in got.values())
+    assert nonzero > 16
 
 
 def test_lambda_entries_match_dense_loops():

@@ -480,6 +480,43 @@ def test_elimination_property(m):
     assert_elimination_matches_oracle(m)
 
 
+@st.composite
+def mat_pairs(draw):
+    """Two matrices of one shape, with zero, fractional and complex
+    entries."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    real = draw(st.booleans())
+
+    def mat():
+        return Mat(r, c, draw(st.lists(_scalars(real), min_size=r * c,
+                                       max_size=r * c)))
+    return mat(), mat()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat_pairs())
+def test_mat_add_and_sub_are_entrywise(pair):
+    """Each entry is the Scalar sum or difference, and where the right
+    operand is zero the result holds the left operand's own Scalar."""
+    a, b = pair
+    before = list(a.data), list(b.data)
+    for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+        assert got.data == [op(x, y) for x, y in zip(a.data, b.data)]
+        assert all(z is x for x, y, z in zip(a.data, b.data, got.data)
+                   if not y)
+    assert (a.data, b.data) == before
+
+
+def test_mat_add_and_sub_shape_errors():
+    a = Mat.zeros(2, 3)
+    for op in (Mat.__add__, Mat.__sub__):
+        with pytest.raises(ShapeError, match="^shape mismatch 2x3 vs 3x2$"):
+            op(a, Mat.zeros(3, 2))
+        with pytest.raises(ShapeError, match="^expected a Mat$"):
+            op(a, 1)
+
+
 @pytest.mark.parametrize("seed", (11, 12, 13))
 @pytest.mark.parametrize("b", [ONE, I], ids=["b=1", "b=i"])
 def test_elimination_of_dense_rq(seed, b):

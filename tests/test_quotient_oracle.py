@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qminkowski.exact import ONE, Mat, Scalar, kron
 from qminkowski.instance import builtin, instance_from_dict, load_instance
@@ -271,6 +271,59 @@ class EagerQuotient(TruncatedQuotient):
                                 -ONE)
 
 
+def scan_ambiguities(q, v, kv):
+    """The overlaps and inclusions of the lead v with every kept lead, by
+    a scan of all rules in insertion order: the engine's lookup before it
+    kept lead indexes."""
+    for u, (ku, _) in q._rules.items():
+        k = max(ku, kv)
+        pairs = [(u, v)] if u == v else [(u, v), (v, u)]
+        for left, right in pairs:
+            for n in range(1, min(len(left), len(right))):
+                w = left + right[n:]
+                if len(w) + k <= q.cap and left[-n:] == right[:n]:
+                    yield len(w) + k, (w, left, right, len(left) - n)
+            if len(right) < len(left) and len(left) + k <= q.cap:
+                for i in range(len(left) - len(right) + 1):
+                    if left[i:i + len(right)] == right:
+                        yield len(left) + k, (left, left, right, i)
+
+
+class ScanCheckedQuotient(TruncatedQuotient):
+    """The engine, with each new rule's ambiguities also found by
+    scan_ambiguities and required to be the same list in the same order;
+    ``checked`` counts the rules so compared."""
+
+    checked = 0
+
+    def _ambiguities(self, v, kv):
+        found = list(super()._ambiguities(v, kv))
+        assert found == list(scan_ambiguities(self, v, kv)), v
+        self.checked += 1
+        return iter(found)
+
+
+def assert_overlaps_match_scan(gens, relations, cap):
+    q = ScanCheckedQuotient(gens, relations, cap)
+    assert q.checked == len(q._rules)
+    return q
+
+
+OVERLAP_CASES = (
+    [("classical", 4, mink_relations(CLASSICAL), cap) for cap in range(2, 9)]
+    + [("lorentz", 8, lorentz_relations(CLASSICAL), cap)
+       for cap in range(2, 8)]
+    + [("moved", 4, mink_relations(MOVED), cap) for cap in (4, 5, 6)]
+    + [("dense%d" % seed, 4, mink_relations(perfbench_dense(seed, 0.3)), cap)
+       for seed in (11, 12, 13) for cap in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("name, gens, relations, cap", OVERLAP_CASES,
+                         ids=["%s-%d" % (c[0], c[3]) for c in OVERLAP_CASES])
+def test_indexed_overlaps_match_the_scan(name, gens, relations, cap):
+    assert assert_overlaps_match_scan(gens, relations, cap).checked > 0
+
+
 def assert_matches_eager(gens, relations, cap):
     """The same rules, profile and normal form of every word up to the cap
     as EagerQuotient."""
@@ -392,3 +445,12 @@ def test_relation_order_is_invisible(case, rng):
         for w in product(range(gens), repeat=d):
             word = NCPoly.from_word(w)
             assert p.normal_form(word) == q.normal_form(word)
+
+
+@PROFILE
+@given(relation_sets())
+def test_random_overlaps_match_the_scan(case):
+    """Mixed lead lengths and positive t-exponents: rules whose leads have
+    length 0, 1 and 2 and more, and rules that fire only with slack."""
+    q = assert_overlaps_match_scan(*case)
+    assume(any(k > 0 for k, _ in q._rules.values()))
