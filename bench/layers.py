@@ -1,4 +1,4 @@
-"""Time the instance loader and the quotient, Mat inverse, calculus, Dirac,
+"""Time the instance loader and the Scalar, Mat, quotient, calculus, Dirac,
 Lorentz, pairing and Fock layers: the best CPU time of N in-process runs.
 
     PYTHONPATH=src python3 bench/layers.py --reps 7 [--case NAME ...]
@@ -60,9 +60,12 @@ instance at b = 1, ``r-word-words-dense11``, the one case that enters
 the word recursion of the pairing (no suite pairs more than letters);
 load_instance on ``instances/classical.json`` (read, JSON parse and
 every check, as each benchmark op loads its file), ``load-classical``;
-and instance_from_dict on the perfbench dense seed-11 document, already
+instance_from_dict on the perfbench dense seed-11 document, already
 parsed, ``load-dense11``: 360 matrix literals each, 3 and 7 of them
-distinct.
+distinct; every sum and every product of two nonzero entries of the dense
+seed-11 R, ``scalar-ops-dense11``; the Mat products R R and R Z of that
+instance, ``mat-mul-dense11``; and, on the classical instance, the
+kron(E, tau E) that metric forms and R (x) 1_4, ``kron-classical``.
 Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  Each
 quotient case (``mink-dense*``, ``mink-moved-*`` and ``lorentz-cap*``)
@@ -92,7 +95,7 @@ from qminkowski.braiding import build_rq, make_evaluator, star_cqt_check
 from qminkowski.calculus import FirstOrderCalculus, f_tilde
 from qminkowski.dirac import clifford_check, dirac_square_check, gamma, \
     metric
-from qminkowski.exact import ONE, ZERO
+from qminkowski.exact import Mat, ONE, ZERO, flip, kron
 from qminkowski.instance import builtin, instance_from_dict, load_instance
 from qminkowski.lorentz import lambda_invariance_check, lorentz_relations, \
     make_lorentz
@@ -227,6 +230,26 @@ def clifford(inst):
     return functools.partial(clifford_check, inst, gamma(inst), metric(inst))
 
 
+def scalar_ops(values):
+    """Every sum and every product of two of values."""
+    def call():
+        for a in values:
+            for b in values:
+                a + b
+                a * b
+    return call
+
+
+def mat_products(inst):
+    return lambda: (inst.R * inst.R, inst.R * inst.Z)
+
+
+def krons(inst):
+    """kron(E, tau E), as metric forms it, and R (x) 1_4."""
+    tau_e, i4 = flip(2, 2) * inst.E, Mat.identity(4)
+    return lambda: (kron(inst.E, tau_e), kron(inst.R, i4))
+
+
 def profile(gens, relations, cap):
     return TruncatedQuotient(gens, relations, cap).dimension_profile()
 
@@ -332,6 +355,10 @@ def cases():
                                                       CLASSICAL)
     out["load-dense11"] = lambda: functools.partial(instance_from_dict,
                                                     dense_doc(11))
+    out["scalar-ops-dense11"] = lambda: scalar_ops(
+        [c for _, _, c in dense_instance(11).R.nonzeros()])
+    out["mat-mul-dense11"] = lambda: mat_products(dense_instance(11))
+    out["kron-classical"] = lambda: krons(builtin("classical"))
     return out
 
 

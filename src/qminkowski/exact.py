@@ -79,7 +79,9 @@ class Scalar:
     """A Gaussian rational (a + b*i) / d held as three ints.
 
     Invariant: d > 0 and gcd(a, b, d) == 1, with zero stored as (0, 0, 1).
-    Every value has exactly one triple, so == and hash compare triples.
+    Every value has exactly one triple, so == compares triples.  A real
+    value hashes as the int or Fraction it equals, so that equal values
+    hash equal across the three types.
     When both operands have d == 1, + - * are plain int arithmetic with no
     gcd; a gcd runs only for a denominator other than 1 or on division.
     """
@@ -122,7 +124,9 @@ class Scalar:
         return (self.a, self.b, self.d) == o
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a if self.d == 1 else Fraction(self.a, self.d))
 
     def __add__(self, other):
         o = _coerce(other)

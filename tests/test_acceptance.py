@@ -4,7 +4,6 @@ Every check runs at zero tolerance on exact scalars and prints one
 summary line.  Timed checks assert their budget after passing.
 """
 
-import dataclasses
 import itertools
 import subprocess
 import sys
@@ -24,30 +23,12 @@ from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.minkowski import make_minkowski, pbw_check
 from qminkowski.qalgebra import NCPoly
 
-
-def rescaled(gs, a, b):
-    """The gammas [[0, b A_i], [a sigma_i, 0]] from gs = gamma(inst) =
-    [[0, A_i], [sigma_i, 0]].  The square of the Dirac operator D =
-    sum_i gamma_i partial_i matches the wave operator exactly when
-    a*b = 1, so a pair with a*b != 1 is a negative control."""
-    out = []
-    for gm in gs:
-        ent = list(gm.data)
-        for r in range(2):
-            for c in range(2):
-                ent[4 * r + c + 2] = b * ent[4 * r + c + 2]
-                ent[4 * (r + 2) + c] = a * ent[4 * (r + 2) + c]
-        out.append(Mat(4, 4, ent))
-    return tuple(out)
+from shared import rescaled, tshift, twisted, twisted_tshift, x
 
 
 def report(num, ok, detail):
     print("criterion %d: %s (%s)" % (num, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (num, detail)
-
-
-def x(i):
-    return NCPoly.gen(i)
 
 
 def test_criterion_1_pbw_profile():
@@ -57,20 +38,6 @@ def test_criterion_1_pbw_profile():
     dt = time.monotonic() - t0
     good = ok and prof == [1, 4, 10, 20, 35] and dt < 10.0
     report(1, good, "profile %s in %.2fs" % (prof, dt))
-
-
-def sign_twisted_flip():
-    """R e_a (x) e_b = sigma_ab e_b (x) e_a; sigma_02 = sigma_20 = -1, else 1.
-
-    Triangular like the flip, but the T-terms of the obstruction no longer
-    cancel.
-    """
-    r = Mat.zeros(16, 16)
-    for a in range(4):
-        for b in range(4):
-            sign = -ONE if {a, b} == {0, 2} else ONE
-            r.data[16 * (4 * b + a) + 4 * a + b] = sign
-    return r
 
 
 def gate_witness(inst):
@@ -86,22 +53,19 @@ def test_criterion_2_calculus_gate():
     classical = builtin("classical")
     clean = f_tilde(classical).is_zero()
 
-    t = Mat.zeros(16, 1)
-    t.data[1] = ONE                   # T[(0,1)] = 1
-
     # Flip R: (1 x P)(P x 1)(1 x T) = T x 1, so the T-terms cancel and
-    # the calculus exists for every T.
-    shifted = dataclasses.replace(classical, name="tshift", T=t)
-    flip_open = f_tilde(shifted).is_zero() and gate_witness(shifted) is None
+    # the calculus exists for every T; here T[(0,1)] = 1.
+    shift = tshift()
+    flip_open = f_tilde(shift).is_zero() and gate_witness(shift) is None
 
     # The sign-twisted flip is still triangular, and with T = 0 its
     # obstruction vanishes, so the trip below comes from T alone.
-    r = sign_twisted_flip()
-    twisted = dataclasses.replace(classical, name="twisted", R=r)
+    sign = twisted()
+    r = sign.R
     triangular = yang_baxter_check(r) and r * r == Mat.identity(16)
-    twisted_open = f_tilde(twisted).is_zero()
+    twisted_open = f_tilde(sign).is_zero()
 
-    bent = dataclasses.replace(twisted, name="twisted-tshift", T=t)
+    bent = twisted_tshift()      # the same T on the sign-twisted flip
     ft = f_tilde(bent)
     entries = {(i, j): ft[i, j]
                for i in range(64) for j in range(4) if ft[i, j]}

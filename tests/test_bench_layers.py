@@ -1,8 +1,6 @@
 """bench/layers.py times the cases it is asked for and prints one JSON line."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -10,14 +8,11 @@ from qminkowski import calculus, cli, dirac, minkowski
 from qminkowski.instance import builtin
 from qminkowski.qalgebra import TruncatedQuotient
 
-LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+from shared import load_module
 
 
 def layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_module("bench_layers", "bench/layers.py")
 
 
 def one_rep(capsys, case):
@@ -209,7 +204,8 @@ def test_cases_and_reps_are_checked(capsys):
             "mink-relations-dense11",
             "fock-suite-classical-n4", "star-cqt-classical",
             "star-cqt-dense11", "r-word-words-dense11", "load-classical",
-            "load-dense11"} <= set(mod.cases())
+            "load-dense11", "scalar-ops-dense11", "mat-mul-dense11",
+            "kron-classical"} <= set(mod.cases())
     for argv in (["--reps", "0"], ["--case", "lorentz-cap3"]):
         with pytest.raises(SystemExit) as exc:
             mod.main(argv)

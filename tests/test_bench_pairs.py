@@ -1,13 +1,14 @@
 """bench/pairs.py refuses a seed range it could not summarise, and
 summarises each per-layer metric over several traced runs per side."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-PAIRS = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+from shared import ROOT, load_module
+
+PAIRS = ROOT / "bench" / "pairs.py"
 
 
 def test_fewer_than_two_seeds_is_a_usage_error(tmp_path):
@@ -23,17 +24,13 @@ def test_fewer_than_two_seeds_is_a_usage_error(tmp_path):
 
 
 def load_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_module("bench_pairs", "bench/pairs.py")
 
 
 def test_traced_runs_give_each_layer_a_median_and_range(tmp_path,
                                                          monkeypatch):
     mod = load_pairs()
-    root = Path(__file__).resolve().parent.parent
-    bench = json.loads((root / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():
         path.mkdir()
@@ -78,8 +75,7 @@ def test_the_record_names_no_checkout_and_finds_the_parent_commit(
     the parent checkout's HEAD, or, for a parent made by git archive, the
     HEAD of a change checkout with uncommitted changes."""
     mod = load_pairs()
-    root = Path(__file__).resolve().parent.parent
-    bench = json.loads((root / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():
         path.mkdir()

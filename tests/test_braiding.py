@@ -23,7 +23,7 @@ from qminkowski.instance import builtin
 from qminkowski.lorentz import make_lorentz, w_id, wbar_id
 from qminkowski.qalgebra import NCPoly, accumulate
 
-from test_quotient_oracle import MOVED, perfbench_dense, perfbench_instance
+from shared import MOVED, perfbench_dense, perfbench_instance
 
 
 def ev_for(b):

@@ -21,29 +21,15 @@ from qminkowski.cli import main
 from qminkowski.dirac import dirac_square_check, gamma
 from qminkowski.errors import CalculusObstruction
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip, kron
-from qminkowski.instance import PoincareInstance, builtin, write_instance
+from qminkowski.instance import builtin, write_instance
 from qminkowski.qalgebra import NCPoly, build_quotient
 
-from test_acceptance import sign_twisted_flip
-
-
-def x(i):
-    return NCPoly.gen(i)
+from shared import MEMO_INSTANCES, ishift, leibniz_breaking, naive_kron, \
+    per_entry_left_mul_gen, rand_instance, shifted, sign_twisted_flip, \
+    twisted, twisted_tshift, x, z_perturbed
 
 
 # --- obstruction matrix -----------------------------------------------------
-
-
-def okron(a, b):
-    """Kronecker product by definition, explicit index loops."""
-    out = Mat.zeros(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    out.data[(i * b.rows + p) * out.cols
-                             + (j * b.cols + q)] = a[i, j] * b[p, q]
-    return out
 
 
 def omul(a, b):
@@ -60,11 +46,12 @@ def omul(a, b):
 def oracle_obstruction(inst):
     i4, i16 = Mat.identity(4), Mat.identity(16)
     r, z, t = inst.R, inst.Z, inst.T
-    inner = omul(okron(i4, z), z)
-    inner = inner - omul(okron(z, i4), z)
-    inner = inner + okron(t, i4)
-    inner = inner - omul(omul(okron(i4, r), okron(r, i4)), okron(i4, t))
-    return omul(okron(r - i16, i4), inner)
+    inner = omul(naive_kron(i4, z), z)
+    inner = inner - omul(naive_kron(z, i4), z)
+    inner = inner + naive_kron(t, i4)
+    inner = inner - omul(omul(naive_kron(i4, r), naive_kron(r, i4)),
+                         naive_kron(i4, t))
+    return omul(naive_kron(r - i16, i4), inner)
 
 
 def kron_obstruction(inst):
@@ -84,21 +71,6 @@ def assert_obstruction_matches_oracles(inst):
     ft = f_tilde(inst)
     assert ft == kron_obstruction(inst)
     assert ft == oracle_obstruction(inst)
-
-
-def rand_instance(seed):
-    rng = random.Random(seed)
-
-    def s():
-        return Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-
-    def m(r, c):
-        return Mat.from_rows([[s() for _ in range(c)] for _ in range(r)])
-
-    return PoincareInstance(
-        name="rand%d" % seed, q=ONE, s=ONE,
-        E=m(4, 1), Eprime=m(1, 4), X=flip(2, 2),
-        R=m(16, 16), Z=m(16, 4), T=m(16, 1))
 
 
 def test_obstruction_matches_index_oracle():
@@ -132,12 +104,6 @@ def test_classical_obstruction_vanishes():
     assert f_tilde(builtin("classical")).is_zero()
 
 
-def z_perturbed():
-    z = Mat.zeros(16, 4)
-    z.data[4 * 1 + 0] = ONE           # Z[(0,1), 0] = 1
-    return dataclasses.replace(builtin("classical"), name="zbent", Z=z)
-
-
 def test_z_perturbation_obstructs(monkeypatch):
     ft = f_tilde(z_perturbed())
     nonzero = {(i, j): ft[i, j]
@@ -166,26 +132,8 @@ def test_z_perturbation_obstructs(monkeypatch):
     assert calc.inst.name == "zbent" and calc.alg.cap == 3
 
 
-def shifted(name, entries):
-    """Classical data with the given {flat index: value} entries of T."""
-    t = Mat.zeros(16, 1)
-    for k, v in entries.items():
-        t.data[k] = v
-    return dataclasses.replace(builtin("classical"), name=name, T=t)
-
-
-def twisted_tshift():
-    """Flip R with sigma_02 = sigma_20 = -1, and T[(0,1)] = 1.
-
-    The calculus obstructs, and x_2 reduces to 0 in the cap-4 quotient
-    (profile [1, 3, 6, 20, 35]).
-    """
-    return dataclasses.replace(shifted("twisted-tshift", {1: ONE}),
-                               R=sign_twisted_flip())
-
-
 def test_central_shift_passes_obstruction():
-    inst = shifted("tshift", {1: Scalar(0, 1)})
+    inst = ishift()
     assert f_tilde(inst).is_zero()
     calc = make_calculus(inst, 3)
     assert calc.check_differential_consistency(3) is None
@@ -312,21 +260,6 @@ def test_identity_checks_name_a_wrong_partial(seeded, check, witness):
 # --- a calculus whose Leibniz check fails -------------------------------------
 
 
-def leibniz_breaking():
-    """Classical data with Z[(0,3), 1] = 2 and T[(1,2)] = -1.
-
-    The obstruction vanishes, but 1 reduces to 0 in the truncated quotient
-    (profile [0, 0, 10, 20, 35] at cap 4), and the Leibniz rule fails at
-    caps 3 and 4 while the other three identities hold.
-    """
-    z = Mat.zeros(16, 4)
-    z.data[13] = Scalar(2)
-    t = Mat.zeros(16, 1)
-    t.data[6] = Scalar(-1)
-    return dataclasses.replace(builtin("classical"), name="zt-bent", Z=z,
-                               T=t)
-
-
 def test_leibniz_check_can_fail(capsys, tmp_path):
     inst = leibniz_breaking()
     assert f_tilde(inst).is_zero()
@@ -350,37 +283,6 @@ def test_leibniz_check_can_fail(capsys, tmp_path):
 
 
 # --- the memoised left action against the unmemoised formulas -----------------
-
-
-MEMO_INSTANCES = [
-    builtin("classical"),
-    shifted("tshift", {1: ONE}),
-    dataclasses.replace(builtin("classical"), name="twisted",
-                        R=sign_twisted_flip()),
-    shifted("imag", {4 * 1 + 3: Scalar(0, Fraction(-3, 2)),
-                     4 * 2 + 0: Scalar(0, 2)}),
-    leibniz_breaking(),
-]
-
-
-def per_entry_left_mul_gen(calc, i, form):
-    """x_i on a one-form, one R or Z entry at a time, normalised per
-    coordinate: the formula the left action of x_i had before its memo."""
-    r, z = calc.inst.R, calc.inst.Z
-    coords = []
-    for k in range(4):
-        acc = NCPoly.zero()
-        for j in range(4):
-            fj = form[j]
-            for l in range(4):
-                c = r[4 * i + j, 4 * k + l]
-                if c:
-                    acc = acc + (NCPoly.gen(l) * fj).scale(c)
-            c = z[4 * i + j, k]
-            if c:
-                acc = acc + fj.scale(c)
-        coords.append(calc.alg.normal_form(acc))
-    return tuple(coords)
 
 
 @pytest.mark.parametrize("inst", MEMO_INSTANCES, ids=lambda i: i.name)
@@ -499,8 +401,7 @@ def nonsymmetric_metric():
     [0,0,0,1]], whose metric is not symmetric."""
     x_ = Mat.from_rows([[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
                         [0, 0, 0, 1]])
-    return dataclasses.replace(builtin("classical"), name="twisted-x",
-                               R=sign_twisted_flip(), X=x_)
+    return dataclasses.replace(twisted(), name="twisted-x", X=x_)
 
 
 @pytest.mark.parametrize("case", ["rand33-free", "twisted-x"])

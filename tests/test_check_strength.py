@@ -12,8 +12,6 @@ with its reason, and a line that only reports is ADVISORY; every line a
 report prints is named in one of the four tables.
 """
 
-import dataclasses
-
 import pytest
 
 import qminkowski.braiding as braiding
@@ -27,18 +25,11 @@ from qminkowski.exact import I, Mat, ONE, Scalar, ZERO
 from qminkowski.instance import builtin
 from qminkowski.qalgebra import accumulate
 
-from test_acceptance import sign_twisted_flip
-from test_calculus import z_perturbed
-from test_quotient_oracle import MOVED
+from shared import MOVED, twisted, z_perturbed
 
 
 def classical():
     return builtin("classical")
-
-
-def twisted():
-    return dataclasses.replace(classical(), name="twisted",
-                               R=sign_twisted_flip())
 
 
 def lines(inst, **params):

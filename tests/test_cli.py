@@ -1,8 +1,7 @@
-"""Command line behavior: exit codes, output stability, JSON shape."""
+"""Command line behavior: exit codes, flags, errors and what one run builds."""
 
 import collections
 import dataclasses
-import hashlib
 import json
 import subprocess
 import sys
@@ -13,26 +12,12 @@ import qminkowski.dirac as dirac
 import qminkowski.fock as fock
 import qminkowski.lorentz as lorentz
 import qminkowski.minkowski as minkowski
-from qminkowski.cli import _SUITES, main, run_suites
-from qminkowski.exact import Mat, ONE, Scalar
+from qminkowski.cli import _SUITES, run_suites
+from qminkowski.exact import Mat, Scalar
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
-from test_calculus import leibniz_breaking, shifted, twisted_tshift, \
+from shared import ROOT, leibniz_breaking, run, tshift, twisted_tshift, \
     z_perturbed
-from test_check_strength import twisted
-from test_pins import CLASSICAL, PINS
-from test_quotient_oracle import ROOT
-
-# The report argv whose --json file test_pins pins: run here for its
-# schema and for run-to-run stability.
-CLASSICAL_REPORTS = [pin.argv for pin in PINS
-                     if pin.source == CLASSICAL and pin.json_sha]
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_validate_classical(capsys):
@@ -145,7 +130,7 @@ def test_braiding_b_gates_exit_code(capsys):
 
 def test_calculus_at_degree_6(capsys, tmp_path):
     path = tmp_path / "tshift.json"
-    write_instance(shifted("tshift", {1: ONE}), str(path))   # T[(0,1)] = 1
+    write_instance(tshift(), str(path))   # T[(0,1)] = 1
     for source in (("--builtin", "classical"), (str(path),)):
         code, out, _ = run(capsys, "calculus", *source, "--degree", "6")
         assert code == 0
@@ -164,30 +149,6 @@ def test_fock_braid_relation_needs_three(capsys):
     code, out, _ = run(capsys, "fock", "--builtin", "classical", "--n", "3")
     assert code == 0
     assert "braid-relation" in out and "skipped" not in out
-
-
-def test_report_json_schema(capsys, tmp_path):
-    path = tmp_path / "report.json"
-    for argv in CLASSICAL_REPORTS:
-        code, out, _ = run(capsys, *argv, "--builtin", "classical",
-                           "--json", str(path))
-        assert code == 0
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"instance", "suites", "pass"}
-        assert doc["pass"] is True
-        names = [s["name"] for s in doc["suites"]]
-        assert names == ["validate", "pbw", "calculus", "dirac", "lorentz",
-                         "braiding", "fock"]
-        for s in doc["suites"]:
-            assert set(s) == {"name", "pass", "details"}
-
-
-def test_report_runs_are_identical(capsys):
-    for argv in CLASSICAL_REPORTS:
-        code1, out1, _ = run(capsys, *argv, "--builtin", "classical")
-        code2, out2, _ = run(capsys, *argv, "--builtin", "classical")
-        assert code1 == code2 == 0
-        assert out1 == out2
 
 
 def suite_blocks(out):
@@ -229,34 +190,6 @@ def test_one_gating_rule(capsys, tmp_path):
     assert validate.passed and rep.passed
     assert [c.name for c in validate.checks if not c.passed] == \
         ["calculus-obstruction"]
-
-
-def pinned(argv, source):
-    """The (exit code, stdout sha256) that tests/test_pins.py pins."""
-    (pin,) = [p for p in PINS if (p.argv, p.source) == (argv, source)]
-    return pin.code, pin.out_sha
-
-
-def test_fock_on_the_sign_twisted_flip_is_pinned(capsys, tmp_path):
-    # With T = 0 the sign-twisted flip is cotriangular, so every braided
-    # check runs off the plain flip, up to four slots.
-    path = tmp_path / "twisted.json"
-    write_instance(twisted(), str(path))
-    code, out, _ = run(capsys, "fock", "--n", "4", str(path))
-    assert "info cotriangular: yes" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
-        pinned(("fock", "--n", "4"), twisted)
-
-
-def test_moved_twisted_report_is_pinned(capsys):
-    # The dense R of instances/moved-twisted.json is cotriangular too, and
-    # its quotient does not collapse.
-    code, out, _ = run(capsys, "report",
-                       str(ROOT / "instances" / "moved-twisted.json"),
-                       "--n", "3")
-    assert "info cotriangular: yes" in out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
-        pinned(("report", "--n", "3"), "moved-twisted.json")
 
 
 def test_moved_twisted_box_commutes_names_its_witness(capsys):
@@ -367,7 +300,6 @@ def test_huge_witness_prints_without_traceback(tmp_path):
 
 
 def test_file_input_round_trip(capsys, tmp_path):
-    from qminkowski.instance import write_instance
     path = tmp_path / "c.json"
     write_instance(builtin("classical"), str(path))
     code, out, _ = run(capsys, "dirac", str(path))

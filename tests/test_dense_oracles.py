@@ -44,11 +44,9 @@ from qminkowski.lorentz import lambda_entries, lambda_invariance_check, \
 from qminkowski.minkowski import make_minkowski, mink_relations
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
-from test_acceptance import rescaled, sign_twisted_flip
-from test_calculus import MEMO_INSTANCES, per_entry_left_mul_gen, \
-    shifted, twisted_tshift, z_perturbed
-from test_dirac import random_gammas
-from test_quotient_oracle import MOVED, perfbench_dense
+from shared import MEMO_INSTANCES, MOVED, imag, per_entry_left_mul_gen, \
+    perfbench_dense, random_gammas, rescaled, sign_twisted_flip, twisted, \
+    twisted_tshift, z_perturbed
 
 
 def dense_instance(seed):
@@ -68,14 +66,7 @@ def dense_instance(seed):
         R=m(16, 16, 0.3), Z=m(16, 4, 0.3), T=m(16, 1, 0.3))
 
 
-INSTANCES = [
-    twisted_tshift(),
-    shifted("imag", {4 * 1 + 3: Scalar(0, Fraction(-3, 2)),
-                     4 * 2 + 0: Scalar(0, 2)}),
-    z_perturbed(),
-    dense_instance(41),
-]
-IDS = [inst.name for inst in INSTANCES]
+INSTANCES = [twisted_tshift(), imag(), z_perturbed(), dense_instance(41)]
 
 
 # --- the dense loops ---------------------------------------------------------
@@ -329,7 +320,7 @@ def test_partials_of_each_word_match_dense_loops(inst):
                     (w, i)
 
 
-@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda i: i.name)
 def test_exchange_table_matches_dense_loops(inst):
     nonzero = 0
     for calc in calculi(inst):
@@ -356,7 +347,7 @@ def test_exchange_table_matches_dense_loops(inst):
     assert nonzero > 300     # of 680 partials: the comparison is not vacuous
 
 
-@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda i: i.name)
 def test_relations_and_rq_match_dense_loops(inst):
     assert mink_relations(inst) == mink_relations_oracle(inst)
     assert lorentz_relations(inst) == lorentz_relations_oracle(inst)
@@ -366,16 +357,14 @@ def test_relations_and_rq_match_dense_loops(inst):
 
 CLIFFORD_INSTANCES = [
     builtin("classical"),
-    dataclasses.replace(builtin("classical"), name="sign-twisted",
-                        R=sign_twisted_flip()),
+    twisted(),
     MOVED,
     *(perfbench_dense(seed, 0.3) for seed in (11, 12, 13)),
     *INSTANCES,
 ]
 
 
-@pytest.mark.parametrize("inst", CLIFFORD_INSTANCES,
-                         ids=[inst.name for inst in CLIFFORD_INSTANCES])
+@pytest.mark.parametrize("inst", CLIFFORD_INSTANCES, ids=lambda i: i.name)
 def test_clifford_residuals_match_the_dense_loop(inst):
     """Every residual Mat equals the dense loop's, for the instance's own
     gammas, the a b = 2 pair of test_dirac and two random sets."""

@@ -1,7 +1,5 @@
 """Metric, gamma matrices and the Dirac operator."""
 
-import dataclasses
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +16,8 @@ from qminkowski.calculus import make_calculus
 from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.qalgebra import NCPoly
 
-from test_acceptance import rescaled, sign_twisted_flip
-from test_calculus import leibniz_breaking, shifted
+from shared import ishift, leibniz_breaking, random_gammas, rescaled, \
+    twisted
 
 
 def eta():
@@ -196,24 +194,7 @@ def test_dirac_square_equals_box():
     assert twice == boxed
 
 
-TWISTED = dataclasses.replace(builtin("classical"), name="twisted",
-                              R=sign_twisted_flip())
-
-
-def random_gammas(seed):
-    """Four 4x4 gammas with small Gaussian-rational entries, most zero."""
-    rng = random.Random(seed)
-
-    def entry():
-        if rng.random() < 0.6:
-            return ZERO
-        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                      Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-
-    return tuple(Mat(4, 4, [entry() for _ in range(16)]) for _ in range(4))
-
-
-@pytest.mark.parametrize("inst", [builtin("classical"), TWISTED],
+@pytest.mark.parametrize("inst", [builtin("classical"), twisted()],
                          ids=["classical", "twisted"])
 def test_dirac_square_matches_applying_twice(inst):
     # random gammas make every (i, j) product distinct, so a swapped index
@@ -231,8 +212,8 @@ def test_dirac_square_matches_applying_twice(inst):
 
 
 @pytest.mark.parametrize("inst", [
-    builtin("classical"), shifted("tshift", {1: Scalar(0, 1)}), TWISTED,
-    leibniz_breaking()], ids=["classical", "tshift", "twisted", "zt-bent"])
+    builtin("classical"), ishift(), twisted(), leibniz_breaking()],
+    ids=lambda i: i.name)
 def test_square_witnesses_match_oracle(inst):
     calc = make_calculus(inst, 4)
     base = gamma(inst)

@@ -21,7 +21,7 @@ from qminkowski.exact import (
 )
 from qminkowski.instance import builtin
 
-from test_quotient_oracle import perfbench_dense
+from shared import naive_kron, perfbench_dense
 
 
 def rand_scalar(rng, span=6):
@@ -39,15 +39,6 @@ def naive_mul(a, b):
     return Mat.from_rows([[sum((a[i, k] * b[k, j] for k in range(a.cols)),
                                ZERO)
                            for j in range(b.cols)] for i in range(a.rows)])
-
-
-def naive_kron(a, b):
-    rows = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            rows.append([a[i, j] * b[p, q]
-                         for j in range(a.cols) for q in range(b.cols)])
-    return Mat.from_rows(rows)
 
 
 # --- scalars -----------------------------------------------------------------

@@ -23,6 +23,8 @@ from qminkowski.instance import builtin
 from qminkowski.minkowski import make_minkowski
 from qminkowski.qalgebra import NCPoly
 
+from shared import x
+
 
 @pytest.fixture(scope="module")
 def alg():
@@ -32,10 +34,6 @@ def alg():
 @pytest.fixture(scope="module")
 def ev0():
     return make_evaluator(builtin("classical"), b=0)
-
-
-def x(i):
-    return NCPoly.gen(i)
 
 
 def tens(alg, *polys):

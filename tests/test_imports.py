@@ -8,15 +8,15 @@ A name listed in a module's ``__all__`` that the module does not define
 fails only ``from module import *``, so each ``__all__`` is checked too.
 The same scan holds the layering: ``instance`` (schema, JSON I/O, builtin)
 imports only ``errors`` and ``exact`` from the package, and no module in
-src/ imports inside a function.
+src/ imports inside a function.  Test modules share their instances and
+helpers through ``tests/shared.py`` and never import one another.
 """
 
 import ast
 import importlib
-import pathlib
 import types
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from shared import ROOT
 
 
 def imported(tree):
@@ -145,3 +145,28 @@ def test_layering_scan_flags_a_violation():
     assert package_imports(tree) == {"dirac", "exact", "fock", "lorentz",
                                      "calculus"}
     assert function_level_imports(tree) == [("f", 7)]
+
+
+def imported_test_modules(tree):
+    """The test_* modules that a module imports, anywhere in it."""
+    names = [name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or ""]
+             + [a.name for a in node.names]]
+    return sorted({part for name in names for part in name.split(".")
+                   if part.startswith("test_")})
+
+
+def test_no_test_module_imports_another():
+    found = {p.name: imported_test_modules(parse(p))
+             for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert "shared.py" in found
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_test_module_scan_flags_an_import():
+    tree = ast.parse("import os\nfrom test_calculus import x\n"
+                     "def f():\n    import tests.test_pins, shared\n"
+                     "    from tests import test_cli\n")
+    assert imported_test_modules(tree) == ["test_calculus", "test_cli",
+                                           "test_pins"]

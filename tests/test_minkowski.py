@@ -6,18 +6,14 @@ import math
 import pytest
 
 from qminkowski.errors import DegreeError
-from qminkowski.exact import Mat, ONE, Scalar
+from qminkowski.exact import Mat, Scalar
 from qminkowski.instance import builtin
 from qminkowski.minkowski import (
     expected_profile, make_minkowski, mink_relations, pbw_check, star_closed,
 )
 from qminkowski.qalgebra import NCPoly
 
-from test_calculus import shifted
-
-
-def x(i):
-    return NCPoly.gen(i)
+from shared import ishift, tshift, x
 
 
 def test_classical_relations_are_commutators():
@@ -60,14 +56,14 @@ def test_mink_star_fixes_generators():
 
 def test_central_shift_keeps_pbw():
     # an imaginary shift is compatible with the star; a real one is not
-    alg = make_minkowski(shifted("shifted", {1: Scalar(0, 1)}), cap=4)
+    alg = make_minkowski(ishift(), cap=4)
     ok, prof = pbw_check(alg, 4)
     assert ok and prof == expected_profile(4)
     assert star_closed(alg)
     assert alg.normal_form(x(1) * x(0)) == \
         x(0) * x(1) + NCPoly.one().scale(Scalar(0, 1))
 
-    real = make_minkowski(shifted("shifted-real", {1: ONE}), cap=3)
+    real = make_minkowski(tshift(), cap=3)
     assert pbw_check(real, 3)[0]
     assert not star_closed(real)
 

@@ -6,7 +6,9 @@ test_pin runs each row through cli.main, so it checks whichever
 qminkowski the interpreter imports: src/ under tier-1, the installed
 package in CI.  A change that moves a pin re-pins its row here and the
 matching one in perfbench/workloads.py, and records the old and new hash
-and the reason in CHANGES.md.
+and the reason in CHANGES.md.  The tests after test_pin read the table
+too: the --json schema and stability of the classical reports, and two
+rows run again.
 """
 
 import hashlib
@@ -17,11 +19,10 @@ from typing import NamedTuple
 import pytest
 
 from qminkowski.cli import main
-from qminkowski.instance import instance_to_dict
+from qminkowski.instance import instance_to_dict, write_instance
 
-from test_calculus import twisted_tshift, z_perturbed
-from test_check_strength import twisted
-from test_quotient_oracle import ROOT, perfbench_generators
+from shared import ROOT, imag, leibniz_breaking, perfbench_generators, \
+    run, tshift, twisted, twisted_tshift, z_perturbed
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -132,6 +133,19 @@ PINS = [
     # check runs off the plain flip, up to four slots
     Pin(("fock", "--n", "4"), twisted, 0,
         "96399fbcb158353cccb3a164f9ed5a58b7b1e7f9eef8d8bbc44c4efa04c0d145"),
+    # the other named instances of tests/shared.py: twisted FAILs clifford
+    # and dirac-square, tshift star-closed and star-compatible, imag
+    # passes, and zt-bent (nonzero Z and T, zero obstruction) FAILs
+    # profile, leibniz, yang-baxter and star-compatible, the verdict of
+    # its cap-4 quotient, where 1 = 0; ROADMAP item 3 revisits it
+    Pin(("report", "--n", "3"), twisted, 1,
+        "f0b6378433afbb5e2414dfbbf8f1f6f99b734c297333ee48ff9bcc3067efe410"),
+    Pin(("report", "--n", "3"), tshift, 1,
+        "11d3c7ca8ba125d805fcccb7dff234b6b42e0cdb01a106ddf0c705628420cdd0"),
+    Pin(("report", "--n", "3"), imag, 0,
+        "5e49d3ba22871d4f2758271011a5e2b7a77cfae43f49f324b02372b133c9a14e"),
+    Pin(("report", "--n", "3"), leibniz_breaking, 1,
+        "039aa282e88c33cdfbc08bd260326ad1ef6994d1489e9641ee48c7a2522b4762"),
     # a dense R with a non-collapsing quotient, whose left action,
     # partials, second partials, Yang-Baxter check and braided Fock path
     # all run.  box-commutes, clifford and dirac-square FAIL because the
@@ -164,6 +178,11 @@ PINS = [
     Pin(("validate",), bool_literal, 2, EMPTY,
         err="error: R[17]: scalar must be four integers\n"),
 ]
+
+
+# the classical report argv of each row that pins a --json file
+CLASSICAL_REPORTS = [pin.argv for pin in PINS
+                     if pin.source == CLASSICAL and pin.json_sha]
 
 
 def source_name(source):
@@ -203,3 +222,55 @@ def test_pin(capsys, tmp_path, pin):
                                                  pin.err)
     if pin.json_sha:
         assert sha256(report.read_bytes()) == pin.json_sha
+
+
+def test_report_json_schema(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    for argv in CLASSICAL_REPORTS:
+        code, out, _ = run(capsys, *argv, "--builtin", "classical",
+                           "--json", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"instance", "suites", "pass"}
+        assert doc["pass"] is True
+        names = [s["name"] for s in doc["suites"]]
+        assert names == ["validate", "pbw", "calculus", "dirac", "lorentz",
+                         "braiding", "fock"]
+        for s in doc["suites"]:
+            assert set(s) == {"name", "pass", "details"}
+
+
+def test_report_runs_are_identical(capsys):
+    for argv in CLASSICAL_REPORTS:
+        code1, out1, _ = run(capsys, *argv, "--builtin", "classical")
+        code2, out2, _ = run(capsys, *argv, "--builtin", "classical")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+def pinned(argv, source):
+    """The (exit code, stdout sha256) that PINS pins for argv and source."""
+    (pin,) = [p for p in PINS if (p.argv, p.source) == (argv, source)]
+    return pin.code, pin.out_sha
+
+
+def test_fock_on_the_sign_twisted_flip_is_pinned(capsys, tmp_path):
+    # With T = 0 the sign-twisted flip is cotriangular, so every braided
+    # check runs off the plain flip, up to four slots.
+    path = tmp_path / "twisted.json"
+    write_instance(twisted(), str(path))
+    code, out, _ = run(capsys, "fock", "--n", "4", str(path))
+    assert "info cotriangular: yes" in out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        pinned(("fock", "--n", "4"), twisted)
+
+
+def test_moved_twisted_report_is_pinned(capsys):
+    # The dense R of instances/moved-twisted.json is cotriangular too, and
+    # its quotient does not collapse.
+    code, out, _ = run(capsys, "report",
+                       str(ROOT / "instances" / "moved-twisted.json"),
+                       "--n", "3")
+    assert "info cotriangular: yes" in out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        pinned(("report", "--n", "3"), "moved-twisted.json")

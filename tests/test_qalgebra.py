@@ -16,11 +16,8 @@ from qminkowski.lorentz import lambda_invariance_check, \
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, build_quotient
 
-from test_quotient_oracle import perfbench_dense
-
-
-def x(i):
-    return NCPoly.gen(i)
+from shared import MOVED, leibniz_breaking, perfbench_dense, \
+    perfbench_instance, x
 
 
 def rand_poly(rng, gens=3, maxdeg=2, terms=4):
@@ -196,8 +193,6 @@ def nf_oracle_quotients():
     """(name, quotient builder): Minkowski quotients at cap 5 on classical,
     imag-shift, Leibniz-breaking (a t-exponent-3 rule), moved-twisted and
     dense seed-11 data, and the classical Lorentz quotient at cap 4."""
-    from test_calculus import leibniz_breaking
-    from test_quotient_oracle import MOVED, perfbench_instance
 
     def mink(make):
         return lambda: build_quotient(4, mink_relations(make()), 5)

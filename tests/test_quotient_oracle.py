@@ -17,8 +17,6 @@ in as soon as it is added.
 """
 
 import dataclasses
-import importlib.util
-import pathlib
 import random
 import time
 from heapq import heapify, heappop, heappush
@@ -28,14 +26,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qminkowski.exact import ONE, Mat, Scalar, kron
-from qminkowski.instance import builtin, instance_from_dict, load_instance
+from qminkowski.instance import builtin
 from qminkowski.lorentz import lorentz_relations
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, TruncatedQuotient, _sub, \
     accumulate, build_quotient
 
-from test_acceptance import sign_twisted_flip
-from test_calculus import leibniz_breaking, rand_instance, shifted, \
+from shared import MOVED, leibniz_breaking, perfbench_dense, \
+    rand_instance, sign_twisted_flip, tshift, twisted, twisted_tshift, \
     z_perturbed
 
 
@@ -107,15 +105,12 @@ def assert_matches_oracle(gens, relations, cap):
 
 
 CLASSICAL = builtin("classical")
-TWISTED = dataclasses.replace(CLASSICAL, name="twisted",
-                              R=sign_twisted_flip())
 BENT = {
-    "tshift": shifted("tshift", {1: ONE}),
+    "tshift": tshift(),
     "zbent": z_perturbed(),
-    "twisted": TWISTED,
+    "twisted": twisted(),
     "leibniz-breaking": leibniz_breaking(),
-    "twisted-tshift": dataclasses.replace(
-        shifted("twisted-tshift", {1: ONE}), R=TWISTED.R),
+    "twisted-tshift": twisted_tshift(),
 }
 
 
@@ -141,36 +136,6 @@ def test_bent_minkowski(name, cap):
 @pytest.mark.parametrize("seed", (31, 32, 33))
 def test_dense_random_minkowski(seed, cap):
     assert_matches_oracle(4, mink_relations(rand_instance(seed)), cap)
-
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERFBENCH_INSTANCES = ROOT / "perfbench" / "instances.py"
-
-
-def perfbench_generators():
-    """perfbench/instances.py, loaded as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_instances",
-                                                  PERFBENCH_INSTANCES)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
-def perfbench_instance(kind, seed, *args):
-    """The instance that perfbench/instances.py's generator kind (dense,
-    imag_shift, complex_shift, zbent) draws from seed and args."""
-    doc = getattr(perfbench_generators(), kind)(
-        "%s%d" % (kind, seed), random.Random(seed), *args)
-    return instance_from_dict(doc)
-
-
-def perfbench_dense(seed, density):
-    """The benchmark's dense family: R, Z and T with the given share of
-    nonzero small real rationals."""
-    return perfbench_instance("dense", seed, density)
-
-
-MOVED = load_instance(ROOT / "instances" / "moved-twisted.json")
 
 
 def test_moved_twisted_file_matches_its_recipe():

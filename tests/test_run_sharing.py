@@ -12,23 +12,21 @@ import pytest
 
 from qminkowski.calculus import make_calculus
 from qminkowski.cli import _SUITES, run_suites
-from qminkowski.exact import ONE
 from qminkowski.instance import builtin
 from qminkowski.minkowski import make_minkowski
 
-from test_calculus import leibniz_breaking, shifted, z_perturbed
-from test_check_strength import twisted
-from test_quotient_oracle import MOVED
+from shared import MOVED, leibniz_breaking, tshift, twisted, z_perturbed
 
 
 def moved():
     return MOVED
 
 
-# Every completion rule of these has t-exponent 0 at caps 2-6.
+# Every completion rule of these has t-exponent 0 at caps 2-6.  The first
+# two stay lambdas, so that their test ids stay <lambda>0 and <lambda>1.
 EXPONENT_ZERO = [
     lambda: builtin("classical"),
-    lambda: shifted("tshift", {1: ONE}),
+    lambda: tshift(),
     twisted,
     z_perturbed,
     moved,

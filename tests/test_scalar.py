@@ -138,6 +138,12 @@ def test_equal_values_hash_equal(x, y):
     if t:
         same = s * t / t
         assert same == s and hash(same) == hash(s)
+    # a real Scalar equals, and so hashes as, the int or Fraction it is
+    for re in (x.re, y.re, Fraction(0), Fraction(1)):
+        plain, real = re.numerator if re.denominator == 1 else re, Scalar(re)
+        assert real == plain and hash(real) == hash(plain)
+        assert {plain: "a"}.get(real) == {real: "a"}.get(plain) == "a"
+        assert len({real, plain, re}) == 1
 
 
 @PROFILE

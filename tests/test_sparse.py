@@ -13,6 +13,8 @@ from qminkowski.exact import I, ONE, Scalar
 from qminkowski.fock import CTensor
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
+from shared import x
+
 GENS = 3
 CAP = 3
 
@@ -26,10 +28,6 @@ short_words = st.lists(st.integers(0, GENS - 1), max_size=1).map(tuple)
 
 def polys(word_strategy=words):
     return st.dictionaries(word_strategy, scalars, max_size=5).map(NCPoly)
-
-
-def x(i):
-    return NCPoly.gen(i)
 
 
 # Mixed-degree relations with complex coefficients, so normal forms both

@@ -7,8 +7,6 @@ failing any other test.  This file reads perfbench/ and changes nothing
 in it.
 """
 
-import importlib.util
-import pathlib
 import sys
 
 import qminkowski.calculus as calculus
@@ -19,7 +17,7 @@ import qminkowski.minkowski as minkowski
 import qminkowski.qalgebra as qalgebra
 from qminkowski.instance import builtin
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+from shared import load_module
 
 # The sites perfbench/selftest.py checks for wrap and restore, and every
 # suite, whose cli.suite_s.* metric would read zero after a rename.
@@ -34,11 +32,7 @@ SITES = [
 
 
 def spantrace():
-    spec = importlib.util.spec_from_file_location(
-        "spantrace", PERFBENCH / "spantrace.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_module("spantrace", "perfbench/spantrace.py")
 
 
 def bindings():
