@@ -16,7 +16,7 @@ from .dirac import metric, gamma, clifford_check, clifford_ok, \
 from .lorentz import make_lorentz, lambda_entries, lambda_invariance_check
 from .braiding import CqtEvaluator, build_rq, yang_baxter_check, \
     counit_b, make_evaluator, star_cqt_check, ct_check, lorentz_r_blocks
-from .fock import CTensor, coaction, interchange_k, braid_action, \
+from .fock import tensor, coaction, interchange_k, braid_action, \
     symmetrize, lift_operator
 
 __version__ = "0.1.0"

@@ -276,8 +276,7 @@ def suite_fock(run: _Run) -> list:
     gens = [NCPoly.gen(i) for i in range(4)]
 
     def tensors(size):
-        return (fock.CTensor.from_polys(alg, ps)
-                for ps in product(gens, repeat=size))
+        return (fock.tensor(alg, ps) for ps in product(gens, repeat=size))
 
     def act(perms, t):
         for p in perms:
@@ -285,8 +284,7 @@ def suite_fock(run: _Run) -> list:
         return t
 
     def idempotent(size):
-        sym = fock.symmetrize(ev, alg,
-                              fock.CTensor.from_polys(alg, gens[:size]))
+        sym = fock.symmetrize(ev, alg, fock.tensor(alg, gens[:size]))
         return fock.symmetrize(ev, alg, sym) == sym
 
     # A generator can reduce in the quotient, so compare with its normal form.

@@ -92,6 +92,9 @@ class Scalar:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("a Scalar part must be exact, not a float: "
+                            "floats carry rounding")
         re, im = Fraction(re), Fraction(im)
         s = Scalar.from_quad(re.numerator, re.denominator,
                              im.numerator, im.denominator)

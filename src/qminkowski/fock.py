@@ -1,18 +1,20 @@
 """Tensor powers of the coordinate algebra and braided symmetrization.
 
-A CTensor is a finitely supported sum of n-fold word tensors with every
-slot in normal form.  The affine coaction x_i -> sum_j Lambda_ij (x) x_j
-+ y_i (x) 1, the coproduct of the translation y_i = P_i4 with x_j read
-for y_j, feeds the evaluator pairing; the interchange operator K on two
+A tensor of n slots is a plain term dict {tuple of n normal-form words:
+nonzero coeff}, the kind of dict that coaction and
+TruncatedQuotient.word_normal_form return, summed through
+qalgebra.accumulate; tensor() builds one from algebra elements.  Each
+operator reads n from its permutation or from the keys, and _slots alone
+checks that every key has n slots, at most MAX_SLOTS.  A result may be
+its input's own dict (braid_action by the identity is), so it is read,
+not changed.  The affine coaction x_i -> sum_j Lambda_ij (x) x_j + y_i
+(x) 1, the coproduct of the translation y_i = P_i4 with x_j read for
+y_j, feeds the evaluator pairing; the interchange operator K on two
 slots is the braiding that replaces the plain flip.  Symmetric-group
 actions on n slots demand a cotriangular evaluator, since only then do
 the adjacent interchanges satisfy the braid and involution identities
 that make the action well defined.  The coaction of a word and K on a
 word pair are memoised in ``alg.memos``, and live and die with alg.
-
-Inside the module every operator works on plain term dicts, {slot words:
-nonzero coeff}, summed through qalgebra.accumulate; a public function
-wraps its result in a CTensor once, when it returns.
 """
 
 from __future__ import annotations
@@ -26,78 +28,38 @@ from .braiding import CqtEvaluator, coproduct
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate
 
 __all__ = [
-    "CTensor", "coaction", "interchange_k", "braid_action",
+    "tensor", "coaction", "interchange_k", "braid_action",
     "symmetrize", "lift_operator",
 ]
 
 MAX_SLOTS = 4
 
 
-class CTensor:
-    """Exact linear combination of n-fold tensors of basis words."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        t = {}
-        if terms:
-            for ws, c in terms.items():
-                if len(ws) != n:
-                    raise ValueError("tensor term with %d slots, want %d"
-                                     % (len(ws), n))
-                if c:
-                    t[ws] = c
-        self.terms = t
-
-    @staticmethod
-    def from_polys(alg: TruncatedQuotient, polys) -> "CTensor":
-        """Tensor product of algebra elements, slots normal-formed."""
-        acc = {(): ONE}
-        for p in polys:
-            nfp = alg.normal_form(p).terms
-            acc = {ws + (w,): c * cw for ws, c in acc.items()
-                   for w, cw in nfp.items()}
-        return _tensor(len(polys), acc)
-
-    def __add__(self, other):
-        if not isinstance(other, CTensor) or other.n != self.n:
-            raise ValueError("slot count mismatch")
-        return _tensor(self.n, accumulate(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, c) -> "CTensor":
-        return _tensor(self.n, {ws: c * v for ws, v in self.terms.items()}
-                       if c else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CTensor):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "CTensor(%d, 0)" % self.n
-        bits = []
-        for ws in sorted(self.terms, key=lambda t: tuple(map(len, t))):
-            bits.append("(%r)*%s" % (self.terms[ws],
-                                     " (x) ".join(str(list(w)) for w in ws)))
-        return "CTensor(%d, %s)" % (self.n, " + ".join(bits))
+def tensor(alg: TruncatedQuotient, polys) -> dict:
+    """The tensor product of algebra elements, each slot normal-formed."""
+    acc = {(): ONE}
+    for p in polys:
+        nfp = alg.normal_form(p).terms
+        acc = {ws + (w,): c * cw for ws, c in acc.items()
+               for w, cw in nfp.items()}
+    return acc
 
 
-def _tensor(n: int, terms) -> CTensor:
-    """Wrap n-slot terms that hold no zero coefficient, without copying."""
-    t = CTensor.__new__(CTensor)
-    t.n, t.terms = n, terms
-    return t
+def _slots(t: dict, n=None) -> int:
+    """The slot count of the tensor t: n if given, else that of its keys
+    (0 for the zero tensor {}).  Every key must have n slots, and n may
+    not pass MAX_SLOTS."""
+    for ws in t:
+        if n is None:
+            n = len(ws)
+        elif len(ws) != n:
+            raise ValueError("tensor term with %d slots, want %d"
+                             % (len(ws), n))
+    if n is None:
+        return 0
+    if n > MAX_SLOTS:
+        raise ValueError("at most %d slots supported" % MAX_SLOTS)
+    return n
 
 
 def _coaction_word(alg: TruncatedQuotient, w):
@@ -143,14 +105,6 @@ def _k_pair(ev: CqtEvaluator, alg: TruncatedQuotient, wp, wq):
     return out
 
 
-def interchange_k(ev: CqtEvaluator, alg: TruncatedQuotient,
-                  t: CTensor) -> CTensor:
-    """The braiding on a two-slot tensor."""
-    if t.n != 2:
-        raise ValueError("interchange_k acts on two slots")
-    return _tensor(2, _act(ev, alg, (1, 0), t.terms))
-
-
 def _act(ev, alg, perm, terms) -> dict:
     """The permutation action on a term dict: perm is bubble-sorted, and
     for each swap at pos, the last first, K acts on slots (pos, pos + 1)."""
@@ -171,19 +125,20 @@ def _act(ev, alg, perm, terms) -> dict:
     return terms
 
 
+def interchange_k(ev: CqtEvaluator, alg: TruncatedQuotient, t: dict) -> dict:
+    """The braiding on a two-slot tensor."""
+    _slots(t, 2)
+    return _act(ev, alg, (1, 0), t)
+
+
 def _require_ct(ev: CqtEvaluator):
     if not ev.is_cotriangular():
         raise NotCotriangular("symmetric-group actions need a cotriangular "
                               "evaluator; this one is not")
 
 
-def _require_slots(n: int):
-    if n > MAX_SLOTS:
-        raise ValueError("at most %d slots supported" % MAX_SLOTS)
-
-
 def braid_action(ev: CqtEvaluator, alg: TruncatedQuotient, perm,
-                 t: CTensor) -> CTensor:
+                 t: dict) -> dict:
     """Permutation action with adjacent interchanges in place of flips.
 
     perm lists, for each output slot, the input slot it receives, so the
@@ -191,38 +146,37 @@ def braid_action(ev: CqtEvaluator, alg: TruncatedQuotient, perm,
     decomposition gives the same operator in the cotriangular case.
     """
     perm = tuple(perm)
-    if sorted(perm) != list(range(t.n)):
-        raise ValueError("perm must permute 0..%d" % (t.n - 1))
-    _require_slots(t.n)
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("perm must permute 0..%d" % (len(perm) - 1))
+    _slots(t, len(perm))
     _require_ct(ev)
-    return _tensor(t.n, _act(ev, alg, perm, t.terms))
+    return _act(ev, alg, perm, t)
 
 
-def symmetrize(ev: CqtEvaluator, alg: TruncatedQuotient,
-               t: CTensor) -> CTensor:
+def symmetrize(ev: CqtEvaluator, alg: TruncatedQuotient, t: dict) -> dict:
     """Average of the braided action over the symmetric group."""
     _require_ct(ev)
-    _require_slots(t.n)
-    out, weight = {}, Scalar(1) / Scalar(factorial(t.n))
-    for perm in permutations(range(t.n)):
-        accumulate(out, _act(ev, alg, perm, t.terms), weight)
-    return _tensor(t.n, out)
+    n = _slots(t)
+    out, weight = {}, Scalar(1) / Scalar(factorial(n))
+    for perm in permutations(range(n)):
+        accumulate(out, _act(ev, alg, perm, t), weight)
+    return out
 
 
 def lift_operator(ev: CqtEvaluator, alg: TruncatedQuotient, w_op,
-                  t: CTensor) -> CTensor:
+                  t: dict) -> dict:
     """Lift a one-slot operator W to the n slots of t:
     sum_m pi_(0,m) (W on slot 0) pi_(0,m)."""
     _require_ct(ev)
-    _require_slots(t.n)
+    n = _slots(t)
     total = {}
-    for m in range(t.n):
-        perm = list(range(t.n))
+    for m in range(n):
+        perm = list(range(n))
         perm[0], perm[m] = perm[m], perm[0]
         hit = {}
-        for ws, c in _act(ev, alg, perm, t.terms).items():
+        for ws, c in _act(ev, alg, perm, t).items():
             img = alg.normal_form(w_op(NCPoly.from_word(ws[0])))
             accumulate(hit, {(w0,) + ws[1:]: c0
                              for w0, c0 in img.terms.items()}, c)
         accumulate(total, _act(ev, alg, perm, hit))
-    return _tensor(t.n, total)
+    return total

@@ -115,7 +115,10 @@ class NCPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
+        """Terms {word: coeff}: int and Fraction coefficients become
+        Scalars, and zero ones are dropped."""
+        self.terms = {w: c if isinstance(c, Scalar) else Scalar(c)
+                      for w, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -131,8 +134,6 @@ class NCPoly:
 
     @staticmethod
     def from_word(w, coeff=ONE) -> "NCPoly":
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar(coeff)
         return NCPoly({tuple(w): coeff})
 
     def is_zero(self) -> bool:
@@ -153,9 +154,13 @@ class NCPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         return _poly(accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -447,9 +452,10 @@ class TruncatedQuotient:
         return self._levels()[degree]
 
     def basis_upto(self, degree: int):
+        """The basis words of degrees 0..degree, yielded lazily; a degree
+        above the cap raises DegreeError here, at the call."""
         self._within_cap(degree)
-        for d in range(degree + 1):
-            yield from self._levels()[d]
+        return (w for d in range(degree + 1) for w in self._levels()[d])
 
     def dimension_profile(self):
         """Number of basis words in each degree 0..cap."""

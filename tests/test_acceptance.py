@@ -16,12 +16,12 @@ from qminkowski.dirac import clifford_check, clifford_ok, \
     dirac_square_check, gamma, metric
 from qminkowski.errors import CalculusObstruction
 from qminkowski.exact import I, Mat, ONE, PAULI, Scalar, ZERO
-from qminkowski.fock import CTensor, braid_action, interchange_k, \
-    lift_operator, symmetrize
+from qminkowski.fock import braid_action, interchange_k, lift_operator, \
+    symmetrize, tensor
 from qminkowski.instance import builtin
 from qminkowski.lorentz import lambda_invariance_check, make_lorentz
 from qminkowski.minkowski import make_minkowski, pbw_check
-from qminkowski.qalgebra import NCPoly
+from qminkowski.qalgebra import NCPoly, accumulate
 
 from shared import rescaled, tshift, twisted, twisted_tshift, x
 
@@ -169,15 +169,15 @@ def test_criterion_8_fock_sector():
     invol_ok = True
     for i in range(4):
         for j in range(4):
-            t = CTensor.from_polys(alg, [x(i), x(j)])
+            t = tensor(alg, [x(i), x(j)])
             k1 = interchange_k(ev, alg, t)
-            flip_ok &= k1 == CTensor.from_polys(alg, [x(j), x(i)])
+            flip_ok &= k1 == tensor(alg, [x(j), x(i)])
             invol_ok &= interchange_k(ev, alg, k1) == t
 
     s0, s1 = (1, 0, 2), (0, 2, 1)
     braid_ok = True
     for i, j, k in itertools.product(range(4), repeat=3):
-        t = CTensor.from_polys(alg, [x(i), x(j), x(k)])
+        t = tensor(alg, [x(i), x(j), x(k)])
         lhs = braid_action(ev, alg, s0,
                            braid_action(ev, alg, s1,
                                         braid_action(ev, alg, s0, t)))
@@ -188,14 +188,14 @@ def test_criterion_8_fock_sector():
 
     proj_ok = True
     for slots in ([x(0), x(1)], [x(2), x(2)], [x(0), x(1), x(3)]):
-        s = symmetrize(ev, alg, CTensor.from_polys(alg, slots))
+        s = symmetrize(ev, alg, tensor(alg, slots))
         proj_ok &= symmetrize(ev, alg, s) == s
 
     calc = make_calculus(inst, 4)
-    state = symmetrize(ev, alg, CTensor.from_polys(alg, [x(0), x(0)]))
+    state = symmetrize(ev, alg, tensor(alg, [x(0), x(0)]))
     lifted = lift_operator(ev, alg, lambda p: calc.partial(0, p), state)
-    want = symmetrize(ev, alg,
-                      CTensor.from_polys(alg, [one, x(0)])).scale(Scalar(2))
+    want = accumulate({}, symmetrize(ev, alg, tensor(alg, [one, x(0)])),
+                      Scalar(2))
     lift_ok = lifted == want
 
     dt = time.monotonic() - t0

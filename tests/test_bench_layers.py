@@ -15,18 +15,6 @@ def layers():
     return load_module("bench_layers", "bench/layers.py")
 
 
-def one_rep(capsys, case):
-    assert layers().main(["--reps", "1", "--case", case]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["reps"] == 1
-    assert list(doc["cpu_s"]) == [case]
-    assert doc["cpu_s"][case] > 0
-
-
-def test_one_rep_of_one_case(capsys):
-    one_rep(capsys, "mink-dense11-cap3")
-
-
 def test_quotient_cases_count_their_rewriting(capsys):
     """One untimed completion of dense seed 11 at cap 3 takes 574 rewriting
     steps in 117 _reduce calls; a case that builds no quotient has none,
@@ -54,6 +42,19 @@ QUOTIENT_STEPS = {
 }
 
 
+def test_one_rep_of_every_case(capsys):
+    """One rep times every case above 0, and counts the rewriting of
+    exactly the quotient cases: mink-relations-dense11 is named mink-*
+    but builds no quotient."""
+    mod = layers()
+    assert mod.main(["--reps", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reps"] == 1
+    assert list(doc["cpu_s"]) == list(mod.cases())
+    assert all(seconds > 0 for seconds in doc["cpu_s"].values())
+    assert set(doc["steps"]) == set(QUOTIENT_STEPS)
+
+
 def test_quotient_cases_keep_their_rewriting_counts():
     mod = layers()
     known = mod.cases()
@@ -63,29 +64,7 @@ def test_quotient_cases_keep_their_rewriting_counts():
             for name in QUOTIENT_STEPS} == QUOTIENT_STEPS
 
 
-def test_one_rep_of_the_clifford_and_relation_cases(capsys):
-    for case in ("clifford-classical", "clifford-dense11",
-                 "mink-relations-dense11"):
-        one_rep(capsys, case)
-    # a case named mink-* that builds no quotient counts no completion
-    assert layers().main(["--reps", "1", "--case",
-                          "mink-relations-dense11"]) == 0
-    assert json.loads(capsys.readouterr().out)["steps"] == {}
-
-
-def test_one_rep_of_the_word_pairing_case(capsys):
-    one_rep(capsys, "r-word-words-dense11")
-
-
-def test_one_rep_of_an_inverse_case(capsys):
-    one_rep(capsys, "rq-inverse-dense11")
-
-
-def test_one_rep_of_a_calculus_case(capsys):
-    one_rep(capsys, "leibniz-imag-deg5")
-
-
-def test_normal_forms_case_reads_cold_normal_forms(capsys):
+def test_normal_forms_case_reads_cold_normal_forms():
     method = TruncatedQuotient.word_normal_form
     call = layers().cases()["normal-forms-imag-deg5"]()
     assert TruncatedQuotient.word_normal_form is method
@@ -95,24 +74,6 @@ def test_normal_forms_case_reads_cold_normal_forms(capsys):
     assert len(set(words) - set(alg.basis_upto(5))) == 201
     call()
     assert set(words) <= set(alg._memo)
-    one_rep(capsys, "normal-forms-imag-deg5")
-
-
-def test_one_rep_of_the_differential_and_f_tilde_cases(capsys):
-    one_rep(capsys, "differential-imag-deg5")
-    one_rep(capsys, "f-tilde-classical")
-
-
-def test_one_rep_of_the_dirac_square_case(capsys):
-    one_rep(capsys, "dirac-square-classical-deg4")
-
-
-def test_one_rep_of_the_lorentz_suite_case(capsys):
-    one_rep(capsys, "lorentz-suite-classical")
-
-
-def test_one_rep_of_the_report_case(capsys):
-    one_rep(capsys, "report-classical")
 
 
 def test_degree_2_report_case_passes_every_suite():
@@ -146,28 +107,11 @@ def test_dirac_suite_case_reads_the_calculus_suite_calculus(monkeypatch):
     assert run.quotients == {4: alg} and alg.memos["calculus"] is calc
 
 
-def test_one_rep_of_each_load_case(capsys):
-    one_rep(capsys, "load-classical")
-    one_rep(capsys, "load-dense11")
-
-
 def test_load_cases_build_their_instances():
     cases = layers().cases()
     assert cases["load-classical"]().args[0].endswith("classical.json")
     assert cases["load-classical"]()() == builtin("classical")
     assert cases["load-dense11"]()().name == "dense11"
-
-
-def test_one_rep_of_the_metric_case(capsys):
-    one_rep(capsys, "metric-classical")
-
-
-def test_one_rep_of_the_fock_suite_case(capsys):
-    one_rep(capsys, "fock-suite-classical-n4")
-
-
-def test_one_rep_of_the_star_cqt_case(capsys):
-    one_rep(capsys, "star-cqt-dense11")
 
 
 def test_classical_star_cqt_case_reads_every_pairing():

@@ -75,7 +75,8 @@ def k_pair_swapped(monkeypatch):
 
 
 def symmetrize_doubled(monkeypatch):
-    wrap(monkeypatch, fock, "symmetrize", lambda t: t.scale(Scalar(2)))
+    wrap(monkeypatch, fock, "symmetrize",
+         lambda t: {ws: c * Scalar(2) for ws, c in t.items()})
 
 
 def rq_row_zeroed(monkeypatch):

@@ -18,9 +18,9 @@ algebra truncated at the same cap, where no term is reduced away.
 
 The braided permutation action and the symmetrizer are compared with the
 per-permutation loops they replaced, which apply each interchange of a
-bubble-sort decomposition as one two-slot CTensor per term and add the
-n! images as CTensors, on the classical flip and on the sign-twisted
-flip (both cotriangular at b = 0).
+bubble-sort decomposition as one two-slot tensor per term and add the
+n! images through accumulate, on the classical flip and on the
+sign-twisted flip (both cotriangular at b = 0).
 """
 
 import dataclasses
@@ -35,7 +35,7 @@ from qminkowski.braiding import build_rq, make_evaluator
 from qminkowski.calculus import FirstOrderCalculus
 from qminkowski.dirac import clifford_check, gamma, metric
 from qminkowski.errors import DegreeError
-from qminkowski.fock import CTensor, braid_action, interchange_k, symmetrize
+from qminkowski.fock import braid_action, interchange_k, symmetrize, tensor
 from qminkowski.exact import I, Mat, ONE, Scalar, V, V_INV, ZERO, flip, \
     kron, sqrt_q
 from qminkowski.instance import builtin
@@ -267,12 +267,12 @@ def clifford_oracle(inst, gs, g):
 
 
 def k_at_oracle(ev, alg, t, pos):
-    """K on slots (pos, pos + 1), one two-slot CTensor per term."""
-    out = CTensor(t.n)
-    for ws, c in t.terms.items():
-        pair = interchange_k(ev, alg, CTensor(2, {ws[pos:pos + 2]: c}))
-        out = out + CTensor(t.n, {ws[:pos] + p + ws[pos + 2:]: v
-                                  for p, v in pair.terms.items()})
+    """K on slots (pos, pos + 1), one two-slot tensor per term."""
+    out = {}
+    for ws, c in t.items():
+        pair = interchange_k(ev, alg, {ws[pos:pos + 2]: c})
+        accumulate(out, {ws[:pos] + p + ws[pos + 2:]: v
+                         for p, v in pair.items()})
     return out
 
 
@@ -293,10 +293,11 @@ def braid_action_oracle(ev, alg, perm, t):
 
 
 def symmetrize_oracle(ev, alg, t):
-    acc = CTensor(t.n)
-    for perm in itertools.permutations(range(t.n)):
-        acc = acc + braid_action_oracle(ev, alg, perm, t)
-    return acc.scale(Scalar(1) / Scalar(math.factorial(t.n)))
+    n = len(next(iter(t)))
+    acc = {}
+    for perm in itertools.permutations(range(n)):
+        accumulate(acc, braid_action_oracle(ev, alg, perm, t))
+    return accumulate({}, acc, Scalar(1) / Scalar(math.factorial(n)))
 
 
 def calculi(inst, cap=3):
@@ -449,7 +450,7 @@ def test_braided_actions_match_the_per_permutation_loops(r):
                        for _ in range(2)})
 
     for n in (2, 3, 4):
-        t = CTensor.from_polys(alg, [slot() for _ in range(n)])
+        t = tensor(alg, [slot() for _ in range(n)])
         for perm in itertools.permutations(range(n)):
             assert braid_action(ev, alg, perm, t) == \
                 braid_action_oracle(ev, alg, perm, t), perm

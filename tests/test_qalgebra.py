@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,26 @@ def test_ncpoly_words_concatenate():
     assert x(1) * x(0) != p
     assert NCPoly.from_word((2, 0, 1)).degree() == 3
     assert NCPoly.zero().degree() == -1 or NCPoly.zero().is_zero()
+
+
+def test_ncpoly_coefficients_become_scalars():
+    """int and Fraction coefficients are stored as Scalars, and zero ones
+    are dropped, so a polynomial built from plain numbers adds and
+    multiplies like any other."""
+    p = NCPoly({(0,): 1, (1,): Fraction(1, 2), (2,): 0, (): Fraction(0)})
+    assert p.terms == {(0,): ONE, (1,): Scalar(Fraction(1, 2))}
+    assert all(type(c) is Scalar for c in p.terms.values())
+    assert x(0) + p == NCPoly({(0,): 2, (1,): Fraction(1, 2)})
+    assert x(0) * p == NCPoly({(0, 0): 1, (0, 1): Fraction(1, 2)})
+    assert p - x(0) == NCPoly({(1,): Fraction(1, 2)})
+
+
+def test_ncpoly_sums_refuse_other_types():
+    for other in (1, ONE, Fraction(1, 2), "x"):
+        for op in (lambda: x(0) + other, lambda: other + x(0),
+                   lambda: x(0) - other, lambda: other - x(0)):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_star_is_antimultiplicative():
@@ -145,6 +166,18 @@ def test_degree_errors():
     q = build_quotient(2, comm_relations(2), 3)
     with pytest.raises(DegreeError):
         q.normal_form(NCPoly.from_word((0, 0, 0, 0)))
+
+
+def test_basis_upto_checks_the_cap_when_called():
+    q = build_quotient(2, comm_relations(2), 3)
+    with pytest.raises(DegreeError, match="degree 9 exceeds cap 3"):
+        q.basis_upto(9)
+    # the words still come one at a time: the basis is built on first read
+    words = q.basis_upto(3)
+    assert q._basis is None
+    assert next(words) == ()
+    assert q._basis is not None
+    assert list(words) == [w for d in range(1, 4) for w in q.basis(d)]
 
 
 def test_basis_upto_matches_profile():

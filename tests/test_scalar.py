@@ -169,6 +169,16 @@ def test_repr_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_float_parts_are_refused():
+    """Scalar(0.1) would be 3602879701896397/36028797018963968: floats
+    carry rounding, so neither part may be one."""
+    for re, im in ((0.1, 0), (1, 0.5), (Fraction(1, 2), 2.0), (0.0, 0.0)):
+        with pytest.raises(TypeError, match="float"):
+            Scalar(re, im)
+    with pytest.raises(TypeError, match="float"):
+        Scalar(1.0)
+
+
 def test_zero_is_one_triple():
     for z in (ZERO, Scalar(Fraction(0, 5), 0), Scalar(1, 1) - Scalar(1, 1),
               Scalar(Fraction(1, 3)) * 0, Scalar(0, Fraction(2, 7)) / 5 * 0):

@@ -1,4 +1,4 @@
-"""Property tests for the sparse accumulate behind NCPoly and CTensor.
+"""Property tests for the sparse accumulate behind NCPoly and the term dicts.
 
 Random small polynomials with Gaussian-rational coefficients; every result
 must store only nonzero coefficients, and the ring laws must hold exactly.
@@ -10,7 +10,6 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from qminkowski.exact import I, ONE, Scalar
-from qminkowski.fock import CTensor
 from qminkowski.qalgebra import NCPoly, accumulate, build_quotient
 
 from shared import x
@@ -79,20 +78,6 @@ def test_normal_form_idempotent_and_sparse(p):
     assert no_zeros(nf.terms)
     assert QUOTIENT.normal_form(nf) == nf
     assert set(nf.terms) <= BASIS
-
-
-slot_pairs = st.dictionaries(st.tuples(short_words, short_words), scalars,
-                             max_size=5)
-
-
-@PROFILE
-@given(slot_pairs, slot_pairs)
-def test_ctensor_add_stores_no_zero(a, b):
-    s, t = CTensor(2, a), CTensor(2, b)
-    for r in (s + t, s - t, s + t.scale(Scalar(-1)), s - s):
-        assert no_zeros(r.terms)
-    assert (s - s).is_zero()
-    assert (s + t) - t == s
 
 
 def termwise(out, terms, c=None):
