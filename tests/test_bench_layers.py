@@ -1,5 +1,7 @@
 """bench/layers.py times the cases it is asked for and prints one JSON line."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -13,6 +15,29 @@ from shared import load_module
 
 def layers():
     return load_module("bench_layers", "bench/layers.py")
+
+
+@pytest.fixture(scope="module")
+def every_case():
+    """The JSON of one run of main(["--reps", "1"]) over every case, shared
+    by the one-rep tests below."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert layers().main(["--reps", "1"]) == 0
+    return json.loads(out.getvalue())
+
+
+def one_rep(doc, *names):
+    for name in names:
+        assert doc["cpu_s"][name] > 0
+
+
+def test_one_rep_of_one_case(capsys):
+    assert layers().main(["--reps", "1", "--case", "mink-dense11-cap3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reps"] == 1
+    assert list(doc["cpu_s"]) == ["mink-dense11-cap3"]
+    assert doc["cpu_s"]["mink-dense11-cap3"] > 0
 
 
 def test_quotient_cases_count_their_rewriting(capsys):
@@ -42,17 +67,66 @@ QUOTIENT_STEPS = {
 }
 
 
-def test_one_rep_of_every_case(capsys):
+def test_one_rep_of_every_case(every_case):
     """One rep times every case above 0, and counts the rewriting of
     exactly the quotient cases: mink-relations-dense11 is named mink-*
     but builds no quotient."""
-    mod = layers()
-    assert mod.main(["--reps", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = every_case
     assert doc["reps"] == 1
-    assert list(doc["cpu_s"]) == list(mod.cases())
+    assert list(doc["cpu_s"]) == list(layers().cases())
     assert all(seconds > 0 for seconds in doc["cpu_s"].values())
     assert set(doc["steps"]) == set(QUOTIENT_STEPS)
+
+
+def test_one_rep_of_the_clifford_and_relation_cases(every_case):
+    one_rep(every_case, "clifford-classical", "clifford-dense11",
+            "mink-relations-dense11")
+    # a case named mink-* that builds no quotient counts no completion
+    assert "mink-relations-dense11" not in every_case["steps"]
+
+
+def test_one_rep_of_the_word_pairing_case(every_case):
+    one_rep(every_case, "r-word-words-dense11")
+
+
+def test_one_rep_of_an_inverse_case(every_case):
+    one_rep(every_case, "rq-inverse-dense11")
+
+
+def test_one_rep_of_a_calculus_case(every_case):
+    one_rep(every_case, "leibniz-imag-deg5")
+
+
+def test_one_rep_of_the_differential_and_f_tilde_cases(every_case):
+    one_rep(every_case, "differential-imag-deg5", "f-tilde-classical")
+
+
+def test_one_rep_of_the_dirac_square_case(every_case):
+    one_rep(every_case, "dirac-square-classical-deg4")
+
+
+def test_one_rep_of_the_lorentz_suite_case(every_case):
+    one_rep(every_case, "lorentz-suite-classical")
+
+
+def test_one_rep_of_the_report_case(every_case):
+    one_rep(every_case, "report-classical")
+
+
+def test_one_rep_of_each_load_case(every_case):
+    one_rep(every_case, "load-classical", "load-dense11")
+
+
+def test_one_rep_of_the_metric_case(every_case):
+    one_rep(every_case, "metric-classical")
+
+
+def test_one_rep_of_the_fock_suite_case(every_case):
+    one_rep(every_case, "fock-suite-classical-n4")
+
+
+def test_one_rep_of_the_star_cqt_case(every_case):
+    one_rep(every_case, "star-cqt-dense11")
 
 
 def test_quotient_cases_keep_their_rewriting_counts():
