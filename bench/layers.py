@@ -70,12 +70,13 @@ Each case has a set-up that runs, untimed, before every rep and returns
 the call to time, so no rep reads what an earlier one memoised.  Each
 quotient case (``mink-dense*``, ``mink-moved-*`` and ``lorentz-cap*``)
 also runs once untimed with its completion counted: the rewriting steps
-(the ``_match`` calls that find a rule) and the ``_reduce`` calls, which
-timer noise cannot hide.  One
+(the ``_match`` calls that find a rule) and the walked words (the
+``_walk`` calls: each word of a degree's items that the degree's memo
+lacks when completion asks for it), which timer noise cannot hide.  One
 JSON line goes to stdout: the Python version, N, each case's seconds,
-and the counts as ``"steps": {case: [steps, calls]}``.  The package is
-imported from PYTHONPATH, so pointing it at another checkout's ``src``
-times that checkout on the same cases.
+and the counts as ``"steps": {case: [steps, walked words]}``.  The
+package is imported from PYTHONPATH, so pointing it at another
+checkout's ``src`` times that checkout on the same cases.
 """
 
 from __future__ import annotations
@@ -271,26 +272,26 @@ def word_pairings(ev):
 
 
 def rewriting(gens, relations, cap):
-    """[rewriting steps, _reduce calls] of one completion, counted by
-    wrapping TruncatedQuotient._match and _reduce while it runs."""
+    """[rewriting steps, walked words] of one completion, counted by
+    wrapping TruncatedQuotient._match and _walk while it runs."""
     counts = [0, 0]
-    match, reduce = TruncatedQuotient._match, TruncatedQuotient._reduce
+    match, walk = TruncatedQuotient._match, TruncatedQuotient._walk
 
     def counted_match(self, w, slack):
         found = match(self, w, slack)
         counts[0] += found is not None
         return found
 
-    def counted_reduce(self, terms, degree):
+    def counted_walk(self, w, top, memo):
         counts[1] += 1
-        return reduce(self, terms, degree)
+        return walk(self, w, top, memo)
 
     TruncatedQuotient._match = counted_match
-    TruncatedQuotient._reduce = counted_reduce
+    TruncatedQuotient._walk = counted_walk
     try:
         TruncatedQuotient(gens, relations, cap)
     finally:
-        TruncatedQuotient._match, TruncatedQuotient._reduce = match, reduce
+        TruncatedQuotient._match, TruncatedQuotient._walk = match, walk
     return counts
 
 

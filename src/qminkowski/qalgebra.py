@@ -17,15 +17,15 @@ degree at a time up to the cap.  Each rule rewrites its lead word u to
 smaller words and carries a t-exponent k: in the cap-c quotient it
 applies to a word w containing u only when k <= c - |w|, so a relation
 with constant or linear terms can give rules that act on short words
-only.  Once a degree is complete, every tail is reduced again at its
-rule's nominal degree |u| + k: u fires only with slack at least k, so a
-tail word t lands where the slack is at least |u| + k - |t|, which is
-what that reduction grants t.  An ambiguity waits in its degree's list
-as its word, the lead it starts with, and the other lead and its place,
-and the difference of its two rewrites is formed only when its degree
-comes up, from the tails as they stand then: each is a reduction of the
-tail the rule had when the ambiguity was found, by rules valid at its
-nominal degree, so the difference lies in the same truncated ideal.
+only.  A rule's tail is in normal form at its nominal degree |u| + k:
+u fires only with slack at least k, so a tail word t lands where the
+slack is at least |u| + k - |t|, and no rule fires in t there.  A rule
+of a later nominal degree D > |u| + k fires in no such tail: a lead u'
+inside t needs slack D - |u'| >= D - |t|, more than t has.  So a tail
+is never reduced again once its degree is done.  An ambiguity waits in
+its degree's list as its word, the lead it starts with, and the other
+lead and its place, and the difference of its two rewrites is formed
+only when its degree comes up, from the tails as they stand then.
 Completion never reads the cap except to drop ambiguities above it, so
 a quotient whose rules all have t-exponent 0 is, at degrees <= c, the
 quotient truncated at any smaller cap c (TruncatedQuotient.serves),
@@ -37,7 +37,14 @@ not depend on relation order, on the order in which ambiguities were
 resolved, or on which element of the ideal an ambiguity's difference
 is.  So a word's normal form is memoised one rewrite step at a time:
 it is the sum of the normal forms of the words its first rewrite makes,
-and the memo keeps every word met on the way.
+and the memo keeps every word met on the way.  One walk does this for
+completion and for word normal forms alike, at a fixed top degree and
+set of rules: a word v is read at slack top - |v|.  Word normal forms
+walk at the cap with one memo for the quotient's life.  Completion
+walks each degree D at top D with a memo of its own, and adds no rule
+while D is worked through, so that memo stays valid: the items of D are
+reduced by the rules of lower degrees, eliminated among themselves by
+their leads, and only then filed as rules (TruncatedQuotient._complete).
 """
 
 from __future__ import annotations
@@ -262,80 +269,119 @@ class TruncatedQuotient:
                     return i, i + m, rule[1]
         return None
 
-    def _reduce(self, terms, degree):
-        """Fully reduce terms, read as homogeneous of the given degree.
-        Completion keeps this scan beside the step-memo walk of
-        ``word_normal_form`` on purpose: while rules are still being added
-        no memo stays valid, completion through a per-call walk or through
-        a per-degree memo cleared on each new rule measured up to 1.64x
-        slower, and word normal forms read through this scan slowed the
-        calculus (ROADMAP item 16)."""
-        todo, out = dict(terms), {}
-        while todo:
-            w = max(todo, key=_key)
-            c = todo.pop(w)
-            m = self._match(w, degree - len(w))
-            if m is None:
-                out[w] = c      # later rewrites only make smaller words
-            else:
-                accumulate(todo, _sub(w, *m), c)
-        return out
+    def _walk(self, w, top, memo):
+        """The normal form of the word w, each word v met on the way read
+        at slack top - |v|, memoised in memo; the dict is the memo's own
+        and is not to be changed.
+
+        On a miss, v takes one rewrite step (the leftmost shortest lead
+        that fires, ``_match``), and its normal form is the sum of those
+        of the step's words, each memoised the same way: every word met on
+        the way stays in the memo.  Every step makes smaller words, so the
+        walk ends; it keeps its own stack, and a long word needs no deep
+        recursion.  A memo serves one top and one set of rules."""
+        stack, steps = [w], {}
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            step = steps.get(v)
+            if step is None:
+                m = self._match(v, top - len(v))
+                if m is None:
+                    memo[v] = {v: ONE}
+                    stack.pop()
+                    continue
+                step = steps[v] = _sub(v, *m)
+                todo = [u for u in step if u not in memo]
+                if todo:
+                    stack += todo
+                    continue
+            nf = {}
+            for u, c in step.items():
+                accumulate(nf, memo[u], c)
+            memo[v] = nf
+            stack.pop()
+        return memo[w]
 
     def _complete(self):
-        """Overlap completion of the homogenised relations up to the cap.
+        """Overlap completion of the homogenised relations up to the cap,
+        one nominal degree D at a time, lowest first, against the rules
+        of lower degrees alone: no rule is added while D is worked
+        through.
 
-        Pending relations and ambiguities wait in one list per nominal
-        degree D, and the lowest degree is worked through first in, first
-        out.  What does not reduce to zero becomes a rule whose lead is its
-        greatest word u, with t-exponent D - |u|; u is reduced at D, where
-        any older rule with lead u would fire, so no rule is replaced.  A
-        new rule's ambiguities all lie above D, so a degree's list never
-        grows while it is worked through.  Once it is done, the tails are
-        reduced again (``_reduce_tails``); a lead of degree D fires in no
-        tail of a lower degree, so the ambiguities of a later degree read
-        tails in normal form.
+        Pending relations and ambiguities wait in one list per degree.
+        Reduce: each item of degree D is reduced by the rules of lower
+        degree, every word w at slack D - |w|, through ``_walk`` with one
+        memo for the degree; an ambiguity's difference is formed from the
+        tails as they stand.  Eliminate: the reduced rows are eliminated
+        among themselves by exact lookups of their leads, greatest word
+        first; each row that is left becomes a rule whose lead u is its
+        greatest word, with t-exponent D - |u|, and each new tail is then
+        reduced once against the smaller new leads.  File: only then are
+        the new rules stored and their ambiguities, which all lie above D,
+        queued.
+
+        These are the rules that adding each rule as soon as it is found
+        would make, for two reasons.  A rule of nominal degree D with
+        lead u, and so t-exponent D - |u|, fires in a word v of a
+        degree-D item only when D - |u| <= D - |v|, that is when v is u:
+        within the degree the rule set, and so the memo, stays fixed, and
+        the new leads act on the rows and on each other's tails by exact
+        lookup alone.  And a lead of degree D fires in no tail of a lower
+        degree, so every tail stays reduced once its degree is done.  u
+        is reduced at D, where any older rule with lead u would fire, so
+        no rule is replaced.  Until the first rule exists a row is a copy
+        of its item, and a relation's own terms are never changed.
 
         Each rule is filed in the lead indexes (``_index``) as it is stored
         and before its ambiguities are sought, and leads are never removed
         or replaced: so the indexes always hold exactly the leads of
         _rules, each list in rank order.
         """
-        rules = self._rules
+        rules, walk = self._rules, self._walk
         pending = {}
         for r in self.relation_set:
             if r.terms:
                 pending.setdefault(r.degree(), []).append(r.terms)
         while pending:
             degree = min(pending)
-            before = len(rules)
+            memo, new = {}, {}
             for item in pending.pop(degree):
                 if isinstance(item, tuple):
                     w, left, right, j = item
                     item = accumulate(
                         _sub(w, 0, len(left), rules[left][1]),
                         _sub(w, j, j + len(right), rules[right][1]), -ONE)
-                rest = self._reduce(item, degree)
-                if not rest:
-                    continue
-                lead = max(rest, key=_key)
-                neg = -ONE / rest.pop(lead)
+                if not rules:
+                    row = dict(item)
+                else:
+                    row = {}
+                    for w, c in item.items():
+                        nf = memo.get(w)
+                        if nf is None:
+                            nf = walk(w, degree, memo)
+                        accumulate(row, nf, c)
+                while row:
+                    lead = max(row, key=_key)
+                    c = row.pop(lead)
+                    tail = new.get(lead)
+                    if tail is None:
+                        neg = -ONE / c
+                        new[lead] = {w: neg * v for w, v in row.items()}
+                        break
+                    accumulate(row, tail, c)
+            for lead in sorted(new, key=_key):     # smaller tails final first
+                tail = new[lead]
+                for w in [w for w in tail if w in new]:
+                    accumulate(tail, new[w], tail.pop(w))
+            for lead, tail in new.items():
                 k = degree - len(lead)
-                rules[lead] = (k, {w: neg * v for w, v in rest.items()})
+                rules[lead] = (k, tail)
                 self._index(lead)
                 for amb_degree, amb in self._ambiguities(lead, k):
                     pending.setdefault(amb_degree, []).append(amb)
-            if len(rules) > before:
-                self._reduce_tails()
-
-    def _reduce_tails(self):
-        """Reduce every rule's tail again at its nominal degree |u| + k.  A
-        lead fires only with slack at least its t-exponent, so a tail word t
-        stands where the slack is at least |u| + k - |t|: each rewrite is one
-        that every context of u allows, and an ambiguity's difference formed
-        from the tails as they stand lies in the same truncated ideal."""
-        rules = self._rules
-        for u, (k, t) in rules.items():
-            rules[u] = (k, self._reduce(t, len(u) + k))
 
     def _index(self, lead):
         """File a new lead under its rank (its insertion index in _rules),
@@ -465,43 +511,14 @@ class TruncatedQuotient:
         """The normal form of the word w as terms, memoised; the dict is
         the memo's own and is not to be changed.
 
-        On a miss, w takes one rewrite step (the rule ``_reduce`` would
-        apply to it at slack cap - |w|), and its normal form is the sum of
-        those of the step's words, each memoised the same way: every word
-        met on the way stays in the memo.  This is ``_reduce({w: ONE},
-        cap)``, which treats each word at its own slack, and the normal
-        forms are canonical.  Every step makes smaller words, so the walk
-        ends; it keeps its own stack, and a long word needs no deep
-        recursion."""
-        memo = self._memo
-        nf = memo.get(w)
+        This is ``_walk`` at the cap, with the quotient's one memo: each
+        word v met on the way is read at slack cap - |v|, the slack it has
+        in this quotient, and the normal forms are canonical."""
+        nf = self._memo.get(w)
         if nf is not None:
             return nf
         self._within_cap(len(w))
-        cap, steps, stack = self.cap, {}, [w]
-        while stack:
-            v = stack[-1]
-            if v in memo:
-                stack.pop()
-                continue
-            step = steps.get(v)
-            if step is None:
-                m = self._match(v, cap - len(v))
-                if m is None:
-                    memo[v] = {v: ONE}
-                    stack.pop()
-                    continue
-                step = steps[v] = _sub(v, *m)
-                todo = [u for u in step if u not in memo]
-                if todo:
-                    stack += todo
-                    continue
-            nf = {}
-            for u, c in step.items():
-                accumulate(nf, memo[u], c)
-            memo[v] = nf
-            stack.pop()
-        return memo[w]
+        return self._walk(w, self.cap, self._memo)
 
     def normal_form(self, p: NCPoly) -> NCPoly:
         self._within_cap(p.degree())

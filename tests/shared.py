@@ -16,7 +16,7 @@ from qminkowski.cli import main
 from qminkowski.exact import Mat, ONE, Scalar, ZERO, flip
 from qminkowski.instance import PoincareInstance, builtin, \
     instance_from_dict, load_instance
-from qminkowski.qalgebra import NCPoly
+from qminkowski.qalgebra import NCPoly, _sub, accumulate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,6 +38,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def full_reduce(q, terms, degree):
+    """The reference full reduction of terms by the quotient q's rules,
+    read as homogeneous of the given degree: the greatest word left is
+    rewritten first, at slack degree - |w|, by the leftmost shortest lead
+    that fires (q._match), until no rule applies to any word.  This is the
+    scan completion ran before it worked through each degree with one
+    memoised walk; it shares no memo and no order of work with the
+    engine."""
+    todo, out = dict(terms), {}
+    while todo:
+        w = max(todo, key=lambda v: (len(v), v))
+        c = todo.pop(w)
+        m = q._match(w, degree - len(w))
+        if m is None:
+            out[w] = c      # later rewrites only make smaller words
+        else:
+            accumulate(todo, _sub(w, *m), c)
+    return out
 
 
 def sign_twisted_flip():

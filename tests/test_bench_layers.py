@@ -41,29 +41,32 @@ def test_one_rep_of_one_case(capsys):
 
 
 def test_quotient_cases_count_their_rewriting(capsys):
-    """One untimed completion of dense seed 11 at cap 3 takes 574 rewriting
-    steps in 117 _reduce calls; a case that builds no quotient has none,
+    """One untimed completion of dense seed 11 at cap 3 takes 16 rewriting
+    steps and walks 16 words; a case that builds no quotient has none,
     and the counted methods are put back."""
-    methods = TruncatedQuotient._match, TruncatedQuotient._reduce
+    methods = TruncatedQuotient._match, TruncatedQuotient._walk
     assert layers().main(["--reps", "1", "--case", "mink-dense11-cap3",
                           "--case", "metric-classical"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["steps"] == {"mink-dense11-cap3": [574, 117]}
-    assert (TruncatedQuotient._match, TruncatedQuotient._reduce) == methods
+    assert doc["steps"] == {"mink-dense11-cap3": [16, 16]}
+    assert (TruncatedQuotient._match, TruncatedQuotient._walk) == methods
 
 
-# [rewriting steps, _reduce calls] of each quotient case: a change to how
-# completion finds its ambiguities must keep them, since the order in which
-# they are found is the order in which they are resolved.
+# [rewriting steps, walked words] of each quotient case.  Completion works
+# through each degree against the rules of lower degrees alone, so the
+# order in which a degree's relations and ambiguities are resolved no
+# longer reaches the rules, nor the steps (one per reducible word that a
+# degree's memo takes in); the walked words, those of a degree's items
+# that its memo lacks when they are asked, do follow that order.
 QUOTIENT_STEPS = {
-    "mink-dense11-cap3": [574, 117], "mink-dense11-cap4": [622, 157],
-    "mink-dense11-cap5": [694, 205], "mink-dense12-cap3": [493, 117],
-    "mink-dense12-cap4": [541, 157], "mink-dense12-cap5": [613, 205],
-    "mink-dense13-cap3": [542, 117], "mink-dense13-cap4": [590, 157],
-    "mink-dense13-cap5": [662, 205], "mink-moved-cap4": [277, 55],
-    "mink-moved-cap5": [1135, 99], "mink-moved-cap6": [4956, 179],
-    "lorentz-cap2": [24, 78], "lorentz-cap4": [296, 150],
-    "lorentz-cap5": [296, 150], "lorentz-cap6": [296, 150],
+    "mink-dense11-cap3": [16, 16], "mink-dense11-cap4": [21, 21],
+    "mink-dense11-cap5": [26, 26], "mink-dense12-cap3": [16, 16],
+    "mink-dense12-cap4": [21, 21], "mink-dense12-cap5": [26, 26],
+    "mink-dense13-cap3": [16, 16], "mink-dense13-cap4": [21, 21],
+    "mink-dense13-cap5": [26, 26], "mink-moved-cap4": [93, 43],
+    "mink-moved-cap5": [281, 121], "mink-moved-cap6": [773, 280],
+    "lorentz-cap2": [0, 0], "lorentz-cap4": [228, 123],
+    "lorentz-cap5": [228, 123], "lorentz-cap6": [228, 123],
 }
 
 

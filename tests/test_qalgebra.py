@@ -17,8 +17,8 @@ from qminkowski.lorentz import lambda_invariance_check, \
 from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, build_quotient
 
-from shared import MOVED, leibniz_breaking, perfbench_dense, \
-    perfbench_instance, x
+from shared import MOVED, full_reduce, leibniz_breaking, \
+    perfbench_dense, perfbench_instance, x
 
 
 def rand_poly(rng, gens=3, maxdeg=2, terms=4):
@@ -250,7 +250,7 @@ def test_word_normal_form_is_full_reduction(name, make):
              for w in itertools.product(range(q.gens), repeat=d)]
     random.Random(5).shuffle(words)
     for w in words:
-        assert q.word_normal_form(w) == q._reduce({w: ONE}, q.cap), w
+        assert q.word_normal_form(w) == full_reduce(q, {w: ONE}, q.cap), w
     assert set(q._memo) == set(words)
     if name == "zt-bent":
         assert any(k > 0 for k, _ in q._rules.values())
@@ -260,7 +260,7 @@ def test_long_word_normal_form_needs_no_deep_recursion():
     # the reverse-sorted degree-16 word of the classical quotient at cap 16
     q = build_quotient(4, mink_relations(builtin("classical")), 16)
     w = (3,) * 4 + (2,) * 4 + (1,) * 4 + (0,) * 4
-    assert q.word_normal_form(w) == q._reduce({w: ONE}, 16) == \
+    assert q.word_normal_form(w) == full_reduce(q, {w: ONE}, 16) == \
         {w[::-1]: ONE}
     # every word met on the way is memoised at its own normal form
     q = build_quotient(3, comm_relations(3), 3)

@@ -10,10 +10,11 @@ a whole degree.  It must also leave no rule applicable inside another
 rule's tail, at the slack that tail has wherever its rule fires.
 
 Where the padded rows take too long (the dense relations past cap 3),
-the engine is compared with ``EagerQuotient``: the same completion, but
-forming each ambiguity's difference when the ambiguity is found, from the
-tails as they are then, and reducing again the tails each new lead fires
-in as soon as it is added.
+the engine is compared with ``EagerQuotient``: overlap completion that
+adds each rule as soon as it is found, reduces by the reference scan
+``full_reduce``, forms each ambiguity's difference when the ambiguity is
+found, from the tails as they are then, and reduces again the tails each
+new lead fires in as soon as it is added.
 """
 
 import dataclasses
@@ -32,9 +33,9 @@ from qminkowski.minkowski import mink_relations
 from qminkowski.qalgebra import NCPoly, TruncatedQuotient, _sub, \
     accumulate, build_quotient
 
-from shared import MOVED, leibniz_breaking, perfbench_dense, \
-    rand_instance, sign_twisted_flip, tshift, twisted, twisted_tshift, \
-    z_perturbed
+from shared import MOVED, full_reduce, leibniz_breaking, \
+    perfbench_dense, rand_instance, sign_twisted_flip, tshift, twisted, \
+    twisted_tshift, z_perturbed
 
 
 def _key(w):
@@ -171,11 +172,13 @@ def test_perfbench_dense_minkowski(density, seed):
 
 
 class EagerQuotient(TruncatedQuotient):
-    """Overlap completion that forms each ambiguity's difference as soon as
-    the ambiguity is found, from the tails as they are at that moment; the
+    """Overlap completion that adds each rule as soon as it is found and
+    reduces with the reference scan full_reduce, by every rule found so
+    far, instead of one memoised walk per degree by the rules of lower
+    degrees.  It forms each ambiguity's difference as soon as the
+    ambiguity is found, from the tails as they are at that moment; the
     difference then waits in a heap until its degree comes up.  Each new
-    rule at once reduces again the tails it fires in, instead of one pass
-    over every tail when a degree is complete."""
+    rule at once reduces again the tails it fires in."""
 
     def _complete(self):
         queue = [(r.degree(), n, r.terms)
@@ -184,7 +187,7 @@ class EagerQuotient(TruncatedQuotient):
         seq = len(queue)
         while queue:
             degree, _, terms = heappop(queue)
-            rest = self._reduce(terms, degree)
+            rest = full_reduce(self, terms, degree)
             if not rest:
                 continue
             lead = max(rest, key=_key)
@@ -211,7 +214,7 @@ class EagerQuotient(TruncatedQuotient):
                 n = len(w)
                 if m <= n <= top and (w == v or n > m and any(
                         w[i:i + m] == v for i in range(n - m + 1))):
-                    rules[u] = (k, self._reduce(t, len(u) + k))
+                    rules[u] = (k, full_reduce(self, t, len(u) + k))
                     break
 
     def _eager_ambiguities(self, v, rule):
@@ -311,9 +314,10 @@ def test_perfbench_dense_matches_eager(seed, density, cap):
 
 
 # The perfbench dense quotients above collapse (1 lies in the truncated
-# ideal, as test_perfbench_dense_minkowski shows at cap 3); these do not,
-# one degree past where the padded rows are checked.
-@pytest.mark.parametrize("cap", (3, 4))
+# ideal, as test_perfbench_dense_minkowski shows at cap 3); these do not.
+# The padded rows check them at cap 3 only; caps 5 and 6 add the degrees
+# whose ambiguities make most of the rules and of the memoised walk.
+@pytest.mark.parametrize("cap", (3, 4, 5, 6))
 def test_moved_twisted_matches_eager(cap):
     assert_matches_eager(4, mink_relations(MOVED), cap)
 
@@ -338,6 +342,23 @@ TAIL_CASES = (
                          ids=["%s-%d" % (c[0], c[3]) for c in TAIL_CASES])
 def test_rule_tails_stay_reduced(name, gens, relations, cap):
     assert_tails_reduced(build_quotient(gens, relations, cap))
+
+
+@pytest.mark.parametrize("gens, relations, cap", [
+    (1, [NCPoly.one().scale(2), NCPoly.from_word((0, 0)) - NCPoly.gen(0)],
+     3),
+    (4, mink_relations(perfbench_dense(11, 0.3)), 3),
+    (8, lorentz_relations(CLASSICAL), 4),
+], ids=["constant", "dense11", "lorentz"])
+def test_a_build_leaves_its_relations_untouched(gens, relations, cap):
+    """Two builds from the same NCPoly objects give equal quotients and
+    leave every relation's terms as they were, including at the first
+    degree, where no rule exists yet to reduce a relation with."""
+    before = [dict(r.terms) for r in relations]
+    q, p = (build_quotient(gens, relations, cap) for _ in range(2))
+    assert q._rules == p._rules
+    assert q.dimension_profile() == p.dimension_profile()
+    assert [r.terms for r in relations] == before
 
 
 def test_cap_far_past_any_degree_costs_nothing():
@@ -394,6 +415,22 @@ def test_random_relations_match_oracle(case):
 @given(relation_sets())
 def test_random_relations_match_eager(case):
     assert_matches_eager(*case)
+
+
+@st.composite
+def dependent_relation_sets(draw):
+    """relation_sets with a r_i + b r_j appended for two of its relations
+    (i = j allowed), so that one degree holds linearly dependent items."""
+    gens, rels, cap = draw(relation_sets())
+    i, j = (draw(st.integers(0, len(rels) - 1)) for _ in range(2))
+    combination = rels[i].scale(draw(scalars)) + rels[j].scale(draw(scalars))
+    return gens, rels + [combination], cap
+
+
+@PROFILE
+@given(dependent_relation_sets())
+def test_dependent_relations_match_eager(case):
+    assert_tails_reduced(assert_matches_eager(*case))
 
 
 @PROFILE
