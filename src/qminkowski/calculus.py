@@ -17,8 +17,10 @@ exchange check the R terms of every row.
 
 Such a calculus exists exactly when a 64x4 obstruction matrix vanishes:
 obstruction names its first nonzero entry, and make_calculus raises that
-witness rather than hand out a calculus.  Partials are the coefficient
-functionals of d and are computed by their own recursion, so the
+witness rather than hand out a calculus.  f_tilde sums that matrix on
+Gaussian-integer numerators over one common denominator, through
+qalgebra.accumulate_pairs.  Partials are the coefficient functionals of
+d and are computed by their own recursion, so the
 identity d(a) = sum_i dx_i partial_i(a) cross-checks the two recursions;
 it cannot see a wrong table, which the tests compare with R and Z entry
 by entry.
@@ -31,9 +33,10 @@ per dx_k), _p_memo its four partials, _act_memo sixteen act tables, one
 per row 4i + j, each mapping w to the image x_i (dx_j w) as (k, term
 dict) pairs for its nonzero coordinates k, which _x_act reads inline to
 build x_i acting on any one-form by linearity, and _second_memo the 4x4
-table of second partials.  Every sum goes through qalgebra.accumulate; an
-NCPoly is built only where differential, partial, box and left_mul
-return.  d is the recursion E_b(a) = d(ab) - a d(b) at b = (), where
+table of second partials.  Every memo sum goes through
+qalgebra.accumulate; an NCPoly is built only where differential,
+partial, box and left_mul return.  d is the recursion
+E_b(a) = d(ab) - a d(b) at b = (), where
 E_b(()) = 0 and E_b(h a') = x_h E_b(a') + dx_h nf(a' b), reading nf(a' b)
 from the quotient's word normal forms.  check_leibniz keeps such a table
 by word a for one word b at a time, with the right products w -> nf(w b)
@@ -55,16 +58,27 @@ text: the word or pair and the index, e.g. "a=(0,), b=(1, 2), i=3".
 
 from __future__ import annotations
 
+from math import lcm
+
 from .dirac import metric
 from .errors import CalculusObstruction
-from .exact import Mat, ONE, Scalar, ZERO, kron
+from .exact import Mat, ONE, Scalar, ZERO, _reduce, kron
 from .minkowski import make_minkowski
-from .qalgebra import NCPoly, _poly, accumulate
+from .qalgebra import NCPoly, _poly, accumulate, accumulate_pairs
 
 __all__ = [
     "f_tilde", "obstruction", "FirstOrderCalculus", "make_calculus",
     "kron",  # re-exported: perfbench and the trace tests wrap calculus.kron
 ]
+
+
+def _numerators(m):
+    """The lcm of the denominators of m's nonzeros (1 when there are none)
+    and those nonzeros times it, as Gaussian integers (row, col, re, im)."""
+    nz = m.nonzeros()
+    den = lcm(*[x.d for _, _, x in nz])
+    return den, [(i, j, x.a * (den // x.d), x.b * (den // x.d))
+                 for i, j, x in nz]
 
 
 def f_tilde(inst) -> Mat:
@@ -80,41 +94,57 @@ def f_tilde(inst) -> Mat:
 
     the row (a, b, c) of the result is sum R_{ab,a'b'} I_{a'b'c} - I_{abc},
     and each row of I, B and the result is a sparse {column: value} dict.
+    The sums run on Gaussian-integer numerators: with rho, zeta and tau
+    the lcms of the denominators of R, Z and T, J = rho^2 zeta^2 tau I
+    takes rho^2 tau per Z Z term, rho^2 zeta^2 per T term and zeta^2 per
+    R R T term of the integer matrices rho R, zeta Z and tau T, the
+    result is ((rho R - rho) (x) 1) J over rho^3 zeta^2 tau, and a Scalar
+    is built only for each nonzero entry of it.
     """
-    r = inst.R.nonzeros()
-    z = inst.Z.nonzeros()
-    t = {row: v for row, _, v in inst.T.nonzeros()}
-    z_rows = [{} for _ in range(16)]
-    for row, m, v in z:
-        z_rows[row][m] = v
+    rho, r = _numerators(inst.R)
+    zeta, z = _numerators(inst.Z)
+    tau, t = _numerators(inst.T)
     inner = [{} for _ in range(64)]
-    for bc, q, v in z:
+    w = rho * rho * zeta * zeta
+    for ab, _, x, y in t:
+        for c in range(4):
+            inner[4 * ab + c][c] = [x * w, y * w]
+    w = rho * rho * tau
+    z_rows = [{} for _ in range(16)]
+    for row, m, x, y in z:
+        z_rows[row][m] = (x * w, y * w)
+    for bc, q, x, y in z:
         for a in range(4):
-            accumulate(inner[16 * a + bc], z_rows[4 * a + q], v)
-    for ab, j, v in z:
+            accumulate_pairs(inner[16 * a + bc], z_rows[4 * a + q], x, y)
+    for ab, j, x, y in z:
         for c in range(4):
-            accumulate(inner[4 * ab + c], z_rows[4 * j + c], -v)
-    for ab, v in t.items():
-        for c in range(4):
-            accumulate(inner[4 * ab + c], {c: v})
+            accumulate_pairs(inner[4 * ab + c], z_rows[4 * j + c], -x, -y)
+    w = zeta * zeta
+    t_rows = {row: (x * w, y * w) for row, _, x, y in t}
     b_rows = [{} for _ in range(64)]
-    for ab, col, v in r:
+    for ab, col, x, y in r:
         m, e = divmod(col, 4)
         for c in range(4):
-            tv = t.get(4 * e + c)
+            tv = t_rows.get(4 * e + c)
             if tv is not None:
-                accumulate(b_rows[4 * ab + c], {m: tv}, v)
-    for bc, col, v in r:
+                accumulate_pairs(b_rows[4 * ab + c], {m: tv}, x, y)
+    for bc, col, x, y in r:
         for a in range(4):
-            accumulate(inner[16 * a + bc], b_rows[16 * a + col], -v)
+            if b_rows[16 * a + col]:
+                accumulate_pairs(inner[16 * a + bc], b_rows[16 * a + col],
+                                 -x, -y)
     out = [{} for _ in range(64)]
-    for ab, col, v in r:
+    for ab, col, x, y in r:
         for c in range(4):
-            accumulate(out[4 * ab + c], inner[4 * col + c], v)
+            if inner[4 * col + c]:
+                accumulate_pairs(out[4 * ab + c], inner[4 * col + c], x, y)
+    den = rho ** 3 * zeta * zeta * tau
     data = [ZERO] * 256
     for row, (got, sub) in enumerate(zip(out, inner)):
-        for m, v in accumulate(got, sub, -ONE).items():
-            data[4 * row + m] = v
+        accumulate_pairs(got, sub, -rho, 0)
+        for m, (re, im) in got.items():
+            if re or im:
+                data[4 * row + m] = _reduce(re, im, den)
     return Mat(64, 4, data)
 
 

@@ -318,11 +318,19 @@ def _gauss_jordan(re, im, scales, ncols):
     and those scalings telescope, so such a row is left as it is and
     remembers in stamps the pivot it was last exact at: its next update
     divides by that stamp instead of prev, and a pivot row catches up
-    first.  The pivot is the first nonzero entry at or below the next
-    pivot row, swapped up with its scale; the pivot row is zero left of
-    its pivot.  Returns (pivot columns, sign of the row swaps, last
-    pivot, stamps), pivots and stamps as (re, im); the reduced row r is
-    then its stored row divided by its stamp.
+    first.  The pivot row of a column is the candidate (a row at or below
+    the next pivot row with a nonzero there) with the fewest nonzeros,
+    the lowest index among equals (Markowitz, Management Science 3,
+    1957), swapped up with its scale: each update costs one pass over the
+    pivot row's nonzeros, and unit rows, as in R_Q, go first.  A row is
+    counted only when its column has another candidate, and again after
+    each update, so a column with one candidate costs one scan.  Any
+    choice gives the same result: the reduced row echelon form is
+    unique, hence so are the rank and the inverse, and a square det is
+    sign * last pivot over the scales either way.  The pivot row is zero
+    left of its pivot.  Returns (pivot columns, sign of the row swaps,
+    last pivot, stamps), pivots and stamps as (re, im); the reduced row
+    r is then its stored row divided by its stamp.
     """
     nr = len(re)
     width = len(re[0]) if nr else 0
@@ -330,6 +338,15 @@ def _gauss_jordan(re, im, scales, ncols):
     sign = 1
     prev = (1, 0)
     stamps = [prev] * nr
+    counts = [None] * nr
+
+    def count(r):
+        if counts[r] is None:
+            row = re[r] if im is None else [x or y
+                                            for x, y in zip(re[r], im[r])]
+            counts[r] = len(row) - row.count(0)
+        return counts[r]
+
     for col in range(ncols):
         prow = len(pivots)
         if prow == nr:
@@ -339,8 +356,15 @@ def _gauss_jordan(re, im, scales, ncols):
                 break
         else:
             continue
+        fewest = None
+        for r in range(hit + 1, nr):
+            if re[r][col] or im is not None and im[r][col]:
+                if fewest is None:
+                    fewest = count(hit)
+                if count(r) < fewest:
+                    hit, fewest = r, counts[r]
         if hit != prow:
-            for rows in (re, im, scales, stamps):
+            for rows in (re, im, scales, stamps, counts):
                 if rows is not None:
                     rows[prow], rows[hit] = rows[hit], rows[prow]
             sign = -sign
@@ -360,6 +384,7 @@ def _gauss_jordan(re, im, scales, ncols):
                 if not c or r == prow:
                     continue
                 s = stamps[r][0]
+                counts[r] = None
                 if a == s:
                     for k in nz:
                         row[k] -= c * piv[k] // s
@@ -387,6 +412,7 @@ def _gauss_jordan(re, im, scales, ncols):
             n = sr * sr + si * si
             # c and a times the conjugate of the stamp
             tr, ti = cr * sr + ci * si, ci * sr - cr * si
+            counts[r] = None
             if a == stamps[r]:
                 for k in nz:
                     yr, yi = piv[k], ipiv[k]
@@ -540,7 +566,9 @@ class Mat:
         """Reduced row echelon form by fraction-free elimination; returns
         (rows, pivot count, det).
 
-        det is only meaningful for square input (zero when rank deficient).
+        det is the determinant for square input (zero when rank
+        deficient) and zero for non-square input, where the product of
+        the pivots would depend on which rows the elimination picks.
         """
         nr, nc = self.rows, self.cols
         re, im, scales = _integer_rows(self.data, nr, nc)
@@ -550,7 +578,7 @@ class Mat:
                 for r in range(rank)]
         rows.extend([ZERO] * nc for _ in range(rank, nr))
         det = ZERO
-        if pivots == list(range(min(nr, nc))):
+        if nr == nc and pivots == list(range(nc)):
             det = _reduce(sign * pr, sign * pi, prod(scales[:rank]))
         return rows, rank, det
 

@@ -52,7 +52,8 @@ from __future__ import annotations
 from .errors import DegreeError
 from .exact import ONE, Scalar, _coerce, _raw, _reduce
 
-__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "accumulate"]
+__all__ = ["NCPoly", "TruncatedQuotient", "build_quotient", "accumulate",
+           "accumulate_pairs"]
 
 Word = tuple
 
@@ -103,6 +104,26 @@ def accumulate(out: dict, terms: dict, c=None) -> dict:
         elif s is not None:
             del out[k]
     return out
+
+
+def accumulate_pairs(out: dict, terms: dict, x: int, y: int) -> None:
+    """out += (x + y*i) * terms in place on Gaussian-integer numerators
+    over a denominator the caller keeps: terms maps a key to (re, im),
+    out to [re, im] lists that are added to where they stand, and a
+    cancelled key stays as [0, 0] for the caller to skip.
+
+    accumulate's counterpart for sums that share one denominator: no
+    Scalar, gcd or zero test per term, so a Scalar is built only once
+    per entry of the finished sum.
+    """
+    for k, (u, v) in terms.items():
+        re, im = x * u - y * v, x * v + y * u
+        hit = out.get(k)
+        if hit is None:
+            out[k] = [re, im]
+        else:
+            hit[0] += re
+            hit[1] += im
 
 
 def _poly(terms) -> "NCPoly":

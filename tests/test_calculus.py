@@ -91,10 +91,27 @@ def sparse(rows, cols, max_size):
                                          for k in range(rows * cols)]))
 
 
+def over(rows, cols, den, step):
+    """Every step-th entry of a rows x cols matrix set to a complex value
+    over den, the rest zero."""
+    return Mat(rows, cols, [
+        Scalar(Fraction(k % 5 - 2, den), Fraction(k % 3 - 1, den))
+        if k % step == 0 else ZERO for k in range(rows * cols)])
+
+
+# R, Z and T over 3, 5 and 7, so that f_tilde's common denominator takes
+# a factor from each; with Z = 0 or T = 0 its lcm runs over no entries.
+R3, Z5, T7 = over(16, 16, 3, 5), over(16, 4, 5, 3), over(16, 1, 7, 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(r=sparse(16, 16, 40), z=sparse(16, 4, 12), t=sparse(16, 1, 6))
 @example(r=flip(4, 4), z=Mat.zeros(16, 4), t=Mat.zeros(16, 1))
 @example(r=Mat.identity(16), z=Mat.zeros(16, 4), t=Mat.zeros(16, 1))
+@example(r=R3, z=Z5, t=T7)
+@example(r=R3, z=Mat.zeros(16, 4), t=T7)
+@example(r=R3, z=Z5, t=Mat.zeros(16, 1))
+@example(r=flip(4, 4) + R3, z=Z5, t=T7)
 def test_sparse_obstruction_matches_oracles(r, z, t):
     assert_obstruction_matches_oracles(
         dataclasses.replace(builtin("classical"), name="hyp", R=r, Z=z, T=t))

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from qminkowski.braiding import build_rq
 from qminkowski.errors import ConstraintError, ParseError, ShapeError
 from qminkowski.exact import (
-    I, Mat, ONE, PAULI, Scalar, V, V_INV, ZERO, flip, kron, parse_scalar,
-    sqrt_q,
+    I, Mat, ONE, PAULI, Scalar, V, V_INV, ZERO, _gauss_jordan, flip, kron,
+    parse_scalar, sqrt_q,
 )
 from qminkowski.instance import builtin
 
@@ -285,7 +285,8 @@ def test_sparse_elimination_against_oracles():
 def echelon_oracle(m):
     """The Scalar Gauss-Jordan elimination Mat._echelon ran before it
     went fraction-free: (reduced rows, pivot count, det), with det zero
-    once a column has no pivot or the rank is short."""
+    once a column has no pivot, the rank is short or the input is not
+    square (its pivot product would depend on the pivot rows chosen)."""
     work = [m.row(i) for i in range(m.rows)]
     nc = m.cols
     det = ONE
@@ -320,7 +321,7 @@ def echelon_oracle(m):
                 for k in nz:
                     row[k] = row[k] - c * pivot_row[k]
         prow += 1
-    if prow < min(m.rows, m.cols):
+    if prow < min(m.rows, m.cols) or m.rows != m.cols:
         det = ZERO
     return work, prow, det
 
@@ -389,6 +390,48 @@ def rand_small_int_mat(rng, r, c, real):
                            else ZERO for _ in range(c)] for _ in range(r)])
 
 
+def rq_shaped(rng, block, units, make):
+    """An R_Q-shaped square matrix of side block + units: block rows that
+    hold make(block, block) in some columns and make(block, units) in the
+    rest, above units rows with a single 1 each, in those rest columns,
+    as R_Q's unit rows.  It is singular exactly when the block is, and in
+    a unit column the sparsest candidate row is not the first."""
+    n = block + units
+    unit_cols = sorted(rng.sample(range(n), units))
+    rest = [j for j in range(n) if j not in unit_cols]
+    a, b = make(block, block), make(block, units)
+    rows = []
+    for i in range(block):
+        row = [ZERO] * n
+        for k, j in enumerate(rest):
+            row[j] = a[i, k]
+        for k, j in enumerate(unit_cols):
+            row[j] = b[i, k]
+        rows.append(row)
+    rows.extend([ONE if k == j else ZERO for k in range(n)]
+                for j in unit_cols)
+    return Mat.from_rows(rows)
+
+
+def test_pivot_rule_takes_the_sparsest_candidate_row():
+    """Each column's pivot row is the candidate with the fewest nonzeros,
+    the lowest index among equals, and its scale moves with it."""
+    # column 0: row 1 has one nonzero; column 1: the rewritten rows hold
+    # [0, 2, 2] and [0, 10, 0], so the recounted second one wins
+    re, scales = [[1, 1, 1], [2, 0, 0], [3, 5, 0]], [10, 20, 30]
+    pivots, sign, _, _ = _gauss_jordan(re, None, scales, 3)
+    assert (pivots, sign, scales) == ([0, 1, 2], 1, [20, 30, 10])
+    # column 0: rows 1 and 2 tie at two nonzeros and row 0 is no candidate
+    re, scales = [[0, 1, 1], [1, 1, 0], [1, 0, 1]], [10, 20, 30]
+    pivots, sign, _, _ = _gauss_jordan(re, None, scales, 3)
+    assert (pivots, sign, scales) == ([0, 1, 2], -1, [20, 10, 30])
+    # an entry is nonzero when either part is: 1 + 0i and 0 + i tie with
+    # the row above, which stays; with a zero imaginary part row 1 wins
+    for im, sign_wanted in (([[0, 0], [0, 1]], 1), ([[0, 0], [0, 0]], -1)):
+        _, sign, _, _ = _gauss_jordan([[1, 1], [1, 0]], im, [1, 2], 2)
+        assert sign == sign_wanted
+
+
 def test_elimination_of_repeating_pivots():
     # Pivots 2, 6, 2 (leading minors): row 0 skips the second step, then
     # meets a pivot equal to the one it was last exact at, while the
@@ -427,6 +470,20 @@ def test_elimination_against_scalar_oracle():
                 assert_elimination_matches_oracle(make(r, c))
     for r, c in ((0, 0), (0, 3), (3, 0)):
         assert_elimination_matches_oracle(Mat.zeros(r, c))
+    # R_Q-shaped: real, complex, and singular real and complex blocks
+    blocks = (lambda r, c: rand_real_mat(rng, r, c),
+              lambda r, c: rand_mat(rng, r, c),
+              lambda r, c: rank_deficient(
+                  rng, r, c, lambda r, c: rand_real_mat(rng, r, c)),
+              lambda r, c: rank_deficient(
+                  rng, r, c, lambda r, c: rand_mat(rng, r, c)))
+    singular = 0
+    for block, units in ((4, 3), (6, 5), (5, 1), (2, 6)):
+        for make in blocks:
+            m = rq_shaped(rng, block, units, make)
+            singular += m.rank() < m.rows
+            assert_elimination_matches_oracle(m)
+    assert singular == 8
 
 
 def test_elimination_with_denominators_past_64_bits():
