@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .dirac import metric
+from .dirac import metric_of
 from .errors import ConstraintError, ShapeError
 from .exact import Mat, ONE, Scalar, ZERO, flip, require_sign, sqrt_q
 from .instance import PoincareInstance
@@ -57,7 +57,7 @@ def build_rq(inst: PoincareInstance, b) -> Mat:
     """
     r, z, t = inst.R, inst.Z, inst.T
     rz = r * z
-    g = Mat(16, 1, metric(inst).data)
+    g = Mat(16, 1, metric_of(inst).data)
     corner = (r - Mat.identity(16)) * t + g.scale(b)
     out = [ZERO] * (25 * 25)
 

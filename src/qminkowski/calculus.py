@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .dirac import metric
+from .dirac import metric_of
 from .errors import CalculusObstruction
 from .exact import Mat, ONE, Scalar, ZERO, _reduce, kron
 from .minkowski import make_minkowski
@@ -170,7 +170,7 @@ class FirstOrderCalculus:
         self._p_memo = {}
         self._act_memo = [{} for _ in range(16)]
         self._second_memo = {}
-        self.g = metric(inst)
+        self.g = metric_of(inst)
         self._g_terms = self.g.nonzeros()
         self._exchange = [[] for _ in range(16)]
         for row, col, c in inst.R.nonzeros():

@@ -20,13 +20,18 @@ sharing rule for the Minkowski quotient: the run first builds the one
 at the largest cap its suites read, and a suite reads it at every cap
 it serves (TruncatedQuotient.serves: every completion rule has
 t-exponent 0), else one built at its own cap.  A calculus is built
-straight over its quotient and kept in that quotient's memos, so the
-dirac suite reads the second partials the calculus suite filled.  Each
+straight over its quotient and kept in the run's calculi, keyed by that
+quotient, so the dirac suite reads the second partials the calculus
+suite filled, and the quotient, which the calculus holds, holds nothing
+of the run: both are freed by reference counting when the run returns.
+The metric is computed once per run, on its first read
+(dirac.metric_of keeps it in the instance's memos), and validate, the
+dirac and lorentz suites, R_Q and the calculus read that one.  Each
 is built through its module attribute (calculus.obstruction,
 calculus.FirstOrderCalculus, minkowski.make_minkowski,
-braiding.make_evaluator), so a tracer that wraps those names sees every
-build.  The argument parser is built on the first main call and reused
-by every later one in the process.
+braiding.make_evaluator, dirac.metric), so a tracer that wraps those
+names sees every build.  The argument parser is built on the first main
+call and reused by every later one in the process.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ class _Run:
     n: int
     cap: int  # the largest Minkowski cap the run's suites read
     quotients: dict = field(default_factory=dict)  # cap -> one built there
+    calculi: dict = field(default_factory=dict)  # quotient -> its calculus
 
     def quotient(self, cap: int):
         """The quotient at the run's cap when it serves cap, else the one
@@ -124,12 +130,12 @@ class _Run:
         return calculus.obstruction(self.inst)
 
     def calculus(self, cap: int):
-        """The calculus over quotient(cap), kept in that quotient's memos.
-        Unchecked: a suite reads obstruction first."""
+        """The calculus over quotient(cap), kept in calculi.  Unchecked: a
+        suite reads obstruction first."""
         alg = self.quotient(cap)
-        calc = alg.memos.get("calculus")
+        calc = self.calculi.get(alg)
         if calc is None:
-            calc = alg.memos["calculus"] = calculus.FirstOrderCalculus(
+            calc = self.calculi[alg] = calculus.FirstOrderCalculus(
                 self.inst, alg)
         return calc
 
@@ -144,7 +150,7 @@ def suite_validate(run: _Run) -> list:
     unavailable."""
     inst = run.inst
     det_x = inst.X.det()
-    g = dirac.metric(inst)
+    g = dirac.metric_of(inst)
     sym = g.conj_t() == g
     det_g = g.det()
     ft_zero = run.obstruction is None
@@ -199,7 +205,7 @@ def suite_calculus(run: _Run) -> list:
 
 def suite_dirac(run: _Run) -> list:
     inst, degree = run.inst, run.dirac_degree
-    g = dirac.metric(inst)
+    g = dirac.metric_of(inst)
     det_g = g.det()
     checks = [
         CheckResult("metric-symmetric", g.conj_t() == g,
@@ -224,7 +230,7 @@ def suite_dirac(run: _Run) -> list:
 def suite_lorentz(run: _Run) -> list:
     inst = run.inst
     alg = lorentz.make_lorentz(inst, 4)
-    inv = lorentz.lambda_invariance_check(alg, dirac.metric(inst))
+    inv = lorentz.lambda_invariance_check(alg, dirac.metric_of(inst))
     real = lorentz.lambda_reality_diagnostic(alg)
     return [
         _witnessed("lambda-invariance", inv,

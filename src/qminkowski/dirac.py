@@ -10,13 +10,21 @@ a word.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .exact import Mat, ONE, PAULI, Scalar, ZERO, V_INV, flip, kron, sqrt_q
 from .qalgebra import NCPoly, accumulate
 
 __all__ = [
-    "metric", "gamma",
+    "metric", "metric_of", "gamma",
     "clifford_check", "clifford_ok", "dirac_square", "dirac_square_check",
 ]
+
+
+@cache
+def _v_inv_t() -> Mat:
+    """V^-T, built on its first read: it depends on the frame alone."""
+    return V_INV.transpose()
 
 
 def metric(inst) -> Mat:
@@ -33,8 +41,18 @@ def metric(inst) -> Mat:
         # u_{8s+2m+t} = sum_m' X_{mm'} x_{8s+2m'+t}
         for n in (2 * m, 2 * m + 1, 8 + 2 * m, 9 + 2 * m):
             u[n] = u[n] + c * x[n + 2 * (mp - m), 0]
-    return (V_INV * Mat(4, 4, u) * V_INV.transpose()).scale(
+    return (V_INV * Mat(4, 4, u) * _v_inv_t()).scale(
         Scalar(-2) * sqrt_q(inst.q))
+
+
+def metric_of(inst) -> Mat:
+    """inst's metric: computed by metric on the first read and kept in
+    inst.memos, so the five readers of one run (validate, the dirac and
+    lorentz suites, R_Q and the wave operator) share one."""
+    g = inst.memos.get("metric")
+    if g is None:
+        g = inst.memos["metric"] = metric(inst)
+    return g
 
 
 def gamma(inst) -> tuple:

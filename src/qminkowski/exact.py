@@ -8,18 +8,21 @@ one), so term dicts, matrices and memos share one freely instead of
 building an equal copy: qalgebra.accumulate stores a term's own Scalar
 under a new key when the coefficient is 1, and the instance loader
 hands one Scalar to every entry that repeats a literal.
-Matrices are dense, row-major, and immutable by convention: builders
-assemble an entry list and hand it to ``Mat`` once.  ``Mat.nonzeros()``
-is the one sparse read: products, Kronecker products and every module
-that walks R, Z, T, the metric or a gamma matrix iterate its
-(row, col, value) triples instead of indexing and testing each entry.
+Matrices are dense and row-major, and immutable in fact: builders
+assemble an entry list and hand it to ``Mat`` once, which keeps it as a
+tuple, so writing an entry raises.  ``Mat.nonzeros()`` is the one sparse
+read: products, Kronecker products and every module that walks R, Z, T,
+the metric or a gamma matrix iterate its (row, col, value) triples
+instead of indexing and testing each entry, and a Mat scans its entries
+once, on the first call, and keeps the list for every later one.
 rank, det and inverse clear each row's denominators once and eliminate
 on plain ints, dividing exactly by an earlier pivot (fraction-free
 Gauss-Jordan), and build Scalars only for the entries they return.
 
 Tensor legs use a single fixed convention everywhere: the pair (i, j) with
 0 <= i < m, 0 <= j < n is flattened to n*i + j.  ``kron`` and ``flip``
-both honour it.
+both honour it.  Each flip(m, n) is built once per process, on its first
+call, and shared, as are its nonzeros.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 from .errors import ConstraintError, ParseError, ShapeError
@@ -442,16 +446,18 @@ def _over(xs, ys, stamp):
 
 
 class Mat:
-    """Dense exact matrix with row-major entry list."""
+    """Dense exact matrix with a row-major entry tuple, and its nonzeros
+    once read."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_nz")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ShapeError("entry list does not match %dx%d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        self.data = list(data)
+        self.data = tuple(data)
+        self._nz = None
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -480,8 +486,8 @@ class Mat:
         i, j = ij
         return self.data[i * self.cols + j]
 
-    def row(self, i: int):
-        return self.data[i * self.cols:(i + 1) * self.cols]
+    def row(self, i: int) -> list:
+        return list(self.data[i * self.cols:(i + 1) * self.cols])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -490,13 +496,13 @@ class Mat:
                 and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
+        return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other):
         """Entrywise sum; an entry where other is zero keeps self's own
         Scalar, so the work is one Scalar add per nonzero of other."""
         self._same_shape(other)
-        data = self.data[:]
+        data = list(self.data)
         for k, b in enumerate(other.data):
             if b:
                 data[k] = data[k] + b
@@ -504,7 +510,7 @@ class Mat:
 
     def __sub__(self, other):
         self._same_shape(other)
-        data = self.data[:]
+        data = list(self.data)
         for k, b in enumerate(other.data):
             if b:
                 data[k] = data[k] - b
@@ -538,10 +544,15 @@ class Mat:
         return Mat(self.rows, m, out)
 
     def nonzeros(self) -> list:
-        """The nonzero entries as (row, col, value), in row-major order,
-        computed on each call."""
-        c = self.cols
-        return [(k // c, k % c, x) for k, x in enumerate(self.data) if x]
+        """The nonzero entries as (row, col, value), in row-major order:
+        one list, built on the first call and returned by every call, so
+        a caller reads it and never changes it."""
+        nz = self._nz
+        if nz is None:
+            c = self.cols
+            nz = self._nz = [(k // c, k % c, x)
+                             for k, x in enumerate(self.data) if x]
+        return nz
 
     def scale(self, c) -> "Mat":
         return Mat(self.rows, self.cols, [c * a for a in self.data])
@@ -631,6 +642,7 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows * b.rows, cols, out)
 
 
+@cache
 def flip(m: int, n: int) -> Mat:
     """The swap e_i (x) e_j -> e_j (x) e_i from C^m (x) C^n to C^n (x) C^m."""
     out = [ZERO] * (m * n * m * n)

@@ -17,7 +17,7 @@ The checks run on an instance are the suites in cli.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConstraintError, ParseError, UnknownInstance
 from .exact import Mat, ONE, Scalar, flip, require_sign
@@ -44,7 +44,11 @@ class PoincareInstance:
     """One set of structure data, checked once on construction however it
     was built (load_instance, builtin() or dataclasses.replace): a wrong
     shape or type raises ParseError, and q or s other than +1 or -1 or a
-    singular X raises ConstraintError, so no later code re-checks them."""
+    singular X raises ConstraintError, so no later code re-checks them.
+    ``memos`` holds what other modules compute once from the data (the
+    metric, dirac.metric_of); it is no part of the data: equality,
+    hashing and repr skip it, replace() starts it empty, and it dies with
+    the instance."""
 
     name: str
     q: Scalar
@@ -55,6 +59,8 @@ class PoincareInstance:
     R: Mat
     Z: Mat
     T: Mat
+    memos: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         for key, (r, c) in _SHAPES.items():

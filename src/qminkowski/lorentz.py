@@ -17,6 +17,8 @@ formed.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .exact import Mat, V, V_INV
 from .instance import PoincareInstance
 from .qalgebra import NCPoly, TruncatedQuotient, accumulate, \
@@ -141,6 +143,15 @@ def lambda_invariance_check(alg: TruncatedQuotient, g: Mat) -> str | None:
     return None
 
 
+@cache
+def _star_differences() -> tuple:
+    """The 16 free-algebra elements star(Lambda_ij) - Lambda_ij, built on
+    their first read: they depend on the frame V alone."""
+    lam = lambda_entries()
+    return tuple(lorentz_star(lam[i][j]) - lam[i][j]
+                 for i in range(4) for j in range(4))
+
+
 def lambda_reality_diagnostic(alg: TruncatedQuotient) -> bool:
     """Informational: star fixes every Lambda entry in the quotient alg.
 
@@ -148,6 +159,4 @@ def lambda_reality_diagnostic(alg: TruncatedQuotient) -> bool:
     the free algebra, since star maps c w_AC wbar_BD to conj(c) w_BD
     wbar_AC and each sigma_i in V (and each 2x2 row of V^-1) is Hermitian.
     """
-    lam = lambda_entries()
-    return all(alg.normal_form(lorentz_star(lam[i][j]) - lam[i][j]).is_zero()
-               for i in range(4) for j in range(4))
+    return all(alg.normal_form(p).is_zero() for p in _star_differences())

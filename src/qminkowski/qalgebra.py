@@ -251,7 +251,10 @@ class TruncatedQuotient:
     one rewrite step at a time (word_normal_form), and the basis is built
     the first time it is read, so a quotient used only for normal forms
     never enumerates it.  ``memos`` holds what other modules memoise over this
-    algebra (fock's coaction and K, a cli run's calculus).
+    algebra (fock's coaction and K); nothing in it refers back to the
+    quotient, so a quotient is freed when its last reference goes, with
+    no wait for the cycle collector (a cli run keeps its calculus, which
+    holds the quotient, on the run instead).
     """
 
     def __init__(self, gens: int, relations, cap: int):

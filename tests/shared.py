@@ -2,8 +2,9 @@
 
 pytest collects only test_*.py; test modules import from here and never
 from one another.  Each named instance has one builder, one name and one
-set of data, and each call returns a fresh instance, since tests write
-into the .data of the matrices they are handed.
+set of data, and each call returns a fresh instance, with empty memos.
+A Mat cannot be written once built, so each builder assembles its entry
+lists first and hands them to Mat.
 """
 
 import dataclasses
@@ -64,20 +65,21 @@ def sign_twisted_flip():
     """R e_a (x) e_b = sigma_ab e_b (x) e_a, sigma_02 = sigma_20 = -1, else
     1: triangular like the flip, but the T-terms of the obstruction no
     longer cancel."""
-    r = Mat.zeros(16, 16)
+    data = [ZERO] * 256
     for a in range(4):
         for b in range(4):
             sign = -ONE if {a, b} == {0, 2} else ONE
-            r.data[16 * (4 * b + a) + 4 * a + b] = sign
-    return r
+            data[16 * (4 * b + a) + 4 * a + b] = sign
+    return Mat(16, 16, data)
 
 
 def shifted(name, entries):
     """Classical data with the given {flat index: value} entries of T."""
-    t = Mat.zeros(16, 1)
+    t = [ZERO] * 16
     for k, v in entries.items():
-        t.data[k] = v
-    return dataclasses.replace(builtin("classical"), name=name, T=t)
+        t[k] = v
+    return dataclasses.replace(builtin("classical"), name=name,
+                               T=Mat(16, 1, t))
 
 
 def twisted():
@@ -104,9 +106,10 @@ def imag():
 
 def z_perturbed():
     """Z[(0,1), 0] = 1, named zbent: a Lie-type Z entry, which obstructs."""
-    z = Mat.zeros(16, 4)
-    z.data[4 * 1 + 0] = ONE
-    return dataclasses.replace(builtin("classical"), name="zbent", Z=z)
+    z = [ZERO] * 64
+    z[4 * 1 + 0] = ONE
+    return dataclasses.replace(builtin("classical"), name="zbent",
+                               Z=Mat(16, 4, z))
 
 
 def twisted_tshift():
@@ -121,12 +124,11 @@ def leibniz_breaking():
     vanishes, but 1 reduces to 0 in the cap-4 quotient (profile
     [0, 0, 10, 20, 35]), and the Leibniz rule fails at caps 3 and 4 while
     the other three identities hold."""
-    z = Mat.zeros(16, 4)
-    z.data[13] = Scalar(2)
-    t = Mat.zeros(16, 1)
-    t.data[6] = Scalar(-1)
-    return dataclasses.replace(builtin("classical"), name="zt-bent", Z=z,
-                               T=t)
+    z, t = [ZERO] * 64, [ZERO] * 16
+    z[13] = Scalar(2)
+    t[6] = Scalar(-1)
+    return dataclasses.replace(builtin("classical"), name="zt-bent",
+                               Z=Mat(16, 4, z), T=Mat(16, 1, t))
 
 
 MOVED = load_instance(ROOT / "instances" / "moved-twisted.json")

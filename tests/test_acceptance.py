@@ -96,10 +96,10 @@ def test_criterion_3_calculus_identities():
 def test_criterion_4_metric_and_gammas():
     inst = builtin("classical")
     g = metric(inst)
-    eta = Mat.zeros(4, 4)
+    eta = [ZERO] * 16
     for k, sgn in enumerate((ONE, -ONE, -ONE, -ONE)):
-        eta.data[4 * k + k] = sgn
-    metric_ok = g == eta
+        eta[4 * k + k] = sgn
+    metric_ok = g == Mat(4, 4, eta)
 
     gs = gamma(inst)
     signs = (ONE, -ONE, -ONE, -ONE)
@@ -130,9 +130,9 @@ def test_criterion_5_yang_baxter():
     inst = builtin("classical")
     sweep = all(yang_baxter_check(build_rq(inst, b))
                 for b in (ZERO, ONE, -ONE, I))
-    corrupted = build_rq(inst, ZERO)
-    corrupted.data[3] = Scalar(3)
-    negative = not yang_baxter_check(corrupted)
+    corrupted = list(build_rq(inst, ZERO).data)
+    corrupted[3] = Scalar(3)
+    negative = not yang_baxter_check(Mat(25, 25, corrupted))
     good = sweep and negative
     report(5, good, "b sweep %s, corrupted fails %s" % (sweep, negative))
 

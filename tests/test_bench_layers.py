@@ -161,13 +161,14 @@ def test_degree_2_report_case_passes_every_suite():
 
 def test_dirac_suite_case_reads_the_calculus_suite_calculus(monkeypatch):
     """The timed dirac suite passes and builds no quotient and no calculus
-    of its own: it reads, at degree 3, the calculus that the run's one
-    cap-4 quotient keeps in its memos."""
+    of its own: it reads, at degree 3, the calculus that the run keeps for
+    its one cap-4 quotient."""
     call = layers().cases()["dirac-suite-after-calculus-classical"]()
     run = call.args[0]
     assert list(run.quotients) == [4]
     alg = run.quotients[4]
-    calc = alg.memos["calculus"]
+    assert list(run.calculi) == [alg]
+    calc = run.calculi[alg]
     assert calc.alg is alg
     read, square = [], dirac.dirac_square_check
 
@@ -181,7 +182,7 @@ def test_dirac_suite_case_reads_the_calculus_suite_calculus(monkeypatch):
     monkeypatch.setattr(minkowski, "make_minkowski", None)
     assert [c.passed for c in call()] == [True] * 4
     assert read == [(calc, 3)]
-    assert run.quotients == {4: alg} and alg.memos["calculus"] is calc
+    assert run.quotients == {4: alg} and run.calculi == {alg: calc}
 
 
 def test_load_cases_build_their_instances():

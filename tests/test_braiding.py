@@ -114,9 +114,9 @@ def glq_braid(n, q):
 
 
 def perturbed(m, k, by=Scalar(2)):
-    out = Mat(m.rows, m.cols, m.data)
-    out.data[k] = out.data[k] + by
-    return out
+    data = list(m.data)
+    data[k] = data[k] + by
+    return Mat(m.rows, m.cols, data)
 
 
 GLQ = [glq_braid(n, q) for n in (2, 3)
@@ -177,9 +177,9 @@ def test_yang_baxter_matches_the_oracle_on_sparse_matrices(m):
 
 def test_yang_baxter_negative_and_shape():
     assert yang_baxter_check(Mat.identity(4))
-    rq = build_rq(builtin("classical"), ZERO)
-    rq.data[3] = Scalar(5)
-    assert not yang_baxter_check(rq)
+    rq = list(build_rq(builtin("classical"), ZERO).data)
+    rq[3] = Scalar(5)
+    assert not yang_baxter_check(Mat(25, 25, rq))
     with pytest.raises(ShapeError):
         yang_baxter_check(Mat.zeros(4, 6))
     with pytest.raises(ShapeError):

@@ -33,14 +33,14 @@ from shared import MEMO_INSTANCES, ishift, leibniz_breaking, naive_kron, \
 
 
 def omul(a, b):
-    out = Mat.zeros(a.rows, b.cols)
+    out = [ZERO] * (a.rows * b.cols)
     for i in range(a.rows):
         for k in range(a.cols):
             if a[i, k]:
                 for j in range(b.cols):
-                    out.data[i * b.cols + j] = (out.data[i * b.cols + j]
-                                                + a[i, k] * b[k, j])
-    return out
+                    at = i * b.cols + j
+                    out[at] = out[at] + a[i, k] * b[k, j]
+    return Mat(a.rows, b.cols, out)
 
 
 def oracle_obstruction(inst):
@@ -501,9 +501,9 @@ SMALL = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
        twisted=st.booleans())
 def test_checks_match_oracles_on_sparse_shifts(t, z, twisted):
     inst = shifted("hyp", t)
-    zm = Mat.zeros(16, 4)
+    zm = [ZERO] * 64
     for k, v in z.items():
-        zm.data[k] = v
-    inst = dataclasses.replace(inst, Z=zm, R=sign_twisted_flip() if twisted
-                               else inst.R)
+        zm[k] = v
+    inst = dataclasses.replace(inst, Z=Mat(16, 4, zm),
+                               R=sign_twisted_flip() if twisted else inst.R)
     assert_checks_match_oracles(inst, 3)

@@ -89,9 +89,8 @@ def rq_row_zeroed(monkeypatch):
 
 
 def metric_entry_bumped(monkeypatch):
-    """g_01 += 1 in dirac.metric, which the validate, dirac and lorentz
-    suites read; calculus and braiding import metric by name and keep the
-    real one."""
+    """g_01 += 1 in dirac.metric, the one metric of a run that validate,
+    the dirac and lorentz suites, R_Q and the wave operator read."""
     def bumped(g):
         data = list(g.data)
         data[1] = data[1] + ONE
@@ -255,19 +254,24 @@ PLANTED = [
      {("braiding", "rq-invertible"), ("braiding", "cotriangular"),
       ("fock", "cotriangular")} | BRAIDED,
      {("braiding", "rq-invertible")}),
-    # no calculus line moves: calculus imports metric by name
+    # the run's one metric reaches the wave operator too, so dirac-square
+    # fails with it; no calculus line moves, since on classical data the
+    # partials commute
     ("metric-symmetric", metric_entry_bumped, classical, {},
      {("validate", "metric-symmetric"), ("dirac", "metric-symmetric"),
-      ("dirac", "clifford"), ("lorentz", "lambda-invariance")},
+      ("dirac", "clifford"), ("dirac", "dirac-square"),
+      ("lorentz", "lambda-invariance")},
      {("validate", "metric-symmetric"), ("dirac", "metric-symmetric"),
-      ("dirac", "clifford"), ("lorentz", "lambda-invariance")}),
+      ("dirac", "clifford"), ("dirac", "dirac-square"),
+      ("lorentz", "lambda-invariance")}),
     # the dirac metric-symmetric line prints g, so it moves but passes
     ("metric-nondegenerate", metric_entry_zeroed, classical, {},
      {("validate", "metric-nondegenerate"), ("dirac", "metric-nondegenerate"),
       ("dirac", "metric-symmetric"), ("dirac", "clifford"),
-      ("lorentz", "lambda-invariance")},
+      ("dirac", "dirac-square"), ("lorentz", "lambda-invariance")},
      {("validate", "metric-nondegenerate"), ("dirac", "metric-nondegenerate"),
-      ("dirac", "clifford"), ("lorentz", "lambda-invariance")}),
+      ("dirac", "clifford"), ("dirac", "dirac-square"),
+      ("lorentz", "lambda-invariance")}),
     # a coaction that drops its y (x) 1 terms would move nothing here:
     # counit(P_i4) = 0
     ("coaction-counit", counit_zeroed, classical, {"n": 3},
@@ -290,10 +294,10 @@ def planted_ids(rows):
     ids=planted_ids(PLANTED))
 def test_a_planted_defect_fails_its_line(monkeypatch, line, defect, make,
                                          params, moved, failed):
-    inst = make()
-    before = lines(inst, **params)
+    before = lines(make(), **params)
     defect(monkeypatch)
-    after = lines(inst, **params)
+    # a fresh instance: an instance keeps the metric its first run read
+    after = lines(make(), **params)
     assert {key for key in before.keys() | after.keys()
             if before.get(key) != after.get(key)} == moved
     assert fails(after) - fails(before) == failed

@@ -13,7 +13,7 @@ import qminkowski.fock as fock
 import qminkowski.lorentz as lorentz
 import qminkowski.minkowski as minkowski
 from qminkowski.cli import _SUITES, run_suites
-from qminkowski.exact import Mat, Scalar
+from qminkowski.exact import Mat, Scalar, ZERO
 from qminkowski.instance import builtin, instance_to_dict, write_instance
 
 from shared import ROOT, leibniz_breaking, run, tshift, twisted_tshift, \
@@ -287,11 +287,11 @@ def test_parser_reuse_keeps_every_byte_and_exit_code():
 def test_huge_witness_prints_without_traceback(tmp_path):
     # Z[(0,1),0] has 4,000 digits, so the obstruction witness has about
     # 8,000: more than str() gives an int by default
-    z = Mat.zeros(16, 4)
-    z.data[4] = Scalar(10 ** 3999 + 7)
+    z = [ZERO] * 64
+    z[4] = Scalar(10 ** 3999 + 7)
     path = tmp_path / "big.json"
     write_instance(dataclasses.replace(builtin("classical"), name="big-z",
-                                       Z=z), str(path))
+                                       Z=Mat(16, 4, z)), str(path))
     cmd = [sys.executable, "-m", "qminkowski", "calculus", str(path)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 1

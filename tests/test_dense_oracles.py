@@ -142,7 +142,7 @@ def build_rq_oracle(inst, b):
     rz = r * z
     rm1t = (r - Mat.identity(16)) * t
     g = metric(inst)
-    out = Mat.zeros(25, 25)
+    out = [ZERO] * (25 * 25)
     for i in range(4):
         for j in range(4):
             row = 5 * i + j
@@ -150,21 +150,21 @@ def build_rq_oracle(inst, b):
                 for l in range(4):
                     v = r[4 * i + j, 4 * k + l]
                     if v:
-                        out.data[25 * row + 5 * k + l] = v
+                        out[25 * row + 5 * k + l] = v
             for k in range(4):
                 v = z[4 * i + j, k]
                 if v:
-                    out.data[25 * row + 5 * k + 4] = v
+                    out[25 * row + 5 * k + 4] = v
             for l in range(4):
                 v = rz[4 * i + j, l]
                 if v:
-                    out.data[25 * row + 20 + l] = -v
-            out.data[25 * row + 24] = rm1t[4 * i + j, 0] + b * g[i, j]
+                    out[25 * row + 20 + l] = -v
+            out[25 * row + 24] = rm1t[4 * i + j, 0] + b * g[i, j]
     for i in range(4):
-        out.data[25 * (5 * i + 4) + 20 + i] = ONE
-        out.data[25 * (20 + i) + 5 * i + 4] = ONE
-    out.data[25 * 24 + 24] = ONE
-    return out
+        out[25 * (5 * i + 4) + 20 + i] = ONE
+        out[25 * (20 + i) + 5 * i + 4] = ONE
+    out[25 * 24 + 24] = ONE
+    return Mat(25, 25, out)
 
 
 def lorentz_relations_oracle(inst):

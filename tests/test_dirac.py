@@ -109,8 +109,9 @@ def test_failing_checks_name_their_witness(monkeypatch):
     assert suite.checks[-1].line() == (
         "FAIL dirac-square: square equals wave operator, degree <= 2; "
         "fails at w=(0, 0), a=0")
+    # a fresh instance: inst keeps the metric the dirac run read
     monkeypatch.setattr(dirac, "metric", lambda inst: Mat.identity(4))
-    (suite,) = cli.run_suites(inst, ("lorentz",)).suites
+    (suite,) = cli.run_suites(builtin("classical"), ("lorentz",)).suites
     assert suite.checks[0].line() == (
         "FAIL lambda-invariance: Lambda g Lambda^T = g at degree 4; "
         "fails at i=0, j=0")

@@ -162,11 +162,25 @@ def test_mat_nonzeros():
         m = rand_sparse_mat(rng, r, c)
         assert m.nonzeros() == [(i, j, m[i, j]) for i in range(r)
                                 for j in range(c) if m[i, j]]
-    # computed afresh: a write into data after a first call shows
-    m = Mat.zeros(2, 2)
-    assert m.nonzeros() == []
-    m.data[3] = ONE
-    assert m.nonzeros() == [(1, 1, ONE)]
+    # kept: a built Mat cannot be written, so its first scan holds for
+    # good, and every read returns the same entries
+    m = Mat.from_rows([[0, 0], [0, 1]])
+    first = m.nonzeros()
+    assert first == [(1, 1, ONE)] and m.nonzeros() is first
+    with pytest.raises(TypeError):
+        m.data[3] = ZERO
+    assert m.nonzeros() == [(1, 1, ONE)] and m[1, 1] == ONE
+
+
+def test_a_built_mat_cannot_be_written():
+    """Every Mat the package builds or hands out refuses an entry write,
+    so a kept nonzeros list cannot go stale, and flip is built once."""
+    r = builtin("classical").R
+    for m in (Mat.zeros(2, 3), Mat.identity(3), r, r * r, r.transpose(),
+              flip(2, 2), V_INV, V.inverse()):
+        with pytest.raises(TypeError):
+            m.data[0] = I
+    assert flip(2, 2) is flip(2, 2)
 
 
 def test_mat_add_scale_transpose():
@@ -550,10 +564,10 @@ def test_mat_add_and_sub_are_entrywise(pair):
     before = list(a.data), list(b.data)
     for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
         assert (got.rows, got.cols) == (a.rows, a.cols)
-        assert got.data == [op(x, y) for x, y in zip(a.data, b.data)]
+        assert list(got.data) == [op(x, y) for x, y in zip(a.data, b.data)]
         assert all(z is x for x, y, z in zip(a.data, b.data, got.data)
                    if not y)
-    assert (a.data, b.data) == before
+    assert (list(a.data), list(b.data)) == before
 
 
 def test_mat_add_and_sub_shape_errors():

@@ -54,9 +54,9 @@ def test_round_trip_preserves_everything(tmp_path):
 
 
 def test_unencodable_instance_leaves_no_file(tmp_path):
-    z = Mat.zeros(16, 4)
-    z.data[4] = Scalar(10 ** 4400)       # past json's 4,300-digit limit
-    huge = dataclasses.replace(builtin("classical"), Z=z)
+    z = [ZERO] * 64
+    z[4] = Scalar(10 ** 4400)       # past json's 4,300-digit limit
+    huge = dataclasses.replace(builtin("classical"), Z=Mat(16, 4, z))
     old = tmp_path / "old.json"
     write_instance(builtin("classical"), str(old))
     before = old.read_bytes()
@@ -204,9 +204,9 @@ def test_validate_classical():
 def test_validate_flags_obstruction_as_advisory_only():
     # a Z entry breaks the calculus but the instance itself stays legal
     inst = builtin("classical")
-    z = Mat.zeros(16, 4)
-    z.data[4 * 1 + 0] = ONE          # Z[(0,1), 0]
-    bent = dataclasses.replace(inst, name="bent", Z=z)
+    z = [ZERO] * 64
+    z[4 * 1 + 0] = ONE          # Z[(0,1), 0]
+    bent = dataclasses.replace(inst, name="bent", Z=Mat(16, 4, z))
     (suite,) = run_suites(bent, ("validate",)).suites
     checks = suite.checks
     assert gating_passed(checks)        # advisory failures do not gate

@@ -10,6 +10,7 @@ import pytest
 
 from fractions import Fraction
 
+import qminkowski.lorentz as lorentz
 from qminkowski.dirac import metric
 from qminkowski.errors import DegreeError
 from qminkowski.exact import I, Mat, ONE, PAULI, Scalar, ZERO
@@ -134,6 +135,27 @@ def test_invariance_in_the_quotient():
 
 def test_reality_diagnostic():
     assert lambda_reality_diagnostic(make_lorentz(builtin("classical"), 4))
+
+
+def test_reality_diagnostic_builds_its_differences_once(monkeypatch):
+    """star(Lambda_ij) - Lambda_ij depends on the frame alone: after the
+    first read, the diagnostic forms no Lambda entry and no star, and
+    still normal-forms all 16 in the quotient it is given."""
+    alg = make_lorentz(builtin("classical"), 4)
+    assert lambda_reality_diagnostic(alg)
+
+    def refused(*args):
+        raise AssertionError("a frame constant was built again")
+    monkeypatch.setattr(lorentz, "lambda_entries", refused)
+    monkeypatch.setattr(lorentz, "lorentz_star", refused)
+    seen, real = [], alg.normal_form
+
+    def reading(p):
+        seen.append(p)
+        return real(p)
+    monkeypatch.setattr(alg, "normal_form", reading)
+    assert lambda_reality_diagnostic(alg)
+    assert len(seen) == 16
 
 
 def test_star_fixes_lambda_in_the_free_algebra():
